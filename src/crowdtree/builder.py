@@ -2,29 +2,31 @@
 
 The greedy builder works level by level: every still-ambiguous block gets
 exactly one applicable test per level, and the joint choice across blocks is
-scored by the configured metric. Joint selection enumerates the full cross
-product of per-block candidates when that is affordable and falls back to
-coordinate ascent otherwise.
+scored by the configured metric. The choice is exact without enumerating
+the cross product: Dinkelbach's iteration for the additive ratio, a walk along
+the lower-left hull of the Minkowski sum of the per-block points for the
+multiplicative product.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DepthGuardExceeded, InseparableClasses, InstanceTooLarge, ValidationError
 from .metrics import (
     LevelQuantities,
     Metric,
     MetricConfig,
+    _block_entropy,
     exact_correct,
     exact_misclassification,
-    level_correct_mass,
     level_entropy,
-    level_error_mass,
     level_quantities,
     metric_additive,
     metric_multiplicative,
@@ -43,18 +45,13 @@ from .model import (
     split_block,
 )
 
-_ASCENT_MAX_SWEEPS = 10
-
 
 @dataclass(frozen=True)
 class BuilderConfig:
     metric: MetricConfig = field(default_factory=MetricConfig)
-    joint_cap: int = 10_000
     max_depth: int = 64
 
     def __post_init__(self):
-        if self.joint_cap < 1:
-            raise ValidationError(f"joint cap must be >= 1, got {self.joint_cap}")
         if self.max_depth < 1:
             raise ValidationError(f"max depth must be >= 1, got {self.max_depth}")
 
@@ -86,87 +83,101 @@ def _inseparable_error(table: TestTable, block: Block) -> InseparableClasses:
     )
 
 
-def _level_score(
-    table: TestTable,
-    partition: Partition,
-    assignment: dict[Block, str],
-    entropy_before: float,
-    config: BuilderConfig,
-) -> float:
-    """Metric value of one joint assignment; higher is always better here."""
-    after = refine_partition(table, partition, assignment)
-    entropy_after = level_entropy(table.priors, after)
-    if config.metric.kind is Metric.ADDITIVE:
-        g = level_error_mass(table, partition, assignment)
-        return metric_additive(entropy_before - entropy_after, g)
-    b = level_correct_mass(table, partition, assignment)
-    return metric_multiplicative(
-        entropy_before, entropy_after, b, config.metric.ratio_offset
-    )
+class _Point(NamedTuple):
+    test: int  # test index, the tie-break key
+    h: float  # mass times entropy of the two sub-blocks
+    g: float  # error mass
+    c: float  # correct mass
+
+
+def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point]:
+    """Dinkelbach's iteration on (h_before - sum h) / sum g. Each round takes,
+    per block, the argmax of (H_b - h) - lam * g, where H_b is the block's own
+    entropy term, so the argmin of h + lam * g; ties go to the lowest index.
+    Once lam stops rising, that argmax is the lexicographically smallest
+    optimum."""
+    error_free = [next((p for p in pts if p.g == 0.0), None) for pts in points]
+    if None not in error_free:
+        return error_free  # the level scores +inf
+
+    def ratio(choice: list[_Point]) -> float:
+        return metric_additive(h_before - sum(p.h for p in choice), math.fsum(p.g for p in choice))
+
+    lam = ratio([pts[0] for pts in points])
+    while True:
+        choice = [min(pts, key=lambda p: p.h + lam * p.g) for pts in points]
+        value = ratio(choice)
+        if not value > lam:
+            return choice
+        lam = value
+
+
+def _lower_left_hull(points: list[_Point]) -> list[_Point]:
+    """Lower-left convex hull of the (h, c) points, from least h to least c;
+    a repeated point keeps its lowest test index."""
+    hull: list[_Point] = []
+    for p in sorted(points, key=lambda p: (p.h, p.c, p.test)):
+        if hull and p.c >= hull[-1].c:
+            continue  # dominated
+        while len(hull) > 1 and (hull[-1].h - hull[-2].h) * (p.c - hull[-2].c) <= (
+            hull[-1].c - hull[-2].c
+        ) * (p.h - hull[-2].h):
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def _select_multiplicative(
+    points: list[list[_Point]], entropy_before: float, singleton_mass: float, offset: float
+) -> list[_Point]:
+    """Minimize (sum h + offset) * (sum c + singleton mass). The product is
+    quasi-concave and rises in both sums, so the optimum is a vertex of the
+    lower-left hull of the Minkowski sum of the per-block points; walk that
+    hull by merging the per-block hull edges by slope."""
+    hulls = [_lower_left_hull(pts) for pts in points]
+    edges = [[((b.c - a.c) / (b.h - a.h), k, b) for a, b in zip(hull, hull[1:])]
+             for k, hull in enumerate(hulls)]
+    choice = [hull[0] for hull in hulls]
+    vertices = [list(choice)]
+    for _, k, p in heapq.merge(*edges, key=lambda edge: edge[0]):
+        choice[k] = p
+        vertices.append(list(choice))
+
+    def score(choice: list[_Point]) -> float:
+        correct = math.fsum([*(p.c for p in choice), singleton_mass])
+        return metric_multiplicative(entropy_before, sum(p.h for p in choice), correct, offset)
+
+    return max(vertices, key=lambda choice: (score(choice), [-p.test for p in choice]))
 
 
 def _choose_level_assignment(
-    table: TestTable,
-    partition: Partition,
-    open_blocks: list[Block],
-    candidates: dict[Block, list[str]],
-    entropy_before: float,
-    config: BuilderConfig,
+    table: TestTable, partition: Partition, config: BuilderConfig
 ) -> dict[Block, str]:
-    """Pick one test per open block, jointly optimizing the level metric.
-
-    Ties on the metric value break toward the lowest test index per block,
-    blocks considered in partition order.
-    """
-    index = {t: m for m, t in enumerate(table.tests)}
-
-    def key_of(assignment: dict[Block, str]) -> tuple[int, ...]:
-        return tuple(index[assignment[b]] for b in open_blocks)
-
-    n_combos = 1
+    """One test per open block, exactly maximizing the level metric; ties go
+    to the lexicographically smallest test indices, blocks in partition order.
+    Both metrics are sums of per-(block, test) points, computed once here."""
+    open_blocks = [b for b in partition if len(b) > 1]
+    points = []
     for block in open_blocks:
-        n_combos *= len(candidates[block])
-        if n_combos > config.joint_cap:
-            break
-
-    if n_combos <= config.joint_cap:
-        best: dict[Block, str] | None = None
-        best_score = -1.0
-        best_key: tuple[int, ...] | None = None
-        for combo in itertools.product(*(candidates[b] for b in open_blocks)):
-            assignment = dict(zip(open_blocks, combo))
-            score = _level_score(table, partition, assignment, entropy_before, config)
-            key = key_of(assignment)
-            if best is None or score > best_score or (score == best_score and key < best_key):
-                best, best_score, best_key = assignment, score, key
-        assert best is not None
-        return best
-
-    # Coordinate ascent: start from the lowest-index candidate everywhere,
-    # then improve one block at a time until a whole sweep changes nothing.
-    assignment = {b: min(candidates[b], key=index.__getitem__) for b in open_blocks}
-    for _ in range(_ASCENT_MAX_SWEEPS):
-        changed = False
-        for block in open_blocks:
-            current_score = _level_score(table, partition, assignment, entropy_before, config)
-            best_test = assignment[block]
-            best_score = current_score
-            for test_id in candidates[block]:
-                if test_id == assignment[block]:
-                    continue
-                trial = dict(assignment)
-                trial[block] = test_id
-                score = _level_score(table, partition, trial, entropy_before, config)
-                if score > best_score or (
-                    score == best_score and index[test_id] < index[best_test]
-                ):
-                    best_test, best_score = test_id, score
-            if best_test != assignment[block]:
-                assignment[block] = best_test
-                changed = True
-        if not changed:
-            break
-    return assignment
+        tests = applicable_tests(table, block)
+        if not tests:
+            raise _inseparable_error(table, block)
+        points.append([])
+        for test_id in tests:
+            m = table.test_index(test_id)
+            zeros, ones = split_block(table, block, test_id)
+            h = _block_entropy(table.priors, zeros) + _block_entropy(table.priors, ones)
+            g = math.fsum(table.priors[i] * float(table.errors[m, i]) for i in block)
+            c = math.fsum(table.priors[i] * (1.0 - float(table.errors[m, i])) for i in block)
+            points[-1].append(_Point(m, h, g, c))
+    entropy_before = level_entropy(table.priors, partition)
+    if config.metric.kind is Metric.ADDITIVE:
+        choice = _select_additive(points, entropy_before)
+    else:
+        singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
+        offset = config.metric.ratio_offset
+        choice = _select_multiplicative(points, entropy_before, singletons, offset)
+    return {b: table.tests[p.test] for b, p in zip(open_blocks, choice)}
 
 
 def _assemble(
@@ -196,17 +207,7 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     while any(len(b) > 1 for b in partition):
         if len(chosen) >= config.max_depth:
             raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
-        open_blocks = [b for b in partition if len(b) > 1]
-        candidates: dict[Block, list[str]] = {}
-        for block in open_blocks:
-            tests = applicable_tests(table, block)
-            if not tests:
-                raise _inseparable_error(table, block)
-            candidates[block] = tests
-        entropy_before = level_entropy(table.priors, partition)
-        assignment = _choose_level_assignment(
-            table, partition, open_blocks, candidates, entropy_before, config
-        )
+        assignment = _choose_level_assignment(table, partition, config)
         chosen.append(assignment)
         partition = refine_partition(table, partition, assignment)
     tree = DecisionTree(_assemble(table.all_classes_block(), 0, chosen, table))

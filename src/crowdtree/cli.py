@@ -87,13 +87,12 @@ def _print_quality(tree, table, ratio_offset: float) -> None:
 
 def _cmd_build(args) -> int:
     table = _load_table(args)
-    config = BuilderConfig(metric=_metric_config(args), joint_cap=args.joint_cap)
+    config = BuilderConfig(metric=_metric_config(args))
     result = build_greedy(table, config)
     builder_info = {
         "kind": "greedy",
         "metric": args.metric,
         "ratio_offset": args.ratio_offset,
-        "joint_cap": args.joint_cap,
     }
     if args.out:
         fileio.save_tree(args.out, result.tree, table, builder_info)
@@ -174,7 +173,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_sweep_error(args) -> int:
     table = fileio.load_table(args.table)
-    config = BuilderConfig(metric=_metric_config(args), joint_cap=args.joint_cap)
+    config = BuilderConfig(metric=_metric_config(args))
     points = sweep_error(
         table, _parse_grid(args.grid), args.random_trees, config, args.seed
     )
@@ -242,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     _add_metric_flags(p)
     _add_error_flags(p)
-    p.add_argument("--joint-cap", type=int, default=10_000)
     p.add_argument("--out", help="write the tree document here")
     p.set_defaults(func=_cmd_build)
 
@@ -290,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-trees", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     _add_metric_flags(p)
-    p.add_argument("--joint-cap", type=int, default=10_000)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep_error)
 

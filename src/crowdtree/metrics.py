@@ -68,18 +68,23 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
     check_partition(len(priors), partition)
     total = 0.0
     for block in partition:
-        mass = math.fsum(priors[i] for i in block)
-        if mass <= 0.0:
-            raise InvalidPartition(f"block {block!r} has no probability mass")
-        if len(block) == 1:
-            continue
-        h = 0.0
-        for i in block:
-            q = priors[i] / mass
-            if q > 0.0:
-                h -= q * math.log2(q)
-        total += mass * h
+        total += _block_entropy(priors, block)
     return total
+
+
+def _block_entropy(priors: Sequence[float], block: Block) -> float:
+    """One block's term of :func:`level_entropy`; 0 for a singleton."""
+    mass = math.fsum(priors[i] for i in block)
+    if mass <= 0.0:
+        raise InvalidPartition(f"block {block!r} has no probability mass")
+    if len(block) == 1:
+        return 0.0
+    h = 0.0
+    for i in block:
+        q = priors[i] / mass
+        if q > 0.0:
+            h -= q * math.log2(q)
+    return mass * h
 
 
 def _per_class_errors(
@@ -176,25 +181,27 @@ def level_quantities(
     return out
 
 
+def _survival(tree: DecisionTree, table: TestTable, class_id: str) -> float:
+    """Probability that every test on the class's true path answers right."""
+    survive = 1.0
+    for step in class_path(tree, table, class_id):
+        survive *= 1.0 - step.error_prob
+    return survive
+
+
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
     total = 0.0
-    for i, class_id in enumerate(table.classes):
-        survive = 1.0
-        for step in class_path(tree, table, class_id):
-            survive *= 1.0 - step.error_prob
-        total += table.priors[i] * (1.0 - survive)
+    for p, class_id in zip(table.priors, table.classes):
+        total += p * (1.0 - _survival(tree, table, class_id))
     return total
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
     total = 0.0
-    for i, class_id in enumerate(table.classes):
-        survive = 1.0
-        for step in class_path(tree, table, class_id):
-            survive *= 1.0 - step.error_prob
-        total += table.priors[i] * survive
+    for p, class_id in zip(table.priors, table.classes):
+        total += p * _survival(tree, table, class_id)
     return total
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .errors import (
 
 Block = tuple[int, ...]
 Partition = tuple[Block, ...]
-
-#: Outcome value used in raw matrices for "test undefined for this class".
-NOT_APPLICABLE = None
 
 _PRIOR_EXACT_TOL = 1e-9
 _PRIOR_RENORM_TOL = 1e-6
@@ -88,9 +85,6 @@ class TestTable:
 
     def all_classes_block(self) -> Block:
         return tuple(range(self.n_classes))
-
-    def block_mass(self, block: Iterable[int]) -> float:
-        return math.fsum(self.priors[i] for i in block)
 
     def with_scalar_error(self, error_prob: float) -> "TestTable":
         """Copy of this table with every defined cell's error set to ``error_prob``."""
@@ -197,11 +191,6 @@ def validate_table(
                 _check_error_value(float(value))
                 errs[m, i] = float(value)
     return TestTable(classes, priors, tests, out, errs)
-
-
-def block_of(table: TestTable, class_ids: Iterable[str]) -> Block:
-    """Sorted index block for the named classes."""
-    return tuple(sorted(table.class_index(c) for c in class_ids))
 
 
 def applicable_tests(table: TestTable, block: Block) -> list[str]:
@@ -345,12 +334,16 @@ class LevelStep(NamedTuple):
     after: Partition
 
 
-def _subtree_block(node: Node, table: TestTable) -> Block:
+def _subtree_blocks(node: Node, table: TestTable, blocks: dict[int, Block]) -> Block:
+    """Sorted class block below ``node``. Stores it, and that of every node
+    below, in ``blocks`` under ``id(node)``: one post-order pass per tree."""
     if isinstance(node, Leaf):
-        return (table.class_index(node.label),)
-    return tuple(
-        sorted(_subtree_block(node.zero, table) + _subtree_block(node.one, table))
-    )
+        block: Block = (table.class_index(node.label),)
+    else:
+        zeros = _subtree_blocks(node.zero, table, blocks)
+        block = tuple(sorted(zeros + _subtree_blocks(node.one, table, blocks)))
+    blocks[id(node)] = block
+    return block
 
 
 def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
@@ -359,19 +352,17 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
+    blocks: dict[int, Block] = {}
+    _subtree_blocks(tree.root, table, blocks)
     frontier: list[Node] = [tree.root]
     steps: list[LevelStep] = []
     while any(isinstance(n, Internal) for n in frontier):
-        before = tuple(_subtree_block(n, table) for n in frontier)
-        assignment: dict[Block, str] = {}
+        before = tuple(blocks[id(n)] for n in frontier)
+        assignment = {blocks[id(n)]: n.test for n in frontier if isinstance(n, Internal)}
         nxt: list[Node] = []
         for node in frontier:
-            if isinstance(node, Internal):
-                assignment[_subtree_block(node, table)] = node.test
-                nxt.extend((node.zero, node.one))
-            else:
-                nxt.append(node)
-        after = tuple(_subtree_block(n, table) for n in nxt)
+            nxt.extend((node.zero, node.one) if isinstance(node, Internal) else (node,))
+        after = tuple(blocks[id(n)] for n in nxt)
         steps.append(LevelStep(before, assignment, after))
         frontier = nxt
     return steps
@@ -410,14 +401,16 @@ def validate_tree(tree: DecisionTree, table: TestTable) -> None:
             f"leaves {sorted(labels)} do not match classes {sorted(table.classes)}"
         )
 
+    blocks: dict[int, Block] = {}
+    _subtree_blocks(tree.root, table, blocks)
+
     def walk(node: Node, used: frozenset[str]) -> None:
         if isinstance(node, Leaf):
             return
         if node.test in used:
             raise ValidationError(f"test {node.test!r} repeats along a path")
-        block = _subtree_block(node, table)
-        zeros, ones = split_block(table, block, node.test)  # raises if inapplicable
-        if _subtree_block(node.zero, table) != zeros or _subtree_block(node.one, table) != ones:
+        zeros, ones = split_block(table, blocks[id(node)], node.test)  # raises if inapplicable
+        if blocks[id(node.zero)] != zeros or blocks[id(node.one)] != ones:
             raise ValidationError(
                 f"children of test {node.test!r} disagree with its outcomes"
             )

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -13,10 +15,12 @@ from crowdtree import (
     build_random,
     enumerate_trees,
     exact_misclassification,
+    level_correct_mass,
     level_entropy,
     level_error_mass,
     level_trace,
     metric_additive,
+    metric_multiplicative,
     refine_partition,
     validate_table,
     validate_tree,
@@ -89,47 +93,93 @@ def test_greedy_deterministic():
         assert first == second
 
 
-def test_greedy_choice_maximizes_level_metric_exact_replay():
-    # re-derive the additive metric of every alternative joint assignment at
-    # every level and check the built tree's choice is the maximum
-    for seed in range(12):
-        table = support.random_table(seed, max_classes=5, max_tests=6, cell_errors=True)
-        tree = build_greedy(table).tree
-        for step in level_trace(tree, table):
-            open_blocks = [b for b in step.before if len(b) > 1]
-            chosen_value = metric_additive(
-                level_entropy(table.priors, step.before)
-                - level_entropy(table.priors, step.after),
-                level_error_mass(table, step.before, step.assignment),
+def _enumerated_assignment(table, partition, kind):
+    """Reference joint assignment by cross-product enumeration: score every
+    combination with the library's level functions, keep the best, and break
+    ties toward the smallest tuple of test indices, blocks in partition order.
+
+    Scores within 1e-12 (relative) count as tied: complementary tests give a
+    block the same two sub-blocks, but in swapped order, so the partition's
+    entropy sums them in another order and can differ in the last bit.
+    """
+    open_blocks = [b for b in partition if len(b) > 1]
+    h_before = level_entropy(table.priors, partition)
+    scored = {}
+    for combo in itertools.product(*(applicable_tests(table, b) for b in open_blocks)):
+        assignment = dict(zip(open_blocks, combo))
+        h_after = level_entropy(table.priors, refine_partition(table, partition, assignment))
+        if kind is Metric.ADDITIVE:
+            score = metric_additive(
+                h_before - h_after, level_error_mass(table, partition, assignment)
             )
-            h_before = level_entropy(table.priors, step.before)
-            for combo in itertools.product(
-                *(applicable_tests(table, b) for b in open_blocks)
-            ):
-                assignment = dict(zip(open_blocks, combo))
-                after = refine_partition(table, step.before, assignment)
-                value = metric_additive(
-                    h_before - level_entropy(table.priors, after),
-                    level_error_mass(table, step.before, assignment),
-                )
-                assert value <= chosen_value + 1e-12
+        else:
+            score = metric_multiplicative(
+                h_before, h_after, level_correct_mass(table, partition, assignment)
+            )
+        scored[tuple(table.test_index(t) for t in combo)] = (score, assignment)
+    best = max(score for score, _ in scored.values())
+    key = min(k for k, (score, _) in scored.items() if score >= best * (1 - 1e-12))
+    return scored[key][1]
 
 
-def test_greedy_coordinate_ascent_fallback_matches_on_demo():
-    # with the joint cap forced to 1, every level goes through ascent; the
-    # demo instance has one open block per level so the result is identical
-    table = demo_table(0.05)
-    capped = build_greedy(table, BuilderConfig(joint_cap=1)).tree
-    assert capped == designed_tree()
+def _parity_table(seed):
+    # eight classes coded by three bits; each test is the parity of a bit
+    # subset, so every test splits every block it is not constant on in half
+    # and the third level has four open blocks
+    rng = random.Random(seed)
+    rows = [[bin(i & mask).count("1") % 2 for i in range(8)] for mask in range(1, 8)]
+    raw = [rng.uniform(0.05, 1.0) for _ in range(8)]
+    errors = [[rng.uniform(0.005, 0.2) for _ in range(8)] for _ in rows]
+    return validate_table(
+        [f"c{i}" for i in range(8)],
+        [v / sum(raw) for v in raw],
+        [f"P{mask}" for mask in range(1, 8)],
+        rows,
+        errors,
+    )
 
 
-def test_greedy_coordinate_ascent_valid_and_deterministic():
+def _replay_tables():
+    yield demo_table(0.05)
+    for seed in range(12):
+        yield support.random_table(seed, max_classes=5, max_tests=6, cell_errors=True)
     for seed in range(8):
-        table = support.random_table(seed, cell_errors=True)
-        config = BuilderConfig(joint_cap=1)
-        tree = build_greedy(table, config).tree
-        validate_tree(tree, table)
-        assert tree == build_greedy(table, config).tree
+        yield support.random_table(seed, cell_errors=True)
+    # a complementary pair (T3, T15) ties exactly at level 2 under the
+    # additive metric; summing the partition's entropy picks T15 by a last-bit
+    # difference, the documented tie-break picks T3
+    yield support.random_table(205, max_classes=12, max_tests=16)
+    # duplicate and complementary rows: exact ties inside a block
+    yield validate_table(
+        ["a", "b", "c", "d", "e"],
+        [0.1, 0.3, 0.2, 0.25, 0.15],
+        ["T1", "T2", "T3", "T4", "T5"],
+        [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 0], [0, 1, 0, 1, 0], [0, 1, 1, 0, 0]],
+        0.05,
+    )
+    for seed in (0, 1):
+        yield _parity_table(seed)
+    # error-free tests: levels that score +inf, and levels where only some
+    # blocks have an error-free candidate
+    for seed in range(6):
+        table = _parity_table(seed) if seed < 2 else support.random_table(seed, cell_errors=True)
+        yield table.with_test_errors({t: 0.0 for t in table.tests[seed % 2 :: 2]})
+
+
+def test_greedy_choice_maximizes_level_metric_exact_replay():
+    # at every level of the built tree, under both metrics, the chosen joint
+    # assignment is the lexicographically smallest optimum of the full cross
+    # product of per-block candidates
+    seen_infinite_level = seen_three_open_blocks = False
+    for table in _replay_tables():
+        for kind in Metric:
+            result = build_greedy(table, BuilderConfig(metric=MetricConfig(kind=kind)))
+            validate_tree(result.tree, table)
+            for step in level_trace(result.tree, table):
+                assert step.assignment == _enumerated_assignment(table, step.before, kind)
+                seen_three_open_blocks |= len(step.assignment) >= 3
+            seen_infinite_level |= any(math.isinf(q.additive_metric) for q in result.levels)
+    assert seen_infinite_level and seen_three_open_blocks
 
 
 def test_greedy_inseparable_names_pair():
@@ -142,8 +192,6 @@ def test_greedy_inseparable_names_pair():
 
 
 def test_builder_config_validation():
-    with pytest.raises(ValidationError):
-        BuilderConfig(joint_cap=0)
     with pytest.raises(ValidationError):
         BuilderConfig(max_depth=0)
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import crowdtree
 from crowdtree.cli import main
 from crowdtree.fixtures import DEMO_TABLE_CSV
 
@@ -270,6 +272,9 @@ def test_exit_code_io_error(tmp_path):
 
 
 def test_module_entry_point(table_path):
+    # the child process imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(crowdtree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -283,6 +288,7 @@ def test_module_entry_point(table_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "exact_pm,0.08231187500000005" in proc.stdout
