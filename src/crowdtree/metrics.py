@@ -12,14 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidPartition, ValidationError
+from .errors import InapplicableTest, InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
+    Leaf,
+    Node,
     Partition,
     TestTable,
     check_partition,
-    class_path,
     level_trace,
 )
 
@@ -181,27 +182,65 @@ def level_quantities(
     return out
 
 
-def _survival(tree: DecisionTree, table: TestTable, class_id: str) -> float:
-    """Probability that every test on the class's true path answers right."""
-    survive = 1.0
-    for step in class_path(tree, table, class_id):
-        survive *= 1.0 - step.error_prob
+def _survivals(tree: DecisionTree, table: TestTable) -> list[float]:
+    """Per class, in class order, the probability that every test on the
+    class's true path answers right.
+
+    One walk of the tree routes each node's class block by the node's test
+    outcomes and multiplies each class's running product by ``1 - e`` from
+    root to leaf. A class whose path meets an undefined test, or ends at
+    another class's leaf, raises; of several, the first in class order.
+    """
+    survive = [1.0] * table.n_classes
+    failures: dict[int, Exception] = {}
+
+    def walk(node: Node, block: list[tuple[int, float]]) -> None:
+        if not block:
+            return
+        if isinstance(node, Leaf):
+            for i, alive in block:
+                if table.classes[i] == node.label:
+                    survive[i] = alive
+                else:
+                    failures[i] = ValidationError(
+                        f"path for {table.classes[i]!r} ends at leaf {node.label!r}; "
+                        "tree inconsistent with table"
+                    )
+            return
+        m = table.test_index(node.test)
+        outcomes = table.outcomes[m].tolist()
+        errors = table.errors[m].tolist()
+        zero: list[tuple[int, float]] = []
+        one: list[tuple[int, float]] = []
+        for i, alive in block:
+            if outcomes[i] < 0:
+                failures[i] = InapplicableTest(
+                    f"test {node.test!r} undefined for class {table.classes[i]!r}"
+                )
+            else:
+                (one if outcomes[i] else zero).append((i, alive * (1.0 - errors[i])))
+        walk(node.zero, zero)
+        walk(node.one, one)
+
+    walk(tree.root, [(i, 1.0) for i in range(table.n_classes)])
+    if failures:
+        raise failures[min(failures)]
     return survive
 
 
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
     total = 0.0
-    for p, class_id in zip(table.priors, table.classes):
-        total += p * (1.0 - _survival(tree, table, class_id))
+    for p, survive in zip(table.priors, _survivals(tree, table)):
+        total += p * (1.0 - survive)
     return total
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
     total = 0.0
-    for p, class_id in zip(table.priors, table.classes):
-        total += p * _survival(tree, table, class_id)
+    for p, survive in zip(table.priors, _survivals(tree, table)):
+        total += p * survive
     return total
 
 

@@ -94,11 +94,16 @@ class TestTable:
 
     def with_test_errors(self, per_test: Mapping[str, float]) -> "TestTable":
         """Copy with the named tests' error columns replaced by flat values."""
-        errs = self.errors.copy()
+        rows: list[int] = []
+        values: list[float] = []
         for test_id, value in per_test.items():
             _check_error_value(value)
-            m = self.test_index(test_id)
-            errs[m, :] = np.where(self.outcomes[m, :] >= 0, float(value), np.nan)
+            rows.append(self.test_index(test_id))
+            values.append(float(value))
+        errs = self.errors.copy()
+        if rows:
+            flat = np.asarray(values, dtype=np.float64)[:, None]
+            errs[rows] = np.where(self.outcomes[rows] >= 0, flat, np.nan)
         return TestTable(self.classes, self.priors, self.tests, self.outcomes.copy(), errs)
 
 

@@ -8,6 +8,7 @@ same number no matter which lane runs it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,9 @@ from .metrics import MetricConfig, exact_misclassification
 from .model import DecisionTree, Leaf, Node, TestTable
 from .workers import (
     AssignmentStrategy,
+    AssignStep,
     WorkerAllocation,
+    _check_worker_args,
     assign_baseline,
     assign_proposed,
     effective_table,
@@ -248,19 +251,26 @@ def sweep_error(
     seed: int = 0,
 ) -> list[ErrorSweepPoint]:
     """Designed-tree versus random-ordering misclassification across a grid
-    of scalar test error probabilities, all evaluated exactly."""
+    of scalar test error probabilities, all evaluated exactly.
+
+    The whole grid is checked before any tree is built. A random tree
+    depends only on the table's outcomes and its seed, so the
+    ``n_random_trees`` trees are built once and shared by every grid point.
+    """
     config = config or BuilderConfig()
-    points: list[ErrorSweepPoint] = []
+    grid = list(grid)
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
+    random_trees: list[DecisionTree] | None = None
+    points: list[ErrorSweepPoint] = []
+    for p_star in grid:
         tbl = table.with_scalar_error(p_star)
         designed = build_greedy(tbl, config).tree
         designed_pm = exact_misclassification(designed, tbl)
-        random_pms = [
-            exact_misclassification(build_random(tbl, seed + i), tbl)
-            for i in range(n_random_trees)
-        ]
+        if random_trees is None:  # after the first designed tree: it names an inseparable pair
+            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
+        random_pms = [exact_misclassification(tree, tbl) for tree in random_trees]
         points.append(
             ErrorSweepPoint(
                 error_prob=float(p_star),
@@ -293,14 +303,27 @@ def sweep_workers(
 
     Deterministic strategies are evaluated exactly through their fused test
     errors; the random-per-pair strategy is averaged over ``random_draws``
-    seeded allocations, each evaluated exactly.
+    seeded allocations, each evaluated exactly. Every budget is checked
+    before any work. The greedy rule never reads its budget, so one
+    :func:`assign_proposed` run at the largest budget serves them all: the
+    proposed allocation for budget K is the first K steps of its log.
     """
     metric = metric or MetricConfig()
+    k_values = list(k_values)
+    for budget in k_values:
+        _check_worker_args(budget, worker_error)
+    proposed: WorkerAllocation | None = None
+    log: list[AssignStep] = []
+    if k_values and AssignmentStrategy.PROPOSED in strategies:
+        proposed, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     points: list[WorkerSweepPoint] = []
     for budget in k_values:
         for strategy in strategies:
             if strategy is AssignmentStrategy.PROPOSED:
-                allocation, _ = assign_proposed(tree, table, budget, worker_error, metric)
+                pairs = dict.fromkeys(proposed.extra_pairs, 0)
+                for step in log[:budget]:
+                    pairs[step.test] += 1
+                allocation = dataclasses.replace(proposed, extra_pairs=pairs)
                 pm = exact_misclassification(tree, effective_table(table, allocation))
             elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
                 draws = []

@@ -12,20 +12,28 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UnknownStrategy, UnknownTest, ValidationError
 from .fusion import group_error
 from .metrics import (
     Metric,
     MetricConfig,
-    level_correct_mass,
     level_entropy,
     level_error_mass,
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, Leaf, Node, TestTable, level_trace
+from .model import (
+    Block,
+    DecisionTree,
+    Leaf,
+    LevelStep,
+    Node,
+    TestTable,
+    _subtree_blocks,
+    level_trace,
+)
 
 
 class AssignmentStrategy(enum.Enum):
@@ -74,9 +82,10 @@ def effective_error(allocation: WorkerAllocation, test_id: str) -> float:
 
 def effective_table(table: TestTable, allocation: WorkerAllocation) -> TestTable:
     """Table with each allocated test's error column set to its fused error."""
-    return table.with_test_errors(
-        {t: allocation.effective_error(t) for t in allocation.extra_pairs}
-    )
+    fused = {
+        k: group_error(k, allocation.worker_error) for k in set(allocation.extra_pairs.values())
+    }
+    return table.with_test_errors({t: fused[k] for t, k in allocation.extra_pairs.items()})
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,27 @@ def _check_worker_args(budget: int, worker_error: float) -> None:
         )
 
 
+class _LevelMasses(NamedTuple):
+    """The error-independent part of one level's metric under fused errors."""
+
+    entropy_before: float
+    entropy_after: float
+    tested: dict[str, list[float]]  # test -> priors of the classes it sees here
+    untested: list[float]  # priors of the classes no test sees here
+
+
+def _level_masses(table: TestTable, step: LevelStep) -> _LevelMasses:
+    h_before = level_entropy(table.priors, step.before)
+    h_after = level_entropy(table.priors, step.after)
+    level_error_mass(table, step.before, step.assignment)  # partition and undefined-cell checks
+    tested: dict[str, list[float]] = {}
+    for block, test_id in step.assignment.items():
+        tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
+    seen = {i for block in step.assignment for i in block}
+    untested = [p for i, p in enumerate(table.priors) if i not in seen]
+    return _LevelMasses(h_before, h_after, tested, untested)
+
+
 def assign_proposed(
     tree: DecisionTree,
     table: TestTable,
@@ -121,47 +151,50 @@ def assign_proposed(
     multiplicative metric; earliest level on ties), and commits one pair to
     the test at that level whose reinforcement improves the level metric the
     most (lowest test index on ties).
+
+    Only the fused errors change between iterations, so each level's two
+    entropies and its priors grouped by assigned test are computed once per
+    call, and the group error once per distinct pair count. A level's error
+    (correct) mass is then the exactly rounded ``fsum`` of ``p * e``
+    (``p * (1 - e)``, plus the untested priors), the same value a fused
+    table would give. The rule never reads ``budget`` except to stop, so
+    the first K steps of the log are the run for budget K.
     """
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
-    steps = level_trace(tree, table)
+    levels = [_level_masses(table, step) for step in level_trace(tree, table)]
     pairs = {t: 0 for t in _tree_tests(tree, table)}
     test_index = {t: m for m, t in enumerate(table.tests)}
+    fused_by_pairs: dict[int, float] = {}
     log: list[AssignStep] = []
 
-    def level_metric(step_idx: int, trial_pairs: Mapping[str, int]) -> float:
-        fused = table.with_test_errors(
-            {t: group_error(k, worker_error) for t, k in trial_pairs.items()}
-        )
-        step = steps[step_idx]
-        h_before = level_entropy(table.priors, step.before)
-        h_after = level_entropy(table.priors, step.after)
+    def fused(k: int) -> float:
+        if k not in fused_by_pairs:
+            fused_by_pairs[k] = group_error(k, worker_error)
+        return fused_by_pairs[k]
+
+    errors = {t: fused(0) for t in pairs}
+
+    def level_metric(level: _LevelMasses, errs: Mapping[str, float]) -> float:
         if metric.kind is Metric.ADDITIVE:
-            return metric_additive(
-                h_before - h_after, level_error_mass(fused, step.before, step.assignment)
-            )
+            g = math.fsum(p * errs[t] for t, ps in level.tested.items() for p in ps)
+            return metric_additive(level.entropy_before - level.entropy_after, g)
+        tested = (p * (1.0 - errs[t]) for t, ps in level.tested.items() for p in ps)
+        c = math.fsum([*level.untested, *tested])
         return metric_multiplicative(
-            h_before,
-            h_after,
-            level_correct_mass(fused, step.before, step.assignment),
-            metric.ratio_offset,
+            level.entropy_before, level.entropy_after, c, metric.ratio_offset
         )
 
     for iteration in range(1, budget + 1):
-        values = [level_metric(d, pairs) for d in range(len(steps))]
+        values = [level_metric(level, errors) for level in levels]
         if metric.kind is Metric.ADDITIVE:
             target = min(range(len(values)), key=lambda d: (values[d], d))
         else:
             target = min(range(len(values)), key=lambda d: (-values[d], d))
-        level_tests = sorted(
-            set(steps[target].assignment.values()), key=test_index.__getitem__
-        )
         best_test: str | None = None
         best_value = 0.0
-        for test_id in level_tests:
-            trial = dict(pairs)
-            trial[test_id] += 1
-            value = level_metric(target, trial)
+        for test_id in sorted(levels[target].tested, key=test_index.__getitem__):
+            value = level_metric(levels[target], {**errors, test_id: fused(pairs[test_id] + 1)})
             better = (
                 value > best_value
                 if metric.kind is Metric.ADDITIVE
@@ -171,6 +204,7 @@ def assign_proposed(
                 best_test, best_value = test_id, value
         assert best_test is not None
         pairs[best_test] += 1
+        errors[best_test] = fused(pairs[best_test])
         log.append(
             AssignStep(
                 iteration=iteration,
@@ -179,7 +213,7 @@ def assign_proposed(
                 metric_before=values[target],
                 metric_after=best_value,
                 pairs_after=pairs[best_test],
-                effective_error_after=group_error(pairs[best_test], worker_error),
+                effective_error_after=errors[best_test],
             )
         )
     allocation = WorkerAllocation(
@@ -241,6 +275,8 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
+    blocks: dict[int, Block] = {}
+    _subtree_blocks(tree.root, table, blocks)
     expected = 0.0
 
     def walk(node: Node, mass: float) -> None:
@@ -248,9 +284,7 @@ def allocation_cost(
         if isinstance(node, Leaf):
             return
         expected += mass * allocation.group_size(node.test)
-        zero_mass = math.fsum(
-            table.priors[table.class_index(lbl)] for lbl in DecisionTree(node.zero).leaf_labels()
-        )
+        zero_mass = math.fsum(table.priors[i] for i in blocks[id(node.zero)])
         walk(node.zero, zero_mass)
         walk(node.one, mass - zero_mass)
 

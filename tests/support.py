@@ -11,9 +11,32 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from crowdtree import DecisionTree, Leaf, TestTable, validate_table
-from crowdtree.builder import build_greedy
+from crowdtree.builder import BuilderConfig, build_greedy, build_random
 from crowdtree.errors import InseparableClasses
+from crowdtree.fusion import group_error
+from crowdtree.metrics import (
+    Metric,
+    MetricConfig,
+    exact_misclassification,
+    level_correct_mass,
+    level_entropy,
+    level_error_mass,
+    metric_additive,
+    metric_multiplicative,
+)
+from crowdtree.model import class_path, level_trace
+from crowdtree.simulate import ErrorSweepPoint, WorkerSweepPoint
+from crowdtree.workers import (
+    AssignmentStrategy,
+    AssignStep,
+    WorkerAllocation,
+    assign_baseline,
+    assign_proposed,
+    effective_table,
+)
 
 
 def entropy_oracle(priors, partition) -> float:
@@ -115,3 +138,163 @@ def random_table(
             continue
         return table
     raise AssertionError(f"no separable instance found for seed {seed}")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations that recompute everything per class, per trial
+# pair, per budget and per grid point. Each gives the library's result bit
+# for bit, so equivalence tests compare with ``==``.
+
+
+def class_path_survival(tree: DecisionTree, table: TestTable) -> list[float]:
+    """Per class, the root-to-leaf product of ``1 - e`` along its class_path."""
+    out = []
+    for class_id in table.classes:
+        survive = 1.0
+        for step in class_path(tree, table, class_id):
+            survive *= 1.0 - step.error_prob
+        out.append(survive)
+    return out
+
+
+def class_path_pm(tree: DecisionTree, table: TestTable) -> float:
+    total = 0.0
+    for p, survive in zip(table.priors, class_path_survival(tree, table)):
+        total += p * (1.0 - survive)
+    return total
+
+
+def class_path_pc(tree: DecisionTree, table: TestTable) -> float:
+    total = 0.0
+    for p, survive in zip(table.priors, class_path_survival(tree, table)):
+        total += p * survive
+    return total
+
+
+def fused_rebuild_assign(
+    tree: DecisionTree,
+    table: TestTable,
+    budget: int,
+    worker_error: float,
+    metric: MetricConfig | None = None,
+) -> tuple[WorkerAllocation, list[AssignStep]]:
+    """The greedy pair allocation, scoring every trial pair on a whole fused
+    table rebuilt with ``with_test_errors``."""
+    metric = metric or MetricConfig()
+    steps = level_trace(tree, table)
+    present = set(tree.test_ids())
+    pairs = {t: 0 for t in table.tests if t in present}
+    log: list[AssignStep] = []
+
+    def level_metric(step_idx, trial_pairs):
+        fused = table.with_test_errors(
+            {t: group_error(k, worker_error) for t, k in trial_pairs.items()}
+        )
+        step = steps[step_idx]
+        h_before = level_entropy(table.priors, step.before)
+        h_after = level_entropy(table.priors, step.after)
+        if metric.kind is Metric.ADDITIVE:
+            return metric_additive(
+                h_before - h_after, level_error_mass(fused, step.before, step.assignment)
+            )
+        return metric_multiplicative(
+            h_before,
+            h_after,
+            level_correct_mass(fused, step.before, step.assignment),
+            metric.ratio_offset,
+        )
+
+    for iteration in range(1, budget + 1):
+        values = [level_metric(d, pairs) for d in range(len(steps))]
+        sign = 1 if metric.kind is Metric.ADDITIVE else -1
+        target = min(range(len(values)), key=lambda d: (sign * values[d], d))
+        best_test, best_value = None, 0.0
+        for test_id in sorted(set(steps[target].assignment.values()), key=table.tests.index):
+            value = level_metric(target, {**pairs, test_id: pairs[test_id] + 1})
+            if best_test is None or sign * value > sign * best_value:
+                best_test, best_value = test_id, value
+        pairs[best_test] += 1
+        log.append(
+            AssignStep(
+                iteration=iteration,
+                level=target + 1,
+                test=best_test,
+                metric_before=values[target],
+                metric_after=best_value,
+                pairs_after=pairs[best_test],
+                effective_error_after=group_error(pairs[best_test], worker_error),
+            )
+        )
+    allocation = WorkerAllocation(
+        extra_pairs=pairs, worker_error=worker_error, strategy=AssignmentStrategy.PROPOSED
+    )
+    return allocation, log
+
+
+def subtree_rebuild_allocation_cost(tree, table, allocation) -> tuple[float, int]:
+    """allocation_cost with each node's zero-side mass summed over the leaf
+    labels of a subtree rebuilt at that node."""
+    expected = 0.0
+
+    def walk(node, mass):
+        nonlocal expected
+        if isinstance(node, Leaf):
+            return
+        expected += mass * allocation.group_size(node.test)
+        labels = DecisionTree(node.zero).leaf_labels()
+        zero_mass = math.fsum(table.priors[table.class_index(lbl)] for lbl in labels)
+        walk(node.zero, zero_mass)
+        walk(node.one, mass - zero_mass)
+
+    walk(tree.root, math.fsum(table.priors))
+    return expected, sum(2 * k + 1 for k in allocation.extra_pairs.values())
+
+
+def per_budget_sweep_workers(
+    tree, table, k_values, strategies, worker_error, seed=0, random_draws=50, metric=None
+) -> list[WorkerSweepPoint]:
+    """The worker sweep with one fresh allocation per budget and strategy."""
+    points = []
+    for budget in k_values:
+        for strategy in strategies:
+            if strategy is AssignmentStrategy.PROPOSED:
+                allocations = [assign_proposed(tree, table, budget, worker_error, metric)[0]]
+            elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
+                allocations = [
+                    assign_baseline(tree, table, strategy, budget, worker_error, seed=seed + j)
+                    for j in range(random_draws)
+                ]
+            else:
+                allocations = [
+                    assign_baseline(tree, table, strategy, budget, worker_error, seed=seed)
+                ]
+            pms = [
+                exact_misclassification(tree, effective_table(table, a)) for a in allocations
+            ]
+            pm = float(np.mean(pms)) if strategy is AssignmentStrategy.RANDOM_PER_PAIR else pms[0]
+            points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=pm))
+    return points
+
+
+def per_point_sweep_error(
+    table, grid, n_random_trees=20, config=None, seed=0
+) -> list[ErrorSweepPoint]:
+    """The error sweep building every random tree anew at every grid point."""
+    config = config or BuilderConfig()
+    points = []
+    for p_star in grid:
+        tbl = table.with_scalar_error(p_star)
+        designed_pm = exact_misclassification(build_greedy(tbl, config).tree, tbl)
+        random_pms = [
+            exact_misclassification(build_random(tbl, seed + i), tbl)
+            for i in range(n_random_trees)
+        ]
+        points.append(
+            ErrorSweepPoint(
+                error_prob=float(p_star),
+                designed_pm=designed_pm,
+                random_mean_pm=float(np.mean(random_pms)),
+                random_std_pm=float(np.std(random_pms)),
+            )
+        )
+    return points

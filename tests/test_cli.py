@@ -237,6 +237,32 @@ def test_sweep_workers_cli(table_path, tree_path, capsys):
     assert len(rows) == 1 + 4 * 2
 
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+ON_DEMO_TREE = ["--error-prob", "0.05", "--worker-error", "0.2"]
+GOLDEN_JOBS = {
+    # golden file -> argv after "--tree TREE --table TABLE" (sweep-error: "--table TABLE")
+    "demo_assign_proposed_additive.txt": ["assign", *ON_DEMO_TREE, "--workers", "30",
+                                          "--strategy", "proposed", "--metric", "additive"],
+    "demo_assign_proposed_multiplicative.txt": ["assign", *ON_DEMO_TREE, "--workers", "30",
+                                                "--strategy", "proposed",
+                                                "--metric", "multiplicative"],
+    "demo_sweep_workers_additive.txt": ["sweep-workers", *ON_DEMO_TREE, "--kmax", "30",
+                                        "--metric", "additive"],
+    "demo_sweep_workers_multiplicative.txt": ["sweep-workers", *ON_DEMO_TREE, "--kmax", "30",
+                                              "--metric", "multiplicative"],
+    "demo_sweep_error.txt": ["sweep-error"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_JOBS))
+def test_reports_match_golden_bytes(golden, table_path, tree_path, capsys):
+    command, *rest = GOLDEN_JOBS[golden]
+    on_tree = [] if command == "sweep-error" else ["--tree", tree_path]
+    assert main([command, *on_tree, "--table", table_path, *rest]) == 0
+    with open(os.path.join(DATA_DIR, golden), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_build_with_error_matrix(table_path, tmp_path, capsys):
     matrix = tmp_path / "errors.csv"
     matrix.write_text(
