@@ -15,6 +15,8 @@ import hashlib
 import json
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import ParseError, TableMismatch, UnknownTest, ValidationError
 from .model import (
     DecisionTree,
@@ -140,17 +142,18 @@ def load_table(
     return parse_table_text(text, error_prob, matrix_text)
 
 
+_OUTCOME_TEXT = np.array(["-", "0", "1"])
+
+
 def table_to_text(table: TestTable) -> str:
     """Canonical structural CSV for a table; error probabilities are not part
     of the structure and are omitted."""
     lines = ["class," + ",".join(table.classes)]
     lines.append("prior," + ",".join(repr(p) for p in table.priors))
-    for m, test_id in enumerate(table.tests):
-        cells = []
-        for i in range(table.n_classes):
-            v = int(table.outcomes[m, i])
-            cells.append("-" if v < 0 else str(v))
-        lines.append(test_id + "," + ",".join(cells))
+    cells = _OUTCOME_TEXT[table.outcomes + 1].tolist()  # -1, 0, 1 -> "-", "0", "1"
+    lines.extend(
+        test_id + "," + ",".join(row) for test_id, row in zip(table.tests, cells)
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -303,12 +303,11 @@ class DecisionTree:
 
     def test_ids(self) -> tuple[str, ...]:
         """Distinct test ids in first-visit (preorder) order."""
-        out: list[str] = []
+        out: dict[str, None] = {}  # insertion-ordered set
 
         def walk(node: Node) -> None:
             if isinstance(node, Internal):
-                if node.test not in out:
-                    out.append(node.test)
+                out.setdefault(node.test)
                 walk(node.zero)
                 walk(node.one)
 

@@ -3,7 +3,18 @@
 Per-trial randomness comes from a counter-based generator keyed by (seed,
 trial index, draw counter), so splitting the trial range across any number
 of parallel lanes cannot change the result: the k-th draw of trial t is the
-same number no matter which lane runs it.
+same number no matter which lane or chunk runs it. The generator is two
+hashes: the first depends only on (seed, trial) and gives the trial's key,
+the second finishes draw ``counter`` from that key. The simulator hashes
+each trial's key once per chunk.
+
+Routing is table-driven. Each node's test and each class select one cell of
+small lookup tables (seated error, extra-worker error, error-free outcome),
+and every trial of a chunk takes one vectorised step per tree depth. Leaves
+are absorbing: they read an extra row with error 0, a group of 0 workers
+and both children equal to the leaf, so a trial that has arrived simply
+stays. There is no loop over nodes, and the tables are the size of the test
+table plus one row, whatever the size of the tree.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ _MUL2 = np.uint64(0xC4CEB9FE1A85EC53)
 _KEY_TRIAL = np.uint64(0x9E3779B97F4A7C15)
 _KEY_COUNTER = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = 1.0 / 9007199254740992.0
-_CHUNK_TRIALS = 1 << 17
+_CHUNK_TRIALS = 1 << 15
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -46,114 +57,130 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _SH33)
 
 
-def _u01(seed: np.uint64, trial, counter) -> np.ndarray:
-    """Uniform [0, 1) draw number ``counter`` of trial ``trial``."""
+def _trial_key(seed: np.uint64, trial) -> np.ndarray:
+    """The half of the generator that depends only on the trial."""
     with np.errstate(over="ignore"):  # modular 64-bit arithmetic is intended
-        x = _mix64(seed ^ (trial * _KEY_TRIAL))
-        x = _mix64(x ^ (counter * _KEY_COUNTER))
+        return _mix64(seed ^ (trial * _KEY_TRIAL))
+
+
+def _draw(key, counter) -> np.ndarray:
+    """Finish draw number ``counter`` of the trial whose key is ``key``."""
+    with np.errstate(over="ignore"):
+        x = _mix64(key ^ (counter * _KEY_COUNTER))
     return (x >> _SH11).astype(np.float64) * _INV_2_53
 
 
+def _u01(seed: np.uint64, trial, counter) -> np.ndarray:
+    """Uniform [0, 1) draw number ``counter`` of trial ``trial``."""
+    return _draw(_trial_key(seed, trial), counter)
+
+
 @dataclass(frozen=True)
-class _FlatTree:
-    test_idx: np.ndarray  # -1 at leaves
-    child0: np.ndarray
-    child1: np.ndarray
-    leaf_cls: np.ndarray  # -1 at internal nodes
-    group_size: np.ndarray  # workers answering each node's test
+class _Router:
+    """Lookup tables for one step of every trial at once.
+
+    Cells are indexed by ``test * n_classes + class``; one extra row past
+    the last test serves the leaves. Nodes are numbered in preorder.
+    """
+
+    seated_error: np.ndarray  # per cell; 0.5 on undefined cells, 0 on the leaf row
+    extra_error: np.ndarray  # per cell: the worker error, 0.5 on undefined cells
+    one: np.ndarray  # per cell: the error-free answer is 1
+    row: np.ndarray  # per node: first cell of its test's row (the leaf row at leaves)
+    child: np.ndarray  # at 2 * node + outcome: the next node; a leaf points to itself
+    group: np.ndarray  # per node: workers answering (uint64, 0 at leaves)
+    leaf_cls: np.ndarray  # per node: class index of a leaf, -1 at internal nodes
     depth: int
 
 
-def _flatten(tree: DecisionTree, table: TestTable, allocation: WorkerAllocation | None) -> _FlatTree:
-    test_idx: list[int] = []
-    child0: list[int] = []
-    child1: list[int] = []
-    leaf_cls: list[int] = []
+def _router(
+    tree: DecisionTree, table: TestTable, allocation: WorkerAllocation | None
+) -> _Router:
+    n = table.n_classes
+    leaf_row = table.n_tests * n
+    row: list[int] = []
+    child: list[int] = []
     group: list[int] = []
+    leaf_cls: list[int] = []
 
     def add(node: Node) -> int:
-        idx = len(test_idx)
-        test_idx.append(-1)
-        child0.append(-1)
-        child1.append(-1)
+        idx = len(row)
+        row.append(leaf_row)
+        child.extend((idx, idx))
+        group.append(0)
         leaf_cls.append(-1)
-        group.append(1)
         if isinstance(node, Leaf):
             leaf_cls[idx] = table.class_index(node.label)
         else:
-            test_idx[idx] = table.test_index(node.test)
-            if allocation is not None:
-                group[idx] = allocation.group_size(node.test)
-            child0[idx] = add(node.zero)
-            child1[idx] = add(node.one)
+            row[idx] = table.test_index(node.test) * n
+            group[idx] = allocation.group_size(node.test) if allocation is not None else 1
+            child[2 * idx] = add(node.zero)
+            child[2 * idx + 1] = add(node.one)
         return idx
 
     add(tree.root)
-    return _FlatTree(
-        test_idx=np.asarray(test_idx, dtype=np.int64),
-        child0=np.asarray(child0, dtype=np.int64),
-        child1=np.asarray(child1, dtype=np.int64),
+    defined = table.outcomes >= 0
+    worker_error = allocation.worker_error if allocation is not None else 0.5
+    absorbing = np.zeros(n)
+    return _Router(
+        seated_error=np.concatenate([np.where(defined, table.errors, 0.5).ravel(), absorbing]),
+        extra_error=np.concatenate([np.where(defined, worker_error, 0.5).ravel(), absorbing]),
+        one=np.concatenate([(table.outcomes == 1).ravel(), np.zeros(n, dtype=bool)]),
+        row=np.asarray(row, dtype=np.int64),
+        child=np.asarray(child, dtype=np.int64),
+        group=np.asarray(group, dtype=np.uint64),
         leaf_cls=np.asarray(leaf_cls, dtype=np.int64),
-        group_size=np.asarray(group, dtype=np.int64),
         depth=tree.depth(),
     )
 
 
 def _run_range(
-    start: int,
-    stop: int,
-    seed: np.uint64,
-    flat: _FlatTree,
-    table: TestTable,
-    cum_priors: np.ndarray,
-    extra_error: float,
+    start: int, stop: int, seed: np.uint64, router: _Router, cum_priors: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Simulate trials [start, stop); returns (confusion counts, question count)."""
-    n = table.n_classes
+    """Simulate trials [start, stop); returns (confusion counts, question count).
+
+    Trials run in chunks, and each chunk takes one whole-chunk step per tree
+    depth. In a step every trial reads its cell ``row[node] + class``: the
+    seated worker errs when its draw falls below the cell's error, and the
+    node's ``g`` workers vote. A trial already at a leaf reads the leaf row
+    (error 0, ``g`` = 0) and stays where it is, so no trial is masked. Draw
+    ``counter`` of a trial is finished from the trial's key, hashed once
+    per chunk; the counter advances by ``g`` at each step, so draw k of
+    trial t goes to the same node and worker whatever the chunk or lane.
+    """
+    r = router
+    n = len(cum_priors)
     confusion = np.zeros((n, n), dtype=np.int64)
     questions = 0
     for lo in range(start, stop, _CHUNK_TRIALS):
-        hi = min(lo + _CHUNK_TRIALS, stop)
-        trials = np.arange(lo, hi, dtype=np.uint64)
-        cls = np.searchsorted(
-            cum_priors, _u01(seed, trials, np.uint64(0)), side="right"
-        ).astype(np.int64)
-        counter = np.ones(hi - lo, dtype=np.uint64)
-        node = np.zeros(hi - lo, dtype=np.int64)
-        asked = np.zeros(hi - lo, dtype=np.int64)
-        for _ in range(flat.depth):
-            live = flat.test_idx[node] >= 0
-            if not live.any():
-                break
-            for nid in np.unique(node[live]):
-                sel = np.flatnonzero(node == nid)
-                m = int(flat.test_idx[nid])
-                n_workers = int(flat.group_size[nid])
-                tcls = cls[sel]
-                out = table.outcomes[m, tcls]
-                defined = out >= 0
-                base = out == 1  # undefined cells answer a fair coin via p=0.5 below
-                p_seated = np.where(defined, table.errors[m, tcls], 0.5)
-                draws = _u01(
-                    seed,
-                    trials[sel][:, None],
-                    counter[sel][:, None] + np.arange(n_workers, dtype=np.uint64)[None, :],
-                )
-                if n_workers == 1:
-                    decide = (draws[:, 0] < p_seated) ^ base
-                else:
-                    flip_prob = np.empty((len(sel), n_workers))
-                    flip_prob[:, 0] = p_seated
-                    flip_prob[:, 1:] = np.where(defined, extra_error, 0.5)[:, None]
-                    ones = ((draws < flip_prob) ^ base[:, None]).sum(axis=1)
-                    decide = ones > n_workers // 2
-                node[sel] = np.where(decide, flat.child1[nid], flat.child0[nid])
-                counter[sel] += np.uint64(n_workers)
-                asked[sel] += n_workers
-        assert (flat.test_idx[node] < 0).all(), "trial stuck above a leaf"
-        leaf = flat.leaf_cls[node]
+        trials = np.arange(lo, min(lo + _CHUNK_TRIALS, stop), dtype=np.uint64)
+        cls = np.searchsorted(cum_priors, _u01(seed, trials, np.uint64(0)), side="right")
+        key = _trial_key(seed, trials)
+        counter = np.ones(len(trials), dtype=np.uint64)
+        node = np.zeros(len(trials), dtype=np.int64)
+        for _ in range(r.depth):
+            ix = r.row[node] + cls
+            g = r.group[node]
+            wrong = _draw(key, counter) < r.seated_error[ix]
+            sel = np.flatnonzero(g > 1)
+            if sel.size:
+                # extra workers; a group's size g is odd, and the majority
+                # answer is wrong when more than g // 2 answers are wrong
+                g_sel = g[sel]
+                n_wrong = wrong[sel].astype(np.uint64)
+                voting = np.arange(sel.size)
+                for j in range(1, int(g_sel.max())):
+                    voting = voting[g_sel[voting] > j]
+                    t = sel[voting]
+                    draws = _draw(key[t], counter[t] + np.uint64(j))
+                    n_wrong[voting] += draws < r.extra_error[ix[t]]
+                wrong[sel] = n_wrong > g_sel // np.uint64(2)
+            node = r.child[2 * node + (wrong ^ r.one[ix])]
+            counter += g
+        questions += int(counter.sum()) - len(trials)  # every draw after the class draw
+        leaf = r.leaf_cls[node]
+        assert (leaf >= 0).all(), "trial stuck above a leaf"
         confusion += np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
-        questions += int(asked.sum())
     return confusion, questions
 
 
@@ -185,24 +212,30 @@ def simulate(
     for the node's test; extra workers from ``allocation`` err with the
     allocation's worker error; the group majority routes the object. Output
     is identical for any ``lanes`` value.
+
+    A test undefined for an object's class answers a fair coin, from every
+    worker in the group. The case is reachable: an earlier error can send an
+    object off its own path to a node whose test is undefined for its class
+    (on the demo table, ``c4`` misrouted at the root meets ``T5``). Such an
+    object still ends at some leaf and counts as misclassified. In the
+    lookup tables these are the cells whose error is 0.5.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if lanes < 1:
         raise ValidationError(f"lanes must be >= 1, got {lanes}")
-    flat = _flatten(tree, table, allocation)
+    router = _router(tree, table, allocation)
     cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
     cum[-1] = 1.0
     seed_u = np.uint64(seed % (1 << 64))
-    extra = allocation.worker_error if allocation is not None else 0.5
     bounds = [trials * i // lanes for i in range(lanes + 1)]
     ranges = [(bounds[i], bounds[i + 1]) for i in range(lanes) if bounds[i] < bounds[i + 1]]
     if len(ranges) <= 1:
-        results = [_run_range(a, b, seed_u, flat, table, cum, extra) for a, b in ranges]
+        results = [_run_range(a, b, seed_u, router, cum) for a, b in ranges]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(
-                pool.map(lambda r: _run_range(*r, seed_u, flat, table, cum, extra), ranges)
+                pool.map(lambda r: _run_range(*r, seed_u, router, cum), ranges)
             )
     n = table.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)

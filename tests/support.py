@@ -28,7 +28,7 @@ from crowdtree.metrics import (
     metric_multiplicative,
 )
 from crowdtree.model import class_path, level_trace
-from crowdtree.simulate import ErrorSweepPoint, WorkerSweepPoint
+from crowdtree.simulate import ErrorSweepPoint, WorkerSweepPoint, _u01
 from crowdtree.workers import (
     AssignmentStrategy,
     AssignStep,
@@ -142,8 +142,9 @@ def random_table(
 
 # ---------------------------------------------------------------------------
 # Reference implementations that recompute everything per class, per trial
-# pair, per budget and per grid point. Each gives the library's result bit
-# for bit, so equivalence tests compare with ``==``.
+# pair, per budget, per grid point, per tree node and per table cell. Each
+# gives the library's result bit for bit, so equivalence tests compare with
+# ``==``.
 
 
 def class_path_survival(tree: DecisionTree, table: TestTable) -> list[float]:
@@ -298,3 +299,104 @@ def per_point_sweep_error(
             )
         )
     return points
+
+
+def table_to_text_per_cell(table: TestTable) -> str:
+    """The canonical structural CSV, rendered one outcome cell at a time."""
+    lines = ["class," + ",".join(table.classes)]
+    lines.append("prior," + ",".join(repr(p) for p in table.priors))
+    for m, test_id in enumerate(table.tests):
+        cells = []
+        for i in range(table.n_classes):
+            v = int(table.outcomes[m, i])
+            cells.append("-" if v < 0 else str(v))
+        lines.append(test_id + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64_int(x: int) -> int:
+    x = ((x ^ (x >> 33)) * 0xFF51AFD7ED558CCD) & _MASK64
+    x = ((x ^ (x >> 33)) * 0xC4CEB9FE1A85EC53) & _MASK64
+    return x ^ (x >> 33)
+
+
+def u01_int(seed: int, trial: int, counter: int) -> float:
+    """The simulator's draw ``counter`` of trial ``trial``, in Python integers."""
+    x = _mix64_int(seed ^ ((trial * 0x9E3779B97F4A7C15) & _MASK64))
+    x = _mix64_int(x ^ ((counter * 0xD1B54A32D192ED03) & _MASK64))
+    return (x >> 11) / 9007199254740992.0
+
+
+def per_node_simulation(
+    tree: DecisionTree,
+    table: TestTable,
+    allocation: WorkerAllocation | None,
+    trials: int,
+    seed: int,
+) -> tuple[np.ndarray, int]:
+    """(confusion counts, question count) from a per-node router.
+
+    At each depth it visits, one node at a time, every node that some trial
+    has reached, and draws the answers of that node's whole worker group at
+    once: draw ``counter + j`` is worker j's, the seated worker first. Trials
+    already at a leaf are left out.
+    """
+    n = table.n_classes
+    test_idx: list[int] = []
+    child: list[list[int]] = []
+    leaf_cls: list[int] = []
+    group: list[int] = []
+
+    def add(node) -> int:
+        idx = len(test_idx)
+        test_idx.append(-1)
+        child.append([-1, -1])
+        leaf_cls.append(-1)
+        group.append(1)
+        if isinstance(node, Leaf):
+            leaf_cls[idx] = table.class_index(node.label)
+        else:
+            test_idx[idx] = table.test_index(node.test)
+            if allocation is not None:
+                group[idx] = allocation.group_size(node.test)
+            child[idx] = [add(node.zero), add(node.one)]
+        return idx
+
+    add(tree.root)
+    extra_error = allocation.worker_error if allocation is not None else 0.5
+    cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
+    cum[-1] = 1.0
+    seed_u = np.uint64(seed % (1 << 64))
+    trial = np.arange(trials, dtype=np.uint64)
+    cls = np.searchsorted(cum, _u01(seed_u, trial, np.uint64(0)), side="right")
+    counter = np.ones(trials, dtype=np.uint64)
+    node = np.zeros(trials, dtype=np.int64)
+    asked = 0
+    for _ in range(tree.depth()):
+        for nid in sorted(set(node.tolist())):
+            m = test_idx[nid]
+            if m < 0:
+                continue
+            sel = np.flatnonzero(node == nid)
+            k = group[nid]
+            out = table.outcomes[m, cls[sel]]
+            defined = out >= 0
+            flip_prob = np.empty((len(sel), k))
+            flip_prob[:, 0] = np.where(defined, table.errors[m, cls[sel]], 0.5)
+            flip_prob[:, 1:] = np.where(defined, extra_error, 0.5)[:, None]
+            draws = _u01(
+                seed_u,
+                trial[sel][:, None],
+                counter[sel][:, None] + np.arange(k, dtype=np.uint64)[None, :],
+            )
+            ones = ((draws < flip_prob) ^ (out == 1)[:, None]).sum(axis=1)
+            node[sel] = np.where(ones > k // 2, child[nid][1], child[nid][0])
+            counter[sel] += np.uint64(k)
+            asked += k * len(sel)
+    leaf = np.asarray(leaf_cls)[node]
+    assert (leaf >= 0).all(), "trial stuck above a leaf"
+    confusion = np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
+    return confusion, asked

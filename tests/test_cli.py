@@ -318,3 +318,18 @@ def test_module_entry_point(table_path):
     )
     assert proc.returncode == 0
     assert "exact_pm,0.08231187500000005" in proc.stdout
+
+
+def test_simulate_report_matches_golden_bytes(table_path, tree_path, tmp_path, capsys):
+    allocation = str(tmp_path / "alloc.json")
+    assert main(["assign", "--tree", tree_path, "--table", table_path, *ON_DEMO_TREE,
+                 "--workers", "4", "--strategy", "proposed", "--out", allocation]) == 0
+    capsys.readouterr()
+    with open(os.path.join(DATA_DIR, "demo_simulate_allocation.txt"), encoding="utf-8",
+              newline="") as fh:
+        golden = fh.read()  # captured at --lanes 2
+    for lanes in ("1", "2", "3"):
+        assert main(["simulate", "--tree", tree_path, "--table", table_path,
+                     "--error-prob", "0.05", "--allocation", allocation,
+                     "--trials", "100000", "--seed", "3", "--lanes", lanes]) == 0
+        assert capsys.readouterr().out == golden.replace("# lanes=2\n", f"# lanes={lanes}\n")

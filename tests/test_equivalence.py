@@ -1,10 +1,13 @@
 """Bit-for-bit equivalence of the one-walk evaluator, the per-level
-allocation scorer and the shared-structure sweeps with the per-class,
-per-trial-pair, per-budget and per-point computations in ``support``,
+allocation scorer, the shared-structure sweeps, the table-driven simulator
+and the vectorised table render with the per-class, per-trial-pair,
+per-budget, per-point, per-node and per-cell computations in ``support``,
 plus guards on how often the expensive layers run."""
 
+import hashlib
 import importlib
 
+import numpy as np
 import pytest
 
 from crowdtree import (
@@ -12,11 +15,13 @@ from crowdtree import (
     MetricConfig,
     Metric,
     allocation_cost,
+    assign_baseline,
     assign_proposed,
     build_greedy,
     build_random,
     exact_correct,
     exact_misclassification,
+    simulate,
     sweep_error,
     sweep_workers,
     validate_table,
@@ -24,6 +29,7 @@ from crowdtree import (
 from crowdtree.errors import InapplicableTest, ValidationError
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 from crowdtree.builder import BuilderConfig
+from crowdtree.fileio import table_checksum, table_to_text
 from crowdtree.model import DecisionTree, Internal, Leaf, class_path
 
 import support
@@ -257,3 +263,114 @@ def test_exact_evaluators_never_call_class_path(monkeypatch):
     # the public per-class path is still there for callers that want it
     monkeypatch.undo()
     assert [s.test for s in class_path(tree, table, "c2")] == ["T1", "T5", "T3", "T2"]
+
+
+def _assert_matches_per_node_router(tree, table, allocation, trials, seed, lanes_values):
+    confusion, asked = support.per_node_simulation(tree, table, allocation, trials, seed)
+    misclassified = int(confusion.sum() - confusion.trace())
+    for lanes in lanes_values:
+        report = simulate(tree, table, allocation, trials=trials, seed=seed, lanes=lanes)
+        assert (report.confusion == confusion).all()
+        assert report.misclassified == misclassified
+        assert report.mean_questions == asked / trials
+
+
+def _mixed_allocations(tree, table):
+    """Proposed, single-test, random-per-pair and all-tests allocations at
+    several budgets: group sizes differ across the tree's tests, and a
+    single-test allocation puts every pair on one test beside tests with 0."""
+    for budget in (1, 5, 12):
+        yield assign_proposed(tree, table, budget, 0.2)[0]
+    for budget in (3, 9):
+        for strategy in (
+            AssignmentStrategy.SINGLE_TEST,
+            AssignmentStrategy.ALL_WORKERS_ALL_TESTS,
+        ):
+            yield assign_baseline(tree, table, strategy, budget, 0.25, seed=budget)
+        for seed in range(2):
+            yield assign_baseline(
+                tree, table, AssignmentStrategy.RANDOM_PER_PAIR, budget, 0.3, seed=seed
+            )
+
+
+def test_simulate_equals_per_node_router_demo():
+    # at error 0.3 objects of c4 misrouted at the root meet T5, which is
+    # undefined for them (the fair-coin cells)
+    for error in (0.05, 0.3):
+        table = demo_table(error)
+        for tree in (designed_tree(), alternative_tree()):
+            _assert_matches_per_node_router(tree, table, None, 20_000, 7, (1, 2))
+            for i, allocation in enumerate(_mixed_allocations(tree, table)):
+                _assert_matches_per_node_router(tree, table, allocation, 6_000, i, (i % 3 + 1,))
+    single = assign_baseline(
+        designed_tree(), demo_table(0.3), AssignmentStrategy.SINGLE_TEST, 9, 0.25
+    )
+    assert sorted(single.extra_pairs.values()) == [0, 0, 0, 9]
+
+
+def test_simulate_equals_per_node_router_random_instances():
+    tables = list(_cell_tables())
+    assert any((t.outcomes < 0).any() for t in tables)  # undefined cells present
+    for seed, table in enumerate(tables):
+        for tree in _trees(table):
+            _assert_matches_per_node_router(tree, table, None, 8_000, seed, (1 + seed % 3,))
+        tree = build_greedy(table).tree
+        for allocation in list(_mixed_allocations(tree, table))[::3]:
+            _assert_matches_per_node_router(tree, table, allocation, 4_000, seed, (2,))
+
+
+def test_simulate_equals_per_node_router_across_chunks_and_lanes():
+    chunk = simulate_module._CHUNK_TRIALS
+    tree, table = designed_tree(), demo_table(0.3)
+    allocation = assign_baseline(
+        tree, table, AssignmentStrategy.RANDOM_PER_PAIR, 6, 0.2, seed=1
+    )
+    assert len(set(allocation.extra_pairs.values())) > 1
+    for trials in (1, chunk - 1, chunk + 1, 3 * chunk + 7):
+        _assert_matches_per_node_router(tree, table, allocation, trials, 13, (1, 2, 3))
+
+
+def test_simulate_draws_once_per_depth_and_worker(monkeypatch):
+    # A wide tree: one generator call per node visited would exceed the bound.
+    table = support.random_table(6, max_classes=30, max_tests=40)
+    tree = build_greedy(table).tree
+    internal = len(table.classes) - 1
+    allocation = assign_baseline(
+        tree, table, AssignmentStrategy.RANDOM_PER_PAIR, 9, 0.2, seed=0
+    )
+    trials = simulate_module._CHUNK_TRIALS  # one chunk
+    for alloc in (None, allocation):
+        max_group = max(alloc.group_size(t) for t in tree.test_ids()) if alloc else 1
+        bound = 1 + tree.depth() * max_group
+        if alloc is None:
+            assert internal > bound
+        u01_calls = _counting(monkeypatch, simulate_module, "_u01")
+        draw_calls = _counting(monkeypatch, simulate_module, "_draw")
+        simulate(tree, table, alloc, trials=trials, seed=5)
+        monkeypatch.undo()
+        assert len(u01_calls) == 1  # the class draw
+        assert len(draw_calls) <= bound  # every draw, the class draw included
+
+
+def test_hoisted_trial_key_finishes_to_the_same_draw():
+    seed = np.uint64(987654321)
+    trial = np.arange(0, 5000, 7, dtype=np.uint64)
+    counter = (trial * np.uint64(3)) % np.uint64(41)
+    key = simulate_module._trial_key(seed, trial)
+    drawn = simulate_module._draw(key, counter)
+    assert (drawn == simulate_module._u01(seed, trial, counter)).all()
+    for i in range(0, len(trial), 50):
+        assert drawn[i] == support.u01_int(int(seed), int(trial[i]), int(counter[i]))
+
+
+def test_table_checksum_equals_per_cell_render():
+    tables = [demo_table(0.05)]
+    tables.extend(support.random_table(seed, max_classes=12, max_tests=16) for seed in range(12))
+    assert sum(int((t.outcomes < 0).sum()) for t in tables) > 0
+    for table in tables:
+        text = support.table_to_text_per_cell(table)
+        assert table_to_text(table) == text
+        assert table_checksum(table) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert table_checksum(demo_table(0.05)) == (
+        "367161fb5aba3d01f54755ad532070d9199019f0eb0d86e7b83e92888aefbe81"
+    )
