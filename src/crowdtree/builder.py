@@ -24,10 +24,10 @@ from .metrics import (
     Metric,
     MetricConfig,
     _block_entropy,
+    _level_quantities,
     exact_correct,
     exact_misclassification,
     level_entropy,
-    level_quantities,
     metric_additive,
     metric_multiplicative,
 )
@@ -36,6 +36,7 @@ from .model import (
     DecisionTree,
     Internal,
     Leaf,
+    LevelStep,
     Node,
     Partition,
     TestTable,
@@ -180,18 +181,15 @@ def _choose_level_assignment(
     return {b: table.tests[p.test] for b, p in zip(open_blocks, choice)}
 
 
-def _assemble(
-    block: Block, level: int, chosen: list[dict[Block, str]], table: TestTable
-) -> Node:
-    if len(block) == 1:
-        return Leaf(table.classes[block[0]])
-    test_id = chosen[level][block]
-    zeros, ones = split_block(table, block, test_id)
-    return Internal(
-        test_id,
-        _assemble(zeros, level + 1, chosen, table),
-        _assemble(ones, level + 1, chosen, table),
-    )
+def _assemble(chosen: list[dict[Block, str]], table: TestTable) -> DecisionTree:
+    """The tree whose level d gives block b the test ``chosen[d][b]``, built from
+    the deepest level up, so that a block's two halves are nodes before it."""
+    node_of: dict[Block, Node] = {(i,): Leaf(c) for i, c in enumerate(table.classes)}
+    for assignment in reversed(chosen):
+        for block, test_id in assignment.items():
+            zeros, ones = split_block(table, block, test_id)
+            node_of[block] = Internal(test_id, node_of[zeros], node_of[ones])
+    return DecisionTree(node_of[table.all_classes_block()])
 
 
 def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> GreedyResult:
@@ -203,17 +201,17 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     """
     config = config or BuilderConfig()
     partition: Partition = (table.all_classes_block(),)
-    chosen: list[dict[Block, str]] = []
+    steps: list[LevelStep] = []  # the tree's level trace, as it is built
     while any(len(b) > 1 for b in partition):
-        if len(chosen) >= config.max_depth:
+        if len(steps) >= config.max_depth:
             raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
         assignment = _choose_level_assignment(table, partition, config)
-        chosen.append(assignment)
-        partition = refine_partition(table, partition, assignment)
-    tree = DecisionTree(_assemble(table.all_classes_block(), 0, chosen, table))
+        refined = refine_partition(table, partition, assignment)
+        steps.append(LevelStep(partition, assignment, refined))
+        partition = refined
     return GreedyResult(
-        tree=tree,
-        levels=tuple(level_quantities(tree, table, config.metric.ratio_offset)),
+        tree=_assemble([step.assignment for step in steps], table),
+        levels=tuple(_level_quantities(steps, table, config.metric.ratio_offset)),
     )
 
 
@@ -237,7 +235,7 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
             assignment[block] = tests[rng.randrange(len(tests))]
         chosen.append(assignment)
         partition = refine_partition(table, partition, assignment)
-    return DecisionTree(_assemble(table.all_classes_block(), 0, chosen, table))
+    return _assemble(chosen, table)
 
 
 _DEFAULT_MAX_CLASSES = 5
@@ -286,13 +284,10 @@ class Objective(enum.Enum):
 
 
 def _level_test_key(tree: DecisionTree, table: TestTable) -> tuple[tuple[int, ...], ...]:
-    index = {t: m for m, t in enumerate(table.tests)}
-    key = []
-    for step in level_trace(tree, table):
-        key.append(
-            tuple(index[step.assignment[b]] for b in step.before if b in step.assignment)
-        )
-    return tuple(key)
+    return tuple(
+        tuple(table.test_index(step.assignment[b]) for b in step.before if b in step.assignment)
+        for step in level_trace(tree, table)
+    )
 
 
 def best_tree_exhaustive(

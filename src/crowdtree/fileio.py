@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .model import (
     Leaf,
     Node,
     TestTable,
+    _preorder,
     validate_table,
     validate_tree,
 )
@@ -166,22 +168,41 @@ def table_checksum(table: TestTable) -> str:
 # Trees
 
 
-def _node_to_doc(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": node.label}
-    return {"test": node.test, "0": _node_to_doc(node.zero), "1": _node_to_doc(node.one)}
+def _node_to_doc(root: Node) -> dict:
+    docs: list[dict] = []  # of the subtrees done so far, the zero child's on top
+    for node in reversed(_preorder(root)):
+        if isinstance(node, Leaf):
+            docs.append({"leaf": node.label})
+        else:
+            docs.append({"test": node.test, "0": docs.pop(), "1": docs.pop()})
+    return docs.pop()
 
 
-def _node_from_doc(doc) -> Node:
-    if not isinstance(doc, dict):
-        raise ParseError(f"tree node must be an object, got {type(doc).__name__}")
-    if "leaf" in doc:
-        if set(doc) != {"leaf"} or not isinstance(doc["leaf"], str):
-            raise ParseError(f"bad leaf node: {doc!r}")
-        return Leaf(doc["leaf"])
-    if set(doc) != {"test", "0", "1"} or not isinstance(doc.get("test"), str):
-        raise ParseError(f"internal node needs exactly 'test', '0', '1': {sorted(doc)}")
-    return Internal(doc["test"], _node_from_doc(doc["0"]), _node_from_doc(doc["1"]))
+def _node_from_doc(root_doc) -> Node:
+    """Check every node document in preorder, then build the nodes bottom-up."""
+    order, stack = [], [root_doc]
+    while stack:
+        doc = stack.pop()
+        if not isinstance(doc, dict):
+            raise ParseError(f"tree node must be an object, got {type(doc).__name__}")
+        if "leaf" in doc:
+            if set(doc) != {"leaf"} or not isinstance(doc["leaf"], str):
+                raise ParseError(f"bad leaf node: {doc!r}")
+        elif set(doc) != {"test", "0", "1"} or not isinstance(doc.get("test"), str):
+            raise ParseError(f"internal node needs exactly 'test', '0', '1': {sorted(doc)}")
+        else:
+            stack += doc["1"], doc["0"]
+        order.append(doc)
+    built: list[Node] = []  # of the subtrees done so far, the zero child's on top
+    for doc in reversed(order):
+        if "leaf" in doc:
+            built.append(Leaf(doc["leaf"]))
+        else:
+            built.append(Internal(doc["test"], built.pop(), built.pop()))
+    return built.pop()
+
+
+_TOO_DEEP = "tree nested too deeply for json: about 990 levels at recursion limit 1000, now {}"
 
 
 def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
@@ -210,14 +231,20 @@ def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -
 
 
 def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> None:
+    try:
+        text = json.dumps(tree_to_doc(tree, table, builder), indent=2)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP.format(sys.getrecursionlimit())) from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_doc(tree, table, builder), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> DecisionTree:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ParseError(_TOO_DEEP.format(sys.getrecursionlimit())) from None
     return tree_from_doc(doc, table, check_checksum)
 
 

@@ -12,14 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InapplicableTest, InvalidPartition, ValidationError
+from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
-    Leaf,
-    Node,
+    LevelStep,
     Partition,
     TestTable,
+    _compile,
+    _Compiled,
     check_partition,
     level_trace,
 )
@@ -75,7 +76,7 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
 
 def _block_entropy(priors: Sequence[float], block: Block) -> float:
     """One block's term of :func:`level_entropy`; 0 for a singleton."""
-    mass = math.fsum(priors[i] for i in block)
+    mass = priors[block[0]] if len(block) == 1 else math.fsum(priors[i] for i in block)
     if mass <= 0.0:
         raise InvalidPartition(f"block {block!r} has no probability mass")
     if len(block) == 1:
@@ -160,7 +161,12 @@ def level_quantities(
     tree: DecisionTree, table: TestTable, ratio_offset: float = 1.0
 ) -> list[LevelQuantities]:
     """Entropy, masses, and both metrics for every level of ``tree``."""
-    steps = level_trace(tree, table)
+    return _level_quantities(level_trace(tree, table), table, ratio_offset)
+
+
+def _level_quantities(
+    steps: Sequence[LevelStep], table: TestTable, ratio_offset: float
+) -> list[LevelQuantities]:
     out: list[LevelQuantities] = []
     h_prev = level_entropy(table.priors, steps[0].before) if steps else 0.0
     for d, step in enumerate(steps, start=1):
@@ -182,56 +188,26 @@ def level_quantities(
     return out
 
 
-def _survivals(tree: DecisionTree, table: TestTable) -> list[float]:
-    """Per class, in class order, the probability that every test on the
-    class's true path answers right.
-
-    One walk of the tree routes each node's class block by the node's test
-    outcomes and multiplies each class's running product by ``1 - e`` from
-    root to leaf. A class whose path meets an undefined test, or ends at
-    another class's leaf, raises; of several, the first in class order.
-    """
+def _survivals(form: _Compiled, table: TestTable) -> list[float]:
+    """Per class, the product of ``1 - e`` along its true path, root to leaf;
+    ``table`` may differ from the one ``form`` was compiled with only in errors."""
     survive = [1.0] * table.n_classes
-    failures: dict[int, Exception] = {}
-
-    def walk(node: Node, block: list[tuple[int, float]]) -> None:
-        if not block:
-            return
-        if isinstance(node, Leaf):
-            for i, alive in block:
-                if table.classes[i] == node.label:
-                    survive[i] = alive
-                else:
-                    failures[i] = ValidationError(
-                        f"path for {table.classes[i]!r} ends at leaf {node.label!r}; "
-                        "tree inconsistent with table"
-                    )
-            return
-        m = table.test_index(node.test)
-        outcomes = table.outcomes[m].tolist()
-        errors = table.errors[m].tolist()
-        zero: list[tuple[int, float]] = []
-        one: list[tuple[int, float]] = []
-        for i, alive in block:
-            if outcomes[i] < 0:
-                failures[i] = InapplicableTest(
-                    f"test {node.test!r} undefined for class {table.classes[i]!r}"
-                )
-            else:
-                (one if outcomes[i] else zero).append((i, alive * (1.0 - errors[i])))
-        walk(node.zero, zero)
-        walk(node.one, one)
-
-    walk(tree.root, [(i, 1.0) for i in range(table.n_classes)])
-    if failures:
-        raise failures[min(failures)]
+    for m, block in zip(form.test, form.block):
+        if m >= 0:
+            errors = table.errors[m].tolist()
+            for i in block:
+                survive[i] *= 1.0 - errors[i]
     return survive
 
 
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
+    return _misclassification(_compile(tree, table), table)
+
+
+def _misclassification(form: _Compiled, table: TestTable) -> float:
     total = 0.0
-    for p, survive in zip(table.priors, _survivals(tree, table)):
+    for p, survive in zip(table.priors, _survivals(form, table)):
         total += p * (1.0 - survive)
     return total
 
@@ -239,22 +215,27 @@ def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
     total = 0.0
-    for p, survive in zip(table.priors, _survivals(tree, table)):
+    for p, survive in zip(table.priors, _survivals(_compile(tree, table), table)):
         total += p * survive
     return total
 
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:
     """First-order misclassification estimate: the sum of level error masses."""
-    return math.fsum(q.error_mass for q in level_quantities(tree, table))
+    return _additive_approx(level_quantities(tree, table))
+
+
+def _additive_approx(quantities: Sequence[LevelQuantities]) -> float:
+    return math.fsum(q.error_mass for q in quantities)
 
 
 def multiplicative_approx(tree: DecisionTree, table: TestTable) -> float:
     """Correct-classification estimate: the product of level correct masses."""
-    result = 1.0
-    for q in level_quantities(tree, table):
-        result *= q.correct_mass
-    return result
+    return _multiplicative_approx(level_quantities(tree, table))
+
+
+def _multiplicative_approx(quantities: Sequence[LevelQuantities]) -> float:
+    return math.prod((q.correct_mass for q in quantities), start=1.0)  # in level order
 
 
 def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]:
@@ -263,7 +244,10 @@ def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]
     The initial entropy divided by the largest (smallest) per-level additive
     metric brackets the sum of level error masses.
     """
-    quantities = level_quantities(tree, table)
+    return _bounds_additive(level_quantities(tree, table))
+
+
+def _bounds_additive(quantities: Sequence[LevelQuantities]) -> tuple[float, float]:
     h0 = quantities[0].entropy_before if quantities else 0.0
     values = [q.additive_metric for q in quantities]
     return (_safe_div(h0, max(values)), _safe_div(h0, min(values)))
@@ -279,13 +263,15 @@ def bounds_multiplicative(
     at least 1, so the product of factors exceeds any single one and both
     returned values then sit at or above the product approximation.
     """
-    quantities = level_quantities(tree, table, ratio_offset)
-    h0 = quantities[0].entropy_before if quantities else 0.0
+    return _bounds_multiplicative(level_quantities(tree, table, ratio_offset), ratio_offset)
+
+
+def _bounds_multiplicative(
+    quantities: Sequence[LevelQuantities], ratio_offset: float
+) -> tuple[float, float]:
+    top = (quantities[0].entropy_before if quantities else 0.0) + ratio_offset
     values = [q.multiplicative_metric for q in quantities]
-    return (
-        _safe_div(h0 + ratio_offset, max(values)),
-        _safe_div(h0 + ratio_offset, min(values)),
-    )
+    return _safe_div(top, max(values)), _safe_div(top, min(values))
 
 
 def _safe_div(num: float, den: float) -> float:

@@ -4,10 +4,17 @@ A test maps every class to outcome 0 or 1, or is undefined for that class.
 Blocks are sorted tuples of class indices; a partition is a tuple of disjoint
 blocks covering every class. Trees route an object through tests until a
 single-class leaf is reached.
+
+Trees are nested ``Leaf``/``Internal`` nodes, but nothing recurses over
+them: ``_preorder`` lists the nodes, and ``_compile`` gives per preorder
+node the test index, child links, leaf class, depth and class block, found
+by routing every class down its error-free path. Level traces, the exact
+evaluators, allocation costs and the simulator's tables all read the latter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -15,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import (
+    CrowdTreeError,
     DuplicateIdentifier,
     ErrorProbOutOfRange,
     InapplicableTest,
@@ -54,6 +62,8 @@ class TestTable:
     def __post_init__(self):
         self.outcomes.setflags(write=False)
         self.errors.setflags(write=False)
+        object.__setattr__(self, "_class_index", {c: i for i, c in enumerate(self.classes)})
+        object.__setattr__(self, "_test_index", {t: m for m, t in enumerate(self.tests)})
 
     @property
     def n_classes(self) -> int:
@@ -65,14 +75,14 @@ class TestTable:
 
     def class_index(self, class_id: str) -> int:
         try:
-            return self.classes.index(class_id)
-        except ValueError:
+            return self._class_index[class_id]
+        except KeyError:
             raise UnknownClass(f"unknown class {class_id!r}") from None
 
     def test_index(self, test_id: str) -> int:
         try:
-            return self.tests.index(test_id)
-        except ValueError:
+            return self._test_index[test_id]
+        except KeyError:
             raise UnknownTest(f"unknown test {test_id!r}") from None
 
     def outcome(self, test_id: str, class_id: str) -> int | None:
@@ -203,15 +213,9 @@ def applicable_tests(table: TestTable, block: Block) -> list[str]:
     non-empty parts, in declaration order."""
     if len(block) < 2:
         raise SingletonBlock(f"block {block!r} has fewer than two classes")
-    result = []
-    for m, test_id in enumerate(table.tests):
-        row = table.outcomes[m]
-        values = [int(row[i]) for i in block]
-        if any(v < 0 for v in values):
-            continue
-        if 0 in values and 1 in values:
-            result.append(test_id)
-    return result
+    cells = table.outcomes[:, block]
+    lows, highs = cells.min(axis=1).tolist(), cells.max(axis=1).tolist()
+    return [t for t, lo, hi in zip(table.tests, lows, highs) if lo == 0 and hi == 1]
 
 
 def split_block(table: TestTable, block: Block, test_id: str) -> tuple[Block, Block]:
@@ -232,6 +236,9 @@ def split_block(table: TestTable, block: Block, test_id: str) -> tuple[Block, Bl
 
 
 def check_partition(n_classes: int, partition: Partition) -> None:
+    flat = sorted(itertools.chain.from_iterable(partition))
+    if all(partition) and flat == list(range(n_classes)):
+        return  # every class exactly once; the loop below names the first defect
     seen: set[int] = set()
     for block in partition:
         if not block:
@@ -289,44 +296,18 @@ class DecisionTree:
     root: Node
 
     def leaf_labels(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Leaf):
-                out.append(node.label)
-            else:
-                walk(node.zero)
-                walk(node.one)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(node.label for node in _preorder(self.root) if isinstance(node, Leaf))
 
     def test_ids(self) -> tuple[str, ...]:
         """Distinct test ids in first-visit (preorder) order."""
-        out: dict[str, None] = {}  # insertion-ordered set
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Internal):
-                out.setdefault(node.test)
-                walk(node.zero)
-                walk(node.one)
-
-        walk(self.root)
-        return tuple(out)
+        nodes = _preorder(self.root)
+        return tuple(dict.fromkeys([n.test for n in nodes if isinstance(n, Internal)]))
 
     def depth(self) -> int:
-        def walk(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.zero), walk(node.one))
-
-        return walk(self.root)
-
-
-class PathStep(NamedTuple):
-    test: str
-    outcome: int
-    error_prob: float
+        heights: list[int] = []  # of the subtrees done so far, the zero child's on top
+        for node in reversed(_preorder(self.root)):
+            heights.append(0 if isinstance(node, Leaf) else 1 + max(heights.pop(), heights.pop()))
+        return heights.pop()
 
 
 class LevelStep(NamedTuple):
@@ -338,16 +319,83 @@ class LevelStep(NamedTuple):
     after: Partition
 
 
-def _subtree_blocks(node: Node, table: TestTable, blocks: dict[int, Block]) -> Block:
-    """Sorted class block below ``node``. Stores it, and that of every node
-    below, in ``blocks`` under ``id(node)``: one post-order pass per tree."""
-    if isinstance(node, Leaf):
-        block: Block = (table.class_index(node.label),)
-    else:
-        zeros = _subtree_blocks(node.zero, table, blocks)
-        block = tuple(sorted(zeros + _subtree_blocks(node.one, table, blocks)))
-    blocks[id(node)] = block
-    return block
+def _preorder(root: Node) -> list[Node]:
+    """The nodes below ``root`` in preorder. Read backwards, each internal
+    node comes just after its two subtrees, so a stack of results builds
+    anything bottom-up: pop the zero child's, then the one child's."""
+    nodes: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Internal):
+            stack += node.one, node.zero
+    return nodes
+
+
+class _Compiled(NamedTuple):
+    """A tree checked against a table, in preorder (see the module docstring)."""
+
+    child: list[int]  # at 2 * node + outcome; a leaf points to itself
+    depth: list[int]
+    test: list[int]  # test index, -1 at leaves
+    leaf: list[int]  # class index at leaves, -1 at internal nodes
+    block: list[Block]  # the classes whose error-free path passes the node
+
+
+def _compile(tree: DecisionTree, table: TestTable) -> _Compiled:
+    """The preorder form of ``tree``. Raises unless every node is on some
+    class's error-free path and each path ends at its class's leaf; of the
+    classes that fail, the first in class order raises."""
+    form = _Compiled([], [], [], [], [])
+    child, depth, test, leaf, block = form
+    failures: dict[int, CrowdTreeError] = {}
+    n = table.n_classes
+    cells = table.outcomes.tobytes()  # test m's row is cells[m * n : (m + 1) * n]; -1 reads 255
+    # (node, the parent's child slot, depth, the classes reaching the node)
+    stack = [(tree.root, -1, 0, table.all_classes_block())]
+    while stack:
+        node, slot, d, arriving = stack.pop()
+        k = len(block)
+        if slot >= 0:
+            child[slot] = k
+        child += k, k
+        depth.append(d)
+        block.append(arriving)
+        leaf.append(-1)
+        if isinstance(node, Leaf):
+            test.append(-1)
+            for i in arriving:
+                if table.classes[i] == node.label:
+                    leaf[k] = i
+                else:
+                    failures[i] = ValidationError(
+                        f"path for {table.classes[i]!r} ends at leaf {node.label!r}; "
+                        "tree inconsistent with table"
+                    )
+            continue
+        m, zeros, ones = -1, [], []
+        if arriving:  # a node no class reaches is reported below
+            m = table.test_index(node.test)
+            row = cells[m * n : (m + 1) * n]
+            for i in arriving:
+                if row[i] == 0:
+                    zeros.append(i)
+                elif row[i] == 1:
+                    ones.append(i)
+                else:
+                    failures[i] = InapplicableTest(
+                        f"test {node.test!r} undefined for class {table.classes[i]!r}"
+                    )
+        test.append(m)
+        stack.append((node.one, 2 * k + 1, d + 1, tuple(ones)))
+        stack.append((node.zero, 2 * k, d + 1, tuple(zeros)))
+    if failures:
+        raise failures[min(failures)]
+    if () in block:  # reached by no class: its parent's test sends them all one way
+        p = child.index(block.index(())) // 2
+        raise InapplicableTest(f"test {table.tests[test[p]]!r} does not split block {block[p]!r}")
+    return form
 
 
 def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
@@ -356,40 +404,18 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
-    blocks: dict[int, Block] = {}
-    _subtree_blocks(tree.root, table, blocks)
-    frontier: list[Node] = [tree.root]
-    steps: list[LevelStep] = []
-    while any(isinstance(n, Internal) for n in frontier):
-        before = tuple(blocks[id(n)] for n in frontier)
-        assignment = {blocks[id(n)]: n.test for n in frontier if isinstance(n, Internal)}
-        nxt: list[Node] = []
-        for node in frontier:
-            nxt.extend((node.zero, node.one) if isinstance(node, Internal) else (node,))
-        after = tuple(blocks[id(n)] for n in nxt)
-        steps.append(LevelStep(before, assignment, after))
+    form = _compile(tree, table)
+    block, test = form.block, form.test
+    frontier, steps = [0], []
+    while any(test[k] >= 0 for k in frontier):
+        assignment = {block[k]: table.tests[test[k]] for k in frontier if test[k] >= 0}
+        nxt: list[int] = []  # a tested block's two halves replace it in place
+        for k in frontier:
+            nxt += form.child[2 * k : 2 * k + 2] if test[k] >= 0 else (k,)
+        after = tuple(block[k] for k in nxt)
+        steps.append(LevelStep(tuple(block[k] for k in frontier), assignment, after))
         frontier = nxt
     return steps
-
-
-def class_path(tree: DecisionTree, table: TestTable, class_id: str) -> list[PathStep]:
-    """Root-to-leaf tests an error-free object of ``class_id`` traverses."""
-    i = table.class_index(class_id)
-    node = tree.root
-    path: list[PathStep] = []
-    while isinstance(node, Internal):
-        out = table.outcome(node.test, class_id)
-        if out is None:
-            raise InapplicableTest(
-                f"test {node.test!r} undefined for class {class_id!r}"
-            )
-        path.append(PathStep(node.test, out, float(table.errors[table.test_index(node.test), i])))
-        node = node.one if out else node.zero
-    if node.label != class_id:
-        raise ValidationError(
-            f"path for {class_id!r} ends at leaf {node.label!r}; tree inconsistent with table"
-        )
-    return path
 
 
 def validate_tree(tree: DecisionTree, table: TestTable) -> None:
@@ -397,28 +423,27 @@ def validate_tree(tree: DecisionTree, table: TestTable) -> None:
 
     Leaves must cover each class exactly once, no test may repeat along a
     path, and each node's test must be defined for, and split, the classes
-    below it exactly as its children claim.
+    below it exactly as its children claim. The first defect in preorder raises.
     """
-    labels = tree.leaf_labels()
-    if sorted(labels) != sorted(table.classes):
-        raise ValidationError(
-            f"leaves {sorted(labels)} do not match classes {sorted(table.classes)}"
-        )
-
-    blocks: dict[int, Block] = {}
-    _subtree_blocks(tree.root, table, blocks)
-
-    def walk(node: Node, used: frozenset[str]) -> None:
+    nodes = _preorder(tree.root)
+    labels = sorted(node.label for node in nodes if isinstance(node, Leaf))
+    if labels != sorted(table.classes):
+        raise ValidationError(f"leaves {labels} do not match classes {sorted(table.classes)}")
+    below: dict[int, Block] = {}  # id(node) -> the classes of the leaves below it
+    for node in reversed(nodes):
         if isinstance(node, Leaf):
-            return
+            below[id(node)] = (table.class_index(node.label),)
+        else:
+            below[id(node)] = tuple(sorted(below[id(node.zero)] + below[id(node.one)]))
+    stack = [(tree.root, frozenset())]  # (node, the tests above it)
+    while stack:
+        node, used = stack.pop()
+        if isinstance(node, Leaf):
+            continue
         if node.test in used:
             raise ValidationError(f"test {node.test!r} repeats along a path")
-        zeros, ones = split_block(table, blocks[id(node)], node.test)  # raises if inapplicable
-        if blocks[id(node.zero)] != zeros or blocks[id(node.one)] != ones:
-            raise ValidationError(
-                f"children of test {node.test!r} disagree with its outcomes"
-            )
-        walk(node.zero, used | {node.test})
-        walk(node.one, used | {node.test})
-
-    walk(tree.root, frozenset())
+        zeros, ones = split_block(table, below[id(node)], node.test)  # raises if inapplicable
+        if below[id(node.zero)] != zeros or below[id(node.one)] != ones:
+            raise ValidationError(f"children of test {node.test!r} disagree with its outcomes")
+        used = used | {node.test}
+        stack += (node.one, used), (node.zero, used)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .builder import BuilderConfig, build_greedy, build_random
 from .errors import ValidationError
-from .metrics import MetricConfig, exact_misclassification
-from .model import DecisionTree, Leaf, Node, TestTable
+from .metrics import MetricConfig, _misclassification, exact_misclassification
+from .model import DecisionTree, TestTable, _compile, _Compiled
 from .workers import (
     AssignmentStrategy,
     AssignStep,
@@ -96,29 +96,13 @@ class _Router:
 def _router(
     tree: DecisionTree, table: TestTable, allocation: WorkerAllocation | None
 ) -> _Router:
+    form = _compile(tree, table)
     n = table.n_classes
-    leaf_row = table.n_tests * n
-    row: list[int] = []
-    child: list[int] = []
-    group: list[int] = []
-    leaf_cls: list[int] = []
-
-    def add(node: Node) -> int:
-        idx = len(row)
-        row.append(leaf_row)
-        child.extend((idx, idx))
-        group.append(0)
-        leaf_cls.append(-1)
-        if isinstance(node, Leaf):
-            leaf_cls[idx] = table.class_index(node.label)
-        else:
-            row[idx] = table.test_index(node.test) * n
-            group[idx] = allocation.group_size(node.test) if allocation is not None else 1
-            child[2 * idx] = add(node.zero)
-            child[2 * idx + 1] = add(node.one)
-        return idx
-
-    add(tree.root)
+    row = [m * n if m >= 0 else table.n_tests * n for m in form.test]
+    group = [
+        0 if m < 0 else 1 if allocation is None else allocation.group_size(table.tests[m])
+        for m in form.test
+    ]
     defined = table.outcomes >= 0
     worker_error = allocation.worker_error if allocation is not None else 0.5
     absorbing = np.zeros(n)
@@ -127,10 +111,10 @@ def _router(
         extra_error=np.concatenate([np.where(defined, worker_error, 0.5).ravel(), absorbing]),
         one=np.concatenate([(table.outcomes == 1).ravel(), np.zeros(n, dtype=bool)]),
         row=np.asarray(row, dtype=np.int64),
-        child=np.asarray(child, dtype=np.int64),
+        child=np.asarray(form.child, dtype=np.int64),
         group=np.asarray(group, dtype=np.uint64),
-        leaf_cls=np.asarray(leaf_cls, dtype=np.int64),
-        depth=tree.depth(),
+        leaf_cls=np.asarray(form.leaf, dtype=np.int64),
+        depth=max(form.depth),
     )
 
 
@@ -288,22 +272,23 @@ def sweep_error(
 
     The whole grid is checked before any tree is built. A random tree
     depends only on the table's outcomes and its seed, so the
-    ``n_random_trees`` trees are built once and shared by every grid point.
+    ``n_random_trees`` trees are built and compiled once for the grid.
     """
     config = config or BuilderConfig()
     grid = list(grid)
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_trees: list[DecisionTree] | None = None
+    random_forms: list[_Compiled] | None = None
     points: list[ErrorSweepPoint] = []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
         designed = build_greedy(tbl, config).tree
         designed_pm = exact_misclassification(designed, tbl)
-        if random_trees is None:  # after the first designed tree: it names an inseparable pair
-            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
-        random_pms = [exact_misclassification(tree, tbl) for tree in random_trees]
+        if random_forms is None:  # after the first designed tree: it names an inseparable pair
+            trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
+            random_forms = [_compile(tree, tbl) for tree in trees]
+        random_pms = [_misclassification(form, tbl) for form in random_forms]
         points.append(
             ErrorSweepPoint(
                 error_prob=float(p_star),
@@ -339,15 +324,19 @@ def sweep_workers(
     seeded allocations, each evaluated exactly. Every budget is checked
     before any work. The greedy rule never reads its budget, so one
     :func:`assign_proposed` run at the largest budget serves them all: the
-    proposed allocation for budget K is the first K steps of its log.
+    proposed allocation for budget K is the first K steps of its log, and
+    the tree is compiled once: the fused tables differ only in errors.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
     for budget in k_values:
         _check_worker_args(budget, worker_error)
+    if not k_values:
+        return []
+    form = _compile(tree, table)
     proposed: WorkerAllocation | None = None
     log: list[AssignStep] = []
-    if k_values and AssignmentStrategy.PROPOSED in strategies:
+    if AssignmentStrategy.PROPOSED in strategies:
         proposed, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     points: list[WorkerSweepPoint] = []
     for budget in k_values:
@@ -357,21 +346,19 @@ def sweep_workers(
                 for step in log[:budget]:
                     pairs[step.test] += 1
                 allocation = dataclasses.replace(proposed, extra_pairs=pairs)
-                pm = exact_misclassification(tree, effective_table(table, allocation))
+                pm = _misclassification(form, effective_table(table, allocation))
             elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
                 draws = []
                 for j in range(random_draws):
                     allocation = assign_baseline(
                         tree, table, strategy, budget, worker_error, seed=seed + j
                     )
-                    draws.append(
-                        exact_misclassification(tree, effective_table(table, allocation))
-                    )
+                    draws.append(_misclassification(form, effective_table(table, allocation)))
                 pm = float(np.mean(draws))
             else:
                 allocation = assign_baseline(
                     tree, table, strategy, budget, worker_error, seed=seed
                 )
-                pm = exact_misclassification(tree, effective_table(table, allocation))
+                pm = _misclassification(form, effective_table(table, allocation))
             points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=pm))
     return points

@@ -24,16 +24,7 @@ from .metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from .model import (
-    Block,
-    DecisionTree,
-    Leaf,
-    LevelStep,
-    Node,
-    TestTable,
-    _subtree_blocks,
-    level_trace,
-)
+from .model import DecisionTree, LevelStep, TestTable, _compile, level_trace
 
 
 class AssignmentStrategy(enum.Enum):
@@ -76,10 +67,6 @@ class WorkerAllocation:
         return sum(self.extra_pairs.values())
 
 
-def effective_error(allocation: WorkerAllocation, test_id: str) -> float:
-    return allocation.effective_error(test_id)
-
-
 def effective_table(table: TestTable, allocation: WorkerAllocation) -> TestTable:
     """Table with each allocated test's error column set to its fused error."""
     fused = {
@@ -103,8 +90,7 @@ class AssignStep:
 
 def _tree_tests(tree: DecisionTree, table: TestTable) -> list[str]:
     """The tree's tests in table declaration order."""
-    present = set(tree.test_ids())
-    return [t for t in table.tests if t in present]
+    return sorted(tree.test_ids(), key=table.test_index)
 
 
 def _check_worker_args(budget: int, worker_error: float) -> None:
@@ -164,7 +150,6 @@ def assign_proposed(
     _check_worker_args(budget, worker_error)
     levels = [_level_masses(table, step) for step in level_trace(tree, table)]
     pairs = {t: 0 for t in _tree_tests(tree, table)}
-    test_index = {t: m for m, t in enumerate(table.tests)}
     fused_by_pairs: dict[int, float] = {}
     log: list[AssignStep] = []
 
@@ -193,7 +178,7 @@ def assign_proposed(
             target = min(range(len(values)), key=lambda d: (-values[d], d))
         best_test: str | None = None
         best_value = 0.0
-        for test_id in sorted(levels[target].tested, key=test_index.__getitem__):
+        for test_id in sorted(levels[target].tested, key=table.test_index):
             value = level_metric(levels[target], {**errors, test_id: fused(pairs[test_id] + 1)})
             better = (
                 value > best_value
@@ -275,19 +260,16 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
-    blocks: dict[int, Block] = {}
-    _subtree_blocks(tree.root, table, blocks)
+    form = _compile(tree, table)
+    mass = [0.0] * len(form.block)  # of the classes reaching each node
+    mass[0] = math.fsum(table.priors)
     expected = 0.0
-
-    def walk(node: Node, mass: float) -> None:
-        nonlocal expected
-        if isinstance(node, Leaf):
-            return
-        expected += mass * allocation.group_size(node.test)
-        zero_mass = math.fsum(table.priors[i] for i in blocks[id(node.zero)])
-        walk(node.zero, zero_mass)
-        walk(node.one, mass - zero_mass)
-
-    walk(tree.root, math.fsum(table.priors))
+    for k, m in enumerate(form.test):
+        if m < 0:
+            continue
+        expected += mass[k] * allocation.group_size(table.tests[m])
+        zero, one = form.child[2 * k : 2 * k + 2]
+        mass[zero] = math.fsum(table.priors[i] for i in form.block[zero])
+        mass[one] = mass[k] - mass[zero]
     flat = sum(2 * k + 1 for k in allocation.extra_pairs.values())
     return expected, flat

@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
 from crowdtree import DecisionTree, Leaf, TestTable, validate_table
 from crowdtree.builder import BuilderConfig, build_greedy, build_random
-from crowdtree.errors import InseparableClasses
+from crowdtree.errors import InapplicableTest, InseparableClasses, ValidationError
 from crowdtree.fusion import group_error
 from crowdtree.metrics import (
     Metric,
@@ -27,7 +28,7 @@ from crowdtree.metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from crowdtree.model import class_path, level_trace
+from crowdtree.model import Internal, LevelStep, level_trace, split_block
 from crowdtree.simulate import ErrorSweepPoint, WorkerSweepPoint, _u01
 from crowdtree.workers import (
     AssignmentStrategy,
@@ -145,6 +146,32 @@ def random_table(
 # pair, per budget, per grid point, per tree node and per table cell. Each
 # gives the library's result bit for bit, so equivalence tests compare with
 # ``==``.
+
+
+class PathStep(NamedTuple):
+    test: str
+    outcome: int
+    error_prob: float
+
+
+def class_path(tree: DecisionTree, table: TestTable, class_id: str) -> list[PathStep]:
+    """Root-to-leaf tests an error-free object of ``class_id`` traverses."""
+    i = table.class_index(class_id)
+    node = tree.root
+    path: list[PathStep] = []
+    while isinstance(node, Internal):
+        out = table.outcome(node.test, class_id)
+        if out is None:
+            raise InapplicableTest(
+                f"test {node.test!r} undefined for class {class_id!r}"
+            )
+        path.append(PathStep(node.test, out, float(table.errors[table.test_index(node.test), i])))
+        node = node.one if out else node.zero
+    if node.label != class_id:
+        raise ValidationError(
+            f"path for {class_id!r} ends at leaf {node.label!r}; tree inconsistent with table"
+        )
+    return path
 
 
 def class_path_survival(tree: DecisionTree, table: TestTable) -> list[float]:
@@ -301,6 +328,17 @@ def per_point_sweep_error(
     return points
 
 
+def applicable_tests_per_cell(table: TestTable, block) -> list[str]:
+    """The tests defined on every class of ``block`` that show both outcomes
+    on it, reading one outcome cell at a time."""
+    result = []
+    for m, test_id in enumerate(table.tests):
+        values = [int(table.outcomes[m, i]) for i in block]
+        if min(values) >= 0 and 0 in values and 1 in values:
+            result.append(test_id)
+    return result
+
+
 def table_to_text_per_cell(table: TestTable) -> str:
     """The canonical structural CSV, rendered one outcome cell at a time."""
     lines = ["class," + ",".join(table.classes)]
@@ -400,3 +438,122 @@ def per_node_simulation(
     assert (leaf >= 0).all(), "trial stuck above a leaf"
     confusion = np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
     return confusion, asked
+
+
+def chain_table(n: int, error_prob: float = 0.01) -> TestTable:
+    """n classes and n - 1 tests; test j is 1 for class j, 0 for the classes
+    after it and undefined for those before, so each test splits off one
+    class and every tree is a chain of depth n - 1."""
+    rows = [[None] * j + [1] + [0] * (n - j - 1) for j in range(n - 1)]
+    return validate_table(
+        [f"c{i}" for i in range(1, n + 1)],
+        [1.0 / n] * n,
+        [f"T{j}" for j in range(1, n)],
+        rows,
+        error_prob,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The recursive tree walkers that the preorder form in ``crowdtree.model``
+# replaced, kept as references for ``==`` comparisons.
+
+
+def subtree_blocks_recursive(node, table: TestTable, blocks: dict) -> tuple[int, ...]:
+    """Sorted class block below ``node``, stored for every node under ``id(node)``."""
+    if isinstance(node, Leaf):
+        block = (table.class_index(node.label),)
+    else:
+        zeros = subtree_blocks_recursive(node.zero, table, blocks)
+        block = tuple(sorted(zeros + subtree_blocks_recursive(node.one, table, blocks)))
+    blocks[id(node)] = block
+    return block
+
+
+def level_trace_recursive(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
+    blocks: dict = {}
+    subtree_blocks_recursive(tree.root, table, blocks)
+    frontier = [tree.root]
+    steps = []
+    while any(isinstance(n, Internal) for n in frontier):
+        before = tuple(blocks[id(n)] for n in frontier)
+        assignment = {blocks[id(n)]: n.test for n in frontier if isinstance(n, Internal)}
+        nxt = []
+        for node in frontier:
+            nxt.extend((node.zero, node.one) if isinstance(node, Internal) else (node,))
+        steps.append(LevelStep(before, assignment, tuple(blocks[id(n)] for n in nxt)))
+        frontier = nxt
+    return steps
+
+
+def validate_tree_recursive(tree: DecisionTree, table: TestTable) -> None:
+    labels = tree.leaf_labels()
+    if sorted(labels) != sorted(table.classes):
+        raise ValidationError(
+            f"leaves {sorted(labels)} do not match classes {sorted(table.classes)}"
+        )
+    blocks: dict = {}
+    subtree_blocks_recursive(tree.root, table, blocks)
+
+    def walk(node, used: frozenset) -> None:
+        if isinstance(node, Leaf):
+            return
+        if node.test in used:
+            raise ValidationError(f"test {node.test!r} repeats along a path")
+        zeros, ones = split_block(table, blocks[id(node)], node.test)
+        if blocks[id(node.zero)] != zeros or blocks[id(node.one)] != ones:
+            raise ValidationError(
+                f"children of test {node.test!r} disagree with its outcomes"
+            )
+        walk(node.zero, used | {node.test})
+        walk(node.one, used | {node.test})
+
+    walk(tree.root, frozenset())
+
+
+def router_arrays_recursive(tree: DecisionTree, table: TestTable, allocation) -> dict:
+    """The simulator's per-node lookup arrays, numbered by a recursive walk."""
+    n = table.n_classes
+    leaf_row = table.n_tests * n
+    row, child, group, leaf_cls = [], [], [], []
+
+    def add(node) -> int:
+        idx = len(row)
+        row.append(leaf_row)
+        child.extend((idx, idx))
+        group.append(0)
+        leaf_cls.append(-1)
+        if isinstance(node, Leaf):
+            leaf_cls[idx] = table.class_index(node.label)
+        else:
+            row[idx] = table.test_index(node.test) * n
+            group[idx] = allocation.group_size(node.test) if allocation is not None else 1
+            child[2 * idx] = add(node.zero)
+            child[2 * idx + 1] = add(node.one)
+        return idx
+
+    add(tree.root)
+
+    def depth(node) -> int:
+        return 0 if isinstance(node, Leaf) else 1 + max(depth(node.zero), depth(node.one))
+
+    return {
+        "row": np.asarray(row, dtype=np.int64),
+        "child": np.asarray(child, dtype=np.int64),
+        "group": np.asarray(group, dtype=np.uint64),
+        "leaf_cls": np.asarray(leaf_cls, dtype=np.int64),
+        "depth": depth(tree.root),
+    }
+
+
+def assemble_recursive(block, level: int, chosen: list, table: TestTable):
+    """The nested nodes whose level d gives block b the test ``chosen[d][b]``."""
+    if len(block) == 1:
+        return Leaf(table.classes[block[0]])
+    test_id = chosen[level][block]
+    zeros, ones = split_block(table, block, test_id)
+    return Internal(
+        test_id,
+        assemble_recursive(zeros, level + 1, chosen, table),
+        assemble_recursive(ones, level + 1, chosen, table),
+    )

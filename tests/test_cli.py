@@ -290,6 +290,16 @@ def test_exit_code_inseparable(tmp_path, capsys):
     assert "'b'" in err and "'c'" in err
 
 
+def test_evaluate_too_deep_tree_document_exits_2(table_path, tmp_path, capsys):
+    from test_fileio import deep_tree_text
+
+    path = tmp_path / "deep.json"
+    path.write_text(deep_tree_text(5000), encoding="utf-8")
+    code = main(["evaluate", "--tree", str(path), "--table", table_path, "--error-prob", "0.05"])
+    assert code == 2
+    assert "nested too deeply for json" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path):
     assert (
         main(["build", "--table", str(tmp_path / "missing.csv"), "--error-prob", "0.05"])

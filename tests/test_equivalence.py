@@ -1,14 +1,19 @@
 """Bit-for-bit equivalence of the one-walk evaluator, the per-level
-allocation scorer, the shared-structure sweeps, the table-driven simulator
-and the vectorised table render with the per-class, per-trial-pair,
-per-budget, per-point, per-node and per-cell computations in ``support``,
-plus guards on how often the expensive layers run."""
+allocation scorer, the shared-structure sweeps, the table-driven simulator,
+the vectorised table render and the preorder tree form with the per-class,
+per-trial-pair, per-budget, per-point, per-node, per-cell and recursive
+computations in ``support``, plus guards on how often the expensive layers
+run."""
 
 import hashlib
 import importlib
+import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtree import (
     AssignmentStrategy,
@@ -26,16 +31,18 @@ from crowdtree import (
     sweep_workers,
     validate_table,
 )
-from crowdtree.errors import InapplicableTest, ValidationError
+from crowdtree.errors import CrowdTreeError, InapplicableTest, ValidationError
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 from crowdtree.builder import BuilderConfig
 from crowdtree.fileio import table_checksum, table_to_text
-from crowdtree.model import DecisionTree, Internal, Leaf, class_path
+from crowdtree.metrics import level_quantities
+from crowdtree.model import DecisionTree, Internal, Leaf, level_trace, validate_tree
+from crowdtree.workers import WorkerAllocation
 
 import support
 
 # The package re-exports ``simulate`` the function under the module's name.
-metrics_module = importlib.import_module("crowdtree.metrics")
+builder_module = importlib.import_module("crowdtree.builder")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
 
@@ -251,18 +258,12 @@ def test_sweep_error_builds_each_random_tree_once(monkeypatch):
     assert [args[1] for args in calls] == list(range(4, 24))
 
 
-def test_exact_evaluators_never_call_class_path(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("class_path called")
-
-    monkeypatch.setattr(model_module, "class_path", forbidden)
-    monkeypatch.setattr(metrics_module, "class_path", forbidden, raising=False)
+def test_exact_evaluators_never_call_class_path():
     tree, table = designed_tree(), demo_table(0.05)
     assert exact_misclassification(tree, table) == 0.08231187500000005
     exact_correct(tree, table)
-    # the public per-class path is still there for callers that want it
-    monkeypatch.undo()
-    assert [s.test for s in class_path(tree, table, "c2")] == ["T1", "T5", "T3", "T2"]
+    # the per-class path lives on as a test oracle
+    assert [s.test for s in support.class_path(tree, table, "c2")] == ["T1", "T5", "T3", "T2"]
 
 
 def _assert_matches_per_node_router(tree, table, allocation, trials, seed, lanes_values):
@@ -374,3 +375,193 @@ def test_table_checksum_equals_per_cell_render():
     assert table_checksum(demo_table(0.05)) == (
         "367161fb5aba3d01f54755ad532070d9199019f0eb0d86e7b83e92888aefbe81"
     )
+
+
+# ---------------------------------------------------------------------------
+# The preorder tree form against the recursive walkers it replaced
+
+
+def _form_cases():
+    """(tree, table): the demo's two trees, and for ``random_table`` seeds
+    0-39 with cell errors the greedy tree under each metric and two random
+    trees."""
+    yield designed_tree(), demo_table(0.05)
+    yield alternative_tree(), demo_table(0.3)
+    for seed in range(40):
+        table = support.random_table(seed, cell_errors=True, max_error=0.3)
+        for metric in METRICS:
+            yield build_greedy(table, BuilderConfig(metric=metric)).tree, table
+        for tree_seed in range(2):
+            yield build_random(table, tree_seed), table
+
+
+def _paths(node, path=()):
+    """(path from the root, node) in preorder; a path is a tuple of outcomes."""
+    yield path, node
+    if isinstance(node, Internal):
+        yield from _paths(node.zero, path + (0,))
+        yield from _paths(node.one, path + (1,))
+
+
+def _replace(node, path, new):
+    if not path:
+        return new
+    if path[0] == 0:
+        return Internal(node.test, _replace(node.zero, path[1:], new), node.one)
+    return Internal(node.test, node.zero, _replace(node.one, path[1:], new))
+
+
+def _mutations(tree, table):
+    """Trees one edit away: each internal node's children swapped, its test
+    replaced by every other test of the table and by an unknown one, and
+    each leaf relabelled to every other class and to an unknown one."""
+    for path, node in _paths(tree.root):
+        if isinstance(node, Internal):
+            edits = [Internal(node.test, node.one, node.zero)]
+            edits += [Internal(t, node.zero, node.one) for t in (*table.tests, "TX") if t != node.test]
+        else:
+            edits = [Leaf(c) for c in (*table.classes, "zz") if c != node.label]
+        for edit in edits:
+            yield DecisionTree(_replace(tree.root, path, edit))
+
+
+def _outcome(call):
+    """(exception type, message) of ``call``, or None when it returns."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _steps(steps):
+    return [(s.before, list(s.assignment.items()), s.after) for s in steps]
+
+
+def test_applicable_tests_equals_per_cell_scan():
+    tables = [demo_table(0.05)]
+    tables += [support.random_table(seed, max_classes=12, max_tests=16) for seed in range(40)]
+    rng = np.random.default_rng(0)
+    for table in tables:
+        n = table.n_classes
+        blocks = [tuple(range(n))] + [tuple(b) for b in itertools.combinations(range(n), 2)]
+        blocks += [tuple(sorted(rng.choice(n, size=rng.integers(2, n + 1), replace=False)))
+                   for _ in range(20)]
+        for block in blocks:
+            want = support.applicable_tests_per_cell(table, block)
+            assert model_module.applicable_tests(table, block) == want
+
+
+def test_level_trace_equals_recursive_walk():
+    for tree, table in _form_cases():
+        assert _steps(level_trace(tree, table)) == _steps(
+            support.level_trace_recursive(tree, table)
+        )
+
+
+def test_validate_tree_first_exception_equals_recursive_walk():
+    messages = set()
+    for tree, table in _form_cases():
+        for mutant in _mutations(tree, table):
+            got = _outcome(lambda: validate_tree(mutant, table))
+            assert got == _outcome(lambda: support.validate_tree_recursive(mutant, table))
+            if got is not None:
+                messages.add(got[1])
+    for defect in (
+        "do not match classes",
+        "repeats along a path",
+        "unknown test",
+        "undefined for class",
+        "does not split block",
+        "disagree with its outcomes",
+    ):
+        assert any(defect in message for message in messages), defect
+
+
+def test_every_consumer_rejects_what_validate_tree_rejects():
+    cases = list(_form_cases())[:26]  # the demo and random_table seeds 0-5
+    for tree, table in cases:
+        allocation = WorkerAllocation(
+            extra_pairs={t: 1 for t in table.tests},
+            worker_error=0.2,
+            strategy=AssignmentStrategy.ALL_WORKERS_ALL_TESTS,
+        )
+        consumers = (
+            lambda t: level_trace(t, table),
+            lambda t: level_quantities(t, table),
+            lambda t: exact_misclassification(t, table),
+            lambda t: exact_correct(t, table),
+            lambda t: allocation_cost(t, table, allocation),
+            lambda t: assign_proposed(t, table, 1, 0.2),
+            lambda t: simulate(t, table, allocation, trials=8),
+        )
+        for mutant in _mutations(tree, table):
+            if _outcome(lambda: validate_tree(mutant, table)) is None:
+                continue
+            for consume in consumers:
+                with pytest.raises(CrowdTreeError):
+                    consume(mutant)
+
+
+def test_a_node_no_class_reaches_is_rejected():
+    # every class reaches its own leaf, but the inner T1 sends them all one way
+    table, designed = demo_table(0.05), designed_tree().root
+    tree = DecisionTree(Internal("T1", Internal("T1", designed.zero, Leaf("c4")), Leaf("c4")))
+    message = "test 'T1' does not split block (0, 1, 2, 4)"
+    for consume in (level_trace, exact_misclassification, exact_correct):
+        with pytest.raises(InapplicableTest, match=re.escape(message)):
+            consume(tree, table)
+    with pytest.raises(InapplicableTest, match=re.escape(message)):
+        simulate(tree, table, None, trials=8)
+
+
+def test_router_arrays_equal_recursive_numbering():
+    for tree, table in _form_cases():
+        allocations = [None, assign_proposed(tree, table, 5, 0.2)[0]]
+        allocations.append(
+            assign_baseline(tree, table, AssignmentStrategy.RANDOM_PER_PAIR, 7, 0.3, seed=1)
+        )
+        for allocation in allocations:
+            router = simulate_module._router(tree, table, allocation)
+            want = support.router_arrays_recursive(tree, table, allocation)
+            assert router.depth == want.pop("depth")
+            for name, array in want.items():
+                got = getattr(router, name)
+                assert got.dtype == array.dtype and np.array_equal(got, array), name
+
+
+def test_assembled_trees_equal_recursive_assembly():
+    for tree, table in _form_cases():
+        chosen = [step.assignment for step in support.level_trace_recursive(tree, table)]
+        root = support.assemble_recursive(table.all_classes_block(), 0, chosen, table)
+        assert builder_module._assemble(chosen, table) == DecisionTree(root) == tree
+
+
+def _rebuild(form, table):
+    """Nested nodes from the compiled arrays alone, children before parents."""
+    built = [None] * len(form.test)
+    for k in reversed(range(len(form.test))):
+        m = form.test[k]
+        if m < 0:
+            built[k] = Leaf(table.classes[form.leaf[k]])
+        else:
+            zero, one = form.child[2 * k : 2 * k + 2]
+            built[k] = Internal(table.tests[m], built[zero], built[one])
+    return DecisionTree(built[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    tree_seed=st.integers(0, 10_000),
+    greedy=st.booleans(),
+)
+def test_compiled_form_rebuilds_the_same_tree(table_seed, tree_seed, greedy):
+    table = support.random_table(table_seed, max_classes=9, max_tests=12, cell_errors=True)
+    tree = build_greedy(table).tree if greedy else build_random(table, tree_seed)
+    form = model_module._compile(tree, table)
+    assert _rebuild(form, table) == tree
+    blocks: dict = {}
+    support.subtree_blocks_recursive(tree.root, table, blocks)
+    assert form.block == [blocks[id(node)] for node in model_module._preorder(tree.root)]
+    assert max(form.depth) == tree.depth() == support.router_arrays_recursive(tree, table, None)["depth"]

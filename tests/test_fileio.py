@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from crowdtree import AssignmentStrategy, assign_proposed, sweep_error
+from crowdtree import (
+    AssignmentStrategy,
+    DecisionTree,
+    Internal,
+    Leaf,
+    assign_proposed,
+    sweep_error,
+)
 from crowdtree.errors import ParseError, TableMismatch, UnknownTest, ValidationError
 from crowdtree.fileio import (
     allocation_from_doc,
@@ -178,3 +185,38 @@ def test_report_csv_deterministic():
     rtext = simulation_report_csv(report, table)
     assert rtext == simulation_report_csv(report, table)
     assert "p_hat," in rtext and "# seed=0" in rtext
+
+
+def deep_tree_text(depth: int) -> str:
+    """A tree document ``depth`` levels deep, written as text."""
+    return (
+        '{"format": "crowdtree/tree-v1", "table_sha256": "", "builder": {}, "root": '
+        + '{"test": "T1", "0": ' * depth
+        + '{"leaf": "c1"}'
+        + ', "1": {"leaf": "c2"}}' * depth
+        + "}"
+    )
+
+
+def test_too_deep_tree_document_raises_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_tree_text(5000), encoding="utf-8")
+    with pytest.raises(ParseError, match="nested too deeply for json.*recursion limit"):
+        load_tree(str(path), demo_table(0.05))
+    root = Leaf("c1")
+    for _ in range(5000):
+        root = Internal("T1", root, Leaf("c2"))
+    out = tmp_path / "out.json"
+    with pytest.raises(ParseError, match="nested too deeply for json.*recursion limit"):
+        save_tree(str(out), DecisionTree(root), demo_table(0.05))
+    assert not out.exists()
+
+
+def test_tree_document_of_depth_500_round_trips(tmp_path):
+    root = Leaf("c1")
+    for _ in range(500):
+        root = Internal("T1", root, Leaf("c2"))
+    path = tmp_path / "deep.json"
+    save_tree(str(path), DecisionTree(root), demo_table(0.05))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["root"] == json.loads(deep_tree_text(500))["root"]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -7,13 +8,16 @@ from crowdtree import (
     Internal,
     Leaf,
     applicable_tests,
-    class_path,
     level_trace,
     refine_partition,
     split_block,
     validate_table,
     validate_tree,
 )
+from crowdtree.builder import BuilderConfig, build_greedy, build_random
+from crowdtree.metrics import exact_correct, exact_misclassification, level_quantities
+from crowdtree.simulate import simulate
+from crowdtree.workers import allocation_cost, assign_proposed
 from crowdtree.errors import (
     DuplicateIdentifier,
     ErrorProbOutOfRange,
@@ -29,6 +33,7 @@ from crowdtree.errors import (
 from crowdtree.fixtures import demo_table, designed_tree, alternative_tree
 
 import support
+from support import class_path
 
 
 def test_demo_table_is_valid():
@@ -226,3 +231,33 @@ def test_validate_tree_catches_bad_structure():
 def test_depths():
     assert designed_tree().depth() == 4
     assert alternative_tree().depth() == 3
+
+
+def test_1200_class_chain_has_no_depth_limit():
+    n = 1200
+    table = support.chain_table(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        random_tree = build_random(table, 0)
+        tree = build_greedy(table, BuilderConfig(max_depth=n)).tree
+        assert tree.depth() == random_tree.depth() == n - 1
+        assert tree.leaf_labels() == tuple(reversed(table.classes))
+        assert tree.test_ids() == table.tests
+        for t in (tree, random_tree):
+            validate_tree(t, table)
+        assert len(level_quantities(tree, table)) == n - 1
+        pm = exact_misclassification(tree, table)
+        pc = exact_correct(tree, table)
+        allocation, _ = assign_proposed(tree, table, 3, 0.2)
+        expected, _ = allocation_cost(tree, table, allocation)
+        report = simulate(tree, table, allocation, trials=50, seed=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    # class j meets tests T1..Tj, the last class all n - 1; every cell has the same error
+    e = table.error("T1", "c1")
+    paths = [[e] * min(j, n - 1) for j in range(1, n + 1)]
+    assert pm == support.path_survival_pm(table.priors, paths)
+    assert pc == pytest.approx(1.0 - pm)
+    assert expected >= n / 2
+    assert report.trials == 50

@@ -8,7 +8,6 @@ from crowdtree import (
     assign_baseline,
     assign_proposed,
     build_greedy,
-    effective_error,
     effective_table,
     exact_misclassification,
     group_error,
@@ -32,7 +31,7 @@ def test_effective_error_examples():
     alloc = _alloc({"T1": 0, "T2": 1})
     assert alloc.effective_error("T1") == pytest.approx(0.2, abs=1e-15)
     assert alloc.effective_error("T2") == pytest.approx(0.104, abs=1e-15)
-    assert effective_error(_alloc({"T1": 1}, p_e=0.05), "T1") == pytest.approx(0.00725)
+    assert _alloc({"T1": 1}, p_e=0.05).effective_error("T1") == pytest.approx(0.00725)
     with pytest.raises(UnknownTest):
         alloc.effective_error("T9")
 
