@@ -24,10 +24,10 @@ from .metrics import (
     Metric,
     MetricConfig,
     _block_entropy,
-    _level_quantities,
     exact_correct,
     exact_misclassification,
     level_entropy,
+    level_quantities,
     metric_additive,
     metric_multiplicative,
 )
@@ -36,7 +36,6 @@ from .model import (
     DecisionTree,
     Internal,
     Leaf,
-    LevelStep,
     Node,
     Partition,
     TestTable,
@@ -201,17 +200,17 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     """
     config = config or BuilderConfig()
     partition: Partition = (table.all_classes_block(),)
-    steps: list[LevelStep] = []  # the tree's level trace, as it is built
+    chosen: list[dict[Block, str]] = []
     while any(len(b) > 1 for b in partition):
-        if len(steps) >= config.max_depth:
+        if len(chosen) >= config.max_depth:
             raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
         assignment = _choose_level_assignment(table, partition, config)
-        refined = refine_partition(table, partition, assignment)
-        steps.append(LevelStep(partition, assignment, refined))
-        partition = refined
+        chosen.append(assignment)
+        partition = refine_partition(table, partition, assignment)
+    tree = _assemble(chosen, table)
     return GreedyResult(
-        tree=_assemble([step.assignment for step in steps], table),
-        levels=tuple(_level_quantities(steps, table, config.metric.ratio_offset)),
+        tree=tree,
+        levels=tuple(level_quantities(tree, table, config.metric.ratio_offset)),
     )
 
 

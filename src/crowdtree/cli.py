@@ -16,13 +16,13 @@ from .errors import CrowdTreeError, InseparableClasses
 from .metrics import (
     Metric,
     MetricConfig,
-    _additive_approx,
-    _bounds_additive,
-    _bounds_multiplicative,
-    _multiplicative_approx,
+    additive_approx,
+    bounds_additive,
+    bounds_multiplicative,
     exact_correct,
     exact_misclassification,
     level_quantities,
+    multiplicative_approx,
 )
 from .simulate import simulate, sweep_error, sweep_workers
 from .workers import (
@@ -67,20 +67,20 @@ def _load_table(args, require_error: bool = True):
     return fileio.load_table(args.table, args.error_prob, args.error_matrix)
 
 
-def _print_quality(tree, table, quantities, ratio_offset: float) -> None:
+def _print_quality(tree, table, ratio_offset: float) -> None:
     print("level,entropy_before,entropy_after,error_mass,correct_mass,"
           "additive_metric,multiplicative_metric")
-    for q in quantities:
+    for q in level_quantities(tree, table, ratio_offset):
         print(
             f"{q.level},{q.entropy_before!r},{q.entropy_after!r},{q.error_mass!r},"
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
-    lo_a, hi_a = _bounds_additive(quantities)
-    lo_m, hi_m = _bounds_multiplicative(quantities, ratio_offset)
+    lo_a, hi_a = bounds_additive(tree, table)
+    lo_m, hi_m = bounds_multiplicative(tree, table, ratio_offset)
     print(f"exact_pm,{exact_misclassification(tree, table)!r}")
     print(f"exact_pc,{exact_correct(tree, table)!r}")
-    print(f"additive_approx,{_additive_approx(quantities)!r}")
-    print(f"multiplicative_approx,{_multiplicative_approx(quantities)!r}")
+    print(f"additive_approx,{additive_approx(tree, table)!r}")
+    print(f"multiplicative_approx,{multiplicative_approx(tree, table)!r}")
     print(f"additive_bounds,{lo_a!r},{hi_a!r}")
     print(f"multiplicative_bounds,{lo_m!r},{hi_m!r}")
 
@@ -96,15 +96,14 @@ def _cmd_build(args) -> int:
     }
     if args.out:
         fileio.save_tree(args.out, result.tree, table, builder_info)
-    _print_quality(result.tree, table, result.levels, args.ratio_offset)
+    _print_quality(result.tree, table, args.ratio_offset)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     table = _load_table(args)
     tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
-    quantities = level_quantities(tree, table, args.ratio_offset)
-    _print_quality(tree, table, quantities, args.ratio_offset)
+    _print_quality(tree, table, args.ratio_offset)
     return 0
 
 

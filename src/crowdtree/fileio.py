@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -179,30 +178,28 @@ def _node_to_doc(root: Node) -> dict:
 
 
 def _node_from_doc(root_doc) -> Node:
-    """Check every node document in preorder, then build the nodes bottom-up."""
-    order, stack = [], [root_doc]
+    """Check the node documents in preorder; build each node once its children are."""
+    built: list[Node] = []  # of the subtrees done so far, the latest on top
+    stack = [(root_doc, False)]  # (document, whether its children are built)
     while stack:
-        doc = stack.pop()
-        if not isinstance(doc, dict):
+        doc, children_built = stack.pop()
+        if children_built:
+            one, zero = built.pop(), built.pop()
+            built.append(Internal(doc["test"], zero, one))
+        elif not isinstance(doc, dict):
             raise ParseError(f"tree node must be an object, got {type(doc).__name__}")
-        if "leaf" in doc:
+        elif "leaf" in doc:
             if set(doc) != {"leaf"} or not isinstance(doc["leaf"], str):
                 raise ParseError(f"bad leaf node: {doc!r}")
+            built.append(Leaf(doc["leaf"]))
         elif set(doc) != {"test", "0", "1"} or not isinstance(doc.get("test"), str):
             raise ParseError(f"internal node needs exactly 'test', '0', '1': {sorted(doc)}")
         else:
-            stack += doc["1"], doc["0"]
-        order.append(doc)
-    built: list[Node] = []  # of the subtrees done so far, the zero child's on top
-    for doc in reversed(order):
-        if "leaf" in doc:
-            built.append(Leaf(doc["leaf"]))
-        else:
-            built.append(Internal(doc["test"], built.pop(), built.pop()))
+            stack += (doc, True), (doc["1"], False), (doc["0"], False)
     return built.pop()
 
 
-_TOO_DEEP = "tree nested too deeply for json: about 990 levels at recursion limit 1000, now {}"
+_TOO_DEEP = "tree nested too deeply for json"
 
 
 def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
@@ -234,7 +231,7 @@ def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping 
     try:
         text = json.dumps(tree_to_doc(tree, table, builder), indent=2)
     except RecursionError:
-        raise ParseError(_TOO_DEEP.format(sys.getrecursionlimit())) from None
+        raise ParseError(_TOO_DEEP) from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -244,7 +241,7 @@ def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> Decis
         try:
             doc = json.load(fh)
         except RecursionError:
-            raise ParseError(_TOO_DEEP.format(sys.getrecursionlimit())) from None
+            raise ParseError(_TOO_DEEP) from None
     return tree_from_doc(doc, table, check_checksum)
 
 

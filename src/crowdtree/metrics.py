@@ -16,7 +16,6 @@ from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
-    LevelStep,
     Partition,
     TestTable,
     _compile,
@@ -76,7 +75,7 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
 
 def _block_entropy(priors: Sequence[float], block: Block) -> float:
     """One block's term of :func:`level_entropy`; 0 for a singleton."""
-    mass = priors[block[0]] if len(block) == 1 else math.fsum(priors[i] for i in block)
+    mass = math.fsum(priors[i] for i in block)
     if mass <= 0.0:
         raise InvalidPartition(f"block {block!r} has no probability mass")
     if len(block) == 1:
@@ -161,12 +160,7 @@ def level_quantities(
     tree: DecisionTree, table: TestTable, ratio_offset: float = 1.0
 ) -> list[LevelQuantities]:
     """Entropy, masses, and both metrics for every level of ``tree``."""
-    return _level_quantities(level_trace(tree, table), table, ratio_offset)
-
-
-def _level_quantities(
-    steps: Sequence[LevelStep], table: TestTable, ratio_offset: float
-) -> list[LevelQuantities]:
+    steps = level_trace(tree, table)
     out: list[LevelQuantities] = []
     h_prev = level_entropy(table.priors, steps[0].before) if steps else 0.0
     for d, step in enumerate(steps, start=1):
@@ -189,25 +183,21 @@ def _level_quantities(
 
 
 def _survivals(form: _Compiled, table: TestTable) -> list[float]:
-    """Per class, the product of ``1 - e`` along its true path, root to leaf;
-    ``table`` may differ from the one ``form`` was compiled with only in errors."""
+    """Per class, in class order, the product of ``1 - e`` over the tests on
+    the class's true path, multiplied from root to leaf."""
     survive = [1.0] * table.n_classes
+    error = table.errors.item
     for m, block in zip(form.test, form.block):
         if m >= 0:
-            errors = table.errors[m].tolist()
             for i in block:
-                survive[i] *= 1.0 - errors[i]
+                survive[i] *= 1.0 - error(m, i)
     return survive
 
 
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
-    return _misclassification(_compile(tree, table), table)
-
-
-def _misclassification(form: _Compiled, table: TestTable) -> float:
     total = 0.0
-    for p, survive in zip(table.priors, _survivals(form, table)):
+    for p, survive in zip(table.priors, _survivals(_compile(tree, table), table)):
         total += p * (1.0 - survive)
     return total
 
@@ -222,20 +212,15 @@ def exact_correct(tree: DecisionTree, table: TestTable) -> float:
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:
     """First-order misclassification estimate: the sum of level error masses."""
-    return _additive_approx(level_quantities(tree, table))
-
-
-def _additive_approx(quantities: Sequence[LevelQuantities]) -> float:
-    return math.fsum(q.error_mass for q in quantities)
+    return math.fsum(q.error_mass for q in level_quantities(tree, table))
 
 
 def multiplicative_approx(tree: DecisionTree, table: TestTable) -> float:
     """Correct-classification estimate: the product of level correct masses."""
-    return _multiplicative_approx(level_quantities(tree, table))
-
-
-def _multiplicative_approx(quantities: Sequence[LevelQuantities]) -> float:
-    return math.prod((q.correct_mass for q in quantities), start=1.0)  # in level order
+    result = 1.0
+    for q in level_quantities(tree, table):
+        result *= q.correct_mass
+    return result
 
 
 def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]:
@@ -244,10 +229,7 @@ def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]
     The initial entropy divided by the largest (smallest) per-level additive
     metric brackets the sum of level error masses.
     """
-    return _bounds_additive(level_quantities(tree, table))
-
-
-def _bounds_additive(quantities: Sequence[LevelQuantities]) -> tuple[float, float]:
+    quantities = level_quantities(tree, table)
     h0 = quantities[0].entropy_before if quantities else 0.0
     values = [q.additive_metric for q in quantities]
     return (_safe_div(h0, max(values)), _safe_div(h0, min(values)))
@@ -263,15 +245,13 @@ def bounds_multiplicative(
     at least 1, so the product of factors exceeds any single one and both
     returned values then sit at or above the product approximation.
     """
-    return _bounds_multiplicative(level_quantities(tree, table, ratio_offset), ratio_offset)
-
-
-def _bounds_multiplicative(
-    quantities: Sequence[LevelQuantities], ratio_offset: float
-) -> tuple[float, float]:
-    top = (quantities[0].entropy_before if quantities else 0.0) + ratio_offset
+    quantities = level_quantities(tree, table, ratio_offset)
+    h0 = quantities[0].entropy_before if quantities else 0.0
     values = [q.multiplicative_metric for q in quantities]
-    return _safe_div(top, max(values)), _safe_div(top, min(values))
+    return (
+        _safe_div(h0 + ratio_offset, max(values)),
+        _safe_div(h0 + ratio_offset, min(values)),
+    )
 
 
 def _safe_div(num: float, den: float) -> float:

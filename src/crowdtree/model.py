@@ -6,15 +6,16 @@ blocks covering every class. Trees route an object through tests until a
 single-class leaf is reached.
 
 Trees are nested ``Leaf``/``Internal`` nodes, but nothing recurses over
-them: ``_preorder`` lists the nodes, and ``_compile`` gives per preorder
-node the test index, child links, leaf class, depth and class block, found
-by routing every class down its error-free path. Level traces, the exact
-evaluators, allocation costs and the simulator's tables all read the latter.
+them. ``_preorder`` lists the nodes; leaf labels, depth, ``validate_tree``
+and the JSON writer read that list. ``_compile`` checks a tree
+against a table and gives, per preorder node, the test index, child links,
+leaf class, depth and class block, found by routing every class down its
+error-free path. Level traces, the exact evaluators, allocation costs and
+the simulator's tables read that form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -236,9 +237,6 @@ def split_block(table: TestTable, block: Block, test_id: str) -> tuple[Block, Bl
 
 
 def check_partition(n_classes: int, partition: Partition) -> None:
-    flat = sorted(itertools.chain.from_iterable(partition))
-    if all(partition) and flat == list(range(n_classes)):
-        return  # every class exactly once; the loop below names the first defect
     seen: set[int] = set()
     for block in partition:
         if not block:
@@ -300,8 +298,15 @@ class DecisionTree:
 
     def test_ids(self) -> tuple[str, ...]:
         """Distinct test ids in first-visit (preorder) order."""
-        nodes = _preorder(self.root)
-        return tuple(dict.fromkeys([n.test for n in nodes if isinstance(n, Internal)]))
+        ids: dict[str, None] = {}  # insertion-ordered set
+        stack = [self.root]  # as in _preorder, minus the leaves: assign_baseline calls this often
+        while stack:
+            node = stack.pop()
+            while isinstance(node, Internal):
+                ids[node.test] = None
+                stack.append(node.one)
+                node = node.zero
+        return tuple(ids)
 
     def depth(self) -> int:
         heights: list[int] = []  # of the subtrees done so far, the zero child's on top
@@ -327,9 +332,11 @@ def _preorder(root: Node) -> list[Node]:
     stack = [root]
     while stack:
         node = stack.pop()
+        while isinstance(node, Internal):  # down the zero children; the one children wait
+            nodes.append(node)
+            stack.append(node.one)
+            node = node.zero
         nodes.append(node)
-        if isinstance(node, Internal):
-            stack += node.one, node.zero
     return nodes
 
 
@@ -404,18 +411,18 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
-    form = _compile(tree, table)
-    block, test = form.block, form.test
-    frontier, steps = [0], []
-    while any(test[k] >= 0 for k in frontier):
+    child, _, test, _, block = _compile(tree, table)
+    frontier, before, steps = [0], (block[0],), []
+    while True:
         assignment = {block[k]: table.tests[test[k]] for k in frontier if test[k] >= 0}
+        if not assignment:
+            return steps
         nxt: list[int] = []  # a tested block's two halves replace it in place
         for k in frontier:
-            nxt += form.child[2 * k : 2 * k + 2] if test[k] >= 0 else (k,)
+            nxt += child[2 * k : 2 * k + 2] if test[k] >= 0 else (k,)
         after = tuple(block[k] for k in nxt)
-        steps.append(LevelStep(tuple(block[k] for k in frontier), assignment, after))
-        frontier = nxt
-    return steps
+        steps.append(LevelStep(before, assignment, after))
+        frontier, before = nxt, after
 
 
 def validate_tree(tree: DecisionTree, table: TestTable) -> None:

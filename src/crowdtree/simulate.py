@@ -29,8 +29,8 @@ import numpy as np
 
 from .builder import BuilderConfig, build_greedy, build_random
 from .errors import ValidationError
-from .metrics import MetricConfig, _misclassification, exact_misclassification
-from .model import DecisionTree, TestTable, _compile, _Compiled
+from .metrics import MetricConfig, exact_misclassification
+from .model import DecisionTree, TestTable, _compile
 from .workers import (
     AssignmentStrategy,
     AssignStep,
@@ -272,23 +272,22 @@ def sweep_error(
 
     The whole grid is checked before any tree is built. A random tree
     depends only on the table's outcomes and its seed, so the
-    ``n_random_trees`` trees are built and compiled once for the grid.
+    ``n_random_trees`` trees are built once and shared by every grid point.
     """
     config = config or BuilderConfig()
     grid = list(grid)
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_forms: list[_Compiled] | None = None
+    random_trees: list[DecisionTree] | None = None
     points: list[ErrorSweepPoint] = []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
         designed = build_greedy(tbl, config).tree
         designed_pm = exact_misclassification(designed, tbl)
-        if random_forms is None:  # after the first designed tree: it names an inseparable pair
-            trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
-            random_forms = [_compile(tree, tbl) for tree in trees]
-        random_pms = [_misclassification(form, tbl) for form in random_forms]
+        if random_trees is None:  # after the first designed tree: it names an inseparable pair
+            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
+        random_pms = [exact_misclassification(tree, tbl) for tree in random_trees]
         points.append(
             ErrorSweepPoint(
                 error_prob=float(p_star),
@@ -324,19 +323,15 @@ def sweep_workers(
     seeded allocations, each evaluated exactly. Every budget is checked
     before any work. The greedy rule never reads its budget, so one
     :func:`assign_proposed` run at the largest budget serves them all: the
-    proposed allocation for budget K is the first K steps of its log, and
-    the tree is compiled once: the fused tables differ only in errors.
+    proposed allocation for budget K is the first K steps of its log.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
     for budget in k_values:
         _check_worker_args(budget, worker_error)
-    if not k_values:
-        return []
-    form = _compile(tree, table)
     proposed: WorkerAllocation | None = None
     log: list[AssignStep] = []
-    if AssignmentStrategy.PROPOSED in strategies:
+    if k_values and AssignmentStrategy.PROPOSED in strategies:
         proposed, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     points: list[WorkerSweepPoint] = []
     for budget in k_values:
@@ -346,19 +341,21 @@ def sweep_workers(
                 for step in log[:budget]:
                     pairs[step.test] += 1
                 allocation = dataclasses.replace(proposed, extra_pairs=pairs)
-                pm = _misclassification(form, effective_table(table, allocation))
+                pm = exact_misclassification(tree, effective_table(table, allocation))
             elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
                 draws = []
                 for j in range(random_draws):
                     allocation = assign_baseline(
                         tree, table, strategy, budget, worker_error, seed=seed + j
                     )
-                    draws.append(_misclassification(form, effective_table(table, allocation)))
+                    draws.append(
+                        exact_misclassification(tree, effective_table(table, allocation))
+                    )
                 pm = float(np.mean(draws))
             else:
                 allocation = assign_baseline(
                     tree, table, strategy, budget, worker_error, seed=seed
                 )
-                pm = _misclassification(form, effective_table(table, allocation))
+                pm = exact_misclassification(tree, effective_table(table, allocation))
             points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=pm))
     return points

@@ -90,7 +90,8 @@ class AssignStep:
 
 def _tree_tests(tree: DecisionTree, table: TestTable) -> list[str]:
     """The tree's tests in table declaration order."""
-    return sorted(tree.test_ids(), key=table.test_index)
+    present = set(tree.test_ids())
+    return [t for t in table.tests if t in present]
 
 
 def _check_worker_args(budget: int, worker_error: float) -> None:
@@ -260,16 +261,16 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
-    form = _compile(tree, table)
-    mass = [0.0] * len(form.block)  # of the classes reaching each node
+    child, _, test, _, block = _compile(tree, table)
+    prior = table.priors.__getitem__
+    mass = [0.0] * len(test)  # of the classes reaching each node
     mass[0] = math.fsum(table.priors)
     expected = 0.0
-    for k, m in enumerate(form.test):
-        if m < 0:
-            continue
-        expected += mass[k] * allocation.group_size(table.tests[m])
-        zero, one = form.child[2 * k : 2 * k + 2]
-        mass[zero] = math.fsum(table.priors[i] for i in form.block[zero])
-        mass[one] = mass[k] - mass[zero]
+    for k, m in enumerate(test):
+        if m >= 0:
+            expected += mass[k] * allocation.group_size(table.tests[m])
+            zero, one = child[2 * k], child[2 * k + 1]
+            mass[zero] = math.fsum(map(prior, block[zero]))
+            mass[one] = mass[k] - mass[zero]
     flat = sum(2 * k + 1 for k in allocation.extra_pairs.values())
     return expected, flat

@@ -291,10 +291,10 @@ def test_exit_code_inseparable(tmp_path, capsys):
 
 
 def test_evaluate_too_deep_tree_document_exits_2(table_path, tmp_path, capsys):
-    from test_fileio import deep_tree_text
+    from test_fileio import TOO_DEEP_FOR_JSON, deep_tree_text
 
     path = tmp_path / "deep.json"
-    path.write_text(deep_tree_text(5000), encoding="utf-8")
+    path.write_text(deep_tree_text(TOO_DEEP_FOR_JSON), encoding="utf-8")
     code = main(["evaluate", "--tree", str(path), "--table", table_path, "--error-prob", "0.05"])
     assert code == 2
     assert "nested too deeply for json" in capsys.readouterr().err
