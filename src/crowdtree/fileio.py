@@ -242,6 +242,8 @@ def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> Decis
             doc = json.load(fh)
         except RecursionError:
             raise ParseError(_TOO_DEEP) from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad tree document: {exc.msg}", exc.lineno) from None
     return tree_from_doc(doc, table, check_checksum)
 
 
@@ -297,7 +299,11 @@ def save_allocation(path: str, allocation: WorkerAllocation) -> None:
 
 def load_allocation(path: str) -> WorkerAllocation:
     with open(path, "r", encoding="utf-8") as fh:
-        return allocation_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad allocation document: {exc.msg}", exc.lineno) from None
+    return allocation_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +347,8 @@ def simulation_report_csv(report: SimulationReport, table: TestTable) -> str:
     lines.append(f"ci_high,{report.ci_high!r}")
     lines.append(f"mean_questions,{report.mean_questions!r}")
     lines.append("confusion,true_class,leaf_class,count")
-    for i, true_id in enumerate(table.classes):
-        for j, leaf_id in enumerate(table.classes):
-            count = int(report.confusion[i, j])
-            if count:
-                lines.append(f"confusion,{true_id},{leaf_id},{count}")
+    rows, cols = np.nonzero(report.confusion)  # in row-major order
+    counts = report.confusion[rows, cols].tolist()
+    for i, j, count in zip(rows.tolist(), cols.tolist(), counts):
+        lines.append(f"confusion,{table.classes[i]},{table.classes[j]},{count}")
     return "\n".join(lines) + "\n"

@@ -182,24 +182,44 @@ def level_quantities(
     return out
 
 
-def _survivals(form: _Compiled, table: TestTable) -> list[float]:
+def _survivals(
+    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
+) -> list[float]:
     """Per class, in class order, the product of ``1 - e`` over the tests on
-    the class's true path, multiplied from root to leaf."""
+    the class's true path, multiplied from root to leaf.
+
+    ``fused`` maps a test index to one error that replaces the table's error
+    on every cell of that test, as a worker group's fused error does; this is
+    the only place the replacement is made.
+    """
     survive = [1.0] * table.n_classes
     error = table.errors.item
+    fused = fused or {}
     for m, block in zip(form.test, form.block):
-        if m >= 0:
+        if m in fused:
+            q = 1.0 - fused[m]
+            for i in block:
+                survive[i] *= q
+        elif m >= 0:
             for i in block:
                 survive[i] *= 1.0 - error(m, i)
     return survive
 
 
-def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
-    """Probability that at least one test along an object's true path errs."""
+def _misclassification(
+    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
+) -> float:
+    """:func:`exact_misclassification` of an already compiled tree, under
+    the fused test errors of :func:`_survivals`."""
     total = 0.0
-    for p, survive in zip(table.priors, _survivals(_compile(tree, table), table)):
+    for p, survive in zip(table.priors, _survivals(form, table, fused)):
         total += p * (1.0 - survive)
     return total
+
+
+def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
+    """Probability that at least one test along an object's true path errs."""
+    return _misclassification(_compile(tree, table), table)
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:

@@ -19,7 +19,6 @@ table plus one row, whatever the size of the tree.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,16 +28,17 @@ import numpy as np
 
 from .builder import BuilderConfig, build_greedy, build_random
 from .errors import ValidationError
-from .metrics import MetricConfig, exact_misclassification
+from .fusion import group_error
+from .metrics import MetricConfig, _misclassification, exact_misclassification
 from .model import DecisionTree, TestTable, _compile
 from .workers import (
     AssignmentStrategy,
     AssignStep,
     WorkerAllocation,
+    _baseline_pairs,
     _check_worker_args,
-    assign_baseline,
+    _tree_tests,
     assign_proposed,
-    effective_table,
 )
 
 _SH33 = np.uint64(33)
@@ -272,22 +272,25 @@ def sweep_error(
 
     The whole grid is checked before any tree is built. A random tree
     depends only on the table's outcomes and its seed, so the
-    ``n_random_trees`` trees are built once and shared by every grid point.
+    ``n_random_trees`` trees are built and compiled once and shared by
+    every grid point: only the errors change along the grid.
     """
     config = config or BuilderConfig()
     grid = list(grid)
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_trees: list[DecisionTree] | None = None
+    random_forms = None
     points: list[ErrorSweepPoint] = []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
         designed = build_greedy(tbl, config).tree
         designed_pm = exact_misclassification(designed, tbl)
-        if random_trees is None:  # after the first designed tree: it names an inseparable pair
-            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
-        random_pms = [exact_misclassification(tree, tbl) for tree in random_trees]
+        if random_forms is None:  # after the first designed tree: it names an inseparable pair
+            random_forms = [
+                _compile(build_random(tbl, seed + i), tbl) for i in range(n_random_trees)
+            ]
+        random_pms = [_misclassification(form, tbl) for form in random_forms]
         points.append(
             ErrorSweepPoint(
                 error_prob=float(p_star),
@@ -323,39 +326,47 @@ def sweep_workers(
     seeded allocations, each evaluated exactly. Every budget is checked
     before any work. The greedy rule never reads its budget, so one
     :func:`assign_proposed` run at the largest budget serves them all: the
-    proposed allocation for budget K is the first K steps of its log.
+    proposed allocation for budget K is the first K steps of its log. The
+    tree is compiled once, every allocation is scored against that form
+    with its tests' fused errors, and the group error is computed once per
+    distinct pair count.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
     for budget in k_values:
         _check_worker_args(budget, worker_error)
-    proposed: WorkerAllocation | None = None
+    if not k_values:
+        return []
+    form = _compile(tree, table)
+    tests = _tree_tests(form, table)
     log: list[AssignStep] = []
-    if k_values and AssignmentStrategy.PROPOSED in strategies:
-        proposed, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
+    if AssignmentStrategy.PROPOSED in strategies:
+        _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
+    fused_by_pairs: dict[int, float] = {}
+
+    def pm(pairs: dict[str, int]) -> float:
+        fused = {}
+        for test_id, k in pairs.items():
+            if k not in fused_by_pairs:
+                fused_by_pairs[k] = group_error(k, worker_error)
+            fused[table.test_index(test_id)] = fused_by_pairs[k]
+        return _misclassification(form, table, fused)
+
     points: list[WorkerSweepPoint] = []
     for budget in k_values:
         for strategy in strategies:
             if strategy is AssignmentStrategy.PROPOSED:
-                pairs = dict.fromkeys(proposed.extra_pairs, 0)
+                pairs = dict.fromkeys(tests, 0)
                 for step in log[:budget]:
                     pairs[step.test] += 1
-                allocation = dataclasses.replace(proposed, extra_pairs=pairs)
-                pm = exact_misclassification(tree, effective_table(table, allocation))
+                value = pm(pairs)
             elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-                draws = []
-                for j in range(random_draws):
-                    allocation = assign_baseline(
-                        tree, table, strategy, budget, worker_error, seed=seed + j
-                    )
-                    draws.append(
-                        exact_misclassification(tree, effective_table(table, allocation))
-                    )
-                pm = float(np.mean(draws))
+                draws = [
+                    pm(_baseline_pairs(tests, strategy, budget, seed + j))
+                    for j in range(random_draws)
+                ]
+                value = float(np.mean(draws))
             else:
-                allocation = assign_baseline(
-                    tree, table, strategy, budget, worker_error, seed=seed
-                )
-                pm = exact_misclassification(tree, effective_table(table, allocation))
-            points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=pm))
+                value = pm(_baseline_pairs(tests, strategy, budget, seed))
+            points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=value))
     return points

@@ -24,7 +24,7 @@ from .metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, LevelStep, TestTable, _compile, level_trace
+from .model import DecisionTree, LevelStep, TestTable, _compile, _Compiled, level_trace
 
 
 class AssignmentStrategy(enum.Enum):
@@ -88,10 +88,9 @@ class AssignStep:
     effective_error_after: float
 
 
-def _tree_tests(tree: DecisionTree, table: TestTable) -> list[str]:
-    """The tree's tests in table declaration order."""
-    present = set(tree.test_ids())
-    return [t for t in table.tests if t in present]
+def _tree_tests(form: _Compiled, table: TestTable) -> list[str]:
+    """The compiled tree's tests in table declaration order."""
+    return [table.tests[m] for m in sorted(set(form.test) - {-1})]
 
 
 def _check_worker_args(budget: int, worker_error: float) -> None:
@@ -149,8 +148,10 @@ def assign_proposed(
     """
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
-    levels = [_level_masses(table, step) for step in level_trace(tree, table)]
-    pairs = {t: 0 for t in _tree_tests(tree, table)}
+    steps = level_trace(tree, table)
+    levels = [_level_masses(table, step) for step in steps]
+    tested = {t for step in steps for t in step.assignment.values()}  # every node is in a level
+    pairs = {t: 0 for t in sorted(tested, key=table.test_index)}
     fused_by_pairs: dict[int, float] = {}
     log: list[AssignStep] = []
 
@@ -223,33 +224,38 @@ def assign_baseline(
 
     Randomized strategies draw from ``seed``; for a fixed seed the random
     per-pair choices for budget K are a prefix of those for budget K+1.
+    Raises, as every other reader does, unless ``tree`` fits ``table``.
     """
     _check_worker_args(budget, worker_error)
-    tests = _tree_tests(tree, table)
-    pairs = {t: 0 for t in tests}
+    pairs = _baseline_pairs(_tree_tests(_compile(tree, table), table), strategy, budget, seed)
+    return WorkerAllocation(
+        extra_pairs=pairs,
+        worker_error=worker_error,
+        strategy=strategy,
+        seed=seed,
+        shared_pool=strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS,
+    )
+
+
+def _baseline_pairs(
+    tests: list[str], strategy: AssignmentStrategy, budget: int, seed: int
+) -> dict[str, int]:
+    """The pairs per test that :func:`assign_baseline` draws, given the
+    tree's tests in table declaration order."""
+    pairs = dict.fromkeys(tests, 0)
     rng = random.Random(seed)
     if strategy is AssignmentStrategy.SINGLE_TEST:
-        target = tests[rng.randrange(len(tests))]
-        pairs[target] = budget
+        pairs[tests[rng.randrange(len(tests))]] = budget
     elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
         for _ in range(budget):
             pairs[tests[rng.randrange(len(tests))]] += 1
     elif strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-        pairs = {t: budget for t in tests}
-        return WorkerAllocation(
-            extra_pairs=pairs,
-            worker_error=worker_error,
-            strategy=strategy,
-            seed=seed,
-            shared_pool=True,
-        )
+        pairs = dict.fromkeys(tests, budget)
     else:
         raise UnknownStrategy(
             f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
         )
-    return WorkerAllocation(
-        extra_pairs=pairs, worker_error=worker_error, strategy=strategy, seed=seed
-    )
+    return pairs
 
 
 def allocation_cost(

@@ -8,6 +8,7 @@ closed-form path survival) so tests cross-check rather than echo.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from typing import NamedTuple
@@ -29,7 +30,7 @@ from crowdtree.metrics import (
     metric_multiplicative,
 )
 from crowdtree.model import Internal, LevelStep, level_trace, split_block
-from crowdtree.simulate import ErrorSweepPoint, WorkerSweepPoint, _u01
+from crowdtree.simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint, _u01
 from crowdtree.workers import (
     AssignmentStrategy,
     AssignStep,
@@ -349,6 +350,30 @@ def table_to_text_per_cell(table: TestTable) -> str:
             v = int(table.outcomes[m, i])
             cells.append("-" if v < 0 else str(v))
         lines.append(test_id + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def simulation_report_csv_per_cell(report: SimulationReport, table: TestTable) -> str:
+    """The simulation report, reading the confusion matrix one cell at a time."""
+    header = {
+        "seed": report.seed,
+        "lanes": report.lanes,
+        "trials": report.trials,
+        "allocation": json.dumps(report.config.get("allocation")),
+    }
+    lines = [f"# {key}={value}" for key, value in header.items()]
+    lines.append("quantity,value")
+    lines.append(f"misclassified,{report.misclassified}")
+    lines.append(f"p_hat,{report.p_hat!r}")
+    lines.append(f"ci_low,{report.ci_low!r}")
+    lines.append(f"ci_high,{report.ci_high!r}")
+    lines.append(f"mean_questions,{report.mean_questions!r}")
+    lines.append("confusion,true_class,leaf_class,count")
+    for i, true_id in enumerate(table.classes):
+        for j, leaf_id in enumerate(table.classes):
+            count = int(report.confusion[i, j])
+            if count:
+                lines.append(f"confusion,{true_id},{leaf_id},{count}")
     return "\n".join(lines) + "\n"
 
 

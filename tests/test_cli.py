@@ -300,6 +300,23 @@ def test_evaluate_too_deep_tree_document_exits_2(table_path, tmp_path, capsys):
     assert "nested too deeply for json" in capsys.readouterr().err
 
 
+def test_evaluate_truncated_tree_document_exits_2(table_path, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "crowdtree/tree-v1", "root": {', encoding="utf-8")
+    code = main(["evaluate", "--tree", str(path), "--table", table_path, "--error-prob", "0.05"])
+    assert code == 2
+    assert "bad tree document" in capsys.readouterr().err
+
+
+def test_simulate_truncated_allocation_document_exits_2(table_path, tree_path, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format": "crowdtree/allocation-v1", "tests": [', encoding="utf-8")
+    code = main(["simulate", "--tree", tree_path, "--table", table_path, "--error-prob", "0.05",
+                 "--allocation", str(path), "--trials", "10"])
+    assert code == 2
+    assert "bad allocation document" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path):
     assert (
         main(["build", "--table", str(tmp_path / "missing.csv"), "--error-prob", "0.05"])

@@ -1,9 +1,9 @@
 """Bit-for-bit equivalence of the one-walk evaluator, the per-level
 allocation scorer, the shared-structure sweeps, the table-driven simulator,
-the vectorised table render and the preorder tree form with the per-class,
-per-trial-pair, per-budget, per-point, per-node, per-cell and recursive
-computations in ``support``, plus guards on how often the expensive layers
-run."""
+the vectorised table and report renders and the preorder tree form with
+the per-class, per-trial-pair, per-budget, per-point, per-node, per-cell
+and recursive computations in ``support``, plus guards on how often the
+expensive layers run."""
 
 import hashlib
 import importlib
@@ -34,17 +34,20 @@ from crowdtree import (
 from crowdtree.errors import CrowdTreeError, InapplicableTest, ValidationError
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 from crowdtree.builder import BuilderConfig
-from crowdtree.fileio import table_checksum, table_to_text
+from crowdtree.fileio import simulation_report_csv, table_checksum, table_to_text
 from crowdtree.metrics import level_quantities
 from crowdtree.model import DecisionTree, Internal, Leaf, level_trace, validate_tree
+from crowdtree.simulate import SimulationReport
 from crowdtree.workers import WorkerAllocation
 
 import support
 
 # The package re-exports ``simulate`` the function under the module's name.
 builder_module = importlib.import_module("crowdtree.builder")
+metrics_module = importlib.import_module("crowdtree.metrics")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
+workers_module = importlib.import_module("crowdtree.workers")
 
 METRICS = (MetricConfig(), MetricConfig(kind=Metric.MULTIPLICATIVE, ratio_offset=0.5))
 SEEDS = range(12)
@@ -61,9 +64,9 @@ def _trees(table):
         yield build_random(table, seed)
 
 
-def _counting(monkeypatch, owner, name):
+def _counting(monkeypatch, owner, name, calls=None):
     """Wrap ``owner.name`` so that calls are counted in the returned list."""
-    calls = []
+    calls = [] if calls is None else calls
     original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
@@ -185,7 +188,8 @@ def test_allocation_cost_equals_subtree_rebuild():
 def test_sweep_workers_equals_per_budget_allocations():
     k_values = [5, 0, 3, 5, 12, 1]  # unsorted, repeated
     cases = [(designed_tree(), demo_table(0.05))]
-    cases.extend((build_greedy(t).tree, t) for t in list(_cell_tables())[:4])
+    # random trees put tests at several depths, so each fused error meets many blocks
+    cases.extend((tree, t) for t in list(_cell_tables())[:4] for tree in _trees(t))
     for tree, table in cases:
         for metric in METRICS:
             args = (tree, table, k_values, list(AssignmentStrategy), 0.2)
@@ -221,7 +225,8 @@ def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
 def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
     tree, table = designed_tree(), demo_table(0.05)
     assigned = _counting(monkeypatch, simulate_module, "assign_proposed")
-    baselines = _counting(monkeypatch, simulate_module, "assign_baseline")
+    baselines = _counting(monkeypatch, simulate_module, "_baseline_pairs")
+    compiled = _counting(monkeypatch, simulate_module, "_compile")
     strategies = list(AssignmentStrategy)
     with pytest.raises(ValidationError, match="budget"):
         sweep_workers(tree, table, [0, 4, -1], strategies, 0.2)
@@ -229,7 +234,31 @@ def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
         with pytest.raises(ValidationError, match="worker error"):
             sweep_workers(tree, table, [0, 4], strategies, worker_error)
     assert sweep_workers(tree, table, [], strategies, 0.2) == []
-    assert assigned == [] and baselines == []
+    assert assigned == [] and baselines == [] and compiled == []
+
+
+def _counting_compiles(monkeypatch):
+    """Count ``_compile`` calls from every module that imports it."""
+    calls = []
+    for owner in (model_module, metrics_module, workers_module, simulate_module):
+        _counting(monkeypatch, owner, "_compile", calls)
+    return calls
+
+
+def test_sweep_workers_compiles_once_and_builds_no_fused_table(monkeypatch):
+    compiled = _counting_compiles(monkeypatch)
+    rebuilt = _counting(monkeypatch, model_module.TestTable, "with_test_errors")
+    table = support.random_table(3, cell_errors=True)
+    for tree, tbl in ((designed_tree(), demo_table(0.05)), (build_random(table, 1), table)):
+        for strategies, compiles in (
+            ([s for s in AssignmentStrategy if s is not AssignmentStrategy.PROPOSED], 1),
+            (list(AssignmentStrategy), 2),  # the second is assign_proposed's level trace
+        ):
+            compiled.clear()
+            sweep_workers(tree, tbl, range(12), strategies, 0.2, random_draws=4)
+            assert len(compiled) == compiles
+            assert all(args[0] is tree for args in compiled)
+    assert rebuilt == []
 
 
 def test_assign_proposed_builds_no_fused_table(monkeypatch):
@@ -256,6 +285,25 @@ def test_sweep_error_builds_each_random_tree_once(monkeypatch):
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
     assert [args[1] for args in calls] == list(range(4, 24))
+
+
+def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
+    built = []
+    original = simulate_module.build_random
+
+    def build_random(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simulate_module, "build_random", build_random)
+    compiled = _counting_compiles(monkeypatch)
+    grid = [0.01 * k for k in range(1, 31)]
+    sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
+    assert len(built) == 20
+    for tree in built:
+        assert sum(args[0] is tree for args in compiled) == 1
+    # each designed tree twice: the level trace of its build, then its pm
+    assert len(compiled) == 20 + 2 * len(grid)
 
 
 def test_exact_evaluators_never_call_class_path():
@@ -377,6 +425,25 @@ def test_table_checksum_equals_per_cell_render():
     )
 
 
+def test_simulation_report_csv_equals_per_cell_render():
+    table = support.chain_table(100)
+    rng = np.random.default_rng(5)
+    confusion = rng.integers(0, 40, size=(100, 100)) * (rng.random((100, 100)) < 0.2)
+    confusion[np.diag_indices(100)] = rng.integers(1, 10_000, size=100)
+    trials = int(confusion.sum())
+    misclassified = trials - int(np.trace(confusion))
+    report = SimulationReport(
+        trials=trials, misclassified=misclassified, p_hat=misclassified / trials,
+        ci_low=0.25, ci_high=0.5, confusion=confusion, mean_questions=7.5, seed=9, lanes=2,
+        config={"allocation": None},
+    )
+    reports = [report, simulate(designed_tree(), demo_table(0.2), trials=5000, seed=1)]
+    for report, tbl in zip(reports, (table, demo_table(0.2))):
+        assert simulation_report_csv(report, tbl) == support.simulation_report_csv_per_cell(
+            report, tbl
+        )
+
+
 # ---------------------------------------------------------------------------
 # The preorder tree form against the recursive walkers it replaced
 
@@ -493,6 +560,7 @@ def test_every_consumer_rejects_what_validate_tree_rejects():
             lambda t: exact_correct(t, table),
             lambda t: allocation_cost(t, table, allocation),
             lambda t: assign_proposed(t, table, 1, 0.2),
+            lambda t: assign_baseline(t, table, AssignmentStrategy.RANDOM_PER_PAIR, 1, 0.2),
             lambda t: simulate(t, table, allocation, trials=8),
         )
         for mutant in _mutations(tree, table):

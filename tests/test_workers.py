@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crowdtree import (
@@ -15,6 +17,7 @@ from crowdtree import (
 )
 from crowdtree.errors import UnknownStrategy, UnknownTest, ValidationError
 from crowdtree.fixtures import demo_table, designed_tree
+from crowdtree.model import DecisionTree, Internal, Leaf
 from crowdtree.workers import WorkerAllocation
 
 import support
@@ -182,3 +185,15 @@ def test_assign_proposed_on_random_instances():
             {t: 0 for t in alloc.extra_pairs}, p_e=0.3)))
         improved = exact_misclassification(tree, effective_table(table, alloc))
         assert improved <= base + 1e-12
+
+
+def test_baseline_rejects_trees_the_table_does_not_fit():
+    root = TREE.root
+    swapped = DecisionTree(Internal(root.test, root.one, root.zero))
+    relabelled = DecisionTree(Internal(root.test, root.zero, Leaf("c1")))
+    for tree in (swapped, relabelled):
+        with pytest.raises(ValidationError) as expected:
+            exact_misclassification(tree, TABLE)
+        for strategy in (s for s in AssignmentStrategy if s is not AssignmentStrategy.PROPOSED):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                assign_baseline(tree, TABLE, strategy, 3, 0.2)
