@@ -12,7 +12,7 @@ import sys
 
 from . import fileio
 from .builder import BuilderConfig, build_greedy
-from .errors import CrowdTreeError, InseparableClasses
+from .errors import CrowdTreeError, InseparableClasses, ValidationError
 from .metrics import (
     Metric,
     MetricConfig,
@@ -193,6 +193,8 @@ def _cmd_sweep_error(args) -> int:
 
 
 def _cmd_sweep_workers(args) -> int:
+    if args.kmax < 0:
+        raise ValidationError(f"kmax must be >= 0, got {args.kmax}")
     table = _load_table(args, require_error=False)
     tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
     strategies = []

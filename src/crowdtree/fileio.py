@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, TableMismatch, UnknownTest, ValidationError
+from .errors import ParseError, TableMismatch, ValidationError
 from .model import (
     DecisionTree,
     Internal,
@@ -220,9 +220,6 @@ def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -
             "tree document was built from a different table (checksum mismatch)"
         )
     tree = DecisionTree(_node_from_doc(doc["root"]))
-    for test_id in tree.test_ids():
-        if test_id not in table.tests:
-            raise UnknownTest(f"tree references test {test_id!r} absent from the table")
     validate_tree(tree, table)
     return tree
 
@@ -279,7 +276,7 @@ def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
         raise ParseError(f"unsupported allocation format {doc.get('format')!r}")
     try:
         strategy = AssignmentStrategy(doc["strategy"])
-        pairs = {row["test"]: int(row["extra_pairs"]) for row in doc["tests"]}
+        pairs = {row["test"]: row["extra_pairs"] for row in doc["tests"]}
         return WorkerAllocation(
             extra_pairs=pairs,
             worker_error=float(doc["worker_error"]),

@@ -6,12 +6,13 @@ blocks covering every class. Trees route an object through tests until a
 single-class leaf is reached.
 
 Trees are nested ``Leaf``/``Internal`` nodes, but nothing recurses over
-them. ``_preorder`` lists the nodes; leaf labels, depth, ``validate_tree``
-and the JSON writer read that list. ``_compile`` checks a tree
-against a table and gives, per preorder node, the test index, child links,
-leaf class, depth and class block, found by routing every class down its
-error-free path. Level traces, the exact evaluators, allocation costs and
-the simulator's tables read that form.
+them. ``_preorder`` lists the nodes; leaf labels, test ids, depth and the
+JSON writer read that list. ``_compile`` checks a tree against a table and
+gives, per preorder node, the test index, child links, leaf class, depth
+and class block, found by routing every class down its error-free path.
+It is the one tree checker: ``validate_tree`` is the compile with its form
+discarded. Level traces, the exact evaluators, allocation costs and the
+simulator's tables read that form.
 """
 
 from __future__ import annotations
@@ -298,15 +299,8 @@ class DecisionTree:
 
     def test_ids(self) -> tuple[str, ...]:
         """Distinct test ids in first-visit (preorder) order."""
-        ids: dict[str, None] = {}  # insertion-ordered set
-        stack = [self.root]  # as in _preorder, minus the leaves: assign_baseline calls this often
-        while stack:
-            node = stack.pop()
-            while isinstance(node, Internal):
-                ids[node.test] = None
-                stack.append(node.one)
-                node = node.zero
-        return tuple(ids)
+        tests = (node.test for node in _preorder(self.root) if isinstance(node, Internal))
+        return tuple(dict.fromkeys(tests))  # an insertion-ordered set
 
     def depth(self) -> int:
         heights: list[int] = []  # of the subtrees done so far, the zero child's on top
@@ -426,31 +420,7 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
 
 
 def validate_tree(tree: DecisionTree, table: TestTable) -> None:
-    """Check every structural invariant of ``tree`` against ``table``.
-
-    Leaves must cover each class exactly once, no test may repeat along a
-    path, and each node's test must be defined for, and split, the classes
-    below it exactly as its children claim. The first defect in preorder raises.
-    """
-    nodes = _preorder(tree.root)
-    labels = sorted(node.label for node in nodes if isinstance(node, Leaf))
-    if labels != sorted(table.classes):
-        raise ValidationError(f"leaves {labels} do not match classes {sorted(table.classes)}")
-    below: dict[int, Block] = {}  # id(node) -> the classes of the leaves below it
-    for node in reversed(nodes):
-        if isinstance(node, Leaf):
-            below[id(node)] = (table.class_index(node.label),)
-        else:
-            below[id(node)] = tuple(sorted(below[id(node.zero)] + below[id(node.one)]))
-    stack = [(tree.root, frozenset())]  # (node, the tests above it)
-    while stack:
-        node, used = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        if node.test in used:
-            raise ValidationError(f"test {node.test!r} repeats along a path")
-        zeros, ones = split_block(table, below[id(node)], node.test)  # raises if inapplicable
-        if below[id(node.zero)] != zeros or below[id(node.one)] != ones:
-            raise ValidationError(f"children of test {node.test!r} disagree with its outcomes")
-        used = used | {node.test}
-        stack += (node.one, used), (node.zero, used)
+    """Check ``tree`` against ``table`` as every reader does: raise unless
+    each class's error-free path ends at its own leaf and every node lies
+    on some class's path (see :func:`_compile`)."""
+    _compile(tree, table)

@@ -270,13 +270,15 @@ def sweep_error(
     """Designed-tree versus random-ordering misclassification across a grid
     of scalar test error probabilities, all evaluated exactly.
 
-    The whole grid is checked before any tree is built. A random tree
-    depends only on the table's outcomes and its seed, so the
-    ``n_random_trees`` trees are built and compiled once and shared by
-    every grid point: only the errors change along the grid.
+    The whole grid and the tree count are checked before any tree is
+    built. A random tree depends only on the table's outcomes and its seed,
+    so the ``n_random_trees`` trees are built and compiled once and shared
+    by every grid point: only the errors change along the grid.
     """
     config = config or BuilderConfig()
     grid = list(grid)
+    if n_random_trees < 1:
+        raise ValidationError(f"random trees must be >= 1, got {n_random_trees}")
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
@@ -323,16 +325,18 @@ def sweep_workers(
 
     Deterministic strategies are evaluated exactly through their fused test
     errors; the random-per-pair strategy is averaged over ``random_draws``
-    seeded allocations, each evaluated exactly. Every budget is checked
-    before any work. The greedy rule never reads its budget, so one
-    :func:`assign_proposed` run at the largest budget serves them all: the
-    proposed allocation for budget K is the first K steps of its log. The
-    tree is compiled once, every allocation is scored against that form
-    with its tests' fused errors, and the group error is computed once per
-    distinct pair count.
+    seeded allocations, each evaluated exactly. Every budget and the draw
+    count are checked before any work. The greedy rule never reads its
+    budget, so one :func:`assign_proposed` run at the largest budget serves
+    them all: the proposed allocation for budget K is the first K steps of
+    its log. The tree is compiled once, every allocation is scored against
+    that form with its tests' fused errors, and the group error is computed
+    once per distinct pair count.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
+    if random_draws < 1:
+        raise ValidationError(f"random draws must be >= 1, got {random_draws}")
     for budget in k_values:
         _check_worker_args(budget, worker_error)
     if not k_values:

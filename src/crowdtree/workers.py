@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -20,7 +21,6 @@ from .metrics import (
     Metric,
     MetricConfig,
     level_entropy,
-    level_error_mass,
     metric_additive,
     metric_multiplicative,
 )
@@ -48,6 +48,14 @@ class WorkerAllocation:
     strategy: AssignmentStrategy
     seed: int | None = None
     shared_pool: bool = False
+
+    def __post_init__(self):
+        for test_id, k in self.extra_pairs.items():
+            if not isinstance(k, numbers.Integral) or k < 0:
+                raise ValidationError(
+                    f"pairs on test {test_id!r} must be an integer >= 0, got {k!r}"
+                )
+        _check_worker_error(self.worker_error)
 
     def pairs_for(self, test_id: str) -> int:
         try:
@@ -96,6 +104,10 @@ def _tree_tests(form: _Compiled, table: TestTable) -> list[str]:
 def _check_worker_args(budget: int, worker_error: float) -> None:
     if budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {budget}")
+    _check_worker_error(worker_error)
+
+
+def _check_worker_error(worker_error: float) -> None:
     if not (0.0 < worker_error < 0.5):
         raise ValidationError(
             f"worker error must lie strictly in (0, 0.5), got {worker_error!r}"
@@ -114,7 +126,6 @@ class _LevelMasses(NamedTuple):
 def _level_masses(table: TestTable, step: LevelStep) -> _LevelMasses:
     h_before = level_entropy(table.priors, step.before)
     h_after = level_entropy(table.priors, step.after)
-    level_error_mass(table, step.before, step.assignment)  # partition and undefined-cell checks
     tested: dict[str, list[float]] = {}
     for block, test_id in step.assignment.items():
         tested.setdefault(test_id, []).extend(table.priors[i] for i in block)

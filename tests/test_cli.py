@@ -79,19 +79,6 @@ def test_evaluate_tree(table_path, tree_path, capsys):
     assert "exact_pm,0.0\n" in out
 
 
-def test_evaluate_checksum_mismatch(tmp_path, tree_path, capsys):
-    other = tmp_path / "other.csv"
-    other.write_text(
-        DEMO_TABLE_CSV.replace("0.2,0.05,0.1,0.6,0.05", "0.6,0.05,0.1,0.2,0.05"),
-        encoding="utf-8",
-    )
-    code = main(
-        ["evaluate", "--tree", tree_path, "--table", str(other), "--error-prob", "0.05"]
-    )
-    assert code == 2
-    assert "checksum" in capsys.readouterr().err
-
-
 def test_assign_proposed_cli(table_path, tree_path, tmp_path, capsys):
     out = tmp_path / "alloc.json"
     code = main(
@@ -300,21 +287,112 @@ def test_evaluate_too_deep_tree_document_exits_2(table_path, tmp_path, capsys):
     assert "nested too deeply for json" in capsys.readouterr().err
 
 
-def test_evaluate_truncated_tree_document_exits_2(table_path, tmp_path, capsys):
+ON_TREE_ARGS = {
+    # command -> argv after "--tree TREE --table TABLE"
+    "evaluate": ["--error-prob", "0.05"],
+    "simulate": ["--error-prob", "0.05", "--trials", "10"],
+    "assign": [*ON_DEMO_TREE, "--workers", "2"],
+    "sweep-workers": [*ON_DEMO_TREE, "--kmax", "2"],
+}
+
+
+def _tree_without_one_child(tmp_path, tree_path):
+    with open(tree_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["root"]["1"]
+    path = tmp_path / "no_one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), None
+
+
+def _truncated_tree(tmp_path, tree_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "crowdtree/tree-v1", "root": {', encoding="utf-8")
-    code = main(["evaluate", "--tree", str(path), "--table", table_path, "--error-prob", "0.05"])
-    assert code == 2
-    assert "bad tree document" in capsys.readouterr().err
+    return str(path), None
 
 
-def test_simulate_truncated_allocation_document_exits_2(table_path, tree_path, tmp_path, capsys):
+def _table_with_other_checksum(tmp_path, tree_path):
+    other = tmp_path / "other.csv"
+    other.write_text(
+        DEMO_TABLE_CSV.replace("0.2,0.05,0.1,0.6,0.05", "0.6,0.05,0.1,0.2,0.05"),
+        encoding="utf-8",
+    )
+    return tree_path, str(other)
+
+
+TREE_DEFECTS = {
+    # defect -> (the (tree, table) paths to load, a phrase of the error)
+    "checksum": (_table_with_other_checksum, "checksum"),
+    "truncated": (_truncated_tree, "bad tree document"),
+    "no-one-child": (_tree_without_one_child, "internal node needs exactly"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(TREE_DEFECTS))
+@pytest.mark.parametrize("command", sorted(ON_TREE_ARGS))
+def test_bad_tree_document_exits_2(command, defect, table_path, tree_path, tmp_path, capsys):
+    make, phrase = TREE_DEFECTS[defect]
+    tree, table = make(tmp_path, tree_path)
+    argv = [command, "--tree", tree, "--table", table or table_path, *ON_TREE_ARGS[command]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert phrase in captured.err and captured.out == ""
+
+
+def _allocation_text(extra_pairs=1, worker_error=0.2):
+    tests = [{"test": f"T{m}", "extra_pairs": 1} for m in range(1, 6)]
+    tests[0]["extra_pairs"] = extra_pairs
+    return json.dumps({"format": "crowdtree/allocation-v1", "strategy": "proposed",
+                       "worker_error": worker_error, "tests": tests})
+
+
+ALLOCATION_DEFECTS = {
+    # defect -> (document text, a phrase of the error)
+    "truncated": ('{"format": "crowdtree/allocation-v1", "tests": [', "bad allocation document"),
+    "negative-pairs": (_allocation_text(extra_pairs=-1), "must be an integer >= 0, got -1"),
+    "fractional-pairs": (_allocation_text(extra_pairs=1.5), "must be an integer >= 0, got 1.5"),
+    "worker-error-0.9": (_allocation_text(worker_error=0.9), "strictly in (0, 0.5), got 0.9"),
+    "worker-error-0.0": (_allocation_text(worker_error=0.0), "strictly in (0, 0.5), got 0.0"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ALLOCATION_DEFECTS))
+def test_bad_allocation_document_exits_2(defect, table_path, tree_path, tmp_path, capsys):
+    text, phrase = ALLOCATION_DEFECTS[defect]
     path = tmp_path / "bad.json"
-    path.write_text('{"format": "crowdtree/allocation-v1", "tests": [', encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code = main(["simulate", "--tree", tree_path, "--table", table_path, "--error-prob", "0.05",
                  "--allocation", str(path), "--trials", "10"])
     assert code == 2
-    assert "bad allocation document" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert phrase in captured.err and captured.out == ""
+
+
+OUT_OF_RANGE_SIZES = {
+    # case -> (argv after "--tree TREE --table TABLE" or, for sweep-error,
+    # "--table TABLE"; a phrase of the error)
+    "simulate-trials-0": (["simulate", *ON_TREE_ARGS["simulate"], "--trials", "0"],
+                          "trials must be >= 1"),
+    "simulate-lanes-0": (["simulate", *ON_TREE_ARGS["simulate"], "--lanes", "0"],
+                         "lanes must be >= 1"),
+    "sweep-workers-kmax--1": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"], "--kmax", "-1"],
+                              "kmax must be >= 0"),
+    "sweep-workers-draws-0": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"], "--draws", "0"],
+                              "random draws must be >= 1"),
+    "sweep-error-random-trees-0": (["sweep-error", "--random-trees", "0"],
+                                   "random trees must be >= 1"),
+    "sweep-error-random-trees--2": (["sweep-error", "--random-trees", "-2"],
+                                    "random trees must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_SIZES))
+def test_out_of_range_size_exits_2(case, table_path, tree_path, capsys):
+    (command, *rest), phrase = OUT_OF_RANGE_SIZES[case]
+    on_tree = [] if command == "sweep-error" else ["--tree", tree_path]
+    assert main([command, *on_tree, "--table", table_path, *rest]) == 2
+    captured = capsys.readouterr()
+    assert phrase in captured.err and captured.out == ""
 
 
 def test_exit_code_io_error(tmp_path):

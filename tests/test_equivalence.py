@@ -217,6 +217,9 @@ def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
     inseparable = validate_table(["a", "b", "c"], [0.2, 0.4, 0.4], ["t"], [[0, 1, 1]], 0.1)
     with pytest.raises(ValidationError):
         sweep_error(inseparable, [0.1, 0.0])
+    for n_random_trees in (0, -2):
+        with pytest.raises(ValidationError, match="random trees"):
+            sweep_error(demo_table(), [0.05, 0.1], n_random_trees=n_random_trees)
     assert builds == [] and randoms == []
     assert sweep_error(demo_table(), [], n_random_trees=3) == []
     assert builds == [] and randoms == []
@@ -233,6 +236,9 @@ def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
     for worker_error in (0.0, 0.5, -0.1):
         with pytest.raises(ValidationError, match="worker error"):
             sweep_workers(tree, table, [0, 4], strategies, worker_error)
+    for random_draws in (0, -1):
+        with pytest.raises(ValidationError, match="random draws"):
+            sweep_workers(tree, table, [0, 4], strategies, 0.2, random_draws=random_draws)
     assert sweep_workers(tree, table, [], strategies, 0.2) == []
     assert assigned == [] and baselines == [] and compiled == []
 
@@ -526,14 +532,28 @@ def test_level_trace_equals_recursive_walk():
         )
 
 
+def _unreached_node_tree():
+    """The demo tree with its root test repeated on the zero side: every
+    class reaches its own leaf, but the inner T1 sends them all one way."""
+    designed = designed_tree().root
+    return DecisionTree(Internal("T1", Internal("T1", designed.zero, Leaf("c4")), Leaf("c4")))
+
+
 def test_validate_tree_first_exception_equals_recursive_walk():
-    messages = set()
-    for tree, table in _form_cases():
-        for mutant in _mutations(tree, table):
-            got = _outcome(lambda: validate_tree(mutant, table))
-            assert got == _outcome(lambda: support.validate_tree_recursive(mutant, table))
-            if got is not None:
-                messages.add(got[1])
+    """``validate_tree`` rejects exactly the trees the recursive walk
+    rejects, and raises what every reader raises: the (type, message) of
+    ``exact_misclassification``'s compile, not the walk's first defect."""
+    cases = [(mutant, table) for tree, table in _form_cases() for mutant in _mutations(tree, table)]
+    cases.append((_unreached_node_tree(), demo_table(0.05)))  # no single edit makes one
+    walk_messages, messages = set(), set()
+    for mutant, table in cases:
+        got = _outcome(lambda: validate_tree(mutant, table))
+        want = _outcome(lambda: support.validate_tree_recursive(mutant, table))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == _outcome(lambda: exact_misclassification(mutant, table))
+            messages.add(got[1])
+            walk_messages.add(want[1])
     for defect in (
         "do not match classes",
         "repeats along a path",
@@ -542,6 +562,8 @@ def test_validate_tree_first_exception_equals_recursive_walk():
         "does not split block",
         "disagree with its outcomes",
     ):
+        assert any(defect in message for message in walk_messages), defect
+    for defect in ("ends at leaf", "unknown test", "undefined for class", "does not split block"):
         assert any(defect in message for message in messages), defect
 
 
@@ -572,11 +594,9 @@ def test_every_consumer_rejects_what_validate_tree_rejects():
 
 
 def test_a_node_no_class_reaches_is_rejected():
-    # every class reaches its own leaf, but the inner T1 sends them all one way
-    table, designed = demo_table(0.05), designed_tree().root
-    tree = DecisionTree(Internal("T1", Internal("T1", designed.zero, Leaf("c4")), Leaf("c4")))
+    table, tree = demo_table(0.05), _unreached_node_tree()
     message = "test 'T1' does not split block (0, 1, 2, 4)"
-    for consume in (level_trace, exact_misclassification, exact_correct):
+    for consume in (validate_tree, level_trace, exact_misclassification, exact_correct):
         with pytest.raises(InapplicableTest, match=re.escape(message)):
             consume(tree, table)
     with pytest.raises(InapplicableTest, match=re.escape(message)):

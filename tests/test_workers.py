@@ -39,6 +39,23 @@ def test_effective_error_examples():
         alloc.effective_error("T9")
 
 
+@pytest.mark.parametrize(
+    "pairs, p_e, message",
+    [
+        ({"T1": 1, "T2": -1}, 0.2, "pairs on test 'T2' must be an integer >= 0, got -1"),
+        ({"T1": 1.5}, 0.2, "pairs on test 'T1' must be an integer >= 0, got 1.5"),
+        ({"T1": 1}, 0.9, "worker error must lie strictly in (0, 0.5), got 0.9"),
+        ({"T1": 1}, 0.0, "worker error must lie strictly in (0, 0.5), got 0.0"),
+        ({"T1": 1}, 0.5, "worker error must lie strictly in (0, 0.5), got 0.5"),
+    ],
+    ids=["negative-pairs", "fractional-pairs", "worker-error-0.9", "worker-error-0.0",
+         "worker-error-0.5"],
+)
+def test_allocation_rejects_bad_pairs_and_worker_error(pairs, p_e, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _alloc(pairs, p_e)
+
+
 def test_effective_errors_never_drift_from_fusion():
     alloc, _ = assign_proposed(TREE, TABLE, 12, 0.2)
     for test_id, k in alloc.extra_pairs.items():
