@@ -196,9 +196,19 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
 
     Every non-singleton block receives a test at every level; construction
     ends when all blocks are singletons. Deterministic for a given table and
-    config.
+    config. The result carries each level's quantities under the config's
+    ratio offset.
     """
     config = config or BuilderConfig()
+    tree = _greedy_tree(table, config)
+    return GreedyResult(
+        tree=tree,
+        levels=tuple(level_quantities(tree, table, config.metric.ratio_offset)),
+    )
+
+
+def _greedy_tree(table: TestTable, config: BuilderConfig) -> DecisionTree:
+    """The tree of :func:`build_greedy`, without its level quantities."""
     partition: Partition = (table.all_classes_block(),)
     chosen: list[dict[Block, str]] = []
     while any(len(b) > 1 for b in partition):
@@ -207,11 +217,7 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
         assignment = _choose_level_assignment(table, partition, config)
         chosen.append(assignment)
         partition = refine_partition(table, partition, assignment)
-    tree = _assemble(chosen, table)
-    return GreedyResult(
-        tree=tree,
-        levels=tuple(level_quantities(tree, table, config.metric.ratio_offset)),
-    )
+    return _assemble(chosen, table)
 
 
 def build_random(table: TestTable, seed: int) -> DecisionTree:

@@ -24,8 +24,8 @@ from .model import (
     Leaf,
     Node,
     TestTable,
+    _checked_table,
     _preorder,
-    validate_table,
     validate_tree,
 )
 from .simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint
@@ -71,7 +71,7 @@ def parse_table_text(
     except ValueError as exc:
         raise ParseError(f"bad prior value: {exc}", 2) from None
     tests: list[str] = []
-    outcomes: list[list[int | None]] = []
+    codes: list[list[int]] = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             raise ParseError("blank line inside table", lineno)
@@ -79,29 +79,27 @@ def parse_table_text(
         if len(row) != len(head):
             raise ParseError(f"expected {len(classes)} outcomes, got {len(row) - 1}", lineno)
         tests.append(row[0])
-        parsed: list[int | None] = []
-        for value in row[1:]:
-            if value == "-":
-                parsed.append(None)
-            elif value in ("0", "1"):
-                parsed.append(int(value))
-            else:
-                raise ParseError(f"outcome must be 0, 1 or '-', got {value!r}", lineno)
-        outcomes.append(parsed)
+        try:
+            codes.append(list(map(_OUTCOME_CODE, row[1:])))
+        except KeyError as exc:
+            raise ParseError(
+                f"outcome must be 0, 1 or '-', got {exc.args[0]!r}", lineno
+            ) from None
+    outcomes = np.array(codes, dtype=np.int8)
 
     if error_matrix_text is not None:
         if error_prob is not None:
             raise ValidationError("give either a scalar error or a matrix, not both")
-        matrix = _parse_error_matrix(error_matrix_text, classes, tests)
-        return validate_table(classes, priors, tests, outcomes, matrix)
-    return validate_table(
-        classes, priors, tests, outcomes, 0.0 if error_prob is None else error_prob
-    )
+        errors = _parse_error_matrix(error_matrix_text, classes, tests)
+    else:
+        errors = 0.0 if error_prob is None else error_prob
+    return _checked_table(tuple(classes), priors, tuple(tests), outcomes, errors)
 
 
-def _parse_error_matrix(
-    text: str, classes: Sequence[str], tests: Sequence[str]
-) -> list[list[float]]:
+_OUTCOME_CODE = {"-": -1, "0": 0, "1": 1}.__getitem__
+
+
+def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str]) -> np.ndarray:
     lines = _split_lines(text)
     while lines and not lines[-1]:
         lines.pop()
@@ -110,6 +108,7 @@ def _parse_error_matrix(
     head = lines[0].split(",")
     if head[0] != "class" or head[1:] != list(classes):
         raise ParseError("error matrix header must list the table's classes", 1)
+    known = set(tests)
     rows: dict[str, list[float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         row = line.split(",")
@@ -117,16 +116,16 @@ def _parse_error_matrix(
             raise ParseError(f"expected {len(classes)} error entries", lineno)
         if row[0] in rows:
             raise ParseError(f"duplicate error row for test {row[0]!r}", lineno)
-        if row[0] not in tests:
+        if row[0] not in known:
             raise ParseError(f"error row for unknown test {row[0]!r}", lineno)
         try:
-            rows[row[0]] = [float(v) for v in row[1:]]
+            rows[row[0]] = list(map(float, row[1:]))
         except ValueError as exc:
             raise ParseError(f"bad error value: {exc}", lineno) from None
     missing = [t for t in tests if t not in rows]
     if missing:
         raise ParseError(f"no error row for tests {missing}")
-    return [rows[t] for t in tests]
+    return np.array([rows[t] for t in tests], dtype=np.float64)
 
 
 def load_table(

@@ -144,19 +144,80 @@ def validate_table(
     ``outcomes`` has one row per test with entries 0, 1, or None (undefined).
     ``error_probs`` is either a scalar applied to every defined cell or a full
     per-test-per-class matrix. Priors that sum to 1 within 1e-6 are
-    renormalized; a larger mismatch is an error.
+    renormalized; a larger mismatch is an error. The first failing check in
+    row order is the one raised.
     """
     classes = tuple(str(c) for c in classes)
     tests = tuple(str(t) for t in tests)
+    priors = _checked_priors(classes, priors, tests)
+    n = len(classes)
+    if len(outcomes) != len(tests):
+        raise ValidationError(f"expected {len(tests)} outcome rows, got {len(outcomes)}")
+    codes: list[list[int]] = []
+    for test_id, row in zip(tests, outcomes):
+        if len(row) != n:
+            problem = f"expected {n} outcomes, got {len(row)}"
+        else:
+            try:
+                codes.append([_OUTCOME_CODES[entry] for entry in row])
+                continue
+            except (KeyError, TypeError):
+                i = next(i for i, entry in enumerate(row) if not _is_outcome(entry))
+                problem = f"outcome for {classes[i]!r} is {row[i]!r}"
+        _check_useful(tests, np.array(codes, dtype=np.int8).reshape(-1, n))  # earlier rows first
+        raise ValidationError(f"test {test_id!r}: {problem}")
+    out = np.array(codes, dtype=np.int8).reshape(len(tests), n)
+    _check_useful(tests, out)
+
+    if isinstance(error_probs, (int, float)):
+        return TestTable(classes, priors, tests, out, _error_cells(out, error_probs))
+    if len(error_probs) != len(tests):
+        raise ValidationError(f"expected {len(tests)} error rows, got {len(error_probs)}")
+    rows: list = []
+    for test_id, row in zip(tests, error_probs):
+        if len(row) != n:
+            _error_cells(out[: len(rows)], np.array(rows, dtype=np.float64).reshape(-1, n))
+            raise ValidationError(f"test {test_id!r}: expected {n} error entries")
+        rows.append(row)
+    errs = _error_cells(out, np.array(rows, dtype=np.float64).reshape(len(tests), n))
+    return TestTable(classes, priors, tests, out, errs)
+
+
+_OUTCOME_CODES = {None: -1, 0: 0, 1: 1}
+
+
+def _is_outcome(entry) -> bool:
+    try:
+        return entry in _OUTCOME_CODES
+    except TypeError:  # unhashable
+        return False
+
+
+def _checked_table(
+    classes: tuple[str, ...],
+    priors: Sequence[float],
+    tests: tuple[str, ...],
+    out: np.ndarray,
+    errors: Union[float, np.ndarray],
+) -> TestTable:
+    """:func:`validate_table` of an int8 outcome array (-1 where undefined)
+    and a scalar error or a float64 error array of the same shape."""
+    priors = _checked_priors(classes, priors, tests)
+    _check_useful(tests, out)
+    return TestTable(classes, priors, tests, out, _error_cells(out, errors))
+
+
+def _checked_priors(
+    classes: tuple[str, ...], priors: Sequence[float], tests: tuple[str, ...]
+) -> tuple[float, ...]:
+    """The identifier and prior checks; returns the priors, renormalized
+    when they miss 1 by more than rounding."""
     if len(classes) < 2:
         raise ValidationError("need at least two classes")
     _check_unique(classes, "class")
     _check_unique(tests, "test")
-
     if len(priors) != len(classes):
-        raise ValidationError(
-            f"expected {len(classes)} priors, got {len(priors)}"
-        )
+        raise ValidationError(f"expected {len(classes)} priors, got {len(priors)}")
     priors = tuple(float(p) for p in priors)
     for class_id, p in zip(classes, priors):
         if not (0.0 < p <= 1.0) or math.isnan(p):
@@ -166,48 +227,30 @@ def validate_table(
         raise PriorSumMismatch(f"priors sum to {total!r}, expected 1")
     if abs(total - 1.0) > _PRIOR_EXACT_TOL or total != 1.0:
         priors = tuple(p / total for p in priors)
+    return priors
 
-    if len(outcomes) != len(tests):
-        raise ValidationError(f"expected {len(tests)} outcome rows, got {len(outcomes)}")
-    out = np.full((len(tests), len(classes)), -1, dtype=np.int8)
-    for m, (test_id, row) in enumerate(zip(tests, outcomes)):
-        if len(row) != len(classes):
-            raise ValidationError(
-                f"test {test_id!r}: expected {len(classes)} outcomes, got {len(row)}"
-            )
-        for i, entry in enumerate(row):
-            if entry is None:
-                continue
-            if entry not in (0, 1):
-                raise ValidationError(
-                    f"test {test_id!r}: outcome for {classes[i]!r} is {entry!r}"
-                )
-            out[m, i] = entry
-        if not ((out[m] == 0).any() and (out[m] == 1).any()):
-            raise UselessTest(
-                f"test {test_id!r} never produces both outcomes, it cannot split"
-            )
 
-    if isinstance(error_probs, (int, float)):
-        _check_error_value(float(error_probs))
-        errs = np.where(out >= 0, float(error_probs), np.nan)
-    else:
-        if len(error_probs) != len(tests):
-            raise ValidationError(
-                f"expected {len(tests)} error rows, got {len(error_probs)}"
-            )
-        errs = np.full(out.shape, np.nan)
-        for m, row in enumerate(error_probs):
-            if len(row) != len(classes):
-                raise ValidationError(
-                    f"test {tests[m]!r}: expected {len(classes)} error entries"
-                )
-            for i, value in enumerate(row):
-                if out[m, i] < 0:
-                    continue  # undefined cells carry no error model
-                _check_error_value(float(value))
-                errs[m, i] = float(value)
-    return TestTable(classes, priors, tests, out, errs)
+def _check_useful(tests: Sequence[str], out: np.ndarray) -> None:
+    """Raise for the first row of ``out`` that lacks a 0 or a 1."""
+    useless = ~((out == 0).any(axis=1) & (out == 1).any(axis=1))
+    if useless.any():
+        test_id = tests[int(useless.argmax())]
+        raise UselessTest(f"test {test_id!r} never produces both outcomes, it cannot split")
+
+
+def _error_cells(out: np.ndarray, errors: Union[float, np.ndarray]) -> np.ndarray:
+    """``errors`` on the defined cells of ``out`` and NaN elsewhere; raises
+    for a scalar outside [0, 0.5), then for the first defined cell outside
+    it in row-major order."""
+    if np.ndim(errors) == 0:
+        _check_error_value(float(errors))
+        errors = float(errors)
+    defined = out >= 0
+    errs = np.where(defined, errors, np.nan)
+    bad = defined & ~((errs >= 0.0) & (errs < 0.5))  # NaN is bad too
+    if bad.any():
+        _check_error_value(float(errs.flat[bad.argmax()]))
+    return errs
 
 
 def applicable_tests(table: TestTable, block: Block) -> list[str]:

@@ -8,6 +8,18 @@ hashes: the first depends only on (seed, trial) and gives the trial's key,
 the second finishes draw ``counter`` from that key. The simulator hashes
 each trial's key once per chunk.
 
+A draw is its 64-bit hash ``x``; its uniform value is ``u = (x >> 11) *
+2**-53``, and no worker's answer forms it. An answer with error ``e`` is
+wrong when ``u < e``, which for ``e`` in [0, 0.5] is exactly ``x <
+ceil(e * 2**53) << 11``: ``u`` is a whole number of steps of ``2**-53``,
+and ``e * 2**53`` is exact and at most ``2**52``. The lookup tables hold
+these integer thresholds. Draw 0 picks the trial's class through a guide
+table (Chen & Asau, 1974): ``x >> 52`` names one of 4096 equal buckets of
+[0, 1), and a bucket that no cumulative prior falls strictly inside gives
+every draw in it the same class, so only draws in the at most n - 1 other
+buckets are searched among the cumulative priors. Both give the classes
+and answers of the float comparisons exactly.
+
 Routing is table-driven. Each node's test and each class select one cell of
 small lookup tables (seated error, extra-worker error, error-free outcome),
 and every trial of a chunk takes one vectorised step per tree depth. Leaves
@@ -26,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import BuilderConfig, build_greedy, build_random
+from .builder import BuilderConfig, _greedy_tree, build_random
 from .errors import ValidationError
 from .fusion import group_error
 from .metrics import MetricConfig, _misclassification, exact_misclassification
@@ -36,7 +48,8 @@ from .workers import (
     AssignStep,
     WorkerAllocation,
     _baseline_pairs,
-    _check_worker_args,
+    _check_budget,
+    _check_worker_error,
     _tree_tests,
     assign_proposed,
 )
@@ -49,30 +62,64 @@ _KEY_TRIAL = np.uint64(0x9E3779B97F4A7C15)
 _KEY_COUNTER = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = 1.0 / 9007199254740992.0
 _CHUNK_TRIALS = 1 << 15
+_GUIDE_BITS = 12  # the class draw's guide table has 2**12 buckets
+_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _SH33)) * _MUL1
-    x = (x ^ (x >> _SH33)) * _MUL2
-    return x ^ (x >> _SH33)
+    """Finalize ``x`` in place."""
+    x ^= x >> _SH33
+    x *= _MUL1
+    x ^= x >> _SH33
+    x *= _MUL2
+    x ^= x >> _SH33
+    return x
 
 
 def _trial_key(seed: np.uint64, trial) -> np.ndarray:
     """The half of the generator that depends only on the trial."""
     with np.errstate(over="ignore"):  # modular 64-bit arithmetic is intended
-        return _mix64(seed ^ (trial * _KEY_TRIAL))
+        x = np.multiply(trial, _KEY_TRIAL, dtype=np.uint64)
+        x ^= seed
+        return _mix64(x)
 
 
-def _draw(key, counter) -> np.ndarray:
-    """Finish draw number ``counter`` of the trial whose key is ``key``."""
+def _bits(key, counter) -> np.ndarray:
+    """The 64-bit hash ``x`` of draw ``counter`` of the trial whose key is
+    ``key``; the draw's uniform [0, 1) value is ``(x >> 11) * 2**-53``."""
     with np.errstate(over="ignore"):
-        x = _mix64(key ^ (counter * _KEY_COUNTER))
-    return (x >> _SH11).astype(np.float64) * _INV_2_53
+        x = np.multiply(counter, _KEY_COUNTER, dtype=np.uint64)
+        x ^= key
+        return _mix64(x)
 
 
-def _u01(seed: np.uint64, trial, counter) -> np.ndarray:
-    """Uniform [0, 1) draw number ``counter`` of trial ``trial``."""
-    return _draw(_trial_key(seed, trial), counter)
+def _thresholds(error) -> np.ndarray:
+    """Per error ``e`` in [0, 0.5], the uint64 ``t`` with ``x < t`` exactly
+    when ``(x >> 11) * 2**-53 < e``: that is ``x >> 11 < ceil(e * 2**53)``,
+    and ``e * 2**53`` is exact and at most ``2**52``."""
+    return np.ceil(np.asarray(error, dtype=np.float64) * 2.0**53).astype(np.uint64) << _SH11
+
+
+def _guide(cum_priors: np.ndarray) -> np.ndarray:
+    """The class of every draw in each bucket ``[b, b + 1) / 2**12`` of
+    [0, 1), or -1 where a cumulative prior falls strictly inside the bucket
+    and the draw itself decides. A draw with hash ``x`` lies in bucket
+    ``x >> 52``."""
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    first = np.searchsorted(cum_priors, edges[:-1], side="right")
+    last = np.searchsorted(cum_priors, edges[1:], side="left")
+    return np.where(first == last, first, -1)
+
+
+def _classes(x: np.ndarray, cum_priors: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum_priors, u, side="right")`` of the draws ``u`` whose
+    hashes are ``x``, read from the guide table where the bucket decides."""
+    cls = guide[x >> _GUIDE_SHIFT]
+    split = np.flatnonzero(cls < 0)
+    if split.size:
+        u = (x[split] >> _SH11).astype(np.float64) * _INV_2_53
+        cls[split] = np.searchsorted(cum_priors, u, side="right")
+    return cls
 
 
 @dataclass(frozen=True)
@@ -80,7 +127,8 @@ class _Router:
     """Lookup tables for one step of every trial at once.
 
     Cells are indexed by ``test * n_classes + class``; one extra row past
-    the last test serves the leaves. Nodes are numbered in preorder.
+    the last test serves the leaves. Nodes are numbered in preorder. Error
+    probabilities are held as :func:`_thresholds`.
     """
 
     seated_error: np.ndarray  # per cell; 0.5 on undefined cells, 0 on the leaf row
@@ -91,6 +139,8 @@ class _Router:
     group: np.ndarray  # per node: workers answering (uint64, 0 at leaves)
     leaf_cls: np.ndarray  # per node: class index of a leaf, -1 at internal nodes
     depth: int
+    cum_priors: np.ndarray  # per class; the last is exactly 1
+    guide: np.ndarray  # per guide bucket: see _guide
 
 
 def _router(
@@ -106,66 +156,110 @@ def _router(
     defined = table.outcomes >= 0
     worker_error = allocation.worker_error if allocation is not None else 0.5
     absorbing = np.zeros(n)
+    cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
+    cum[-1] = 1.0
     return _Router(
-        seated_error=np.concatenate([np.where(defined, table.errors, 0.5).ravel(), absorbing]),
-        extra_error=np.concatenate([np.where(defined, worker_error, 0.5).ravel(), absorbing]),
+        seated_error=_thresholds(
+            np.concatenate([np.where(defined, table.errors, 0.5).ravel(), absorbing])
+        ),
+        extra_error=_thresholds(
+            np.concatenate([np.where(defined, worker_error, 0.5).ravel(), absorbing])
+        ),
         one=np.concatenate([(table.outcomes == 1).ravel(), np.zeros(n, dtype=bool)]),
         row=np.asarray(row, dtype=np.int64),
         child=np.asarray(form.child, dtype=np.int64),
         group=np.asarray(group, dtype=np.uint64),
         leaf_cls=np.asarray(form.leaf, dtype=np.int64),
         depth=max(form.depth),
+        cum_priors=cum,
+        guide=_guide(cum),
     )
 
 
-def _run_range(
-    start: int, stop: int, seed: np.uint64, router: _Router, cum_priors: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Simulate trials [start, stop); returns (confusion counts, question count).
-
-    Trials run in chunks, and each chunk takes one whole-chunk step per tree
-    depth. In a step every trial reads its cell ``row[node] + class``: the
-    seated worker errs when its draw falls below the cell's error, and the
-    node's ``g`` workers vote. A trial already at a leaf reads the leaf row
-    (error 0, ``g`` = 0) and stays where it is, so no trial is masked. Draw
-    ``counter`` of a trial is finished from the trial's key, hashed once
-    per chunk; the counter advances by ``g`` at each step, so draw k of
-    trial t goes to the same node and worker whatever the chunk or lane.
-    """
-    r = router
-    n = len(cum_priors)
+def _run_range(start: int, stop: int, seed: np.uint64, router: _Router) -> tuple[np.ndarray, int]:
+    """Simulate trials [start, stop); returns (confusion counts, question count)."""
+    n = len(router.cum_priors)
     confusion = np.zeros((n, n), dtype=np.int64)
     questions = 0
     for lo in range(start, stop, _CHUNK_TRIALS):
-        trials = np.arange(lo, min(lo + _CHUNK_TRIALS, stop), dtype=np.uint64)
-        cls = np.searchsorted(cum_priors, _u01(seed, trials, np.uint64(0)), side="right")
-        key = _trial_key(seed, trials)
-        counter = np.ones(len(trials), dtype=np.uint64)
-        node = np.zeros(len(trials), dtype=np.int64)
-        for _ in range(r.depth):
-            ix = r.row[node] + cls
-            g = r.group[node]
-            wrong = _draw(key, counter) < r.seated_error[ix]
-            sel = np.flatnonzero(g > 1)
-            if sel.size:
-                # extra workers; a group's size g is odd, and the majority
-                # answer is wrong when more than g // 2 answers are wrong
-                g_sel = g[sel]
-                n_wrong = wrong[sel].astype(np.uint64)
-                voting = np.arange(sel.size)
-                for j in range(1, int(g_sel.max())):
-                    voting = voting[g_sel[voting] > j]
-                    t = sel[voting]
-                    draws = _draw(key[t], counter[t] + np.uint64(j))
-                    n_wrong[voting] += draws < r.extra_error[ix[t]]
-                wrong[sel] = n_wrong > g_sel // np.uint64(2)
-            node = r.child[2 * node + (wrong ^ r.one[ix])]
-            counter += g
-        questions += int(counter.sum()) - len(trials)  # every draw after the class draw
-        leaf = r.leaf_cls[node]
-        assert (leaf >= 0).all(), "trial stuck above a leaf"
-        confusion += np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
+        counts, asked = _run_chunk(lo, min(lo + _CHUNK_TRIALS, stop), seed, router)
+        confusion += counts
+        questions += asked
     return confusion, questions
+
+
+def _run_chunk(lo: int, hi: int, seed: np.uint64, r: _Router) -> tuple[np.ndarray, int]:
+    """Simulate the chunk of trials [lo, hi) in one whole-chunk step per
+    tree depth; returns (confusion counts, question count).
+
+    In a step every trial reads its cell ``row[node] + class``: the seated
+    worker errs when its draw falls below the cell's error, and the node's
+    ``g`` workers vote. A trial already at a leaf reads the leaf row (error
+    0, ``g`` = 0) and stays where it is, so no trial is masked. Draw
+    ``counter`` of a trial is finished from the trial's key, hashed once
+    per chunk; draw 0 picks the class, and the counter advances by ``g`` at
+    each step, so draw k of trial t goes to the same node and worker
+    whatever the chunk or lane. Each chunk and step runs in its own call,
+    so that its temporaries are freed before the next one allocates.
+    """
+    key = _trial_key(seed, np.arange(lo, hi, dtype=np.uint64))
+    cls = _classes(_bits(key, np.uint64(0)), r.cum_priors, r.guide)
+    counter = np.ones(hi - lo, dtype=np.uint64)
+    node = np.zeros(hi - lo, dtype=np.int64)
+    for _ in range(r.depth):
+        node = _step(r, key, cls, counter, node)
+    leaf = r.leaf_cls[node]
+    assert (leaf >= 0).all(), "trial stuck above a leaf"
+    n = len(r.cum_priors)
+    counts = np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
+    return counts, int(counter.sum()) - (hi - lo)  # every draw after the class draw
+
+
+def _step(
+    r: _Router, key: np.ndarray, cls: np.ndarray, counter: np.ndarray, node: np.ndarray
+) -> np.ndarray:
+    """Every trial's next node; advances ``counter`` past the step's draws."""
+    cell = r.row[node] + cls
+    wrong = _bits(key, counter) < r.seated_error[cell]
+    one = r.one[cell]
+    voters = np.flatnonzero(r.group[node] > 1)
+    if voters.size:
+        threshold = r.extra_error[cell[voters]]
+        del cell  # the vote is the step's largest working set
+        wrong[voters] = _majority_wrong(
+            key[voters], counter[voters], threshold, r.group[node[voters]], wrong[voters]
+        )
+    counter += r.group[node]
+    return r.child[2 * node + (wrong ^ one)]
+
+
+def _majority_wrong(
+    key: np.ndarray,
+    counter: np.ndarray,
+    threshold: np.ndarray,
+    group: np.ndarray,
+    seated_wrong: np.ndarray,
+) -> np.ndarray:
+    """Whether more than half of each group answers wrong, given its seated
+    worker's answer. A group's size is odd and above 1; its extra worker j
+    errs when draw ``counter + j`` falls below ``threshold``. The voters'
+    arrays are narrowed only when some group has no more workers, and they
+    are consumed: ``counter`` is advanced in place."""
+    largest = int(group.max())
+    n_wrong = seated_wrong.astype(np.min_scalar_type(largest))
+    voting = None  # positions still drawing; None while all are
+    size = group
+    for j in range(1, largest):
+        if size.min() <= j:
+            keep = np.flatnonzero(size > j)
+            voting = keep if voting is None else voting[keep]
+            key, counter, threshold, size = key[keep], counter[keep], threshold[keep], size[keep]
+        counter += np.uint64(1)  # worker j draws number counter + j
+        if voting is None:
+            n_wrong += _bits(key, counter) < threshold
+        else:
+            n_wrong[voting] += _bits(key, counter) < threshold
+    return n_wrong > group >> np.uint64(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,17 +303,15 @@ def simulate(
     if lanes < 1:
         raise ValidationError(f"lanes must be >= 1, got {lanes}")
     router = _router(tree, table, allocation)
-    cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
-    cum[-1] = 1.0
     seed_u = np.uint64(seed % (1 << 64))
     bounds = [trials * i // lanes for i in range(lanes + 1)]
     ranges = [(bounds[i], bounds[i + 1]) for i in range(lanes) if bounds[i] < bounds[i + 1]]
     if len(ranges) <= 1:
-        results = [_run_range(a, b, seed_u, router, cum) for a, b in ranges]
+        results = [_run_range(a, b, seed_u, router) for a, b in ranges]
     else:
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(
-                pool.map(lambda r: _run_range(*r, seed_u, router, cum), ranges)
+                pool.map(lambda r: _run_range(*r, seed_u, router), ranges)
             )
     n = table.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)
@@ -273,7 +365,9 @@ def sweep_error(
     The whole grid and the tree count are checked before any tree is
     built. A random tree depends only on the table's outcomes and its seed,
     so the ``n_random_trees`` trees are built and compiled once and shared
-    by every grid point: only the errors change along the grid.
+    by every grid point: only the errors change along the grid. Each
+    designed tree is built without the level quantities that
+    :func:`build_greedy` attaches, and compiled once, for its pm.
     """
     config = config or BuilderConfig()
     grid = list(grid)
@@ -286,8 +380,7 @@ def sweep_error(
     points: list[ErrorSweepPoint] = []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
-        designed = build_greedy(tbl, config).tree
-        designed_pm = exact_misclassification(designed, tbl)
+        designed_pm = exact_misclassification(_greedy_tree(tbl, config), tbl)
         if random_forms is None:  # after the first designed tree: it names an inseparable pair
             random_forms = [
                 _compile(build_random(tbl, seed + i), tbl) for i in range(n_random_trees)
@@ -325,8 +418,9 @@ def sweep_workers(
 
     Deterministic strategies are evaluated exactly through their fused test
     errors; the random-per-pair strategy is averaged over ``random_draws``
-    seeded allocations, each evaluated exactly. Every budget and the draw
-    count are checked before any work. The greedy rule never reads its
+    seeded allocations, each evaluated exactly. Every budget, the worker
+    error and the draw count are checked before any work, also when
+    ``k_values`` is empty. The greedy rule never reads its
     budget, so one :func:`assign_proposed` run at the largest budget serves
     them all: the proposed allocation for budget K is the first K steps of
     its log. The tree is compiled once, every allocation is scored against
@@ -338,7 +432,8 @@ def sweep_workers(
     if random_draws < 1:
         raise ValidationError(f"random draws must be >= 1, got {random_draws}")
     for budget in k_values:
-        _check_worker_args(budget, worker_error)
+        _check_budget(budget)
+    _check_worker_error(worker_error)
     if not k_values:
         return []
     form = _compile(tree, table)

@@ -102,9 +102,13 @@ def _tree_tests(form: _Compiled, table: TestTable) -> list[str]:
 
 
 def _check_worker_args(budget: int, worker_error: float) -> None:
+    _check_budget(budget)
+    _check_worker_error(worker_error)
+
+
+def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {budget}")
-    _check_worker_error(worker_error)
 
 
 def _check_worker_error(worker_error: float) -> None:

@@ -11,13 +11,23 @@ import itertools
 import json
 import math
 import random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from crowdtree import DecisionTree, Leaf, TestTable, validate_table
 from crowdtree.builder import BuilderConfig, build_greedy, build_random
-from crowdtree.errors import InapplicableTest, InseparableClasses, ValidationError
+from crowdtree.errors import (
+    DuplicateIdentifier,
+    ErrorProbOutOfRange,
+    InapplicableTest,
+    InseparableClasses,
+    NonPositivePrior,
+    ParseError,
+    PriorSumMismatch,
+    UselessTest,
+    ValidationError,
+)
 from crowdtree.fusion import group_error
 from crowdtree.metrics import (
     Metric,
@@ -30,7 +40,7 @@ from crowdtree.metrics import (
     metric_multiplicative,
 )
 from crowdtree.model import Internal, LevelStep, level_trace, split_block
-from crowdtree.simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint, _u01
+from crowdtree.simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint
 from crowdtree.workers import (
     AssignmentStrategy,
     AssignStep,
@@ -393,6 +403,21 @@ def u01_int(seed: int, trial: int, counter: int) -> float:
     return (x >> 11) / 9007199254740992.0
 
 
+def _mix64_np(x: np.ndarray) -> np.ndarray:
+    x = (x ^ (x >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
+    x = (x ^ (x >> np.uint64(33))) * np.uint64(0xC4CEB9FE1A85EC53)
+    return x ^ (x >> np.uint64(33))
+
+
+def u01(seed: np.uint64, trial, counter) -> np.ndarray:
+    """:func:`u01_int` vectorised: the simulator's draws as floats, from the
+    float form of its generator that integer thresholds replaced."""
+    with np.errstate(over="ignore"):
+        key = _mix64_np(seed ^ (np.asarray(trial, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)))
+        x = _mix64_np(key ^ (np.asarray(counter, dtype=np.uint64) * np.uint64(0xD1B54A32D192ED03)))
+    return (x >> np.uint64(11)).astype(np.float64) / 9007199254740992.0
+
+
 def per_node_simulation(
     tree: DecisionTree,
     table: TestTable,
@@ -434,7 +459,7 @@ def per_node_simulation(
     cum[-1] = 1.0
     seed_u = np.uint64(seed % (1 << 64))
     trial = np.arange(trials, dtype=np.uint64)
-    cls = np.searchsorted(cum, _u01(seed_u, trial, np.uint64(0)), side="right")
+    cls = np.searchsorted(cum, u01(seed_u, trial, np.uint64(0)), side="right")
     counter = np.ones(trials, dtype=np.uint64)
     node = np.zeros(trials, dtype=np.int64)
     asked = 0
@@ -450,7 +475,7 @@ def per_node_simulation(
             flip_prob = np.empty((len(sel), k))
             flip_prob[:, 0] = np.where(defined, table.errors[m, cls[sel]], 0.5)
             flip_prob[:, 1:] = np.where(defined, extra_error, 0.5)[:, None]
-            draws = _u01(
+            draws = u01(
                 seed_u,
                 trial[sel][:, None],
                 counter[sel][:, None] + np.arange(k, dtype=np.uint64)[None, :],
@@ -582,3 +607,187 @@ def assemble_recursive(block, level: int, chosen: list, table: TestTable):
         assemble_recursive(zeros, level + 1, chosen, table),
         assemble_recursive(ones, level + 1, chosen, table),
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-cell table parser and validator that the array checks in
+# ``crowdtree.fileio`` and ``crowdtree.model`` replaced, kept as references
+# for bit-for-bit comparisons.
+
+
+_PRIOR_EXACT_TOL = 1e-9
+_PRIOR_RENORM_TOL = 1e-6
+
+
+def _check_error_value(value: float) -> None:
+    if not (0.0 <= value < 0.5):
+        raise ErrorProbOutOfRange(f"error probability {value!r} outside [0, 0.5)")
+
+
+def _check_unique(ids, what: str) -> None:
+    seen = set()
+    for ident in ids:
+        if ident in seen:
+            raise DuplicateIdentifier(f"duplicate {what} identifier {ident!r}")
+        seen.add(ident)
+
+
+def _split_lines(text: str) -> list[str]:
+    return [line.rstrip("\r") for line in text.split("\n")]
+
+
+def validate_table_per_cell(
+    classes: Sequence[str],
+    priors: Sequence[float],
+    tests: Sequence[str],
+    outcomes: Sequence[Sequence[int | None]],
+    error_probs: Union[float, Sequence[Sequence[float]]] = 0.0,
+) -> TestTable:
+    """``model.validate_table`` as it was, one cell at a time."""
+    classes = tuple(str(c) for c in classes)
+    tests = tuple(str(t) for t in tests)
+    if len(classes) < 2:
+        raise ValidationError("need at least two classes")
+    _check_unique(classes, "class")
+    _check_unique(tests, "test")
+
+    if len(priors) != len(classes):
+        raise ValidationError(
+            f"expected {len(classes)} priors, got {len(priors)}"
+        )
+    priors = tuple(float(p) for p in priors)
+    for class_id, p in zip(classes, priors):
+        if not (0.0 < p <= 1.0) or math.isnan(p):
+            raise NonPositivePrior(f"prior for {class_id!r} is {p!r}, must be in (0, 1]")
+    total = math.fsum(priors)
+    if abs(total - 1.0) > _PRIOR_RENORM_TOL:
+        raise PriorSumMismatch(f"priors sum to {total!r}, expected 1")
+    if abs(total - 1.0) > _PRIOR_EXACT_TOL or total != 1.0:
+        priors = tuple(p / total for p in priors)
+
+    if len(outcomes) != len(tests):
+        raise ValidationError(f"expected {len(tests)} outcome rows, got {len(outcomes)}")
+    out = np.full((len(tests), len(classes)), -1, dtype=np.int8)
+    for m, (test_id, row) in enumerate(zip(tests, outcomes)):
+        if len(row) != len(classes):
+            raise ValidationError(
+                f"test {test_id!r}: expected {len(classes)} outcomes, got {len(row)}"
+            )
+        for i, entry in enumerate(row):
+            if entry is None:
+                continue
+            if entry not in (0, 1):
+                raise ValidationError(
+                    f"test {test_id!r}: outcome for {classes[i]!r} is {entry!r}"
+                )
+            out[m, i] = entry
+        if not ((out[m] == 0).any() and (out[m] == 1).any()):
+            raise UselessTest(
+                f"test {test_id!r} never produces both outcomes, it cannot split"
+            )
+
+    if isinstance(error_probs, (int, float)):
+        _check_error_value(float(error_probs))
+        errs = np.where(out >= 0, float(error_probs), np.nan)
+    else:
+        if len(error_probs) != len(tests):
+            raise ValidationError(
+                f"expected {len(tests)} error rows, got {len(error_probs)}"
+            )
+        errs = np.full(out.shape, np.nan)
+        for m, row in enumerate(error_probs):
+            if len(row) != len(classes):
+                raise ValidationError(
+                    f"test {tests[m]!r}: expected {len(classes)} error entries"
+                )
+            for i, value in enumerate(row):
+                if out[m, i] < 0:
+                    continue  # undefined cells carry no error model
+                _check_error_value(float(value))
+                errs[m, i] = float(value)
+    return TestTable(classes, priors, tests, out, errs)
+
+
+def parse_table_text_per_cell(
+    text: str,
+    error_prob: float | None = None,
+    error_matrix_text: str | None = None,
+) -> TestTable:
+    """``fileio.parse_table_text`` as it was, one cell at a time."""
+    lines = _split_lines(text)
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        raise ParseError("expected 'class,<id>,...' with at least two classes", 1)
+    head = lines[0].split(",")
+    if head[0] != "class" or len(head) < 3:
+        raise ParseError("expected 'class,<id>,...' with at least two classes", 1)
+    classes = head[1:]
+    if len(lines) < 2 or lines[1].split(",")[0] != "prior":
+        raise ParseError("expected 'prior,<p>,...'", 2)
+    prior_row = lines[1].split(",")
+    if len(lines) < 3:
+        raise ParseError("table needs at least one test row", 3)
+    if len(prior_row) != len(head):
+        raise ParseError(f"expected {len(classes)} priors, got {len(prior_row) - 1}", 2)
+    try:
+        priors = [float(v) for v in prior_row[1:]]
+    except ValueError as exc:
+        raise ParseError(f"bad prior value: {exc}", 2) from None
+    tests: list[str] = []
+    outcomes: list[list[int | None]] = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            raise ParseError("blank line inside table", lineno)
+        row = line.split(",")
+        if len(row) != len(head):
+            raise ParseError(f"expected {len(classes)} outcomes, got {len(row) - 1}", lineno)
+        tests.append(row[0])
+        parsed: list[int | None] = []
+        for value in row[1:]:
+            if value == "-":
+                parsed.append(None)
+            elif value in ("0", "1"):
+                parsed.append(int(value))
+            else:
+                raise ParseError(f"outcome must be 0, 1 or '-', got {value!r}", lineno)
+        outcomes.append(parsed)
+
+    if error_matrix_text is not None:
+        if error_prob is not None:
+            raise ValidationError("give either a scalar error or a matrix, not both")
+        matrix = _parse_error_matrix_per_cell(error_matrix_text, classes, tests)
+        return validate_table_per_cell(classes, priors, tests, outcomes, matrix)
+    return validate_table_per_cell(
+        classes, priors, tests, outcomes, 0.0 if error_prob is None else error_prob
+    )
+
+
+def _parse_error_matrix_per_cell(
+    text: str, classes: Sequence[str], tests: Sequence[str]
+) -> list[list[float]]:
+    lines = _split_lines(text)
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        raise ParseError("empty error matrix", 1)
+    head = lines[0].split(",")
+    if head[0] != "class" or head[1:] != list(classes):
+        raise ParseError("error matrix header must list the table's classes", 1)
+    rows: dict[str, list[float]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
+        if len(row) != len(head):
+            raise ParseError(f"expected {len(classes)} error entries", lineno)
+        if row[0] in rows:
+            raise ParseError(f"duplicate error row for test {row[0]!r}", lineno)
+        if row[0] not in tests:
+            raise ParseError(f"error row for unknown test {row[0]!r}", lineno)
+        try:
+            rows[row[0]] = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"bad error value: {exc}", lineno) from None
+    missing = [t for t in tests if t not in rows]
+    if missing:
+        raise ParseError(f"no error row for tests {missing}")
+    return [rows[t] for t in tests]

@@ -31,10 +31,25 @@ from crowdtree import (
     sweep_workers,
     validate_table,
 )
-from crowdtree.errors import CrowdTreeError, InapplicableTest, ValidationError
-from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
+from crowdtree.errors import (
+    CrowdTreeError,
+    DuplicateIdentifier,
+    ErrorProbOutOfRange,
+    InapplicableTest,
+    NonPositivePrior,
+    ParseError,
+    PriorSumMismatch,
+    UselessTest,
+    ValidationError,
+)
+from crowdtree.fixtures import DEMO_TABLE_CSV, alternative_tree, demo_table, designed_tree
 from crowdtree.builder import BuilderConfig
-from crowdtree.fileio import simulation_report_csv, table_checksum, table_to_text
+from crowdtree.fileio import (
+    parse_table_text,
+    simulation_report_csv,
+    table_checksum,
+    table_to_text,
+)
 from crowdtree.metrics import level_quantities
 from crowdtree.model import DecisionTree, Internal, Leaf, level_trace, validate_tree
 from crowdtree.simulate import SimulationReport
@@ -210,7 +225,7 @@ def test_sweep_error_equals_per_point_builds():
 
 
 def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
-    builds = _counting(monkeypatch, simulate_module, "build_greedy")
+    builds = _counting(monkeypatch, simulate_module, "_greedy_tree")
     randoms = _counting(monkeypatch, simulate_module, "build_random")
     with pytest.raises(ValidationError, match="0.5"):
         sweep_error(demo_table(), [0.05, 0.1, 0.5], n_random_trees=3)
@@ -233,9 +248,10 @@ def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
     strategies = list(AssignmentStrategy)
     with pytest.raises(ValidationError, match="budget"):
         sweep_workers(tree, table, [0, 4, -1], strategies, 0.2)
-    for worker_error in (0.0, 0.5, -0.1):
-        with pytest.raises(ValidationError, match="worker error"):
-            sweep_workers(tree, table, [0, 4], strategies, worker_error)
+    for worker_error in (0.0, 0.5, -0.1, 0.9):
+        for k_values in ([0, 4], []):
+            with pytest.raises(ValidationError, match="worker error"):
+                sweep_workers(tree, table, k_values, strategies, worker_error)
     for random_draws in (0, -1):
         with pytest.raises(ValidationError, match="random draws"):
             sweep_workers(tree, table, [0, 4], strategies, 0.2, random_draws=random_draws)
@@ -294,22 +310,23 @@ def test_sweep_error_builds_each_random_tree_once(monkeypatch):
 
 
 def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
-    built = []
-    original = simulate_module.build_random
+    built = {"build_random": [], "_greedy_tree": []}
+    for name, trees in built.items():
+        original = getattr(simulate_module, name)
 
-    def build_random(*args):
-        built.append(original(*args))
-        return built[-1]
+        def build(*args, original=original, trees=trees):
+            trees.append(original(*args))
+            return trees[-1]
 
-    monkeypatch.setattr(simulate_module, "build_random", build_random)
+        monkeypatch.setattr(simulate_module, name, build)
     compiled = _counting_compiles(monkeypatch)
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
-    assert len(built) == 20
-    for tree in built:
+    assert len(built["build_random"]) == 20 and len(built["_greedy_tree"]) == len(grid)
+    # the designed tree of each grid point once, for its pm: no level figures
+    for tree in built["build_random"] + built["_greedy_tree"]:
         assert sum(args[0] is tree for args in compiled) == 1
-    # each designed tree twice: the level trace of its build, then its pm
-    assert len(compiled) == 20 + 2 * len(grid)
+    assert len(compiled) == 20 + len(grid)
 
 
 def test_exact_evaluators_never_call_class_path():
@@ -361,6 +378,11 @@ def test_simulate_equals_per_node_router_demo():
         designed_tree(), demo_table(0.3), AssignmentStrategy.SINGLE_TEST, 9, 0.25
     )
     assert sorted(single.extra_pairs.values()) == [0, 0, 0, 9]
+    # a group of 601 has more than 255 wrong answers: the vote count needs 16 bits
+    large = assign_baseline(
+        designed_tree(), demo_table(0.3), AssignmentStrategy.SINGLE_TEST, 300, 0.49
+    )
+    _assert_matches_per_node_router(designed_tree(), demo_table(0.3), large, 2_000, 5, (1, 2))
 
 
 def test_simulate_equals_per_node_router_random_instances():
@@ -399,11 +421,11 @@ def test_simulate_draws_once_per_depth_and_worker(monkeypatch):
         bound = 1 + tree.depth() * max_group
         if alloc is None:
             assert internal > bound
-        u01_calls = _counting(monkeypatch, simulate_module, "_u01")
-        draw_calls = _counting(monkeypatch, simulate_module, "_draw")
+        key_calls = _counting(monkeypatch, simulate_module, "_trial_key")
+        draw_calls = _counting(monkeypatch, simulate_module, "_bits")
         simulate(tree, table, alloc, trials=trials, seed=5)
         monkeypatch.undo()
-        assert len(u01_calls) == 1  # the class draw
+        assert len(key_calls) == 1  # one trial-key hash per chunk
         assert len(draw_calls) <= bound  # every draw, the class draw included
 
 
@@ -412,8 +434,8 @@ def test_hoisted_trial_key_finishes_to_the_same_draw():
     trial = np.arange(0, 5000, 7, dtype=np.uint64)
     counter = (trial * np.uint64(3)) % np.uint64(41)
     key = simulate_module._trial_key(seed, trial)
-    drawn = simulate_module._draw(key, counter)
-    assert (drawn == simulate_module._u01(seed, trial, counter)).all()
+    drawn = (simulate_module._bits(key, counter) >> np.uint64(11)) * 2.0**-53
+    assert (drawn == support.u01(seed, trial, counter)).all()
     for i in range(0, len(trial), 50):
         assert drawn[i] == support.u01_int(int(seed), int(trial[i]), int(counter[i]))
 
@@ -653,3 +675,195 @@ def test_compiled_form_rebuilds_the_same_tree(table_seed, tree_seed, greedy):
     support.subtree_blocks_recursive(tree.root, table, blocks)
     assert form.block == [blocks[id(node)] for node in model_module._preorder(tree.root)]
     assert max(form.depth) == tree.depth() == support.router_arrays_recursive(tree, table, None)["depth"]
+
+
+# ---------------------------------------------------------------------------
+# The simulator's integer draws and guide-table class draw
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(0, 2**64 - 1),
+    error=st.one_of(
+        st.sampled_from([0.0, 0.5, 0.05, 0.2, 0.25, 0.3, 0.4999999999999999, 5e-324]),
+        st.floats(0.0, 0.5),
+    ),
+)
+def test_integer_threshold_equals_float_compare(x, error):
+    def below(hashes):
+        return (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53 < error
+
+    threshold = int(simulate_module._thresholds(error))
+    hashes = [x] + [h for h in (threshold - 1, threshold) if 0 <= h < 2**64]
+    hashes = np.array(hashes, dtype=np.uint64)
+    assert ((hashes < np.uint64(threshold)) == below(hashes)).all()
+    # every seated and extra-worker error the demo and random tables use
+    errors = np.concatenate([demo_table(0.05).errors.ravel(),
+                             support.random_table(x % 97, cell_errors=True).errors.ravel()])
+    errors = np.append(errors[~np.isnan(errors)], [0.0, 0.5, 0.2])
+    thresholds = simulate_module._thresholds(errors)
+    for e, t in zip(errors.tolist(), thresholds.tolist()):
+        for h in (x, t - 1, t):
+            if 0 <= h < 2**64:
+                assert (h < t) == ((h >> 11) * 2.0**-53 < e)
+
+
+def _cum_priors(priors):
+    cum = np.cumsum(np.asarray(priors, dtype=np.float64))
+    cum[-1] = 1.0
+    return cum
+
+
+def _assert_guide_draw_equals_searchsorted(cum, hashes):
+    hashes = np.asarray(hashes, dtype=np.uint64)
+    got = simulate_module._classes(hashes, cum, simulate_module._guide(cum))
+    u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    want = np.searchsorted(cum, u, side="right")
+    assert got.dtype == want.dtype and (got == want).all()
+
+
+_EDGES = np.arange(4096, dtype=np.uint64) << np.uint64(52)  # each bucket's first hash
+
+
+def test_guide_class_draw_on_every_bucket_edge():
+    for priors in ([0.25, 0.25, 0.5], [0.5, 0.5], demo_table().priors, [1 / 3] * 3,
+                   [2**-12] * 4 + [1 - 2**-10], [0.1] * 10):
+        cum = _cum_priors(priors)
+        guide = simulate_module._guide(cum)
+        # a cumulative prior on an edge splits no bucket
+        if list(priors) == [0.25, 0.25, 0.5]:
+            assert (guide >= 0).all()
+        assert (guide < 0).sum() <= len(priors) - 1
+        hashes = np.concatenate([_EDGES, _EDGES - np.uint64(1), _EDGES + np.uint64(2047),
+                                 _EDGES + np.uint64(2048), _EDGES | np.uint64(2**52 - 1)])
+        _assert_guide_draw_equals_searchsorted(cum, hashes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=40),
+    hashes=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+)
+def test_guide_class_draw_equals_searchsorted(raw, hashes):
+    total = sum(raw)
+    cum = _cum_priors([v / total for v in raw])
+    # the draws nearest each cumulative prior, on either side
+    near = np.ceil(np.clip(cum, 0.0, 1.0 - 2**-53) * 2.0**53).astype(np.uint64) << np.uint64(11)
+    near = np.concatenate([near, near - np.uint64(1)])
+    _assert_guide_draw_equals_searchsorted(cum, np.concatenate([np.array(hashes, dtype=np.uint64),
+                                                                near, _EDGES]))
+
+
+# ---------------------------------------------------------------------------
+# Table ingest: the array checks against the per-cell parser and validator
+
+
+def _ingest(parse, *args, **kwargs):
+    """A parsed table as bytes, or the (type, message, line) it raised."""
+    try:
+        table = parse(*args, **kwargs)
+    except (CrowdTreeError, ValueError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (
+        table.classes, table.tests, table.priors,
+        table.outcomes.dtype, table.outcomes.shape, table.outcomes.tobytes(),
+        table.errors.dtype, table.errors.shape, table.errors.tobytes(),
+    )
+
+
+def _matrix_text(table, undefined="nan"):
+    lines = ["class," + ",".join(table.classes)]
+    for m, test_id in enumerate(table.tests):
+        cells = [repr(float(e)) if o >= 0 else undefined
+                 for o, e in zip(table.outcomes[m].tolist(), table.errors[m].tolist())]
+        lines.append(test_id + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_TOKENS = ("2", "x", "", "1_0", " 0.1", "0.1 ", "nan", "inf", "-inf", "-0.0", "0.5",
+           "0.4999999999999999", "1e-320", "0", "1", "-", "T1", "c1")
+
+
+def _line_mutants(text):
+    """One-edit variants of ``text``: each line dropped, doubled, blanked,
+    shortened by a cell or lengthened by one, made constant or undefined,
+    and a few cells replaced by each token."""
+    lines = text.split("\n")
+    yield text
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        yield "\n".join(lines[:i] + lines[i + 1:])
+        yield "\n".join(lines[:i] + [line] + lines[i:])
+        yield "\n".join(lines[:i] + [""] + lines[i:])
+        yield "\n".join(lines[:i] + [",".join(cells[:-1])] + lines[i + 1:])
+        yield "\n".join(lines[:i] + [line + ",0"] + lines[i + 1:])
+        for fill in ("0", "1", "-"):
+            yield "\n".join(lines[:i] + [",".join(cells[:1] + [fill] * (len(cells) - 1))]
+                            + lines[i + 1:])
+        for k in sorted({0, 1, len(cells) - 1}):
+            for token in _TOKENS:
+                edited = cells[:k] + [token] + cells[k + 1:]
+                yield "\n".join(lines[:i] + [",".join(edited)] + lines[i + 1:])
+
+
+def _ingest_cases():
+    """(table text, error prob, error matrix text) on the demo and random tables."""
+    yield DEMO_TABLE_CSV, 0.05, None
+    yield DEMO_TABLE_CSV, None, _matrix_text(demo_table(0.05))
+    for seed in range(6):
+        table = support.random_table(seed, max_classes=5, max_tests=5, cell_errors=True,
+                                     max_error=0.45)
+        yield table_to_text(table), None, _matrix_text(table, "0.7" if seed % 2 else "nan")
+
+
+def test_parse_table_text_equals_per_cell_parser():
+    outcomes = []
+    for text, error_prob, matrix in _ingest_cases():
+        runs = [(mutant, error_prob, matrix) for mutant in _line_mutants(text)]
+        if matrix is not None:
+            runs.extend((text, None, mutant) for mutant in _line_mutants(matrix))
+        for args in runs:
+            got = _ingest(parse_table_text, *args)
+            assert got == _ingest(support.parse_table_text_per_cell, *args), args
+            outcomes.append(got[0])
+    # the corpus accepts tables and meets every kind of rejection
+    assert any(isinstance(first, tuple) for first in outcomes)  # a table's class ids
+    for kind in (ParseError, UselessTest, DuplicateIdentifier, ErrorProbOutOfRange,
+                 NonPositivePrior, PriorSumMismatch):
+        assert kind in outcomes, kind
+
+
+def test_validate_table_equals_per_cell_validator():
+    classes, priors, tests = ["a", "b", "c"], [0.2, 0.3, 0.5], ["s", "t", "u"]
+    good = [[0, 1, None], [1, 0, 0], [0, 0, 1]]
+    matrix = [[0.1, 0.2, None], [0.3, 0.0, -0.0], [0.25, 0.45, 0.4999]]
+    cases = [
+        (good, 0.1), (good, matrix), (good, 0.5), (good, -0.1), (good, True),
+        ([[0, 0, None], [1, 2, 0], [0, 0, 1]], 0.1),  # useless row before a bad entry
+        ([[0, 1, None], [1, 2, 0], [0, 0, 0]], 0.1),  # bad entry before a useless row
+        ([[0, 0, None], [1, 0], [0, 0, 1]], 0.1),  # useless row before a short row
+        ([[0, 1, None], [1, 0, 0], [0, 0]], 0.1),
+        ([[0, 1, [1]], [1, 0, 0], [0, 0, 1]], 0.1),  # an unhashable entry
+        ([[0, 1, 1.0], [True, 0, 0], [0, 0, np.int64(1)]], 0.1),
+        ([[0, 1, float("nan")], [1, 0, 0], [0, 0, 1]], 0.1),
+        ([[0, 1, -1], [1, 0, 0], [0, 0, 1]], 0.1),
+        (good[:2], 0.1),
+        (good, matrix[:2]),
+        (good, [[0.1, 0.6, None], [0.3, 0.0], [0.25, 0.45, 0.4999]]),  # bad value, then short
+        (good, [[0.1, 0.2, None], [0.3, 0.0], [0.25, 0.45, 0.7]]),  # short, then bad value
+        (good, [[0.1, 0.2, None], [0.3, float("nan"), 0.0], [0.25, 0.45, 0.4999]]),
+        (good, [[0.1, 0.2, 0.9], [0.3, 0.0, 0.0], [0.25, 0.45, 0.5]]),
+    ]
+    for outcomes, errors in cases:
+        for args in (
+            (classes, priors, tests, outcomes, errors),
+            (classes, [0.2, 0.3, 0.6], tests, outcomes, errors),
+            (classes, [0.2, 0.3, 0.5000004], tests, outcomes, errors),
+            (["a", "b", "a"], priors, tests, outcomes, errors),
+            (classes, priors, ["s", "t", "s"], outcomes, errors),
+        ):
+            assert _ingest(validate_table, *args) == _ingest(
+                support.validate_table_per_cell, *args
+            ), args
+    with pytest.raises(UselessTest, match="'s'"):
+        validate_table(classes, priors, tests, [[0, 0, None], [1, 2, 0], [0, 0, 1]], 0.1)

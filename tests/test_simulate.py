@@ -16,20 +16,30 @@ from crowdtree import (
 from crowdtree.errors import ValidationError
 from crowdtree.fixtures import demo_table, designed_tree
 from crowdtree.model import DecisionTree, Internal, Leaf
-from crowdtree.simulate import _u01
+from crowdtree.simulate import _bits, _trial_key
+
+import support
 
 TABLE = demo_table(0.05)
 TREE = designed_tree()
 EXACT_PM = 0.082311875
 
 
+def _u01(seed, trial, counter):
+    """Uniform [0, 1) values of the simulator's draws."""
+    return (_bits(_trial_key(seed, trial), counter) >> np.uint64(11)) * 2.0**-53
+
+
 def test_u01_uniformity():
-    draws = _u01(np.uint64(12345), np.arange(200_000, dtype=np.uint64), np.uint64(3))
+    trial = np.arange(200_000, dtype=np.uint64)
+    draws = _u01(np.uint64(12345), trial, np.uint64(3))
     assert abs(draws.mean() - 0.5) < 0.004
     assert abs(draws.var() - 1.0 / 12.0) < 0.002
     assert draws.min() >= 0.0 and draws.max() < 1.0
+    for t in range(0, 200_000, 4999):
+        assert draws[t] == support.u01_int(12345, t, 3)
     # different counters decorrelate
-    other = _u01(np.uint64(12345), np.arange(200_000, dtype=np.uint64), np.uint64(4))
+    other = _u01(np.uint64(12345), trial, np.uint64(4))
     assert abs(np.corrcoef(draws, other)[0, 1]) < 0.01
 
 
