@@ -16,20 +16,20 @@ from .errors import CrowdTreeError, InseparableClasses, ValidationError
 from .metrics import (
     Metric,
     MetricConfig,
-    additive_approx,
-    bounds_additive,
-    bounds_multiplicative,
-    exact_correct,
-    exact_misclassification,
-    level_quantities,
-    multiplicative_approx,
+    _additive_approx,
+    _bounds_additive,
+    _bounds_multiplicative,
+    _exact,
+    _level_quantities,
+    _multiplicative_approx,
 )
+from .model import _compile, _level_trace
 from .simulate import simulate, sweep_error, sweep_workers
 from .workers import (
     AssignmentStrategy,
-    allocation_cost,
-    assign_baseline,
-    assign_proposed,
+    _allocation_cost,
+    _assign_baseline,
+    _assign_proposed,
 )
 
 _STRATEGY_NAMES = {s.value: s for s in AssignmentStrategy}
@@ -67,20 +67,27 @@ def _load_table(args, require_error: bool = True):
     return fileio.load_table(args.table, args.error_prob, args.error_matrix)
 
 
-def _print_quality(tree, table, ratio_offset: float) -> None:
+def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
+    """The quality report of ``tree``, from one compile: the per-level
+    figures (``levels`` when the builder already has them, else the tree's
+    level trace), then the exact values, approximations and bounds."""
+    form = _compile(tree, table)
+    if levels is None:
+        levels = _level_quantities(_level_trace(form, table), table, ratio_offset)
     print("level,entropy_before,entropy_after,error_mass,correct_mass,"
           "additive_metric,multiplicative_metric")
-    for q in level_quantities(tree, table, ratio_offset):
+    for q in levels:
         print(
             f"{q.level},{q.entropy_before!r},{q.entropy_after!r},{q.error_mass!r},"
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
-    lo_a, hi_a = bounds_additive(tree, table)
-    lo_m, hi_m = bounds_multiplicative(tree, table, ratio_offset)
-    print(f"exact_pm,{exact_misclassification(tree, table)!r}")
-    print(f"exact_pc,{exact_correct(tree, table)!r}")
-    print(f"additive_approx,{additive_approx(tree, table)!r}")
-    print(f"multiplicative_approx,{multiplicative_approx(tree, table)!r}")
+    exact_pm, exact_pc = _exact(form, table)
+    lo_a, hi_a = _bounds_additive(levels)
+    lo_m, hi_m = _bounds_multiplicative(levels, ratio_offset)
+    print(f"exact_pm,{exact_pm!r}")
+    print(f"exact_pc,{exact_pc!r}")
+    print(f"additive_approx,{_additive_approx(levels)!r}")
+    print(f"multiplicative_approx,{_multiplicative_approx(levels)!r}")
     print(f"additive_bounds,{lo_a!r},{hi_a!r}")
     print(f"multiplicative_bounds,{lo_m!r},{hi_m!r}")
 
@@ -96,7 +103,7 @@ def _cmd_build(args) -> int:
     }
     if args.out:
         fileio.save_tree(args.out, result.tree, table, builder_info)
-    _print_quality(result.tree, table, args.ratio_offset)
+    _print_quality(result.tree, table, args.ratio_offset, result.levels)
     return 0
 
 
@@ -110,10 +117,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_assign(args) -> int:
     table = _load_table(args, require_error=False)
     tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+    form = _compile(tree, table)  # one form for the allocator and the cost
     strategy = _STRATEGY_NAMES[args.strategy]
     if strategy is AssignmentStrategy.PROPOSED:
-        allocation, log = assign_proposed(
-            tree, table, args.workers, args.worker_error, _metric_config(args)
+        allocation, log = _assign_proposed(
+            form, table, args.workers, args.worker_error, _metric_config(args)
         )
         print("iteration,level,test,metric_before,metric_after,pairs,effective_error")
         for step in log:
@@ -122,13 +130,13 @@ def _cmd_assign(args) -> int:
                 f"{step.metric_after!r},{step.pairs_after},{step.effective_error_after!r}"
             )
     else:
-        allocation = assign_baseline(
-            tree, table, strategy, args.workers, args.worker_error, args.seed
+        allocation = _assign_baseline(
+            form, table, strategy, args.workers, args.worker_error, args.seed
         )
     print("test,extra_pairs,workers,effective_error")
     for test_id, k in allocation.extra_pairs.items():
         print(f"{test_id},{k},{2 * k + 1},{allocation.effective_error(test_id)!r}")
-    expected, flat = allocation_cost(tree, table, allocation)
+    expected, flat = _allocation_cost(form, table, allocation)
     print(f"expected_questions,{expected!r}")
     print(f"total_group_size,{flat}")
     if args.out:

@@ -16,6 +16,7 @@ from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
+    LevelStep,
     Partition,
     TestTable,
     _compile,
@@ -160,7 +161,13 @@ def level_quantities(
     tree: DecisionTree, table: TestTable, ratio_offset: float = 1.0
 ) -> list[LevelQuantities]:
     """Entropy, masses, and both metrics for every level of ``tree``."""
-    steps = level_trace(tree, table)
+    return _level_quantities(level_trace(tree, table), table, ratio_offset)
+
+
+def _level_quantities(
+    steps: Sequence[LevelStep], table: TestTable, ratio_offset: float
+) -> list[LevelQuantities]:
+    """:func:`level_quantities` of a tree's level trace."""
     out: list[LevelQuantities] = []
     h_prev = level_entropy(table.priors, steps[0].before) if steps else 0.0
     for d, step in enumerate(steps, start=1):
@@ -206,6 +213,16 @@ def _survivals(
     return survive
 
 
+def _exact(form: _Compiled, table: TestTable) -> tuple[float, float]:
+    """(:func:`exact_misclassification`, :func:`exact_correct`) of an already
+    compiled tree from one survival pass; each is its own class-order sum."""
+    pm = pc = 0.0
+    for p, survive in zip(table.priors, _survivals(form, table)):
+        pm += p * (1.0 - survive)
+        pc += p * survive
+    return pm, pc
+
+
 def _misclassification(
     form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
 ) -> float:
@@ -224,21 +241,26 @@ def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
-    total = 0.0
-    for p, survive in zip(table.priors, _survivals(_compile(tree, table), table)):
-        total += p * survive
-    return total
+    return _exact(_compile(tree, table), table)[1]
 
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:
     """First-order misclassification estimate: the sum of level error masses."""
-    return math.fsum(q.error_mass for q in level_quantities(tree, table))
+    return _additive_approx(level_quantities(tree, table))
+
+
+def _additive_approx(levels: Sequence[LevelQuantities]) -> float:
+    return math.fsum(q.error_mass for q in levels)
 
 
 def multiplicative_approx(tree: DecisionTree, table: TestTable) -> float:
     """Correct-classification estimate: the product of level correct masses."""
+    return _multiplicative_approx(level_quantities(tree, table))
+
+
+def _multiplicative_approx(levels: Sequence[LevelQuantities]) -> float:
     result = 1.0
-    for q in level_quantities(tree, table):
+    for q in levels:
         result *= q.correct_mass
     return result
 
@@ -249,9 +271,12 @@ def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]
     The initial entropy divided by the largest (smallest) per-level additive
     metric brackets the sum of level error masses.
     """
-    quantities = level_quantities(tree, table)
-    h0 = quantities[0].entropy_before if quantities else 0.0
-    values = [q.additive_metric for q in quantities]
+    return _bounds_additive(level_quantities(tree, table))
+
+
+def _bounds_additive(levels: Sequence[LevelQuantities]) -> tuple[float, float]:
+    h0 = levels[0].entropy_before if levels else 0.0
+    values = [q.additive_metric for q in levels]
     return (_safe_div(h0, max(values)), _safe_div(h0, min(values)))
 
 
@@ -265,9 +290,15 @@ def bounds_multiplicative(
     at least 1, so the product of factors exceeds any single one and both
     returned values then sit at or above the product approximation.
     """
-    quantities = level_quantities(tree, table, ratio_offset)
-    h0 = quantities[0].entropy_before if quantities else 0.0
-    values = [q.multiplicative_metric for q in quantities]
+    return _bounds_multiplicative(level_quantities(tree, table, ratio_offset), ratio_offset)
+
+
+def _bounds_multiplicative(
+    levels: Sequence[LevelQuantities], ratio_offset: float
+) -> tuple[float, float]:
+    """:func:`bounds_multiplicative` of levels computed under ``ratio_offset``."""
+    h0 = levels[0].entropy_before if levels else 0.0
+    values = [q.multiplicative_metric for q in levels]
     return (
         _safe_div(h0 + ratio_offset, max(values)),
         _safe_div(h0 + ratio_offset, min(values)),

@@ -176,11 +176,36 @@ def validate_table(
     rows: list = []
     for test_id, row in zip(tests, error_probs):
         if len(row) != n:
-            _error_cells(out[: len(rows)], np.array(rows, dtype=np.float64).reshape(-1, n))
+            _error_cells(out[: len(rows)], _error_array(classes, tests, out, rows))
             raise ValidationError(f"test {test_id!r}: expected {n} error entries")
         rows.append(row)
-    errs = _error_cells(out, np.array(rows, dtype=np.float64).reshape(len(tests), n))
+    errs = _error_cells(out, _error_array(classes, tests, out, rows))
     return TestTable(classes, priors, tests, out, errs)
+
+
+def _error_array(
+    classes: tuple[str, ...], tests: tuple[str, ...], out: np.ndarray, rows: list
+) -> np.ndarray:
+    """The error rows as float64, one row per row of ``out`` they cover.
+    Entries on undefined cells are ignored; a defined cell that is not a
+    number raises, unless a range check on an earlier cell does first."""
+    try:
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))
+    except (TypeError, ValueError):
+        pass
+    errs = np.full((len(rows), len(classes)), np.nan)
+    for m, row in enumerate(rows):
+        for i, value in enumerate(row):
+            if out[m, i] < 0:
+                continue
+            try:
+                errs[m, i] = error = float(value)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"test {tests[m]!r}: error for {classes[i]!r} is {value!r}, not a number"
+                ) from None
+            _check_error_value(error)
+    return errs
 
 
 _OUTCOME_CODES = {None: -1, 0: 0, 1: 1}
@@ -448,7 +473,12 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
-    child, _, test, _, block = _compile(tree, table)
+    return _level_trace(_compile(tree, table), table)
+
+
+def _level_trace(form: _Compiled, table: TestTable) -> list[LevelStep]:
+    """:func:`level_trace` of an already compiled tree."""
+    child, _, test, _, block = form
     frontier, before, steps = [0], (block[0],), []
     while True:
         assignment = {block[k]: table.tests[test[k]] for k in frontier if test[k] >= 0}

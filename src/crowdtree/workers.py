@@ -24,7 +24,7 @@ from .metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, LevelStep, TestTable, _compile, _Compiled, level_trace
+from .model import DecisionTree, LevelStep, TestTable, _compile, _Compiled, _level_trace
 
 
 class AssignmentStrategy(enum.Enum):
@@ -161,9 +161,21 @@ def assign_proposed(
     table would give. The rule never reads ``budget`` except to stop, so
     the first K steps of the log are the run for budget K.
     """
+    _check_worker_args(budget, worker_error)
+    return _assign_proposed(_compile(tree, table), table, budget, worker_error, metric)
+
+
+def _assign_proposed(
+    form: _Compiled,
+    table: TestTable,
+    budget: int,
+    worker_error: float,
+    metric: MetricConfig | None = None,
+) -> tuple[WorkerAllocation, list[AssignStep]]:
+    """:func:`assign_proposed` of an already compiled tree."""
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
-    steps = level_trace(tree, table)
+    steps = _level_trace(form, table)
     levels = [_level_masses(table, step) for step in steps]
     tested = {t for step in steps for t in step.assignment.values()}  # every node is in a level
     pairs = {t: 0 for t in sorted(tested, key=table.test_index)}
@@ -242,7 +254,20 @@ def assign_baseline(
     Raises, as every other reader does, unless ``tree`` fits ``table``.
     """
     _check_worker_args(budget, worker_error)
-    pairs = _baseline_pairs(_tree_tests(_compile(tree, table), table), strategy, budget, seed)
+    return _assign_baseline(_compile(tree, table), table, strategy, budget, worker_error, seed)
+
+
+def _assign_baseline(
+    form: _Compiled,
+    table: TestTable,
+    strategy: AssignmentStrategy,
+    budget: int,
+    worker_error: float,
+    seed: int = 0,
+) -> WorkerAllocation:
+    """:func:`assign_baseline` of an already compiled tree."""
+    _check_worker_args(budget, worker_error)
+    pairs = _baseline_pairs(_tree_tests(form, table), strategy, budget, seed)
     return WorkerAllocation(
         extra_pairs=pairs,
         worker_error=worker_error,
@@ -282,7 +307,14 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
-    child, _, test, _, block = _compile(tree, table)
+    return _allocation_cost(_compile(tree, table), table, allocation)
+
+
+def _allocation_cost(
+    form: _Compiled, table: TestTable, allocation: WorkerAllocation
+) -> tuple[float, int]:
+    """:func:`allocation_cost` of an already compiled tree."""
+    child, _, test, _, block = form
     prior = table.priors.__getitem__
     mass = [0.0] * len(test)  # of the classes reaching each node
     mass[0] = math.fsum(table.priors)

@@ -32,6 +32,7 @@ from crowdtree.fusion import group_error
 from crowdtree.metrics import (
     Metric,
     MetricConfig,
+    _block_entropy,
     exact_misclassification,
     level_correct_mass,
     level_entropy,
@@ -39,7 +40,14 @@ from crowdtree.metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from crowdtree.model import Internal, LevelStep, level_trace, split_block
+from crowdtree.model import (
+    Internal,
+    LevelStep,
+    applicable_tests,
+    level_trace,
+    refine_partition,
+    split_block,
+)
 from crowdtree.simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint
 from crowdtree.workers import (
     AssignmentStrategy,
@@ -151,6 +159,30 @@ def random_table(
         return table
     raise AssertionError(f"no separable instance found for seed {seed}")
 
+
+
+def wide_table(n_classes: int, seed: int) -> TestTable:
+    """Seeded instance of ``n_classes`` classes and 1.5 times as many tests,
+    with per-cell errors and 20% undefined cells in every odd-numbered test
+    (about 10% overall); every class pair differs on some fully defined
+    test, so greedy construction succeeds."""
+    rng = np.random.default_rng([seed, n_classes])
+    n_tests = round(1.5 * n_classes)
+    while True:
+        out = rng.integers(0, 2, size=(n_tests, n_classes)).astype(np.int8)
+        out[1::2][rng.random((n_tests // 2, n_classes)) < 0.2] = -1
+        full = out[(out >= 0).all(axis=1)]
+        useful = ((out == 0).any(axis=1) & (out == 1).any(axis=1)).all()
+        if useful and len({full[:, i].tobytes() for i in range(n_classes)}) == n_classes:
+            break
+    priors = rng.gamma(2.0, size=n_classes)
+    return validate_table(
+        [f"c{i}" for i in range(1, n_classes + 1)],
+        (priors / priors.sum()).tolist(),
+        [f"T{m}" for m in range(1, n_tests + 1)],
+        [[None if v < 0 else v for v in row] for row in out.tolist()],
+        rng.uniform(0.02, 0.08, size=(n_tests, n_classes)).tolist(),
+    )
 
 # ---------------------------------------------------------------------------
 # Reference implementations that recompute everything per class, per trial
@@ -791,3 +823,75 @@ def _parse_error_matrix_per_cell(
     if missing:
         raise ParseError(f"no error row for tests {missing}")
     return [rows[t] for t in tests]
+
+
+# ---------------------------------------------------------------------------
+# The greedy builder's per-pair scoring and its cell-by-cell inseparability
+# scan, which per-build cell data and array scans in ``crowdtree.builder``
+# replaced, kept as references for ``==`` comparisons.
+
+
+def level_points_per_pair(table: TestTable, partition) -> list[list[tuple]]:
+    """Per open block of ``partition``, the (test, h, g, c) point of every
+    applicable test, each read cell by cell."""
+    points = []
+    for block in (b for b in partition if len(b) > 1):
+        points.append([])
+        for test_id in applicable_tests(table, block):
+            m = table.test_index(test_id)
+            zeros, ones = split_block(table, block, test_id)
+            h = _block_entropy(table.priors, zeros) + _block_entropy(table.priors, ones)
+            g = math.fsum(table.priors[i] * float(table.errors[m, i]) for i in block)
+            c = math.fsum(table.priors[i] * (1.0 - float(table.errors[m, i])) for i in block)
+            points[-1].append((m, h, g, c))
+    return points
+
+
+def greedy_levels_per_pair(table: TestTable, config: BuilderConfig) -> list[tuple]:
+    """(level step, points) of every level of the greedy build, with the
+    points of :func:`level_points_per_pair` and the builder's own selectors."""
+    from crowdtree import builder
+
+    levels = []
+    partition = (table.all_classes_block(),)
+    while any(len(b) > 1 for b in partition):
+        points = level_points_per_pair(table, partition)
+        open_blocks = [b for b in partition if len(b) > 1]
+        for block, block_points in zip(open_blocks, points):
+            if not block_points:
+                raise inseparable_error_per_pair(table, block)
+        pts = [[builder._Point(*p) for p in block_points] for block_points in points]
+        entropy_before = level_entropy(table.priors, partition)
+        if config.metric.kind is Metric.ADDITIVE:
+            choice = builder._select_additive(pts, entropy_before)
+        else:
+            singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
+            choice = builder._select_multiplicative(
+                pts, entropy_before, singletons, config.metric.ratio_offset
+            )
+        assignment = {b: table.tests[p.test] for b, p in zip(open_blocks, choice)}
+        after = refine_partition(table, partition, assignment)
+        levels.append((LevelStep(partition, assignment, after), points))
+        partition = after
+    return levels
+
+
+def inseparable_error_per_pair(table: TestTable, block) -> InseparableClasses:
+    """The builder's error for ``block``, found by scanning every pair's cells."""
+    for i, j in itertools.combinations(block, 2):
+        separable = False
+        for m in range(table.n_tests):
+            oi, oj = int(table.outcomes[m, i]), int(table.outcomes[m, j])
+            if oi >= 0 and oj >= 0 and oi != oj:
+                separable = True
+                break
+        if not separable:
+            return InseparableClasses(
+                f"classes {table.classes[i]!r} and {table.classes[j]!r} are not "
+                f"separated by any test"
+            )
+    names = [table.classes[i] for i in block]
+    return InseparableClasses(
+        f"no applicable test splits the group {names}; classes "
+        f"{names[0]!r} and {names[1]!r} stay together"
+    )

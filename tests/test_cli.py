@@ -226,28 +226,54 @@ def test_sweep_workers_cli(table_path, tree_path, capsys):
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ON_DEMO_TREE = ["--error-prob", "0.05", "--worker-error", "0.2"]
+_DEMO_TREE = ["--tree", "TREE", "--table", "TABLE", *ON_DEMO_TREE]
 GOLDEN_JOBS = {
-    # golden file -> argv after "--tree TREE --table TABLE" (sweep-error: "--table TABLE")
-    "demo_assign_proposed_additive.txt": ["assign", *ON_DEMO_TREE, "--workers", "30",
+    # golden file -> argv. TABLE and TREE stand for the demo table and its
+    # designed tree, OUT for the document a job writes, which must match the
+    # golden file of the same name ending in .json instead of .txt.
+    "demo_assign_proposed_additive.txt": ["assign", *_DEMO_TREE, "--workers", "30",
                                           "--strategy", "proposed", "--metric", "additive"],
-    "demo_assign_proposed_multiplicative.txt": ["assign", *ON_DEMO_TREE, "--workers", "30",
+    "demo_assign_proposed_multiplicative.txt": ["assign", *_DEMO_TREE, "--workers", "30",
                                                 "--strategy", "proposed",
                                                 "--metric", "multiplicative"],
-    "demo_sweep_workers_additive.txt": ["sweep-workers", *ON_DEMO_TREE, "--kmax", "30",
+    "demo_sweep_workers_additive.txt": ["sweep-workers", *_DEMO_TREE, "--kmax", "30",
                                         "--metric", "additive"],
-    "demo_sweep_workers_multiplicative.txt": ["sweep-workers", *ON_DEMO_TREE, "--kmax", "30",
+    "demo_sweep_workers_multiplicative.txt": ["sweep-workers", *_DEMO_TREE, "--kmax", "30",
                                               "--metric", "multiplicative"],
-    "demo_sweep_error.txt": ["sweep-error"],
+    "demo_sweep_error.txt": ["sweep-error", "--table", "TABLE"],
 }
+# build and evaluate reports on the demo table and on a 12-class table with an
+# error matrix (support.random_table(18, 12, 16, cell_errors=True), stored as text)
+_QUALITY_TABLES = {
+    "demo": ["--table", "TABLE", "--error-prob", "0.05"],
+    "random12": ["--table", os.path.join(DATA_DIR, "random12_table.csv"),
+                 "--error-matrix", os.path.join(DATA_DIR, "random12_errors.csv")],
+}
+for _name, _table in _QUALITY_TABLES.items():
+    for _metric in ("additive", "multiplicative"):
+        for _offset in ("1", "0.5"):
+            GOLDEN_JOBS[f"{_name}_build_{_metric}_r{_offset}.txt"] = [
+                "build", *_table, "--metric", _metric, "--ratio-offset", _offset, "--out", "OUT"]
+    for _tree_offset, _offset in (("1", "0.5"), ("0.5", "1")):
+        _tree = os.path.join(DATA_DIR, f"{_name}_build_multiplicative_r{_tree_offset}.json")
+        GOLDEN_JOBS[f"{_name}_evaluate_r{_offset}.txt"] = [
+            "evaluate", "--tree", _tree, *_table, "--ratio-offset", _offset]
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_JOBS))
-def test_reports_match_golden_bytes(golden, table_path, tree_path, capsys):
-    command, *rest = GOLDEN_JOBS[golden]
-    on_tree = [] if command == "sweep-error" else ["--tree", tree_path]
-    assert main([command, *on_tree, "--table", table_path, *rest]) == 0
-    with open(os.path.join(DATA_DIR, golden), encoding="utf-8", newline="") as fh:
-        assert capsys.readouterr().out == fh.read()
+def test_reports_match_golden_bytes(golden, table_path, tree_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    files = {"TABLE": table_path, "TREE": tree_path, "OUT": out}
+    assert main([files.get(arg, arg) for arg in GOLDEN_JOBS[golden]]) == 0
+    assert capsys.readouterr().out == _golden(golden)
+    if "OUT" in GOLDEN_JOBS[golden]:
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert fh.read() == _golden(golden[: -len(".txt")] + ".json")
 
 
 def test_build_with_error_matrix(table_path, tmp_path, capsys):

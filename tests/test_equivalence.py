@@ -1,8 +1,9 @@
 """Bit-for-bit equivalence of the one-walk evaluator, the per-level
 allocation scorer, the shared-structure sweeps, the table-driven simulator,
-the vectorised table and report renders and the preorder tree form with
-the per-class, per-trial-pair, per-budget, per-point, per-node, per-cell
-and recursive computations in ``support``, plus guards on how often the
+the vectorised table and report renders, the preorder tree form and the
+greedy builder's per-build level scoring with the per-class,
+per-trial-pair, per-budget, per-point, per-node, per-cell, recursive and
+per-pair computations in ``support``, plus guards on how often the
 expensive layers run."""
 
 import hashlib
@@ -59,6 +60,7 @@ import support
 
 # The package re-exports ``simulate`` the function under the module's name.
 builder_module = importlib.import_module("crowdtree.builder")
+cli_module = importlib.import_module("crowdtree.cli")
 metrics_module = importlib.import_module("crowdtree.metrics")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
@@ -867,3 +869,125 @@ def test_validate_table_equals_per_cell_validator():
             ), args
     with pytest.raises(UselessTest, match="'s'"):
         validate_table(classes, priors, tests, [[0, 0, None], [1, 2, 0], [0, 0, 1]], 0.1)
+
+
+# ---------------------------------------------------------------------------
+# The greedy builder's level scoring, and the compiles behind each report
+
+
+def _point_key(point):
+    test, h, g, c = point
+    return (test, float.hex(h), float.hex(g), float.hex(c))
+
+
+def _check_greedy_scoring(table, config=BuilderConfig()):
+    """Every level of the build: the same points, bit for bit, as the per-pair
+    oracle; the same steps, so the same tests and tie-breaks; and the
+    build's level figures are the tree's."""
+    levels = support.greedy_levels_per_pair(table, config)
+    result = build_greedy(table, config)
+    assert level_trace(result.tree, table) == [step for step, _ in levels]
+    cells = builder_module._cells(table)
+    for step, points in levels:
+        got = [builder_module._block_points(cells, b) for b in step.before if len(b) > 1]
+        assert [[_point_key(p) for p in pts] for pts in got] == [
+            [_point_key(p) for p in pts] for pts in points
+        ]
+    offset = config.metric.ratio_offset
+    assert list(result.levels) == level_quantities(result.tree, table, offset)
+
+
+SCORING_CONFIGS = (
+    BuilderConfig(),
+    BuilderConfig(metric=MetricConfig(kind=Metric.MULTIPLICATIVE)),
+    BuilderConfig(metric=MetricConfig(kind=Metric.MULTIPLICATIVE, ratio_offset=0.5)),
+)
+
+
+def test_level_points_equal_per_pair_scoring_demo():
+    for p_star in (0.01, 0.05, 0.2):
+        for config in SCORING_CONFIGS:
+            _check_greedy_scoring(demo_table(p_star), config)
+
+
+@pytest.mark.parametrize("size", [{}, {"max_classes": 12, "max_tests": 16}])
+@pytest.mark.parametrize("cell_errors", [True, False])
+def test_level_points_equal_per_pair_scoring_random_tables(size, cell_errors):
+    for seed in range(300):
+        table = support.random_table(seed, cell_errors=cell_errors, **size)
+        for config in SCORING_CONFIGS[:2]:
+            _check_greedy_scoring(table, config)
+
+
+@pytest.mark.parametrize("n_classes", [40, 100])
+def test_level_points_equal_per_pair_scoring_wide_tables(n_classes):
+    table = support.wide_table(n_classes, 0)
+    assert 0.08 < (table.outcomes < 0).mean() < 0.12
+    for config in SCORING_CONFIGS[:2]:
+        _check_greedy_scoring(table, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    max_classes=st.integers(2, 14),
+    cell_errors=st.booleans(),
+    na_prob=st.sampled_from([0.0, 0.12, 0.3]),
+    config=st.sampled_from(SCORING_CONFIGS),
+)
+def test_level_points_equal_per_pair_scoring_property(seed, max_classes, cell_errors, na_prob,
+                                                      config):
+    table = support.random_table(
+        seed, max_classes=max_classes, max_tests=16, cell_errors=cell_errors, na_prob=na_prob
+    )
+    _check_greedy_scoring(table, config)
+
+
+def _inseparable_tables():
+    yield validate_table(["a", "b", "c"], [0.2, 0.4, 0.4], ["t"], [[0, 1, 1]], 0.1)
+    # every pair is told apart, but no test is defined on the whole block
+    yield validate_table(["a", "b", "c"], [0.2, 0.4, 0.4], ["s", "t", "u"],
+                         [[0, 1, None], [None, 0, 1], [1, None, 0]], 0.1)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        rows = []
+        while len(rows) < m:
+            row = [None if rng.random() < 0.3 else int(rng.integers(0, 2)) for _ in range(n)]
+            if 0 in row and 1 in row:
+                rows.append(row)
+        yield validate_table([f"c{i}" for i in range(n)], [1 / n] * n,
+                             [f"T{j}" for j in range(m)], rows, 0.1)
+
+
+def test_inseparable_error_equals_per_pair_scan():
+    for table in _inseparable_tables():
+        blocks = [table.all_classes_block()]
+        blocks += [b for b in itertools.combinations(range(table.n_classes), 3)][:20]
+        for block in blocks:
+            got = builder_module._inseparable_error(table, block)
+            want = support.inseparable_error_per_pair(table, block)
+            assert type(got) is type(want) and str(got) == str(want), block
+
+
+def _cli_compile_counts(monkeypatch, argv):
+    calls = _counting_compiles(monkeypatch)
+    _counting(monkeypatch, cli_module, "_compile", calls)
+    assert cli_module.main(argv) == 0
+    return len(calls)
+
+
+def test_reports_compile_at_most_twice(monkeypatch, tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(DEMO_TABLE_CSV, encoding="utf-8")
+    tree = str(tmp_path / "tree.json")
+    on_table = ["--table", str(table), "--error-prob", "0.05"]
+    assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--out", tree]) == 1
+    for metric in ("additive", "multiplicative"):
+        assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--metric", metric]) == 1
+    assert _cli_compile_counts(monkeypatch, ["evaluate", "--tree", tree, *on_table]) == 2
+    for strategy in ("proposed", "random", "single", "all"):
+        argv = ["assign", "--tree", tree, *on_table, "--workers", "4", "--worker-error", "0.2",
+                "--strategy", strategy]
+        assert _cli_compile_counts(monkeypatch, argv) == 2
+    capsys.readouterr()

@@ -59,6 +59,23 @@ def test_error_prob_out_of_range():
         validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], [[0.1, -0.2]])
 
 
+def test_non_numeric_error_entry():
+    with pytest.raises(ValidationError, match="test 't': error for 'a' is 'x', not a number"):
+        validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], [["x", 0.1]])
+    with pytest.raises(ValidationError, match="error for 'b' is \\[0.1\\]"):
+        validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], [[0.1, [0.1]]])
+    # in a row before a short one, and after an earlier out-of-range cell
+    with pytest.raises(ValidationError, match="test 's': error for 'a' is 'x'"):
+        validate_table(["a", "b"], [0.5, 0.5], ["s", "t"], [[0, 1], [1, 0]], [["x", 0.1], [0.1]])
+    with pytest.raises(ErrorProbOutOfRange, match="0.7"):
+        validate_table(["a", "b"], [0.5, 0.5], ["s", "t"], [[0, 1], [1, 0]],
+                       [[0.7, 0.1], ["x", 0.1]])
+    # an undefined cell carries no error model, whatever its entry
+    table = validate_table(["a", "b", "c"], [0.2, 0.3, 0.5], ["t"], [[0, 1, None]],
+                           [[0.1, 0.2, "x"]])
+    assert table.errors[0, :2].tolist() == [0.1, 0.2] and math.isnan(table.errors[0, 2])
+
+
 def test_prior_validation():
     with pytest.raises(NonPositivePrior):
         validate_table(["a", "b"], [0.0, 1.0], ["t"], [[0, 1]], 0.1)
