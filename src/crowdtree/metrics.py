@@ -213,30 +213,22 @@ def _survivals(
     return survive
 
 
-def _exact(form: _Compiled, table: TestTable) -> tuple[float, float]:
+def _exact(
+    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
+) -> tuple[float, float]:
     """(:func:`exact_misclassification`, :func:`exact_correct`) of an already
-    compiled tree from one survival pass; each is its own class-order sum."""
+    compiled tree from one survival pass, under the fused test errors of
+    :func:`_survivals`; each is its own class-order sum."""
     pm = pc = 0.0
-    for p, survive in zip(table.priors, _survivals(form, table)):
+    for p, survive in zip(table.priors, _survivals(form, table, fused)):
         pm += p * (1.0 - survive)
         pc += p * survive
     return pm, pc
 
 
-def _misclassification(
-    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
-) -> float:
-    """:func:`exact_misclassification` of an already compiled tree, under
-    the fused test errors of :func:`_survivals`."""
-    total = 0.0
-    for p, survive in zip(table.priors, _survivals(form, table, fused)):
-        total += p * (1.0 - survive)
-    return total
-
-
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
-    return _misclassification(_compile(tree, table), table)
+    return _exact(_compile(tree, table), table)[0]
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:

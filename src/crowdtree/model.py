@@ -186,9 +186,10 @@ def validate_table(
 def _error_array(
     classes: tuple[str, ...], tests: tuple[str, ...], out: np.ndarray, rows: list
 ) -> np.ndarray:
-    """The error rows as float64, one row per row of ``out`` they cover.
-    Entries on undefined cells are ignored; a defined cell that is not a
-    number raises, unless a range check on an earlier cell does first."""
+    """The error rows as float64, one row per row of ``out`` they cover,
+    each entry converted as numpy converts it (None is NaN). Entries on
+    undefined cells are ignored; a defined cell that does not convert
+    raises, unless the range check finds an earlier defined cell first."""
     try:
         return np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))
     except (TypeError, ValueError):
@@ -196,15 +197,20 @@ def _error_array(
     errs = np.full((len(rows), len(classes)), np.nan)
     for m, row in enumerate(rows):
         for i, value in enumerate(row):
+            try:
+                cell = np.array(value, dtype=np.float64)
+                if cell.ndim == 0:
+                    errs[m, i] = cell
+                    continue
+            except (TypeError, ValueError):
+                pass
             if out[m, i] < 0:
                 continue
-            try:
-                errs[m, i] = error = float(value)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"test {tests[m]!r}: error for {classes[i]!r} is {value!r}, not a number"
-                ) from None
-            _check_error_value(error)
+            errs.flat[m * len(classes) + i :] = 0.0  # leave only earlier cells to check
+            _error_cells(out[: len(rows)], errs)
+            raise ValidationError(
+                f"test {tests[m]!r}: error for {classes[i]!r} is {value!r}, not a number"
+            )
     return errs
 
 

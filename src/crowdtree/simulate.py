@@ -41,7 +41,7 @@ import numpy as np
 from .builder import BuilderConfig, _greedy_tree, build_random
 from .errors import ValidationError
 from .fusion import group_error
-from .metrics import MetricConfig, _misclassification, exact_misclassification
+from .metrics import MetricConfig, _exact, exact_misclassification
 from .model import DecisionTree, TestTable, _compile
 from .workers import (
     AssignmentStrategy,
@@ -385,7 +385,7 @@ def sweep_error(
             random_forms = [
                 _compile(build_random(tbl, seed + i), tbl) for i in range(n_random_trees)
             ]
-        random_pms = [_misclassification(form, tbl) for form in random_forms]
+        random_pms = [_exact(form, tbl)[0] for form in random_forms]
         points.append(
             ErrorSweepPoint(
                 error_prob=float(p_star),
@@ -449,7 +449,7 @@ def sweep_workers(
             if k not in fused_by_pairs:
                 fused_by_pairs[k] = group_error(k, worker_error)
             fused[table.test_index(test_id)] = fused_by_pairs[k]
-        return _misclassification(form, table, fused)
+        return _exact(form, table, fused)[0]
 
     points: list[WorkerSweepPoint] = []
     for budget in k_values:

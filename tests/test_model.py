@@ -70,6 +70,11 @@ def test_non_numeric_error_entry():
     with pytest.raises(ErrorProbOutOfRange, match="0.7"):
         validate_table(["a", "b"], [0.5, 0.5], ["s", "t"], [[0, 1], [1, 0]],
                        [[0.7, 0.1], ["x", 0.1]])
+    # a None in a defined cell is NaN, out of range, whatever the other cells hold
+    for other in (0.1, "x"):
+        with pytest.raises(ErrorProbOutOfRange, match="nan"):
+            validate_table(["a", "b"], [0.5, 0.5], ["s", "t"], [[0, 1], [1, 0]],
+                           [[None, 0.1], [other, 0.1]])
     # an undefined cell carries no error model, whatever its entry
     table = validate_table(["a", "b", "c"], [0.2, 0.3, 0.5], ["t"], [[0, 1, None]],
                            [[0.1, 0.2, "x"]])
