@@ -38,10 +38,10 @@ from .metrics import (
     Metric,
     MetricConfig,
     _block_entropy,
+    _level_entropy,
     _level_quantities,
     exact_correct,
     exact_misclassification,
-    level_entropy,
     metric_additive,
     metric_multiplicative,
 )
@@ -54,9 +54,9 @@ from .model import (
     Node,
     Partition,
     TestTable,
+    _refine,
     applicable_tests,
     level_trace,
-    refine_partition,
     split_block,
 )
 
@@ -247,7 +247,7 @@ def _choose_level_assignment(
         points.append(_block_points(cells, block))
         if not points[-1]:
             raise _inseparable_error(table, block)
-    entropy_before = level_entropy(table.priors, partition)
+    entropy_before = _level_entropy(table.priors, partition)
     if config.metric.kind is Metric.ADDITIVE:
         choice = _select_additive(points, entropy_before)
     else:
@@ -294,7 +294,7 @@ def _greedy_steps(table: TestTable, config: BuilderConfig) -> list[LevelStep]:
         if len(steps) >= config.max_depth:
             raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
         assignment = _choose_level_assignment(table, cells, partition, config)
-        after = refine_partition(table, partition, assignment)
+        after = _refine(table, partition, assignment)
         steps.append(LevelStep(partition, assignment, after))
         partition = after
     return steps
@@ -324,7 +324,7 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
                 raise _inseparable_error(table, block)
             assignment[block] = tests[rng.randrange(len(tests))]
         chosen.append(assignment)
-        partition = refine_partition(table, partition, assignment)
+        partition = _refine(table, partition, assignment)
     return _assemble(chosen, table)
 
 

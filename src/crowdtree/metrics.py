@@ -68,6 +68,12 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
     it, renormalized to the block.
     """
     check_partition(len(priors), partition)
+    return _level_entropy(priors, partition)
+
+
+def _level_entropy(priors: Sequence[float], partition: Partition) -> float:
+    """:func:`level_entropy` without the check, for a partition that the
+    caller made itself."""
     total = 0.0
     for block in partition:
         total += _block_entropy(priors, block)
@@ -89,22 +95,24 @@ def _block_entropy(priors: Sequence[float], block: Block) -> float:
     return mass * h
 
 
-def _per_class_errors(
-    table: TestTable, partition: Partition, assignment: Mapping[Block, str]
-) -> list[float]:
-    """Effective per-class error at one level: the assigned test's error for
-    classes in assigned blocks, 0 for classes left untested."""
+def _masses(table: TestTable, assignment: Mapping[Block, str]) -> tuple[float, float]:
+    """(:func:`level_error_mass`, :func:`level_correct_mass`) without the
+    partition check. A class in an assigned block has the assigned test's
+    error, a class left untested has error 0."""
     errs = [0.0] * table.n_classes
     for block, test_id in assignment.items():
         m = table.test_index(test_id)
         for i in block:
-            e = float(table.errors[m, i])
+            e = table.errors.item(m, i)
             if math.isnan(e):
                 raise InvalidPartition(
                     f"test {test_id!r} undefined for class {table.classes[i]!r}"
                 )
             errs[i] = e
-    return errs
+    return (
+        math.fsum(p * e for p, e in zip(table.priors, errs)),
+        math.fsum(p * (1.0 - e) for p, e in zip(table.priors, errs)),
+    )
 
 
 def level_error_mass(
@@ -112,8 +120,7 @@ def level_error_mass(
 ) -> float:
     """Prior-weighted probability that some test at this level errs."""
     check_partition(table.n_classes, partition)
-    errs = _per_class_errors(table, partition, assignment)
-    return math.fsum(p * e for p, e in zip(table.priors, errs))
+    return _masses(table, assignment)[0]
 
 
 def level_correct_mass(
@@ -121,8 +128,7 @@ def level_correct_mass(
 ) -> float:
     """Prior-weighted probability that every test at this level answers right."""
     check_partition(table.n_classes, partition)
-    errs = _per_class_errors(table, partition, assignment)
-    return math.fsum(p * (1.0 - e) for p, e in zip(table.priors, errs))
+    return _masses(table, assignment)[1]
 
 
 def metric_additive(entropy_drop: float, error_mass: float) -> float:
@@ -167,13 +173,13 @@ def level_quantities(
 def _level_quantities(
     steps: Sequence[LevelStep], table: TestTable, ratio_offset: float
 ) -> list[LevelQuantities]:
-    """:func:`level_quantities` of a tree's level trace."""
+    """:func:`level_quantities` of a level trace that a compile or the
+    builder made, so its partitions go unchecked."""
     out: list[LevelQuantities] = []
-    h_prev = level_entropy(table.priors, steps[0].before) if steps else 0.0
+    h_prev = _level_entropy(table.priors, steps[0].before) if steps else 0.0
     for d, step in enumerate(steps, start=1):
-        h_next = level_entropy(table.priors, step.after)
-        g = level_error_mass(table, step.before, step.assignment)
-        b = level_correct_mass(table, step.before, step.assignment)
+        h_next = _level_entropy(table.priors, step.after)
+        g, b = _masses(table, step.assignment)
         out.append(
             LevelQuantities(
                 level=d,
@@ -189,38 +195,34 @@ def _level_quantities(
     return out
 
 
-def _survivals(
-    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
-) -> list[float]:
-    """Per class, in class order, the product of ``1 - e`` over the tests on
-    the class's true path, multiplied from root to leaf.
+def _survivals(form: _Compiled, table: TestTable, factors) -> list:
+    """Per class, in class order, the product of the factors ``1 - e`` of
+    the tests on the class's true path, multiplied from root to leaf.
 
-    ``fused`` maps a test index to one error that replaces the table's error
-    on every cell of that test, as a worker group's fused error does; this is
-    the only place the replacement is made.
+    ``factors[m][i]`` is ``1 - e`` for test ``m`` and class ``i``. An entry
+    is a float, or a numpy vector with one lane per error setting: then one
+    pass scores every setting, holding settings × classes floats, and each
+    lane gets the bits of its own float pass (the same IEEE operations).
     """
     survive = [1.0] * table.n_classes
-    error = table.errors.item
-    fused = fused or {}
     for m, block in zip(form.test, form.block):
-        if m in fused:
-            q = 1.0 - fused[m]
+        if m >= 0:
+            row = factors[m]
             for i in block:
-                survive[i] *= q
-        elif m >= 0:
-            for i in block:
-                survive[i] *= 1.0 - error(m, i)
+                survive[i] *= row[i]  # the first product is a fresh vector
     return survive
 
 
-def _exact(
-    form: _Compiled, table: TestTable, fused: Mapping[int, float] | None = None
-) -> tuple[float, float]:
+def _exact(form: _Compiled, table: TestTable, factors=None) -> tuple:
     """(:func:`exact_misclassification`, :func:`exact_correct`) of an already
-    compiled tree from one survival pass, under the fused test errors of
-    :func:`_survivals`; each is its own class-order sum."""
+    compiled tree from one survival pass, each its own class-order sum, under
+    the :func:`_survivals` factors (by default the table's own errors); with
+    vector factors, each is a vector with one lane per setting."""
     pm = pc = 0.0
-    for p, survive in zip(table.priors, _survivals(form, table, fused)):
+    if factors is None:  # per test on the tree, its row of 1 - e as floats
+        tests = sorted(set(form.test) - {-1})
+        factors = dict(zip(tests, (1.0 - table.errors[tests]).tolist()))
+    for p, survive in zip(table.priors, _survivals(form, table, factors)):
         pm += p * (1.0 - survive)
         pc += p * survive
     return pm, pc

@@ -50,6 +50,7 @@ from .workers import (
     _baseline_pairs,
     _check_budget,
     _check_worker_error,
+    _prefix_counts,
     _tree_tests,
     assign_proposed,
 )
@@ -364,10 +365,11 @@ def sweep_error(
 
     The whole grid and the tree count are checked before any tree is
     built. A random tree depends only on the table's outcomes and its seed,
-    so the ``n_random_trees`` trees are built and compiled once and shared
-    by every grid point: only the errors change along the grid. Each
-    designed tree is built without the level quantities that
-    :func:`build_greedy` attaches, and compiled once, for its pm.
+    so the ``n_random_trees`` trees are built and compiled once, and each is
+    scored at every grid point in one batched pass of the exact evaluator,
+    one lane per grid point (grid points × classes floats). Each designed
+    tree is built without the level quantities that :func:`build_greedy`
+    attaches, and compiled once, for its pm.
     """
     config = config or BuilderConfig()
     grid = list(grid)
@@ -376,25 +378,26 @@ def sweep_error(
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_forms = None
-    points: list[ErrorSweepPoint] = []
+    random_forms, designed_pms = [], []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
-        designed_pm = exact_misclassification(_greedy_tree(tbl, config), tbl)
-        if random_forms is None:  # after the first designed tree: it names an inseparable pair
+        designed_pms.append(exact_misclassification(_greedy_tree(tbl, config), tbl))
+        if not random_forms:  # after the first designed tree: it names an inseparable pair
             random_forms = [
                 _compile(build_random(tbl, seed + i), tbl) for i in range(n_random_trees)
             ]
-        random_pms = [_exact(form, tbl)[0] for form in random_forms]
-        points.append(
-            ErrorSweepPoint(
-                error_prob=float(p_star),
-                designed_pm=designed_pm,
-                random_mean_pm=float(np.mean(random_pms)),
-                random_std_pm=float(np.std(random_pms)),
-            )
+    factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
+    # per grid point, a contiguous row (as np.mean and np.std of a list read) of the trees' pms
+    random_pms = np.array([_exact(form, table, factors)[0] for form in random_forms]).T.copy()
+    return [
+        ErrorSweepPoint(
+            error_prob=float(p_star),
+            designed_pm=designed_pm,
+            random_mean_pm=float(np.mean(pms)),
+            random_std_pm=float(np.std(pms)),
         )
-    return points
+        for p_star, designed_pm, pms in zip(grid, designed_pms, random_pms)
+    ]
 
 
 @dataclass(frozen=True)
@@ -420,12 +423,11 @@ def sweep_workers(
     errors; the random-per-pair strategy is averaged over ``random_draws``
     seeded allocations, each evaluated exactly. Every budget, the worker
     error and the draw count are checked before any work, also when
-    ``k_values`` is empty. The greedy rule never reads its
-    budget, so one :func:`assign_proposed` run at the largest budget serves
-    them all: the proposed allocation for budget K is the first K steps of
-    its log. The tree is compiled once, every allocation is scored against
-    that form with its tests' fused errors, and the group error is computed
-    once per distinct pair count.
+    ``k_values`` is empty. Every allocation is a prefix count of one stream
+    of test picks (:func:`_sweep_pairs`; one :func:`assign_proposed` run at
+    the largest budget serves every budget), the group error is computed
+    once per distinct pair count, and the tree, compiled once, is scored
+    for every setting in one batched exact pass (settings × classes floats).
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -441,31 +443,36 @@ def sweep_workers(
     log: list[AssignStep] = []
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
-    fused_by_pairs: dict[int, float] = {}
-
-    def pm(pairs: dict[str, int]) -> float:
-        fused = {}
-        for test_id, k in pairs.items():
-            if k not in fused_by_pairs:
-                fused_by_pairs[k] = group_error(k, worker_error)
-            fused[table.test_index(test_id)] = fused_by_pairs[k]
-        return _exact(form, table, fused)[0]
-
+    pairs = _sweep_pairs(tests, log, k_values, strategies, seed, random_draws)
+    # in the order the settings meet them, so the first count past the limit raises
+    fused = {k: group_error(k, worker_error) for k in dict.fromkeys(k for r in pairs for k in r)}
+    lut = np.array([fused.get(k, 0.0) for k in range(max(fused, default=0) + 1)])
+    lanes = 1.0 - lut[np.array(pairs).T]  # per test, 1 - its fused error in every setting
+    factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
+    pm = _exact(form, table, factors)[0]
     points: list[WorkerSweepPoint] = []
+    at = 0
     for budget in k_values:
-        for strategy in strategies:
-            if strategy is AssignmentStrategy.PROPOSED:
-                pairs = dict.fromkeys(tests, 0)
-                for step in log[:budget]:
-                    pairs[step.test] += 1
-                value = pm(pairs)
-            elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-                draws = [
-                    pm(_baseline_pairs(tests, strategy, budget, seed + j))
-                    for j in range(random_draws)
-                ]
-                value = float(np.mean(draws))
-            else:
-                value = pm(_baseline_pairs(tests, strategy, budget, seed))
+        for strategy in strategies:  # the mean of one draw is that draw's pm
+            width = random_draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
+            value, at = float(np.mean(pm[at : at + width])), at + width
             points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=value))
     return points
+
+
+def _sweep_pairs(
+    tests: list[str], log: list[AssignStep], budgets: list[int], strategies, seed: int, draws: int
+) -> list[list[int]]:
+    """The pairs on each of ``tests`` of every allocation that
+    :func:`sweep_workers` scores, one row per (budget, strategy, draw) in
+    that order. The proposed allocation for budget K is the first K steps of
+    ``log``; baseline draw j reads the :func:`_baseline_pairs` stream of
+    ``seed + j``, and single-test and all-tests make one draw."""
+    n, position = len(tests), {t: i for i, t in enumerate(tests)}
+    picks = (position[step.test] for step in log)
+    rows = {AssignmentStrategy.PROPOSED: [_prefix_counts(picks, n, budgets)]}
+    for strategy in strategies:
+        if strategy not in rows:
+            width = draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
+            rows[strategy] = [_baseline_pairs(n, strategy, budgets, seed + j) for j in range(width)]
+    return [draw[b] for b in range(len(budgets)) for s in strategies for draw in rows[s]]

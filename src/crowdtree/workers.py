@@ -13,14 +13,15 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from itertools import count, islice
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UnknownStrategy, UnknownTest, ValidationError
 from .fusion import group_error
 from .metrics import (
     Metric,
     MetricConfig,
-    level_entropy,
+    _level_entropy,
     metric_additive,
     metric_multiplicative,
 )
@@ -128,8 +129,8 @@ class _LevelMasses(NamedTuple):
 
 
 def _level_masses(table: TestTable, step: LevelStep) -> _LevelMasses:
-    h_before = level_entropy(table.priors, step.before)
-    h_after = level_entropy(table.priors, step.after)
+    h_before = _level_entropy(table.priors, step.before)
+    h_after = _level_entropy(table.priors, step.after)
     tested: dict[str, list[float]] = {}
     for block, test_id in step.assignment.items():
         tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
@@ -267,7 +268,8 @@ def _assign_baseline(
 ) -> WorkerAllocation:
     """:func:`assign_baseline` of an already compiled tree."""
     _check_worker_args(budget, worker_error)
-    pairs = _baseline_pairs(_tree_tests(form, table), strategy, budget, seed)
+    tests = _tree_tests(form, table)
+    pairs = dict(zip(tests, _baseline_pairs(len(tests), strategy, [budget], seed)[0]))
     return WorkerAllocation(
         extra_pairs=pairs,
         worker_error=worker_error,
@@ -278,24 +280,37 @@ def _assign_baseline(
 
 
 def _baseline_pairs(
-    tests: list[str], strategy: AssignmentStrategy, budget: int, seed: int
-) -> dict[str, int]:
-    """The pairs per test that :func:`assign_baseline` draws, given the
-    tree's tests in table declaration order."""
-    pairs = dict.fromkeys(tests, 0)
+    n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int], seed: int
+) -> list[list[int]]:
+    """Per budget, the pairs that :func:`assign_baseline` puts on each of
+    the tree's ``n_tests`` tests, in table declaration order.
+
+    Both random strategies read one stream of test picks from
+    ``random.Random(seed)``: single-test puts the whole budget on the first
+    pick, random per-pair one pair on each of the first K picks, so budget
+    K's pairs are a prefix count of the stream."""
+    if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
+        return [[budget] * n_tests for budget in budgets]
     rng = random.Random(seed)
+    picks = (rng.randrange(n_tests) for _ in count())
     if strategy is AssignmentStrategy.SINGLE_TEST:
-        pairs[tests[rng.randrange(len(tests))]] = budget
-    elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-        for _ in range(budget):
-            pairs[tests[rng.randrange(len(tests))]] += 1
-    elif strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-        pairs = dict.fromkeys(tests, budget)
-    else:
-        raise UnknownStrategy(
-            f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
-        )
-    return pairs
+        first = next(picks)
+        return [[budget if i == first else 0 for i in range(n_tests)] for budget in budgets]
+    if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
+        return _prefix_counts(picks, n_tests, budgets)
+    raise UnknownStrategy(
+        f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
+    )
+
+
+def _prefix_counts(picks: Iterator[int], n_tests: int, budgets: Sequence[int]) -> list[list[int]]:
+    """Per budget K, how many of the first K ``picks`` name each test position."""
+    counts, done, at = [0] * n_tests, 0, {}
+    for budget in sorted(set(budgets)):
+        for i in islice(picks, budget - done):
+            counts[i] += 1
+        done, at[budget] = budget, counts.copy()
+    return [at[budget] for budget in budgets]
 
 
 def allocation_cost(

@@ -242,6 +242,34 @@ def class_path_pc(tree: DecisionTree, table: TestTable) -> float:
     return total
 
 
+def survivals_per_setting(form, table: TestTable, fused=None) -> list[float]:
+    """One error setting's survivals on a compiled tree: per class, in class
+    order, the root-to-leaf product of ``1 - e`` as floats, reading each cell
+    from the table, or from ``fused``, which maps a test index to one error
+    for every cell of that test."""
+    survive = [1.0] * table.n_classes
+    error = table.errors.item
+    fused = fused or {}
+    for m, block in zip(form.test, form.block):
+        if m in fused:
+            q = 1.0 - fused[m]
+            for i in block:
+                survive[i] *= q
+        elif m >= 0:
+            for i in block:
+                survive[i] *= 1.0 - error(m, i)
+    return survive
+
+
+def exact_per_setting(form, table: TestTable, fused=None) -> tuple[float, float]:
+    """(pm, pc) of one error setting, each its own class-order float sum."""
+    pm = pc = 0.0
+    for p, survive in zip(table.priors, survivals_per_setting(form, table, fused)):
+        pm += p * (1.0 - survive)
+        pc += p * survive
+    return pm, pc
+
+
 def fused_rebuild_assign(
     tree: DecisionTree,
     table: TestTable,

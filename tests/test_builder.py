@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -25,7 +26,13 @@ from crowdtree import (
     validate_table,
     validate_tree,
 )
-from crowdtree.errors import InseparableClasses, InstanceTooLarge, ValidationError
+from crowdtree.errors import (
+    InseparableClasses,
+    InstanceTooLarge,
+    InvalidPartition,
+    SingletonBlock,
+    ValidationError,
+)
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 
 import support
@@ -323,3 +330,41 @@ def test_greedy_output_is_among_enumerated():
         table = support.random_table(seed, max_classes=4, max_tests=4)
         greedy = build_greedy(table).tree
         assert any(t == greedy for t in enumerate_trees(table, 4, 4))
+
+
+def test_builders_do_not_recheck_their_own_partitions(monkeypatch):
+    checks = []
+    for name in ("crowdtree.model", "crowdtree.metrics"):
+        module = importlib.import_module(name)
+        original = module.check_partition
+
+        def counted(*args, original=original):
+            checks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "check_partition", counted)
+    tables = [demo_table(0.05), support.wide_table(40, 0), support.random_table(7)]
+    for table in tables:
+        for kind in Metric:
+            build_greedy(table, BuilderConfig(metric=MetricConfig(kind=kind)))
+        build_random(table, 3)
+    assert checks == []
+    # the public calls still check what they are given
+    table = demo_table(0.05)
+    bad = {
+        "class index 1 repeated or out of range": ((0, 1), (1, 2, 3, 4)),
+        "partition does not cover every class": ((0, 1, 2),),
+        "empty block": ((), (0, 1, 2, 3, 4)),
+    }
+    for message, partition in bad.items():
+        for call in (
+            lambda: refine_partition(table, partition, {}),
+            lambda: level_entropy(table.priors, partition),
+            lambda: level_error_mass(table, partition, {}),
+            lambda: level_correct_mass(table, partition, {}),
+        ):
+            with pytest.raises(InvalidPartition, match=message):
+                call()
+    assert len(checks) == 4 * len(bad)
+    with pytest.raises(SingletonBlock, match="cannot be assigned a test"):
+        refine_partition(table, ((0,), (1, 2, 3, 4)), {(0,): "T1"})

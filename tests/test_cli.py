@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import crowdtree
+from crowdtree import AssignmentStrategy, sweep_workers
 from crowdtree.cli import main
-from crowdtree.fixtures import DEMO_TABLE_CSV
+from crowdtree.errors import DomainError
+from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree
 
 INSEPARABLE_CSV = "class,a,b,c\nprior,0.2,0.4,0.4\nt,0,1,1\n"
 
@@ -464,3 +466,48 @@ def test_simulate_report_matches_golden_bytes(table_path, tree_path, tmp_path, c
                      "--error-prob", "0.05", "--allocation", allocation,
                      "--trials", "100000", "--seed", "3", "--lanes", lanes]) == 0
         assert capsys.readouterr().out == golden.replace("# lanes=2\n", f"# lanes={lanes}\n")
+
+
+def test_sweep_workers_pair_limit(table_path, tree_path, capsys):
+    # 500 pairs on one test is the largest group the exact law sums
+    message = "exact summation supports at most 500 pairs, got 501"
+    for strategy in (AssignmentStrategy.SINGLE_TEST, AssignmentStrategy.ALL_WORKERS_ALL_TESTS):
+        with pytest.raises(DomainError, match=message):
+            sweep_workers(designed_tree(), demo_table(0.05), [500, 501, 502], [strategy], 0.2)
+    argv = ["sweep-workers", "--tree", tree_path, "--table", table_path, *ON_DEMO_TREE,
+            "--kmax", "501"]
+    assert main([*argv, "--strategies", "single"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert main([*argv, "--strategies", "proposed"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1].startswith("501,proposed,") and len(rows) == 8 + 502
+
+
+def test_cli_jobs_leave_numpy_ma_unimported(table_path, tmp_path):
+    # numpy.ma (pulled in by np.unique, among others) adds about 1.5 MB of peak RSS
+    tree = str(tmp_path / "guard-tree.json")
+    script = (
+        "import sys\n"
+        "from crowdtree.cli import main\n"
+        "table, tree = sys.argv[1:]\n"
+        "jobs = [\n"
+        "    ['build', '--table', table, '--error-prob', '0.05', '--out', tree],\n"
+        "    ['sweep-error', '--table', table, '--random-trees', '5'],\n"
+        "    ['sweep-workers', '--tree', tree, '--table', table, '--error-prob', '0.05',\n"
+        "     '--worker-error', '0.2', '--kmax', '10', '--draws', '5'],\n"
+        "]\n"
+        "for argv in jobs:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(crowdtree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, table_path, tree],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

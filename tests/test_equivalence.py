@@ -168,6 +168,87 @@ def test_exact_evaluator_reports_first_failing_class():
     )
 
 
+EDGE_ERRORS = (0.0, 1e-12, 0.4999999999)
+
+
+def _error_settings(table, tests, rng):
+    """(table, fused) error settings for one tree: the table's own cells,
+    then scalar, per-test and per-cell errors, all drawing on the edge values."""
+    values = [*EDGE_ERRORS, *rng.uniform(0.0, 0.5, 3).tolist()]
+    defined = table.outcomes >= 0
+    settings = [(table, None)]
+    settings += [(table.with_scalar_error(e), None) for e in values]
+    settings += [(table, dict.fromkeys(tests, e)) for e in values]
+    settings += [(table, {m: float(rng.choice(values)) for m in tests}) for _ in range(3)]
+    for _ in range(3):
+        errs = np.where(defined, rng.choice(values, size=defined.shape), np.nan)
+        cells = model_module.TestTable(
+            table.classes, table.priors, table.tests, table.outcomes.copy(), errs
+        )
+        settings.append((cells, None))
+    return settings
+
+
+def _factor_matrix(table, fused) -> np.ndarray:
+    """``1 - e`` of every cell under one setting, by test and class."""
+    errors = table.errors.copy()
+    for m, e in (fused or {}).items():
+        errors[m] = e
+    return 1.0 - errors
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    tree_seed=st.integers(-1, 3),  # -1 is the greedy tree
+    max_classes=st.integers(2, 12),
+)
+def test_batched_exact_equals_per_setting_oracle(seed, tree_seed, max_classes):
+    table = support.random_table(seed, max_classes=max_classes, max_tests=12, cell_errors=True)
+    tree = build_greedy(table).tree if tree_seed < 0 else build_random(table, tree_seed)
+    form = model_module._compile(tree, table)
+    rng = np.random.default_rng(seed)
+    setups = _error_settings(table, sorted(set(form.test) - {-1}), rng)
+    want = [support.exact_per_setting(form, tbl, fused) for tbl, fused in setups]
+    cells = np.stack([_factor_matrix(tbl, fused) for tbl, fused in setups], axis=-1)
+
+    def batched(lanes):
+        pm, pc = metrics_module._exact(form, table, cells[..., lanes])
+        return list(zip(pm.tolist(), pc.tolist()))
+
+    assert batched(list(range(len(setups)))) == want
+    # a lane's value does not depend on the other lanes of its batch
+    subset = rng.permutation(len(setups))[: rng.integers(1, len(setups) + 1)]
+    assert batched(subset) == [want[s] for s in subset]
+    for s, (tbl, fused) in enumerate(setups):
+        assert batched([s]) == [want[s]]
+        assert metrics_module._exact(form, table, _factor_matrix(tbl, fused).tolist()) == want[s]
+        if fused is None:
+            assert metrics_module._exact(form, tbl) == want[s]
+
+
+def test_sweep_pairs_follow_assign_baseline_streams():
+    one_test = validate_table(["a", "b"], [0.4, 0.6], ["t"], [[0, 1]], 0.1)
+    cases = [(designed_tree(), demo_table(0.05)), (build_greedy(one_test).tree, one_test)]
+    cases.extend((build_random(t, 1), t) for t in list(_cell_tables())[:3])
+    kmax, draws, seed = 12, 5, 7
+    for tree, table in cases:
+        tests = workers_module._tree_tests(model_module._compile(tree, table), table)
+        for k_values in (list(range(kmax + 1)), [7, 0, 12, 7, 3]):
+            for strategy, width in (
+                (AssignmentStrategy.RANDOM_PER_PAIR, draws),
+                (AssignmentStrategy.SINGLE_TEST, 1),
+            ):
+                rows = simulate_module._sweep_pairs(
+                    tests, [], k_values, [strategy], seed, draws
+                )
+                assert len(rows) == width * len(k_values)
+                for b, budget in enumerate(k_values):
+                    for j in range(width):
+                        want = assign_baseline(tree, table, strategy, budget, 0.2, seed + j)
+                        assert dict(zip(tests, rows[b * width + j])) == want.extra_pairs
+
+
 def test_assign_proposed_equals_fused_rebuild_demo_every_budget():
     tree, table = designed_tree(), demo_table(0.05)
     for metric in METRICS:
