@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation or parse error, 3 infeasible instance
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileio
@@ -19,18 +18,13 @@ from .metrics import (
     _additive_approx,
     _bounds_additive,
     _bounds_multiplicative,
-    _exact,
-    _level_quantities,
     _multiplicative_approx,
+    exact_correct,
+    exact_misclassification,
+    level_quantities,
 )
-from .model import _compile, _level_trace
 from .simulate import simulate, sweep_error, sweep_workers
-from .workers import (
-    AssignmentStrategy,
-    _allocation_cost,
-    _assign_baseline,
-    _assign_proposed,
-)
+from .workers import AssignmentStrategy, allocation_cost, assign_baseline, assign_proposed
 
 _STRATEGY_NAMES = {s.value: s for s in AssignmentStrategy}
 
@@ -68,12 +62,11 @@ def _load_table(args, require_error: bool = True):
 
 
 def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
-    """The quality report of ``tree``, from one compile: the per-level
-    figures (``levels`` when the builder already has them, else the tree's
-    level trace), then the exact values, approximations and bounds."""
-    form = _compile(tree, table)
+    """The quality report of ``tree``: the per-level figures (``levels``
+    when the builder already has them, else the tree's level trace), then
+    the exact values, approximations and bounds."""
     if levels is None:
-        levels = _level_quantities(_level_trace(form, table), table, ratio_offset)
+        levels = level_quantities(tree, table, ratio_offset)
     print("level,entropy_before,entropy_after,error_mass,correct_mass,"
           "additive_metric,multiplicative_metric")
     for q in levels:
@@ -81,7 +74,7 @@ def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
             f"{q.level},{q.entropy_before!r},{q.entropy_after!r},{q.error_mass!r},"
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
-    exact_pm, exact_pc = _exact(form, table)
+    exact_pm, exact_pc = exact_misclassification(tree, table), exact_correct(tree, table)
     lo_a, hi_a = _bounds_additive(levels)
     lo_m, hi_m = _bounds_multiplicative(levels, ratio_offset)
     print(f"exact_pm,{exact_pm!r}")
@@ -117,11 +110,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_assign(args) -> int:
     table = _load_table(args, require_error=False)
     tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
-    form = _compile(tree, table)  # one form for the allocator and the cost
     strategy = _STRATEGY_NAMES[args.strategy]
     if strategy is AssignmentStrategy.PROPOSED:
-        allocation, log = _assign_proposed(
-            form, table, args.workers, args.worker_error, _metric_config(args)
+        allocation, log = assign_proposed(
+            tree, table, args.workers, args.worker_error, _metric_config(args)
         )
         print("iteration,level,test,metric_before,metric_after,pairs,effective_error")
         for step in log:
@@ -130,13 +122,13 @@ def _cmd_assign(args) -> int:
                 f"{step.metric_after!r},{step.pairs_after},{step.effective_error_after!r}"
             )
     else:
-        allocation = _assign_baseline(
-            form, table, strategy, args.workers, args.worker_error, args.seed
+        allocation = assign_baseline(
+            tree, table, strategy, args.workers, args.worker_error, args.seed
         )
     print("test,extra_pairs,workers,effective_error")
     for test_id, k in allocation.extra_pairs.items():
         print(f"{test_id},{k},{2 * k + 1},{allocation.effective_error(test_id)!r}")
-    expected, flat = _allocation_cost(form, table, allocation)
+    expected, flat = allocation_cost(tree, table, allocation)
     print(f"expected_questions,{expected!r}")
     print(f"total_group_size,{flat}")
     if args.out:
@@ -283,10 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--lanes",
-        type=int,
-        default=int(os.environ.get("CROWDTREE_THREADS", "1")),
-        help="parallel lanes; result is identical for any value",
+        "--lanes", type=int, default=1, help="parallel lanes; result is identical for any value"
     )
     p.add_argument("--ignore-checksum", action="store_true")
     p.add_argument("--out")

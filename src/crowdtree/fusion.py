@@ -32,7 +32,9 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
     """Error probability of a fused group of ``2*extra_pairs + 1`` workers.
 
     Direct binomial tail with exact integer coefficients: the probability
-    that at most ``extra_pairs`` of the workers answer correctly.
+    that at most ``extra_pairs`` of the workers answer correctly. Each
+    coefficient comes from the one before by the exact integer recurrence
+    C(n, j + 1) = C(n, j) * (n - j) // (j + 1).
     """
     if not (0.0 < worker_error < 0.5):
         raise ErrorProbOutOfRange(
@@ -47,9 +49,10 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
     k = int(extra_pairs)
     n = 2 * k + 1
     q = 1.0 - worker_error
-    terms = [
-        math.comb(n, j) * q**j * worker_error ** (n - j) for j in range(k + 1)
-    ]
+    terms, c = [], 1  # c is C(n, j)
+    for j in range(k + 1):
+        terms.append(c * q**j * worker_error ** (n - j))
+        c = c * (n - j) // (j + 1)
     return math.fsum(terms)
 
 

@@ -213,11 +213,12 @@ def _survivals(form: _Compiled, table: TestTable, factors) -> list:
     return survive
 
 
-def _exact(form: _Compiled, table: TestTable, factors=None) -> tuple:
-    """(:func:`exact_misclassification`, :func:`exact_correct`) of an already
-    compiled tree from one survival pass, each its own class-order sum, under
-    the :func:`_survivals` factors (by default the table's own errors); with
+def _exact(tree: DecisionTree, table: TestTable, factors=None) -> tuple:
+    """(:func:`exact_misclassification`, :func:`exact_correct`) from one
+    survival pass, each its own class-order sum, under the
+    :func:`_survivals` factors (by default the table's own errors); with
     vector factors, each is a vector with one lane per setting."""
+    form = _compile(tree, table)
     pm = pc = 0.0
     if factors is None:  # per test on the tree, its row of 1 - e as floats
         tests = sorted(set(form.test) - {-1})
@@ -230,12 +231,12 @@ def _exact(form: _Compiled, table: TestTable, factors=None) -> tuple:
 
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
-    return _exact(_compile(tree, table), table)[0]
+    return _exact(tree, table)[0]
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
-    return _exact(_compile(tree, table), table)[1]
+    return _exact(tree, table)[1]
 
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:

@@ -13,6 +13,13 @@ and class block, found by routing every class down its error-free path.
 It is the one tree checker: ``validate_tree`` is the compile with its form
 discarded. Level traces, the exact evaluators, allocation costs and the
 simulator's tables read that form.
+
+The form is memoised on the tree, keyed on the identity of the table's
+``outcomes``, ``classes`` and ``tests``, the only parts of a table it
+reads. Tables derived by ``with_scalar_error`` and ``with_test_errors``
+share those objects, so a tree compiles once for a table and every error
+setting of it. The key holds the read-only outcomes array, so its id
+cannot be reused while the entry lives. A failed compile stores nothing.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class TestTable:
         """Copy of this table with every defined cell's error set to ``error_prob``."""
         _check_error_value(error_prob)
         errs = np.where(self.outcomes >= 0, float(error_prob), np.nan)
-        return TestTable(self.classes, self.priors, self.tests, self.outcomes.copy(), errs)
+        return TestTable(self.classes, self.priors, self.tests, self.outcomes, errs)
 
     def with_test_errors(self, per_test: Mapping[str, float]) -> "TestTable":
         """Copy with the named tests' error columns replaced by flat values."""
@@ -116,7 +123,7 @@ class TestTable:
         if rows:
             flat = np.asarray(values, dtype=np.float64)[:, None]
             errs[rows] = np.where(self.outcomes[rows] >= 0, flat, np.nan)
-        return TestTable(self.classes, self.priors, self.tests, self.outcomes.copy(), errs)
+        return TestTable(self.classes, self.priors, self.tests, self.outcomes, errs)
 
 
 def _check_error_value(value: float) -> None:
@@ -425,6 +432,18 @@ class _Compiled(NamedTuple):
 
 
 def _compile(tree: DecisionTree, table: TestTable) -> _Compiled:
+    """The preorder form of ``tree`` for ``table``, memoised on the tree
+    (see the module docstring). Readers must not change it."""
+    key = (table.outcomes, table.classes, table.tests)
+    cached = tree.__dict__.get("_form")
+    if cached is not None and all(a is b for a, b in zip(cached, key)):
+        return cached[3]
+    form = _compile_uncached(tree, table)
+    object.__setattr__(tree, "_form", (*key, form))
+    return form
+
+
+def _compile_uncached(tree: DecisionTree, table: TestTable) -> _Compiled:
     """The preorder form of ``tree``. Raises unless every node is on some
     class's error-free path and each path ends at its class's leaf; of the
     classes that fail, the first in class order raises."""
@@ -485,12 +504,7 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
-    return _level_trace(_compile(tree, table), table)
-
-
-def _level_trace(form: _Compiled, table: TestTable) -> list[LevelStep]:
-    """:func:`level_trace` of an already compiled tree."""
-    child, _, test, _, block = form
+    child, _, test, _, block = _compile(tree, table)
     frontier, before, steps = [0], (block[0],), []
     while True:
         assignment = {block[k]: table.tests[test[k]] for k in frontier if test[k] >= 0}

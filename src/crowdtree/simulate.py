@@ -42,7 +42,7 @@ from .builder import BuilderConfig, _greedy_tree, build_random
 from .errors import ValidationError
 from .fusion import group_error
 from .metrics import MetricConfig, _exact, exact_misclassification
-from .model import DecisionTree, TestTable, _compile
+from .model import DecisionTree, TestTable, _compile, validate_tree
 from .workers import (
     AssignmentStrategy,
     AssignStep,
@@ -51,7 +51,6 @@ from .workers import (
     _check_budget,
     _check_worker_error,
     _prefix_counts,
-    _tree_tests,
     assign_proposed,
 )
 
@@ -378,17 +377,15 @@ def sweep_error(
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_forms, designed_pms = [], []
+    random_trees, designed_pms = [], []
     for p_star in grid:
         tbl = table.with_scalar_error(p_star)
         designed_pms.append(exact_misclassification(_greedy_tree(tbl, config), tbl))
-        if not random_forms:  # after the first designed tree: it names an inseparable pair
-            random_forms = [
-                _compile(build_random(tbl, seed + i), tbl) for i in range(n_random_trees)
-            ]
+        if not random_trees:  # after the first designed tree: it names an inseparable pair
+            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
     factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
     # per grid point, a contiguous row (as np.mean and np.std of a list read) of the trees' pms
-    random_pms = np.array([_exact(form, table, factors)[0] for form in random_forms]).T.copy()
+    random_pms = np.array([_exact(tree, table, factors)[0] for tree in random_trees]).T.copy()
     return [
         ErrorSweepPoint(
             error_prob=float(p_star),
@@ -438,8 +435,8 @@ def sweep_workers(
     _check_worker_error(worker_error)
     if not k_values:
         return []
-    form = _compile(tree, table)
-    tests = _tree_tests(form, table)
+    validate_tree(tree, table)
+    tests = sorted(tree.test_ids(), key=table.test_index)
     log: list[AssignStep] = []
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
@@ -449,7 +446,7 @@ def sweep_workers(
     lut = np.array([fused.get(k, 0.0) for k in range(max(fused, default=0) + 1)])
     lanes = 1.0 - lut[np.array(pairs).T]  # per test, 1 - its fused error in every setting
     factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
-    pm = _exact(form, table, factors)[0]
+    pm = _exact(tree, table, factors)[0]
     points: list[WorkerSweepPoint] = []
     at = 0
     for budget in k_values:

@@ -25,7 +25,7 @@ from .metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, LevelStep, TestTable, _compile, _Compiled, _level_trace
+from .model import DecisionTree, LevelStep, TestTable, _compile, level_trace, validate_tree
 
 
 class AssignmentStrategy(enum.Enum):
@@ -97,11 +97,6 @@ class AssignStep:
     effective_error_after: float
 
 
-def _tree_tests(form: _Compiled, table: TestTable) -> list[str]:
-    """The compiled tree's tests in table declaration order."""
-    return [table.tests[m] for m in sorted(set(form.test) - {-1})]
-
-
 def _check_worker_args(budget: int, worker_error: float) -> None:
     _check_budget(budget)
     _check_worker_error(worker_error)
@@ -162,21 +157,9 @@ def assign_proposed(
     table would give. The rule never reads ``budget`` except to stop, so
     the first K steps of the log are the run for budget K.
     """
-    _check_worker_args(budget, worker_error)
-    return _assign_proposed(_compile(tree, table), table, budget, worker_error, metric)
-
-
-def _assign_proposed(
-    form: _Compiled,
-    table: TestTable,
-    budget: int,
-    worker_error: float,
-    metric: MetricConfig | None = None,
-) -> tuple[WorkerAllocation, list[AssignStep]]:
-    """:func:`assign_proposed` of an already compiled tree."""
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
-    steps = _level_trace(form, table)
+    steps = level_trace(tree, table)
     levels = [_level_masses(table, step) for step in steps]
     tested = {t for step in steps for t in step.assignment.values()}  # every node is in a level
     pairs = {t: 0 for t in sorted(tested, key=table.test_index)}
@@ -255,20 +238,8 @@ def assign_baseline(
     Raises, as every other reader does, unless ``tree`` fits ``table``.
     """
     _check_worker_args(budget, worker_error)
-    return _assign_baseline(_compile(tree, table), table, strategy, budget, worker_error, seed)
-
-
-def _assign_baseline(
-    form: _Compiled,
-    table: TestTable,
-    strategy: AssignmentStrategy,
-    budget: int,
-    worker_error: float,
-    seed: int = 0,
-) -> WorkerAllocation:
-    """:func:`assign_baseline` of an already compiled tree."""
-    _check_worker_args(budget, worker_error)
-    tests = _tree_tests(form, table)
+    validate_tree(tree, table)
+    tests = sorted(tree.test_ids(), key=table.test_index)
     pairs = dict(zip(tests, _baseline_pairs(len(tests), strategy, [budget], seed)[0]))
     return WorkerAllocation(
         extra_pairs=pairs,
@@ -322,14 +293,7 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
-    return _allocation_cost(_compile(tree, table), table, allocation)
-
-
-def _allocation_cost(
-    form: _Compiled, table: TestTable, allocation: WorkerAllocation
-) -> tuple[float, int]:
-    """:func:`allocation_cost` of an already compiled tree."""
-    child, _, test, _, block = form
+    child, _, test, _, block = _compile(tree, table)
     prior = table.priors.__getitem__
     mass = [0.0] * len(test)  # of the classes reaching each node
     mass[0] = math.fsum(table.priors)

@@ -93,6 +93,17 @@ def vote_enumeration_group_error(extra_pairs: int, worker_error: float) -> float
     return total
 
 
+def comb_group_errors(extra_pairs: int, worker_errors: Sequence[float]) -> list[float]:
+    """Per worker error, the group error summed with ``math.comb`` for every
+    coefficient (each coefficient is computed once and used for every error)."""
+    n = 2 * extra_pairs + 1
+    coeffs = [math.comb(n, j) for j in range(extra_pairs + 1)]
+    return [
+        math.fsum(c * (1.0 - w) ** j * w ** (n - j) for j, c in enumerate(coeffs))
+        for w in worker_errors
+    ]
+
+
 def tree_paths(tree: DecisionTree) -> dict[str, list[tuple[str, int]]]:
     """Class -> list of (test, outcome) pairs, walked independently."""
     paths: dict[str, list[tuple[str, int]]] = {}

@@ -67,6 +67,13 @@ def test_build_multiplicative_same_tree(table_path, tmp_path):
     assert json.loads(a.read_text())["root"] == json.loads(b.read_text())["root"]
 
 
+def test_lane_count_ignores_the_environment(table_path, monkeypatch, capsys):
+    # ``--lanes`` is the only way to set the lane count
+    monkeypatch.setenv("CROWDTREE_THREADS", "two")
+    assert main(["build", "--table", table_path, "--error-prob", "0.05"]) == 0
+    assert "exact_pm,0.08231187500000005" in capsys.readouterr().out
+
+
 def test_build_requires_exactly_one_error_source(table_path, capsys):
     assert main(["build", "--table", table_path]) == 2
     assert "error" in capsys.readouterr().err

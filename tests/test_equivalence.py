@@ -6,9 +6,11 @@ per-trial-pair, per-budget, per-point, per-node, per-cell, recursive and
 per-pair computations in ``support``, plus guards on how often the
 expensive layers run."""
 
+import dataclasses
 import hashlib
 import importlib
 import itertools
+import json
 import re
 
 import numpy as np
@@ -50,11 +52,12 @@ from crowdtree.fileio import (
     simulation_report_csv,
     table_checksum,
     table_to_text,
+    tree_to_doc,
 )
 from crowdtree.metrics import level_quantities
 from crowdtree.model import DecisionTree, Internal, Leaf, level_trace, validate_tree
 from crowdtree.simulate import SimulationReport
-from crowdtree.workers import WorkerAllocation
+from crowdtree.workers import WorkerAllocation, effective_table
 
 import support
 
@@ -64,7 +67,6 @@ cli_module = importlib.import_module("crowdtree.cli")
 metrics_module = importlib.import_module("crowdtree.metrics")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
-workers_module = importlib.import_module("crowdtree.workers")
 
 METRICS = (MetricConfig(), MetricConfig(kind=Metric.MULTIPLICATIVE, ratio_offset=0.5))
 SEEDS = range(12)
@@ -213,7 +215,7 @@ def test_batched_exact_equals_per_setting_oracle(seed, tree_seed, max_classes):
     cells = np.stack([_factor_matrix(tbl, fused) for tbl, fused in setups], axis=-1)
 
     def batched(lanes):
-        pm, pc = metrics_module._exact(form, table, cells[..., lanes])
+        pm, pc = metrics_module._exact(tree, table, cells[..., lanes])
         return list(zip(pm.tolist(), pc.tolist()))
 
     assert batched(list(range(len(setups)))) == want
@@ -222,9 +224,9 @@ def test_batched_exact_equals_per_setting_oracle(seed, tree_seed, max_classes):
     assert batched(subset) == [want[s] for s in subset]
     for s, (tbl, fused) in enumerate(setups):
         assert batched([s]) == [want[s]]
-        assert metrics_module._exact(form, table, _factor_matrix(tbl, fused).tolist()) == want[s]
+        assert metrics_module._exact(tree, table, _factor_matrix(tbl, fused).tolist()) == want[s]
         if fused is None:
-            assert metrics_module._exact(form, tbl) == want[s]
+            assert metrics_module._exact(tree, tbl) == want[s]
 
 
 def test_sweep_pairs_follow_assign_baseline_streams():
@@ -233,7 +235,7 @@ def test_sweep_pairs_follow_assign_baseline_streams():
     cases.extend((build_random(t, 1), t) for t in list(_cell_tables())[:3])
     kmax, draws, seed = 12, 5, 7
     for tree, table in cases:
-        tests = workers_module._tree_tests(model_module._compile(tree, table), table)
+        tests = sorted(tree.test_ids(), key=table.test_index)
         for k_values in (list(range(kmax + 1)), [7, 0, 12, 7, 3]):
             for strategy, width in (
                 (AssignmentStrategy.RANDOM_PER_PAIR, draws),
@@ -327,7 +329,7 @@ def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
     tree, table = designed_tree(), demo_table(0.05)
     assigned = _counting(monkeypatch, simulate_module, "assign_proposed")
     baselines = _counting(monkeypatch, simulate_module, "_baseline_pairs")
-    compiled = _counting(monkeypatch, simulate_module, "_compile")
+    compiled = _counting_compiles(monkeypatch)
     strategies = list(AssignmentStrategy)
     with pytest.raises(ValidationError, match="budget"):
         sweep_workers(tree, table, [0, 4, -1], strategies, 0.2)
@@ -343,27 +345,116 @@ def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
 
 
 def _counting_compiles(monkeypatch):
-    """Count ``_compile`` calls from every module that imports it."""
-    calls = []
-    for owner in (model_module, metrics_module, workers_module, simulate_module):
-        _counting(monkeypatch, owner, "_compile", calls)
-    return calls
+    """Count real compiles: the misses of the form cache on the tree."""
+    return _counting(monkeypatch, model_module, "_compile_uncached")
 
 
 def test_sweep_workers_compiles_once_and_builds_no_fused_table(monkeypatch):
     compiled = _counting_compiles(monkeypatch)
     rebuilt = _counting(monkeypatch, model_module.TestTable, "with_test_errors")
     table = support.random_table(3, cell_errors=True)
-    for tree, tbl in ((designed_tree(), demo_table(0.05)), (build_random(table, 1), table)):
-        for strategies, compiles in (
-            ([s for s in AssignmentStrategy if s is not AssignmentStrategy.PROPOSED], 1),
-            (list(AssignmentStrategy), 2),  # the second is assign_proposed's level trace
+    cases = ((designed_tree, demo_table(0.05)), (lambda: build_random(table, 1), table))
+    for fresh_tree, tbl in cases:
+        for strategies in (
+            [s for s in AssignmentStrategy if s is not AssignmentStrategy.PROPOSED],
+            list(AssignmentStrategy),  # assign_proposed's level trace reads the same form
         ):
+            tree = fresh_tree()  # a tree compiled before would count no compile
             compiled.clear()
             sweep_workers(tree, tbl, range(12), strategies, 0.2, random_draws=4)
-            assert len(compiled) == compiles
-            assert all(args[0] is tree for args in compiled)
+            assert len(compiled) == 1 and compiled[0][0] is tree
     assert rebuilt == []
+
+
+def _raised(call):
+    try:
+        call()
+    except CrowdTreeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_TREE_READERS = (
+    validate_tree,
+    level_trace,
+    exact_misclassification,
+    lambda tree, table: assign_proposed(tree, table, 2, 0.2),
+    lambda tree, table: assign_baseline(tree, table, AssignmentStrategy.SINGLE_TEST, 2, 0.2),
+    lambda tree, table: simulate(tree, table, trials=10),
+)
+
+
+def test_cached_form_is_not_reused_for_another_table():
+    table = demo_table(0.05)
+    flipped = np.array(table.outcomes)
+    flipped[0] = np.where(flipped[0] >= 0, 1 - flipped[0], -1)  # T1 answers the other way
+    classes, tests = list(table.classes), list(table.tests)
+    classes[0], classes[3] = classes[3], classes[0]
+    tests[0], tests[1] = tests[1], tests[0]
+    # each shares every part of the key with ``table`` but one
+    others = [
+        dataclasses.replace(table, outcomes=flipped),
+        dataclasses.replace(table, classes=tuple(classes)),
+        dataclasses.replace(table, tests=tuple(tests)),
+        dataclasses.replace(table, tests=("X1",) + table.tests[1:]),
+    ]
+    for other in others:
+        for reader in _TREE_READERS:
+            tree = designed_tree()
+            validate_tree(tree, table)  # caches the form for ``table``
+            want = _raised(lambda: reader(designed_tree(), other))
+            assert want is not None
+            assert _raised(lambda: reader(tree, other)) == want
+            assert exact_misclassification(tree, table) == exact_misclassification(
+                designed_tree(), table
+            )
+
+
+def test_failed_compile_is_not_cached(monkeypatch):
+    compiles = _counting_compiles(monkeypatch)
+    table = demo_table(0.05)
+    bad = DecisionTree(Internal("T1", Leaf("c4"), Internal("T5", Leaf("c1"), Leaf("c3"))))
+    want = _raised(lambda: validate_tree(DecisionTree(bad.root), table))
+    assert want is not None
+    compiles.clear()
+    for reader in _TREE_READERS:
+        assert _raised(lambda: reader(bad, table)) == want
+    assert len(compiles) == len(_TREE_READERS)
+
+
+def test_derived_tables_reuse_the_form(monkeypatch):
+    compiles = _counting_compiles(monkeypatch)
+    table = demo_table(0.05)
+    tree = designed_tree()
+    form = model_module._compile(tree, table)
+    allocation = WorkerAllocation({"T1": 2, "T2": 0}, 0.2, AssignmentStrategy.PROPOSED)
+    derived = [
+        table.with_scalar_error(0.2),
+        table.with_test_errors({"T3": 0.1}),
+        effective_table(table, allocation),
+    ]
+    compiles.clear()
+    for other in derived:
+        assert other.outcomes is table.outcomes
+        assert model_module._compile(tree, other) is form
+        assert exact_misclassification(tree, other) == exact_misclassification(
+            designed_tree(), other
+        )
+    assert not any(args[0] is tree for args in compiles)  # only the fresh trees compiled
+    # an equal table that shares no array compiles again, to an equal form
+    compiles.clear()
+    assert model_module._compile(tree, demo_table(0.05)) == form
+    assert [args[0] for args in compiles] == [tree]
+
+
+def test_cached_form_leaves_tree_identity_alone():
+    table = demo_table(0.05)
+    plain, compiled = designed_tree(), designed_tree()
+    validate_tree(compiled, table)
+    assert compiled == plain and hash(compiled) == hash(plain)
+    assert repr(compiled) == repr(plain)
+    dumps = [json.dumps(tree_to_doc(t, table), indent=2) for t in (plain, compiled)]
+    assert dumps[0] == dumps[1]
 
 
 def test_assign_proposed_builds_no_fused_table(monkeypatch):
@@ -1052,23 +1143,30 @@ def test_inseparable_error_equals_per_pair_scan():
 
 
 def _cli_compile_counts(monkeypatch, argv):
+    """Real compiles in one CLI job; each job builds or loads its own tree."""
     calls = _counting_compiles(monkeypatch)
-    _counting(monkeypatch, cli_module, "_compile", calls)
     assert cli_module.main(argv) == 0
     return len(calls)
 
 
-def test_reports_compile_at_most_twice(monkeypatch, tmp_path, capsys):
+def test_cli_jobs_compile_once(monkeypatch, tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text(DEMO_TABLE_CSV, encoding="utf-8")
     tree = str(tmp_path / "tree.json")
     on_table = ["--table", str(table), "--error-prob", "0.05"]
+    on_tree = ["--tree", tree, *on_table]
     assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--out", tree]) == 1
     for metric in ("additive", "multiplicative"):
         assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--metric", metric]) == 1
-    assert _cli_compile_counts(monkeypatch, ["evaluate", "--tree", tree, *on_table]) == 2
+    assert _cli_compile_counts(monkeypatch, ["evaluate", *on_tree]) == 1
+    alloc = str(tmp_path / "alloc.json")
     for strategy in ("proposed", "random", "single", "all"):
-        argv = ["assign", "--tree", tree, *on_table, "--workers", "4", "--worker-error", "0.2",
-                "--strategy", strategy]
-        assert _cli_compile_counts(monkeypatch, argv) == 2
+        argv = ["assign", *on_tree, "--workers", "4", "--worker-error", "0.2",
+                "--strategy", strategy, "--out", alloc]
+        assert _cli_compile_counts(monkeypatch, argv) == 1
+    for extra in ([], ["--allocation", alloc]):
+        argv = ["simulate", *on_tree, "--trials", "1000", *extra]
+        assert _cli_compile_counts(monkeypatch, argv) == 1
+    argv = ["sweep-workers", *on_tree, "--kmax", "6", "--worker-error", "0.2", "--draws", "3"]
+    assert _cli_compile_counts(monkeypatch, argv) == 1
     capsys.readouterr()

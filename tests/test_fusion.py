@@ -34,6 +34,13 @@ def test_group_error_against_vote_enumeration():
             )
 
 
+def test_group_error_recurrence_equals_comb_sum():
+    worker_errors = (1e-12, 0.01, 0.2, 0.3, 0.4999999999)
+    for k in range(501):
+        got = [group_error(k, w) for w in worker_errors]
+        assert got == support.comb_group_errors(k, worker_errors), k
+
+
 def test_group_error_domain():
     with pytest.raises(ErrorProbOutOfRange):
         group_error(1, 0.5)
