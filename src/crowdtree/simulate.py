@@ -20,18 +20,29 @@ every draw in it the same class, so only draws in the at most n - 1 other
 buckets are searched among the cumulative priors. Both give the classes
 and answers of the float comparisons exactly.
 
-Routing is table-driven. Each node's test and each class select one cell of
-small lookup tables (seated error, extra-worker error, error-free outcome),
-and every trial of a chunk takes one vectorised step per tree depth. Leaves
-are absorbing: they read an extra row with error 0, a group of 0 workers
-and both children equal to the leaf, so a trial that has arrived simply
-stays. There is no loop over nodes, and the tables are the size of the test
-table plus one row, whatever the size of the tree.
+Routing is table-driven, over states rather than nodes. A trial at an
+internal node is in state ``rank * n + class``, where ``rank`` numbers the
+internal nodes in preorder and ``n`` is the class count; a trial at a leaf
+is in that leaf's one absorbing state, numbered after every internal
+state. A node fixes its root path, so the draw counter at it (1 plus the
+workers above it) is a per-node constant, and so is everything a step
+reads. Per state the router holds the seated draw's ``counter *
+_KEY_COUNTER``, the seated worker's threshold, whether the node's group
+votes, and at ``2 * state + wrong`` the next state: the child on the
+class's error-free outcome when the seated answer (or the vote) is right,
+the other child when it is wrong. An absorbing state has threshold 0 and
+both next states equal to itself, so a trial that has arrived stays. Every
+trial of a chunk takes one vectorised step per tree depth, with no loop
+over nodes and no per-trial node or counter. A trial's answers are the
+workers on its leaf's root path, so the question count is the sum over
+leaves of arrivals times that path's workers. There are internal nodes ×
+classes states plus one per leaf, at 33 bytes each.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -88,16 +99,27 @@ def _bits(key, counter) -> np.ndarray:
     """The 64-bit hash ``x`` of draw ``counter`` of the trial whose key is
     ``key``; the draw's uniform [0, 1) value is ``(x >> 11) * 2**-53``."""
     with np.errstate(over="ignore"):
-        x = np.multiply(counter, _KEY_COUNTER, dtype=np.uint64)
-        x ^= key
-        return _mix64(x)
+        return _hash(key, np.multiply(counter, _KEY_COUNTER, dtype=np.uint64))
+
+
+def _hash(key, offset) -> np.ndarray:
+    """:func:`_bits` from ``offset = counter * _KEY_COUNTER`` (mod 2**64),
+    which the router holds per state; every draw goes through here."""
+    return _mix64(np.bitwise_xor(offset, key))
 
 
 def _thresholds(error) -> np.ndarray:
     """Per error ``e`` in [0, 0.5], the uint64 ``t`` with ``x < t`` exactly
     when ``(x >> 11) * 2**-53 < e``: that is ``x >> 11 < ceil(e * 2**53)``,
-    and ``e * 2**53`` is exact and at most ``2**52``."""
-    return np.ceil(np.asarray(error, dtype=np.float64) * 2.0**53).astype(np.uint64) << _SH11
+    and ``e * 2**53`` is exact and at most ``2**52``. Works in place on one
+    copy of ``error``: on a large table fewer temporaries mean a lower peak."""
+    x = np.array(error, dtype=np.float64)
+    x *= 2.0**53
+    np.ceil(x, out=x)
+    t = x.astype(np.uint64)
+    del x
+    t <<= _SH11
+    return t
 
 
 def _guide(cum_priors: np.ndarray) -> np.ndarray:
@@ -124,20 +146,22 @@ def _classes(x: np.ndarray, cum_priors: np.ndarray, guide: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class _Router:
-    """Lookup tables for one step of every trial at once.
+    """Per-state lookup tables for one step of every trial at once (see the
+    module docstring). ``absorbing`` is the first leaf state; internal
+    nodes are ranked, and leaves numbered, in preorder. Error probabilities
+    are held as :func:`_thresholds`."""
 
-    Cells are indexed by ``test * n_classes + class``; one extra row past
-    the last test serves the leaves. Nodes are numbered in preorder. Error
-    probabilities are held as :func:`_thresholds`.
-    """
-
-    seated_error: np.ndarray  # per cell; 0.5 on undefined cells, 0 on the leaf row
-    extra_error: np.ndarray  # per cell: the worker error, 0.5 on undefined cells
-    one: np.ndarray  # per cell: the error-free answer is 1
-    row: np.ndarray  # per node: first cell of its test's row (the leaf row at leaves)
-    child: np.ndarray  # at 2 * node + outcome: the next node; a leaf points to itself
-    group: np.ndarray  # per node: workers answering (uint64, 0 at leaves)
-    leaf_cls: np.ndarray  # per node: class index of a leaf, -1 at internal nodes
+    draw: np.ndarray  # per state: the seated draw's counter * _KEY_COUNTER, 0 at leaves
+    seated: np.ndarray  # per state: the seated threshold; 0.5 on undefined cells, 0 at leaves
+    next: np.ndarray  # at 2 * state + wrong: the next state; a leaf's state is its own
+    vote: np.ndarray | None  # per state: the node's group has extra workers; None if none has
+    row: np.ndarray  # per rank: first cell of its test's row, read for voters only
+    group: np.ndarray  # per rank: workers answering (uint64), read for voters only
+    extra: np.ndarray  # the worker threshold, then that of 0.5 (undefined cells)
+    undefined: np.ndarray  # per cell, read for voters only
+    leaf_cls: np.ndarray  # per leaf: its class index
+    cost: np.ndarray  # per class: the workers on its leaf's root path
+    absorbing: int
     depth: int
     cum_priors: np.ndarray  # per class; the last is exactly 1
     guide: np.ndarray  # per guide bucket: see _guide
@@ -148,103 +172,141 @@ def _router(
 ) -> _Router:
     form = _compile(tree, table)
     n = table.n_classes
-    row = [m * n if m >= 0 else table.n_tests * n for m in form.test]
-    group = [
-        0 if m < 0 else 1 if allocation is None else allocation.group_size(table.tests[m])
-        for m in form.test
-    ]
-    defined = table.outcomes >= 0
+    internal = [k for k, m in enumerate(form.test) if m >= 0]
+    leaves = [k for k, m in enumerate(form.test) if m < 0]
+    absorbing = len(internal) * n
+    states = absorbing + len(leaves)
+    base = np.empty(len(form.test), dtype=np.int64)  # per node: class 0's state, a leaf's only one
+    base[internal] = np.arange(absorbing, step=n)
+    base[leaves] = np.arange(absorbing, states)
+    group = [0 if m < 0 else 1 if allocation is None else allocation.group_size(table.tests[m])
+             for m in form.test]
+    counter = [1] * len(form.test)  # in preorder a parent comes before its children
+    for k in internal:
+        counter[form.child[2 * k]] = counter[form.child[2 * k + 1]] = counter[k] + group[k]
+    tests = np.array(form.test, dtype=np.int64)[internal]
+    ranked = np.array(form.test) >= 0
+    rank_group = np.array(group, dtype=np.uint64)[internal]
+
+    # per (rank, class) views of the state tables, written in place: the
+    # only temporaries are the seated thresholds of the test table's cells
+    # and chunk-sized blocks of next states
+    cells = _thresholds(np.where(table.outcomes >= 0, table.errors, 0.5))
+    seated = np.zeros(states, dtype=np.uint64)
+    np.take(cells, tests, axis=0, out=seated[:absorbing].reshape(-1, n), mode="clip")
+    del cells
+    draw = np.zeros(states, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is intended
+        draw[:absorbing].reshape(-1, n)[:] = (
+            np.array(counter, dtype=np.uint64)[internal] * _KEY_COUNTER
+        )[:, None]
+    nxt = np.empty(2 * states, dtype=np.int64)
+    pairs = nxt[: 2 * absorbing].reshape(-1, n, 2)
+    child = np.array(form.child, dtype=np.int64).reshape(-1, 2)[internal]
+    classes = np.arange(n, dtype=np.int64)
+    step = max(1, _CHUNK_TRIALS // n)  # ranks per block: its temporaries stay chunk-sized
+    for lo in range(0, len(internal), step):
+        zero, one = child[lo : lo + step, 0], child[lo : lo + step, 1]
+        on_zero = base[zero][:, None] + ranked[zero][:, None] * classes
+        on_one = base[one][:, None] + ranked[one][:, None] * classes
+        # right is the child on the error-free answer, wrong the other one
+        flip = (on_one - on_zero) * (table.outcomes[tests[lo : lo + step]] == 1)
+        pairs[lo : lo + step, :, 0] = on_zero + flip
+        pairs[lo : lo + step, :, 1] = on_one - flip
+    nxt[2 * absorbing :] = np.repeat(np.arange(absorbing, states), 2)
+    vote = None
+    if (rank_group > 1).any():
+        vote = np.zeros(states, dtype=bool)
+        vote[:absorbing].reshape(-1, n)[:] = (rank_group > 1)[:, None]
     worker_error = allocation.worker_error if allocation is not None else 0.5
-    absorbing = np.zeros(n)
+    cost = np.zeros(n, dtype=np.int64)
+    cost[[form.leaf[k] for k in leaves]] = [counter[k] - 1 for k in leaves]
     cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
     cum[-1] = 1.0
     return _Router(
-        seated_error=_thresholds(
-            np.concatenate([np.where(defined, table.errors, 0.5).ravel(), absorbing])
-        ),
-        extra_error=_thresholds(
-            np.concatenate([np.where(defined, worker_error, 0.5).ravel(), absorbing])
-        ),
-        one=np.concatenate([(table.outcomes == 1).ravel(), np.zeros(n, dtype=bool)]),
-        row=np.asarray(row, dtype=np.int64),
-        child=np.asarray(form.child, dtype=np.int64),
-        group=np.asarray(group, dtype=np.uint64),
-        leaf_cls=np.asarray(form.leaf, dtype=np.int64),
+        draw=draw,
+        seated=seated,
+        next=nxt,
+        vote=vote,
+        row=tests * n,
+        group=rank_group,
+        extra=_thresholds([worker_error, 0.5]),
+        undefined=(table.outcomes < 0).ravel(),
+        leaf_cls=np.array(form.leaf, dtype=np.int64)[leaves],
+        cost=cost,
+        absorbing=absorbing,
         depth=max(form.depth),
         cum_priors=cum,
         guide=_guide(cum),
     )
 
 
-def _run_range(start: int, stop: int, seed: np.uint64, router: _Router) -> tuple[np.ndarray, int]:
-    """Simulate trials [start, stop); returns (confusion counts, question count)."""
+def _run_range(start: int, stop: int, seed: np.uint64, router: _Router) -> np.ndarray:
+    """Simulate trials [start, stop); returns the confusion counts."""
     n = len(router.cum_priors)
     confusion = np.zeros((n, n), dtype=np.int64)
-    questions = 0
     for lo in range(start, stop, _CHUNK_TRIALS):
-        counts, asked = _run_chunk(lo, min(lo + _CHUNK_TRIALS, stop), seed, router)
-        confusion += counts
-        questions += asked
-    return confusion, questions
+        confusion += _run_chunk(lo, min(lo + _CHUNK_TRIALS, stop), seed, router)
+    return confusion
 
 
-def _run_chunk(lo: int, hi: int, seed: np.uint64, r: _Router) -> tuple[np.ndarray, int]:
+def _run_chunk(lo: int, hi: int, seed: np.uint64, r: _Router) -> np.ndarray:
     """Simulate the chunk of trials [lo, hi) in one whole-chunk step per
-    tree depth; returns (confusion counts, question count).
+    tree depth; returns the confusion counts.
 
-    In a step every trial reads its cell ``row[node] + class``: the seated
-    worker errs when its draw falls below the cell's error, and the node's
-    ``g`` workers vote. A trial already at a leaf reads the leaf row (error
-    0, ``g`` = 0) and stays where it is, so no trial is masked. Draw
-    ``counter`` of a trial is finished from the trial's key, hashed once
-    per chunk; draw 0 picks the class, and the counter advances by ``g`` at
-    each step, so draw k of trial t goes to the same node and worker
-    whatever the chunk or lane. Each chunk and step runs in its own call,
-    so that its temporaries are freed before the next one allocates.
+    Draw 0 picks the class, and the class is the trial's state at the root.
+    A trial already in an absorbing state draws a number it cannot fall
+    below and stays, so no trial is masked. Draw ``counter`` of a trial is
+    finished from the trial's key, hashed once per chunk, and the counter
+    at a node is the same for every trial there, so draw k of trial t goes
+    to the same node and worker whatever the chunk or lane. Each chunk and
+    step runs in its own call, so that its temporaries are freed before the
+    next one allocates.
     """
     key = _trial_key(seed, np.arange(lo, hi, dtype=np.uint64))
     cls = _classes(_bits(key, np.uint64(0)), r.cum_priors, r.guide)
-    counter = np.ones(hi - lo, dtype=np.uint64)
-    node = np.zeros(hi - lo, dtype=np.int64)
+    state = cls  # the root is internal node 0: a trial's state there is its class
     for _ in range(r.depth):
-        node = _step(r, key, cls, counter, node)
-    leaf = r.leaf_cls[node]
-    assert (leaf >= 0).all(), "trial stuck above a leaf"
+        state = _step(r, key, cls, state)
+    assert (state >= r.absorbing).all(), "trial stuck above a leaf"
     n = len(r.cum_priors)
-    counts = np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
-    return counts, int(counter.sum()) - (hi - lo)  # every draw after the class draw
+    leaf = r.leaf_cls[state - r.absorbing]
+    return np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
 
 
-def _step(
-    r: _Router, key: np.ndarray, cls: np.ndarray, counter: np.ndarray, node: np.ndarray
-) -> np.ndarray:
-    """Every trial's next node; advances ``counter`` past the step's draws."""
-    cell = r.row[node] + cls
-    wrong = _bits(key, counter) < r.seated_error[cell]
-    one = r.one[cell]
-    voters = np.flatnonzero(r.group[node] > 1)
-    if voters.size:
-        threshold = r.extra_error[cell[voters]]
-        del cell  # the vote is the step's largest working set
-        wrong[voters] = _majority_wrong(
-            key[voters], counter[voters], threshold, r.group[node[voters]], wrong[voters]
-        )
-    counter += r.group[node]
-    return r.child[2 * node + (wrong ^ one)]
+def _step(r: _Router, key: np.ndarray, cls: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Every trial's next state."""
+    wrong = _hash(key, r.draw.take(state)) < r.seated.take(state)
+    if r.vote is not None:
+        voters = np.flatnonzero(r.vote.take(state))
+        if voters.size:
+            at = state[voters]
+            rank = at // len(r.cum_priors)
+            wrong[voters] = _majority_wrong(
+                key[voters],
+                r.draw.take(at),
+                r.extra.take(r.undefined.take(r.row.take(rank) + cls[voters])),
+                r.group.take(rank),
+                wrong[voters],
+            )
+    at = state << 1
+    at += wrong
+    return r.next.take(at)
 
 
 def _majority_wrong(
     key: np.ndarray,
-    counter: np.ndarray,
+    offset: np.ndarray,
     threshold: np.ndarray,
     group: np.ndarray,
     seated_wrong: np.ndarray,
 ) -> np.ndarray:
     """Whether more than half of each group answers wrong, given its seated
-    worker's answer. A group's size is odd and above 1; its extra worker j
-    errs when draw ``counter + j`` falls below ``threshold``. The voters'
-    arrays are narrowed only when some group has no more workers, and they
-    are consumed: ``counter`` is advanced in place."""
+    worker's answer. A group's size is odd and above 1; the seated draw is
+    at ``offset``, and extra worker j errs when the draw at ``offset + j *
+    _KEY_COUNTER`` (draw ``counter + j``) falls below ``threshold``. The
+    voters' arrays are narrowed only when some group has no more workers,
+    and they are consumed: ``offset`` is advanced in place."""
     largest = int(group.max())
     n_wrong = seated_wrong.astype(np.min_scalar_type(largest))
     voting = None  # positions still drawing; None while all are
@@ -253,12 +315,12 @@ def _majority_wrong(
         if size.min() <= j:
             keep = np.flatnonzero(size > j)
             voting = keep if voting is None else voting[keep]
-            key, counter, threshold, size = key[keep], counter[keep], threshold[keep], size[keep]
-        counter += np.uint64(1)  # worker j draws number counter + j
+            key, offset, threshold, size = key[keep], offset[keep], threshold[keep], size[keep]
+        offset += _KEY_COUNTER  # modular: worker j's draw is counter + j
         if voting is None:
-            n_wrong += _bits(key, counter) < threshold
+            n_wrong += _hash(key, offset) < threshold
         else:
-            n_wrong[voting] += _bits(key, counter) < threshold
+            n_wrong[voting] += _hash(key, offset) < threshold
     return n_wrong > group >> np.uint64(1)
 
 
@@ -274,6 +336,13 @@ class SimulationReport:
     seed: int
     lanes: int
     config: dict = field(default_factory=dict)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate(
@@ -308,17 +377,13 @@ def simulate(
     ranges = [(bounds[i], bounds[i + 1]) for i in range(lanes) if bounds[i] < bounds[i + 1]]
     if len(ranges) <= 1:
         results = [_run_range(a, b, seed_u, router) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+    else:  # a lane is a trial range, not a thread: the threads stop at the CPUs
+        with ThreadPoolExecutor(max_workers=min(len(ranges), _usable_cpus())) as pool:
             results = list(
                 pool.map(lambda r: _run_range(*r, seed_u, router), ranges)
             )
-    n = table.n_classes
-    confusion = np.zeros((n, n), dtype=np.int64)
-    questions = 0
-    for conf, asked in results:
-        confusion += conf
-        questions += asked
+    confusion = sum(results[1:], results[0])
+    questions = int(confusion.sum(axis=0) @ router.cost)  # arrivals times path workers
     misclassified = int(confusion.sum() - np.trace(confusion))
     p_hat = misclassified / trials
     half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)

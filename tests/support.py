@@ -633,36 +633,71 @@ def validate_tree_recursive(tree: DecisionTree, table: TestTable) -> None:
 
 
 def router_arrays_recursive(tree: DecisionTree, table: TestTable, allocation) -> dict:
-    """The simulator's per-node lookup arrays, numbered by a recursive walk."""
+    """The simulator's routing tables (all but the class draw's), one Python
+    value per state, from a recursive walk: internal nodes are ranked and leaves numbered in the
+    order the walk meets them, and the draw counter at a node is 1 plus the
+    workers above it."""
     n = table.n_classes
-    leaf_row = table.n_tests * n
-    row, child, group, leaf_cls = [], [], [], []
+    internal: list = []  # (node, counter) in preorder
+    leaves: list = []
 
-    def add(node) -> int:
-        idx = len(row)
-        row.append(leaf_row)
-        child.extend((idx, idx))
-        group.append(0)
-        leaf_cls.append(-1)
+    def group(node) -> int:
+        return allocation.group_size(node.test) if allocation is not None else 1
+
+    def walk(node, counter: int) -> None:
         if isinstance(node, Leaf):
-            leaf_cls[idx] = table.class_index(node.label)
+            leaves.append((node, counter))
         else:
-            row[idx] = table.test_index(node.test) * n
-            group[idx] = allocation.group_size(node.test) if allocation is not None else 1
-            child[2 * idx] = add(node.zero)
-            child[2 * idx + 1] = add(node.one)
-        return idx
+            internal.append((node, counter))
+            walk(node.zero, counter + group(node))
+            walk(node.one, counter + group(node))
 
-    add(tree.root)
+    walk(tree.root, 1)
+    absorbing = len(internal) * n
+    rank = {id(node): r for r, (node, _) in enumerate(internal)}
+    number = {id(node): j for j, (node, _) in enumerate(leaves)}
+
+    def state(node, c: int) -> int:
+        return rank[id(node)] * n + c if id(node) in rank else absorbing + number[id(node)]
+
+    def threshold(error: float) -> int:
+        return math.ceil(error * 2**53) << 11
+
+    draw, seated, nxt, vote = [], [], [], []
+    for node, counter in internal:
+        m = table.test_index(node.test)
+        for c in range(n):
+            outcome = int(table.outcomes[m, c])
+            draw.append(counter * 0xD1B54A32D192ED03 & _MASK64)
+            seated.append(threshold(float(table.errors[m, c]) if outcome >= 0 else 0.5))
+            right, wrong = (node.one, node.zero) if outcome == 1 else (node.zero, node.one)
+            nxt += [state(right, c), state(wrong, c)]
+            vote.append(group(node) > 1)
+    for j in range(len(leaves)):
+        draw.append(0)
+        seated.append(0)
+        nxt += [absorbing + j] * 2
+        vote.append(False)
+    cost = [0] * n
+    for node, counter in leaves:
+        cost[table.class_index(node.label)] = counter - 1
 
     def depth(node) -> int:
         return 0 if isinstance(node, Leaf) else 1 + max(depth(node.zero), depth(node.one))
 
+    worker_error = allocation.worker_error if allocation is not None else 0.5
     return {
-        "row": np.asarray(row, dtype=np.int64),
-        "child": np.asarray(child, dtype=np.int64),
-        "group": np.asarray(group, dtype=np.uint64),
-        "leaf_cls": np.asarray(leaf_cls, dtype=np.int64),
+        "draw": np.array(draw, dtype=np.uint64),
+        "seated": np.array(seated, dtype=np.uint64),
+        "next": np.array(nxt, dtype=np.int64),
+        "vote": np.array(vote) if any(vote) else None,
+        "row": np.array([table.test_index(node.test) * n for node, _ in internal], dtype=np.int64),
+        "group": np.array([group(node) for node, _ in internal], dtype=np.uint64),
+        "extra": np.array([threshold(worker_error), threshold(0.5)], dtype=np.uint64),
+        "undefined": (table.outcomes < 0).ravel(),
+        "leaf_cls": np.array([table.class_index(node.label) for node, _ in leaves], dtype=np.int64),
+        "cost": np.array(cost, dtype=np.int64),
+        "absorbing": absorbing,
         "depth": depth(tree.root),
     }
 

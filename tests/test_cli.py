@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -473,6 +474,47 @@ def test_simulate_report_matches_golden_bytes(table_path, tree_path, tmp_path, c
                      "--error-prob", "0.05", "--allocation", allocation,
                      "--trials", "100000", "--seed", "3", "--lanes", lanes]) == 0
         assert capsys.readouterr().out == golden.replace("# lanes=2\n", f"# lanes={lanes}\n")
+
+
+class _SerialPool:
+    """A ThreadPoolExecutor stand-in that records its arguments and runs
+    every task in the calling thread."""
+
+    def __init__(self, calls, max_workers):
+        self.calls = calls
+        calls.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        self.calls[-1]["tasks"] = len(items)
+        return [fn(item) for item in items]
+
+
+def test_simulate_lanes_past_the_cpus_start_no_more_threads(
+    table_path, tree_path, capsys, monkeypatch
+):
+    simulate_module = importlib.import_module("crowdtree.simulate")
+    calls = []
+    monkeypatch.setattr(
+        simulate_module, "ThreadPoolExecutor",
+        lambda max_workers: _SerialPool(calls, max_workers),
+    )
+    argv = ["simulate", "--tree", tree_path, "--table", table_path, "--error-prob", "0.05",
+            "--trials", "50", "--seed", "3"]
+    assert main([*argv, "--lanes", "1"]) == 0
+    one = capsys.readouterr().out
+    assert calls == []  # one lane runs in the calling thread
+    assert main([*argv, "--lanes", "100000"]) == 0
+    assert capsys.readouterr().out == one.replace("# lanes=1\n", "# lanes=100000\n")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # one task per non-empty lane, run by no more threads than the CPUs
+    assert calls == [{"max_workers": min(50, cpus), "tasks": 50}]
 
 
 def test_sweep_workers_pair_limit(table_path, tree_path, capsys):

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdtree import (
@@ -581,6 +581,56 @@ def test_simulate_equals_per_node_router_across_chunks_and_lanes():
         _assert_matches_per_node_router(tree, table, allocation, trials, 13, (1, 2, 3))
 
 
+_CHUNK = simulate_module._CHUNK_TRIALS
+_OFF_PATH_UNDEFINED_SEED = 23  # misrouted trials meet cells undefined for their class
+
+
+def _allocation_of(kind, tree, table, budget):
+    if kind == "none":
+        return None
+    if kind == "proposed":
+        return assign_proposed(tree, table, budget, 0.25)[0]
+    strategy = {"single": AssignmentStrategy.SINGLE_TEST,
+                "random": AssignmentStrategy.RANDOM_PER_PAIR}[kind]
+    return assign_baseline(tree, table, strategy, budget, 0.3, seed=budget)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    tree_seed=st.none() | st.integers(0, 100),
+    kind=st.sampled_from(["none", "proposed", "single", "random"]),
+    budget=st.integers(1, 9),
+    trials=st.sampled_from([_CHUNK - 1, _CHUNK + 1]) | st.integers(1, 2_000),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=None, kind="none", budget=1,
+         trials=_CHUNK - 1, seed=3)
+@example(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=None, kind="proposed", budget=6,
+         trials=_CHUNK + 1, seed=4)
+@example(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=None, kind="single", budget=5,
+         trials=_CHUNK + 1, seed=5)
+@example(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=1, kind="random", budget=9,
+         trials=_CHUNK - 1, seed=6)
+def test_simulate_is_lane_invariant_and_equals_per_node_router(
+    table_seed, tree_seed, kind, budget, trials, seed
+):
+    table = support.random_table(table_seed, cell_errors=True, max_error=0.3)
+    tree = build_greedy(table).tree if tree_seed is None else build_random(table, tree_seed)
+    allocation = _allocation_of(kind, tree, table, budget)
+    _assert_matches_per_node_router(tree, table, allocation, trials, seed, (1, 2, 3))
+
+
+def test_lane_property_examples_meet_off_path_undefined_cells():
+    table = support.random_table(_OFF_PATH_UNDEFINED_SEED, cell_errors=True, max_error=0.3)
+    form = model_module._compile(build_greedy(table).tree, table)
+    assert any(
+        table.outcomes[m, c] < 0
+        for k, m in enumerate(form.test) if m >= 0
+        for c in range(table.n_classes) if c not in form.block[k]
+    )
+
+
 def test_simulate_draws_once_per_depth_and_worker(monkeypatch):
     # A wide tree: one generator call per node visited would exceed the bound.
     table = support.random_table(6, max_classes=30, max_tests=40)
@@ -596,11 +646,12 @@ def test_simulate_draws_once_per_depth_and_worker(monkeypatch):
         if alloc is None:
             assert internal > bound
         key_calls = _counting(monkeypatch, simulate_module, "_trial_key")
-        draw_calls = _counting(monkeypatch, simulate_module, "_bits")
+        draw_calls = _counting(monkeypatch, simulate_module, "_hash")
         simulate(tree, table, alloc, trials=trials, seed=5)
         monkeypatch.undo()
         assert len(key_calls) == 1  # one trial-key hash per chunk
-        assert len(draw_calls) <= bound  # every draw, the class draw included
+        # every draw, the class draw included, finishes through _hash
+        assert 1 + tree.depth() <= len(draw_calls) <= bound
 
 
 def test_hoisted_trial_key_finishes_to_the_same_draw():
@@ -805,13 +856,36 @@ def test_router_arrays_equal_recursive_numbering():
         allocations.append(
             assign_baseline(tree, table, AssignmentStrategy.RANDOM_PER_PAIR, 7, 0.3, seed=1)
         )
+        form = model_module._compile(tree, table)
         for allocation in allocations:
             router = simulate_module._router(tree, table, allocation)
             want = support.router_arrays_recursive(tree, table, allocation)
-            assert router.depth == want.pop("depth")
-            for name, array in want.items():
+            names = {f.name for f in dataclasses.fields(router)}
+            assert names - set(want) == {"cum_priors", "guide"}  # the class draw's own tests
+            for name, value in want.items():
                 got = getattr(router, name)
-                assert got.dtype == array.dtype and np.array_equal(got, array), name
+                if isinstance(value, np.ndarray):
+                    assert got.dtype == value.dtype and np.array_equal(got, value), name
+                else:
+                    assert got == value, name
+            n, absorbing = table.n_classes, router.absorbing
+            states = len(router.draw)
+            pairs = router.next.reshape(-1, 2)
+            assert states == absorbing + len(router.leaf_cls) == absorbing // n * (n + 1) + 1
+            assert (pairs[absorbing:] == np.arange(absorbing, states)[:, None]).all()
+            # each internal state's two next states are its node's children for its class
+            ranks = [k for k, m in enumerate(form.test) if m >= 0]
+            leaves = [k for k, m in enumerate(form.test) if m < 0]
+
+            def state(k, c):
+                return ranks.index(k) * n + c if k in ranks else absorbing + leaves.index(k)
+
+            for r, k in enumerate(ranks):
+                for c in range(n):
+                    children = {state(form.child[2 * k + b], c) for b in (0, 1)}
+                    assert set(pairs[r * n + c].tolist()) == children
+                    right = form.child[2 * k + int(table.outcomes[form.test[k], c] == 1)]
+                    assert pairs[r * n + c, 0] == state(right, c)
 
 
 def test_assembled_trees_equal_recursive_assembly():
