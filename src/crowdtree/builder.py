@@ -4,19 +4,22 @@ The greedy builder works level by level: every still-ambiguous block gets
 exactly one applicable test per level, and the joint choice across blocks is
 scored by the configured metric. Both metrics are sums over blocks of one
 point per (block, applicable test): h, the mass times entropy of the two
-sub-blocks; g, the error mass; c, the correct mass. The choice is exact
-without enumerating the cross product: Dinkelbach's iteration for the
+sub-blocks, and one mass, which is the error mass g under the additive
+metric and the correct mass c under the multiplicative one. The choice is
+exact without enumerating the cross product: Dinkelbach's iteration for the
 additive ratio, a walk along the lower-left hull of the Minkowski sum of the
 per-block points for the multiplicative product.
 
-Scoring reads what does not change between levels from one :class:`_Cells`
-per build: per test, the bit masks of the classes answering 1 and of those
-it is undefined for, the outcome row, and the products ``p·e`` and
-``p·(1−e)`` of every cell, made by numpy with the same bits as Python's
-``*``. A test applies to a block when it is defined for every member and
-its ones, cut to the block, are neither none nor all of it. g and c are
-``fsum`` of the block's products, picked out at C level; h is computed once
-per split of the block, since many tests split a small block the same way.
+Both builders read what does not change between levels from one
+:class:`_Cells` per build: bit masks of the cells answering 1 and of the
+undefined ones, the outcome rows and, for a greedy build, the products
+``p·e`` (additive) or ``p·(1−e)`` (multiplicative) of every cell, made by
+numpy with the same bits as Python's ``*``. A test applies to a block when
+it is defined for every member and answers 1 for some but not all of them.
+The mass is ``fsum`` of the block's products, picked out at C level; h is
+computed once per split of the block, since many tests split a small block
+the same way. Each chosen block is split once, and that split makes both
+the next level's blocks and the tree's node.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
-from operator import itemgetter, not_
+from operator import and_, itemgetter, not_, or_
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -37,7 +41,7 @@ from .metrics import (
     LevelQuantities,
     Metric,
     MetricConfig,
-    _block_entropy,
+    _entropy_term,
     _level_entropy,
     _level_quantities,
     exact_correct,
@@ -54,7 +58,6 @@ from .model import (
     Node,
     Partition,
     TestTable,
-    _refine,
     applicable_tests,
     level_trace,
     split_block,
@@ -101,8 +104,7 @@ def _inseparable_error(table: TestTable, block: Block) -> InseparableClasses:
 class _Point(NamedTuple):
     test: int  # test index, the tie-break key
     h: float  # mass times entropy of the two sub-blocks
-    g: float  # error mass
-    c: float  # correct mass
+    mass: float  # the error mass g (additive) or the correct mass c (multiplicative)
 
 
 def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point]:
@@ -110,21 +112,23 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
     in test order as :func:`_block_points` scores them; the sums below run
     over one chosen point per block.
 
-    Dinkelbach's iteration on (h_before - sum h) / sum g. Each round takes,
-    per block, the argmax of (H_b - h) - lam * g, where H_b is the block's own
-    entropy term, so the argmin of h + lam * g; ties go to the lowest index.
+    Dinkelbach's iteration on (h_before - sum h) / sum g, a point's mass
+    being its g. Each round takes, per block, the argmax of (H_b - h) - lam * g,
+    where H_b is the block's own entropy term, so the argmin of h + lam * g;
+    ties go to the lowest index.
     Once lam stops rising, that argmax is the lexicographically smallest
     optimum."""
-    error_free = [next((p for p in pts if p.g == 0.0), None) for pts in points]
+    error_free = [next((p for p in pts if p.mass == 0.0), None) for pts in points]
     if None not in error_free:
         return error_free  # the level scores +inf
 
     def ratio(choice: list[_Point]) -> float:
-        return metric_additive(h_before - sum(p.h for p in choice), math.fsum(p.g for p in choice))
+        g = math.fsum(p.mass for p in choice)
+        return metric_additive(h_before - sum(p.h for p in choice), g)
 
     lam = ratio([pts[0] for pts in points])
     while True:
-        choice = [min(pts, key=lambda p: p.h + lam * p.g) for pts in points]
+        choice = [min(pts, key=lambda p: p.h + lam * p.mass) for pts in points]
         value = ratio(choice)
         if not value > lam:
             return choice
@@ -132,14 +136,14 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
 
 
 def _lower_left_hull(points: list[_Point]) -> list[_Point]:
-    """Lower-left convex hull of the (h, c) points, from least h to least c;
-    a repeated point keeps its lowest test index."""
+    """Lower-left convex hull of the (h, mass) points, from least h to least
+    mass; a repeated point keeps its lowest test index."""
     hull: list[_Point] = []
-    for p in sorted(points, key=lambda p: (p.h, p.c, p.test)):
-        if hull and p.c >= hull[-1].c:
+    for p in sorted(points, key=lambda p: (p.h, p.mass, p.test)):
+        if hull and p.mass >= hull[-1].mass:
             continue  # dominated
-        while len(hull) > 1 and (hull[-1].h - hull[-2].h) * (p.c - hull[-2].c) <= (
-            hull[-1].c - hull[-2].c
+        while len(hull) > 1 and (hull[-1].h - hull[-2].h) * (p.mass - hull[-2].mass) <= (
+            hull[-1].mass - hull[-2].mass
         ) * (p.h - hull[-2].h):
             hull.pop()
         hull.append(p)
@@ -150,14 +154,14 @@ def _select_multiplicative(
     points: list[list[_Point]], entropy_before: float, singleton_mass: float, offset: float
 ) -> list[_Point]:
     """The multiplicative level choice from the same per-block points as
-    :func:`_select_additive`.
+    :func:`_select_additive`, where a point's mass is its c.
 
     Minimize (sum h + offset) * (sum c + singleton mass). The product is
     quasi-concave and rises in both sums, so the optimum is a vertex of the
     lower-left hull of the Minkowski sum of the per-block points; walk that
     hull by merging the per-block hull edges by slope."""
     hulls = [_lower_left_hull(pts) for pts in points]
-    edges = [[((b.c - a.c) / (b.h - a.h), k, b) for a, b in zip(hull, hull[1:])]
+    edges = [[((b.mass - a.mass) / (b.h - a.h), k, b) for a, b in zip(hull, hull[1:])]
              for k, hull in enumerate(hulls)]
     choice = [hull[0] for hull in hulls]
     vertices = [list(choice)]
@@ -166,22 +170,21 @@ def _select_multiplicative(
         vertices.append(list(choice))
 
     def score(choice: list[_Point]) -> float:
-        correct = math.fsum([*(p.c for p in choice), singleton_mass])
+        correct = math.fsum([*(p.mass for p in choice), singleton_mass])
         return metric_multiplicative(entropy_before, sum(p.h for p in choice), correct, offset)
 
     return max(vertices, key=lambda choice: (score(choice), [-p.test for p in choice]))
 
 
 class _Cells(NamedTuple):
-    """What scoring reads of a table, made once per build. Bit i of a mask
-    stands for class i."""
+    """What the builders read of a table, made once per build."""
 
     priors: tuple[float, ...]
-    ones: list[int]  # per test, the mask of the classes answering 1
-    undefined: list[int]  # per test, the mask of the classes it is undefined for
+    ones: list[int]  # per test, the mask of the classes answering 1 (bit i: class i)
+    tests_one: list[int]  # per class, the mask of the tests answering 1 (bit m: test m)
+    tests_undefined: list[int]  # per class, the mask of the tests undefined for it
     outcomes: list[bytes]  # per test, each class's outcome; -1 reads 255
-    error: list[memoryview]  # per test, p * e by class
-    correct: list[memoryview]  # per test, p * (1 - e) by class
+    mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class
 
 
 def _masks(cells: np.ndarray) -> list[int]:
@@ -191,56 +194,56 @@ def _masks(cells: np.ndarray) -> list[int]:
     return [int.from_bytes(rows[k : k + width], "little") for k in range(0, len(rows), width)]
 
 
-def _cells(table: TestTable) -> _Cells:
-    """The per-cell products are elementwise IEEE operations, with the same
-    bits as ``table.priors[i] * float(table.errors[m, i])`` and its
-    complement."""
-    priors = np.asarray(table.priors)
+def _cells(table: TestTable, metric: Metric | None = None) -> _Cells:
+    """The mass products of ``metric``, none without one, are elementwise
+    IEEE operations, with the same bits as ``table.priors[i] *
+    float(table.errors[m, i])`` or its complement."""
+    priors, ones = np.asarray(table.priors), table.outcomes == 1
     rows, n = table.outcomes.tobytes(), table.n_classes
-    return _Cells(
-        table.priors,
-        _masks(table.outcomes == 1),
-        _masks(table.outcomes < 0),
-        [rows[k : k + n] for k in range(0, len(rows), n)],
-        [memoryview(row) for row in priors * table.errors],
-        [memoryview(row) for row in priors * (1.0 - table.errors)],
-    )
+    mass = []
+    if metric is not None:
+        factor = table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors
+        mass = [memoryview(row) for row in priors * factor]
+    outcomes = [rows[k : k + n] for k in range(0, len(rows), n)]
+    undefined = _masks(table.outcomes.T < 0)
+    return _Cells(table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass)
+
+
+def _applicable(cells: _Cells, block: Block) -> list[int]:
+    """The tests applicable to ``block``, in test order: defined for every
+    member, answering 1 for some member but not for all."""
+    pick = itemgetter(*block)
+    ones = pick(cells.tests_one)
+    fit = reduce(or_, ones) & ~(reduce(and_, ones) | reduce(or_, pick(cells.tests_undefined)))
+    return [m for m, bit in enumerate(reversed(bin(fit))) if bit == "1"]  # lowest bit first
 
 
 def _block_points(cells: _Cells, block: Block) -> list[_Point]:
     """One point per test applicable to ``block``, in test order; empty if
     none is. The test's ones on the block fix both sub-blocks, so h is
-    computed once per split."""
+    computed once per split, from the block's priors."""
     mask = sum(map((1).__lshift__, block))
     pick = itemgetter(*block)
+    priors = pick(cells.priors)
     h_of: dict[int, float] = {}
     points = []
-    for m, (ones, undefined) in enumerate(zip(cells.ones, cells.undefined)):
-        ones &= mask
-        if not ones or ones == mask or undefined & mask:
-            continue  # one-sided on the block, or undefined for a member
+    for m in _applicable(cells, block):
+        ones = cells.ones[m] & mask
         h = h_of.get(ones)
         if h is None:
-            # Each sub-block is a tuple made from a list: tuple() of an
-            # iterator resizes the tuple as it fills, which raised the peak
-            # RSS of a process running 60 100-class builds by 2 MB.
             side = pick(cells.outcomes[m])
-            zeros = tuple([*compress(block, map(not_, side))])
-            h = _block_entropy(cells.priors, zeros) + _block_entropy(
-                cells.priors, tuple([*compress(block, side)])
-            )
+            h = _entropy_term([*compress(priors, map(not_, side))])
+            h += _entropy_term([*compress(priors, side)])
             h_of[ones] = h_of[mask ^ ones] = h  # the mirror split sums the same terms
-        points.append(
-            _Point(m, h, math.fsum(pick(cells.error[m])), math.fsum(pick(cells.correct[m])))
-        )
+        points.append(_Point(m, h, math.fsum(pick(cells.mass[m]))))
     return points
 
 
 def _choose_level_assignment(
     table: TestTable, cells: _Cells, partition: Partition, config: BuilderConfig
-) -> dict[Block, str]:
-    """One test per open block, exactly maximizing the level metric; ties go
-    to the lexicographically smallest test indices, blocks in partition order."""
+) -> dict[Block, int]:
+    """One test index per open block, exactly maximizing the level metric; ties
+    go to the lexicographically smallest test indices, blocks in partition order."""
     open_blocks = [b for b in partition if len(b) > 1]
     points = []
     for block in open_blocks:
@@ -254,17 +257,34 @@ def _choose_level_assignment(
         singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
         offset = config.metric.ratio_offset
         choice = _select_multiplicative(points, entropy_before, singletons, offset)
-    return {b: table.tests[p.test] for b, p in zip(open_blocks, choice)}
+    return {b: p.test for b, p in zip(open_blocks, choice)}
 
 
-def _assemble(chosen: list[dict[Block, str]], table: TestTable) -> DecisionTree:
-    """The tree whose level d gives block b the test ``chosen[d][b]``, built from
-    the deepest level up, so that a block's two halves are nodes before it."""
+def _split_level(cells: _Cells, partition: Partition, chosen: dict, splits: list) -> Partition:
+    """The partition after each block b of ``chosen`` is split by the test
+    of index ``chosen[b]``; appends (b, that index, zeros, ones), in
+    partition order, to ``splits``."""
+    after: list[Block] = []
+    for block in partition:
+        m = chosen.get(block)
+        if m is None:
+            after.append(block)
+            continue
+        side = itemgetter(*block)(cells.outcomes[m])
+        # tuples made from lists: tuple() of an iterator resizes as it fills
+        split = tuple([*compress(block, map(not_, side))]), tuple([*compress(block, side)])
+        after += split
+        splits.append((block, m, *split))
+    return tuple(after)
+
+
+def _assemble(splits: list, table: TestTable) -> DecisionTree:
+    """The tree of ``splits``, listed level by level as :func:`_split_level`
+    makes them: built from the last one back, so that a block's two halves
+    are nodes before it."""
     node_of: dict[Block, Node] = {(i,): Leaf(c) for i, c in enumerate(table.classes)}
-    for assignment in reversed(chosen):
-        for block, test_id in assignment.items():
-            zeros, ones = split_block(table, block, test_id)
-            node_of[block] = Internal(test_id, node_of[zeros], node_of[ones])
+    for block, m, zeros, ones in reversed(splits):
+        node_of[block] = Internal(table.tests[m], node_of[zeros], node_of[ones])
     return DecisionTree(node_of[table.all_classes_block()])
 
 
@@ -278,31 +298,33 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     trace, so no compile is needed.
     """
     config = config or BuilderConfig()
-    steps = _greedy_steps(table, config)
+    steps, splits = _greedy_steps(table, config)
     return GreedyResult(
-        tree=_assemble([step.assignment for step in steps], table),
+        tree=_assemble(splits, table),
         levels=tuple(_level_quantities(steps, table, config.metric.ratio_offset)),
     )
 
 
-def _greedy_steps(table: TestTable, config: BuilderConfig) -> list[LevelStep]:
-    """The levels of :func:`build_greedy`'s tree, as its level trace lists them."""
-    cells = _cells(table)
+def _greedy_steps(table: TestTable, config: BuilderConfig) -> tuple[list[LevelStep], list]:
+    """The levels of :func:`build_greedy`'s tree, as its level trace lists
+    them, and its splits, level by level."""
+    cells = _cells(table, config.metric.kind)
     partition: Partition = (table.all_classes_block(),)
     steps: list[LevelStep] = []
+    splits: list[tuple] = []
     while any(len(b) > 1 for b in partition):
         if len(steps) >= config.max_depth:
             raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
-        assignment = _choose_level_assignment(table, cells, partition, config)
-        after = _refine(table, partition, assignment)
-        steps.append(LevelStep(partition, assignment, after))
+        chosen = _choose_level_assignment(table, cells, partition, config)
+        after = _split_level(cells, partition, chosen, splits)
+        steps.append(LevelStep(partition, {b: table.tests[m] for b, m in chosen.items()}, after))
         partition = after
-    return steps
+    return steps, splits
 
 
 def _greedy_tree(table: TestTable, config: BuilderConfig) -> DecisionTree:
     """The tree of :func:`build_greedy`, without its level quantities."""
-    return _assemble([step.assignment for step in _greedy_steps(table, config)], table)
+    return _assemble(_greedy_steps(table, config)[1], table)
 
 
 def build_random(table: TestTable, seed: int) -> DecisionTree:
@@ -312,20 +334,20 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
     reproduces the same tree bit for bit.
     """
     rng = random.Random(seed)
+    cells = _cells(table)
     partition: Partition = (table.all_classes_block(),)
-    chosen: list[dict[Block, str]] = []
+    splits: list[tuple] = []
     while any(len(b) > 1 for b in partition):
-        assignment: dict[Block, str] = {}
+        chosen: dict[Block, int] = {}
         for block in partition:
             if len(block) == 1:
                 continue
-            tests = applicable_tests(table, block)
+            tests = _applicable(cells, block)
             if not tests:
                 raise _inseparable_error(table, block)
-            assignment[block] = tests[rng.randrange(len(tests))]
-        chosen.append(assignment)
-        partition = _refine(table, partition, assignment)
-    return _assemble(chosen, table)
+            chosen[block] = tests[rng.randrange(len(tests))]
+        partition = _split_level(cells, partition, chosen, splits)
+    return _assemble(splits, table)
 
 
 _DEFAULT_MAX_CLASSES = 5

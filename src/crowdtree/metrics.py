@@ -87,9 +87,15 @@ def _block_entropy(priors: Sequence[float], block: Block) -> float:
         raise InvalidPartition(f"block {block!r} has no probability mass")
     if len(block) == 1:
         return 0.0
+    return _entropy_term([priors[i] for i in block])
+
+
+def _entropy_term(masses: list[float]) -> float:
+    """Mass times entropy of a block whose members have the priors ``masses``."""
+    mass = math.fsum(masses)
     h = 0.0
-    for i in block:
-        q = priors[i] / mass
+    for p in masses:
+        q = p / mass
         if q > 0.0:
             h -= q * math.log2(q)
     return mass * h

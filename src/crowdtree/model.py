@@ -339,12 +339,6 @@ def refine_partition(
     for block in assignment:
         if len(block) < 2:
             raise SingletonBlock(f"singleton block {block!r} cannot be assigned a test")
-    return _refine(table, partition, assignment)
-
-
-def _refine(table: TestTable, partition: Partition, assignment: Mapping[Block, str]) -> Partition:
-    """:func:`refine_partition` without its checks, for a partition and an
-    assignment that the caller made itself."""
     refined: list[Block] = []
     for block in partition:
         test_id = assignment.get(block)

@@ -373,12 +373,14 @@ def simulate(
         raise ValidationError(f"lanes must be >= 1, got {lanes}")
     router = _router(tree, table, allocation)
     seed_u = np.uint64(seed % (1 << 64))
-    bounds = [trials * i // lanes for i in range(lanes + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(lanes) if bounds[i] < bounds[i + 1]]
+    # one trial range per lane, up to the CPUs: a range past them costs a chunk and gains nothing
+    n_ranges = min(lanes, _usable_cpus())
+    bounds = [trials * i // n_ranges for i in range(n_ranges + 1)]
+    ranges = [(bounds[i], bounds[i + 1]) for i in range(n_ranges) if bounds[i] < bounds[i + 1]]
     if len(ranges) <= 1:
         results = [_run_range(a, b, seed_u, router) for a, b in ranges]
-    else:  # a lane is a trial range, not a thread: the threads stop at the CPUs
-        with ThreadPoolExecutor(max_workers=min(len(ranges), _usable_cpus())) as pool:
+    else:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             results = list(
                 pool.map(lambda r: _run_range(*r, seed_u, router), ranges)
             )

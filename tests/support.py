@@ -900,9 +900,10 @@ def _parse_error_matrix_per_cell(
 
 
 # ---------------------------------------------------------------------------
-# The greedy builder's per-pair scoring and its cell-by-cell inseparability
-# scan, which per-build cell data and array scans in ``crowdtree.builder``
-# replaced, kept as references for ``==`` comparisons.
+# The greedy builder's per-pair scoring, its cell-by-cell inseparability scan
+# and the random builder's per-block test scan and double split, which
+# per-build cell data and array scans in ``crowdtree.builder`` replaced, kept
+# as references for ``==`` comparisons.
 
 
 def level_points_per_pair(table: TestTable, partition) -> list[list[tuple]]:
@@ -923,20 +924,23 @@ def level_points_per_pair(table: TestTable, partition) -> list[list[tuple]]:
 
 def greedy_levels_per_pair(table: TestTable, config: BuilderConfig) -> list[tuple]:
     """(level step, points) of every level of the greedy build, with the
-    points of :func:`level_points_per_pair` and the builder's own selectors."""
+    points of :func:`level_points_per_pair` as the builder scores them, each
+    (test, h, g) under the additive metric and (test, h, c) under the
+    multiplicative one, and the builder's own selectors."""
     from crowdtree import builder
 
     levels = []
     partition = (table.all_classes_block(),)
+    additive = config.metric.kind is Metric.ADDITIVE
     while any(len(b) > 1 for b in partition):
-        points = level_points_per_pair(table, partition)
         open_blocks = [b for b in partition if len(b) > 1]
-        for block, block_points in zip(open_blocks, points):
+        pts = []
+        for block, block_points in zip(open_blocks, level_points_per_pair(table, partition)):
             if not block_points:
                 raise inseparable_error_per_pair(table, block)
-        pts = [[builder._Point(*p) for p in block_points] for block_points in points]
+            pts.append([builder._Point(m, h, g if additive else c) for m, h, g, c in block_points])
         entropy_before = level_entropy(table.priors, partition)
-        if config.metric.kind is Metric.ADDITIVE:
+        if additive:
             choice = builder._select_additive(pts, entropy_before)
         else:
             singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
@@ -945,9 +949,35 @@ def greedy_levels_per_pair(table: TestTable, config: BuilderConfig) -> list[tupl
             )
         assignment = {b: table.tests[p.test] for b, p in zip(open_blocks, choice)}
         after = refine_partition(table, partition, assignment)
-        levels.append((LevelStep(partition, assignment, after), points))
+        levels.append((LevelStep(partition, assignment, after), pts))
         partition = after
     return levels
+
+
+def build_random_per_block(table: TestTable, seed: int) -> DecisionTree:
+    """:func:`build_random` from a NumPy ``applicable_tests`` scan per block,
+    the partition refined through ``refine_partition`` and the tree assembled
+    by splitting every chosen block again through ``split_block``."""
+    rng = random.Random(seed)
+    partition = (table.all_classes_block(),)
+    chosen = []
+    while any(len(b) > 1 for b in partition):
+        assignment = {}
+        for block in partition:
+            if len(block) == 1:
+                continue
+            tests = applicable_tests(table, block)
+            if not tests:
+                raise inseparable_error_per_pair(table, block)
+            assignment[block] = tests[rng.randrange(len(tests))]
+        chosen.append(assignment)
+        partition = refine_partition(table, partition, assignment)
+    node_of = {(i,): Leaf(c) for i, c in enumerate(table.classes)}
+    for assignment in reversed(chosen):
+        for block, test_id in assignment.items():
+            zeros, ones = split_block(table, block, test_id)
+            node_of[block] = Internal(test_id, node_of[zeros], node_of[ones])
+    return DecisionTree(node_of[table.all_classes_block()])
 
 
 def inseparable_error_per_pair(table: TestTable, block) -> InseparableClasses:

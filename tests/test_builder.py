@@ -2,8 +2,12 @@ import importlib
 import itertools
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtree import (
     BuilderConfig,
@@ -33,6 +37,7 @@ from crowdtree.errors import (
     SingletonBlock,
     ValidationError,
 )
+from crowdtree.fileio import load_tree, save_tree
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 
 import support
@@ -332,6 +337,32 @@ def test_greedy_output_is_among_enumerated():
         assert any(t == greedy for t in enumerate_trees(table, 4, 4))
 
 
+def test_builders_split_each_block_once_from_their_own_cells(monkeypatch):
+    calls = []
+    model = importlib.import_module("crowdtree.model")
+    for module in (model, importlib.import_module("crowdtree.builder")):
+        for function in ("split_block", "applicable_tests", "refine_partition"):
+            if hasattr(module, function):
+                original = getattr(module, function)
+
+                def counted(*args, original=original, function=function):
+                    calls.append(function)
+                    return original(*args)
+
+                monkeypatch.setattr(module, function, counted)
+    tables = [demo_table(0.05), support.wide_table(40, 0), support.random_table(7)]
+    for table in tables:
+        for kind in Metric:
+            build_greedy(table, BuilderConfig(metric=MetricConfig(kind=kind)))
+        for seed in range(3):
+            build_random(table, seed)
+    assert calls == []
+    # the guard sees calls made through either module
+    list(enumerate_trees(demo_table(0.05)))
+    model.refine_partition(demo_table(0.05), ((0, 1, 2, 3, 4),), {(0, 1, 2, 3, 4): "T1"})
+    assert {"split_block", "applicable_tests", "refine_partition"} == set(calls)
+
+
 def test_builders_do_not_recheck_their_own_partitions(monkeypatch):
     checks = []
     for name in ("crowdtree.model", "crowdtree.metrics"):
@@ -368,3 +399,31 @@ def test_builders_do_not_recheck_their_own_partitions(monkeypatch):
     assert len(checks) == 4 * len(bad)
     with pytest.raises(SingletonBlock, match="cannot be assigned a test"):
         refine_partition(table, ((0,), (1, 2, 3, 4)), {(0,): "T1"})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    max_classes=st.integers(2, 14),
+    cell_errors=st.booleans(),
+    na_prob=st.sampled_from([0.0, 0.12, 0.3]),
+    random_seed=st.integers(0, 2**32),
+)
+def test_built_trees_validate_and_round_trip_through_files(
+    seed, max_classes, cell_errors, na_prob, random_seed
+):
+    table = support.random_table(
+        seed, max_classes=max_classes, max_tests=16, cell_errors=cell_errors, na_prob=na_prob
+    )
+    trees = [build_greedy(table, BuilderConfig(metric=MetricConfig(kind=kind))).tree
+             for kind in Metric]
+    trees.append(build_random(table, random_seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        for tree in trees:
+            validate_tree(tree, table)
+            save_tree(str(first), tree, table, {"kind": "property"})
+            loaded = load_tree(str(first), table)
+            assert loaded == tree
+            save_tree(str(second), loaded, table, {"kind": "property"})
+            assert second.read_bytes() == first.read_bytes()

@@ -513,8 +513,15 @@ def test_simulate_lanes_past_the_cpus_start_no_more_threads(
     assert main([*argv, "--lanes", "100000"]) == 0
     assert capsys.readouterr().out == one.replace("# lanes=1\n", "# lanes=100000\n")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # one task per non-empty lane, run by no more threads than the CPUs
-    assert calls == [{"max_workers": min(50, cpus), "tasks": 50}]
+    # one trial range per CPU at most, each run by its own thread
+    n = min(50, cpus)
+    assert calls == ([{"max_workers": n, "tasks": n}] if n > 1 else [])
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 8)
+    for lanes, tasks in (("3", 3), ("8", 8), ("100000", 8)):
+        calls.clear()
+        assert main([*argv, "--lanes", lanes]) == 0
+        assert capsys.readouterr().out == one.replace("# lanes=1\n", f"# lanes={lanes}\n")
+        assert calls == [{"max_workers": tasks, "tasks": tasks}]
 
 
 def test_sweep_workers_pair_limit(table_path, tree_path, capsys):

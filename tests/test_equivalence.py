@@ -30,6 +30,7 @@ from crowdtree import (
     exact_correct,
     exact_misclassification,
     simulate,
+    split_block,
     sweep_error,
     sweep_workers,
     validate_table,
@@ -39,6 +40,7 @@ from crowdtree.errors import (
     DuplicateIdentifier,
     ErrorProbOutOfRange,
     InapplicableTest,
+    InseparableClasses,
     NonPositivePrior,
     ParseError,
     PriorSumMismatch,
@@ -892,7 +894,12 @@ def test_assembled_trees_equal_recursive_assembly():
     for tree, table in _form_cases():
         chosen = [step.assignment for step in support.level_trace_recursive(tree, table)]
         root = support.assemble_recursive(table.all_classes_block(), 0, chosen, table)
-        assert builder_module._assemble(chosen, table) == DecisionTree(root) == tree
+        splits = [
+            (block, table.test_index(test_id), *split_block(table, block, test_id))
+            for assignment in chosen
+            for block, test_id in assignment.items()
+        ]
+        assert builder_module._assemble(splits, table) == DecisionTree(root) == tree
 
 
 def _rebuild(form, table):
@@ -1122,18 +1129,19 @@ def test_validate_table_equals_per_cell_validator():
 
 
 def _point_key(point):
-    test, h, g, c = point
-    return (test, float.hex(h), float.hex(g), float.hex(c))
+    test, h, mass = point
+    return (test, float.hex(h), float.hex(mass))
 
 
 def _check_greedy_scoring(table, config=BuilderConfig()):
     """Every level of the build: the same points, bit for bit, as the per-pair
-    oracle; the same steps, so the same tests and tie-breaks; and the
-    build's level figures are the tree's."""
+    oracle, each with the one mass that the config's metric reads; the same
+    steps, so the same tests and tie-breaks; and the build's level figures
+    are the tree's."""
     levels = support.greedy_levels_per_pair(table, config)
     result = build_greedy(table, config)
     assert level_trace(result.tree, table) == [step for step, _ in levels]
-    cells = builder_module._cells(table)
+    cells = builder_module._cells(table, config.metric.kind)
     for step, points in levels:
         got = [builder_module._block_points(cells, b) for b in step.before if len(b) > 1]
         assert [[_point_key(p) for p in pts] for pts in got] == [
@@ -1214,6 +1222,37 @@ def test_inseparable_error_equals_per_pair_scan():
             got = builder_module._inseparable_error(table, block)
             want = support.inseparable_error_per_pair(table, block)
             assert type(got) is type(want) and str(got) == str(want), block
+
+
+def test_random_trees_equal_per_block_builder():
+    cases = [(demo_table(p_star), range(100)) for p_star in (0.05, 0.2)]
+    tables = [
+        support.random_table(seed, max_classes=12, max_tests=16, cell_errors=True)
+        for seed in range(60)
+    ]
+    assert sum(bool((table.outcomes < 0).any()) for table in tables) > 40
+    cases += [(table, range(20)) for table in tables]
+    cases += [(support.wide_table(n_classes, 0), range(25)) for n_classes in (40, 100)]
+    for table, seeds in cases:
+        for seed in seeds:
+            assert build_random(table, seed) == support.build_random_per_block(table, seed)
+
+
+def _random_build(build, table, seed):
+    try:
+        return build(table, seed)
+    except InseparableClasses as exc:
+        return str(exc)
+
+
+def test_random_builder_errors_equal_per_block_builder():
+    outcomes = []
+    for table in _inseparable_tables():
+        for seed in range(3):
+            got = _random_build(build_random, table, seed)
+            assert got == _random_build(support.build_random_per_block, table, seed)
+            outcomes.append(type(got))
+    assert str in outcomes and DecisionTree in outcomes  # both paths are met
 
 
 def _cli_compile_counts(monkeypatch, argv):
