@@ -1,14 +1,17 @@
 """Decision tree construction: greedy metric-driven, random, and exhaustive.
 
-The greedy builder works level by level: every still-ambiguous block gets
-exactly one applicable test per level, and the joint choice across blocks is
-scored by the configured metric. Both metrics are sums over blocks of one
-point per (block, applicable test): h, the mass times entropy of the two
-sub-blocks, and one mass, which is the error mass g under the additive
-metric and the correct mass c under the multiplicative one. The choice is
-exact without enumerating the cross product: Dinkelbach's iteration for the
-additive ratio, a walk along the lower-left hull of the Minkowski sum of the
-per-block points for the multiplicative product.
+The greedy and random builders share one level loop, :func:`_grow`: every
+still-ambiguous block gets exactly one applicable test per level, picked by
+the builder's own choice function, until every block is a singleton. Each
+level splits every open block into two non-empty halves, so a build ends
+within classes - 1 levels. The greedy choice is joint across the level's
+blocks and scored by the configured metric. Both metrics are sums over
+blocks of one point per (block, applicable test): h, the mass times entropy
+of the two sub-blocks, and one mass, which is the error mass g under the
+additive metric and the correct mass c under the multiplicative one. The
+choice is exact without enumerating the cross product: Dinkelbach's
+iteration for the additive ratio, a walk along the lower-left hull of the
+Minkowski sum of the per-block points for the multiplicative product.
 
 Both builders read what does not change between levels from one
 :class:`_Cells` per build: bit masks of the cells answering 1 and of the
@@ -19,7 +22,8 @@ it is defined for every member and answers 1 for some but not all of them.
 The mass is ``fsum`` of the block's products, picked out at C level; h is
 computed once per split of the block, since many tests split a small block
 the same way. Each chosen block is split once, and that split makes both
-the next level's blocks and the tree's node.
+the next level's blocks and the tree's node. A greedy build's per-level
+figures are read afterwards from the tree it built.
 """
 
 from __future__ import annotations
@@ -29,23 +33,23 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import and_, itemgetter, not_, or_
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DepthGuardExceeded, InseparableClasses, InstanceTooLarge, ValidationError
+from .errors import InseparableClasses, InstanceTooLarge
 from .metrics import (
     LevelQuantities,
     Metric,
     MetricConfig,
     _entropy_term,
     _level_entropy,
-    _level_quantities,
     exact_correct,
     exact_misclassification,
+    level_quantities,
     metric_additive,
     metric_multiplicative,
 )
@@ -54,7 +58,6 @@ from .model import (
     DecisionTree,
     Internal,
     Leaf,
-    LevelStep,
     Node,
     Partition,
     TestTable,
@@ -67,11 +70,6 @@ from .model import (
 @dataclass(frozen=True)
 class BuilderConfig:
     metric: MetricConfig = field(default_factory=MetricConfig)
-    max_depth: int = 64
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValidationError(f"max depth must be >= 1, got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ def _block_points(cells: _Cells, block: Block) -> list[_Point]:
 
 
 def _choose_level_assignment(
-    table: TestTable, cells: _Cells, partition: Partition, config: BuilderConfig
+    table: TestTable, cells: _Cells, config: BuilderConfig, partition: Partition
 ) -> dict[Block, int]:
     """One test index per open block, exactly maximizing the level metric; ties
     go to the lexicographically smallest test indices, blocks in partition order."""
@@ -288,43 +286,35 @@ def _assemble(splits: list, table: TestTable) -> DecisionTree:
     return DecisionTree(node_of[table.all_classes_block()])
 
 
+def _grow(table: TestTable, cells: _Cells, choose) -> DecisionTree:
+    """The tree made level by level from the one-block partition:
+    ``choose(partition)`` maps each open block to a test index, and each
+    chosen block is split by its test, until every block is a singleton."""
+    partition: Partition = (table.all_classes_block(),)
+    splits: list[tuple] = []
+    while any(len(b) > 1 for b in partition):
+        partition = _split_level(cells, partition, choose(partition), splits)
+    return _assemble(splits, table)
+
+
 def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> GreedyResult:
     """Construct a tree level by level under the configured metric.
 
     Every non-singleton block receives a test at every level; construction
     ends when all blocks are singletons. Deterministic for a given table and
     config. The result carries each level's quantities under the config's
-    ratio offset, from the build's own levels: they are the tree's level
-    trace, so no compile is needed.
+    ratio offset, read from the built tree by :func:`level_quantities`; the
+    compile that takes stays cached on the tree for its other readers.
     """
     config = config or BuilderConfig()
-    steps, splits = _greedy_steps(table, config)
-    return GreedyResult(
-        tree=_assemble(splits, table),
-        levels=tuple(_level_quantities(steps, table, config.metric.ratio_offset)),
-    )
-
-
-def _greedy_steps(table: TestTable, config: BuilderConfig) -> tuple[list[LevelStep], list]:
-    """The levels of :func:`build_greedy`'s tree, as its level trace lists
-    them, and its splits, level by level."""
-    cells = _cells(table, config.metric.kind)
-    partition: Partition = (table.all_classes_block(),)
-    steps: list[LevelStep] = []
-    splits: list[tuple] = []
-    while any(len(b) > 1 for b in partition):
-        if len(steps) >= config.max_depth:
-            raise DepthGuardExceeded(f"tree exceeded max depth {config.max_depth}")
-        chosen = _choose_level_assignment(table, cells, partition, config)
-        after = _split_level(cells, partition, chosen, splits)
-        steps.append(LevelStep(partition, {b: table.tests[m] for b, m in chosen.items()}, after))
-        partition = after
-    return steps, splits
+    tree = _greedy_tree(table, config)
+    return GreedyResult(tree, tuple(level_quantities(tree, table, config.metric.ratio_offset)))
 
 
 def _greedy_tree(table: TestTable, config: BuilderConfig) -> DecisionTree:
     """The tree of :func:`build_greedy`, without its level quantities."""
-    return _assemble(_greedy_steps(table, config)[1], table)
+    cells = _cells(table, config.metric.kind)
+    return _grow(table, cells, partial(_choose_level_assignment, table, cells, config))
 
 
 def build_random(table: TestTable, seed: int) -> DecisionTree:
@@ -335,9 +325,8 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
     """
     rng = random.Random(seed)
     cells = _cells(table)
-    partition: Partition = (table.all_classes_block(),)
-    splits: list[tuple] = []
-    while any(len(b) > 1 for b in partition):
+
+    def choose(partition: Partition) -> dict[Block, int]:
         chosen: dict[Block, int] = {}
         for block in partition:
             if len(block) == 1:
@@ -346,8 +335,9 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
             if not tests:
                 raise _inseparable_error(table, block)
             chosen[block] = tests[rng.randrange(len(tests))]
-        partition = _split_level(cells, partition, chosen, splits)
-    return _assemble(splits, table)
+        return chosen
+
+    return _grow(table, cells, choose)
 
 
 _DEFAULT_MAX_CLASSES = 5

@@ -61,6 +61,19 @@ def _load_table(args, require_error: bool = True):
     return fileio.load_table(args.table, args.error_prob, args.error_matrix)
 
 
+def _load_tree(args, table):
+    return fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+
+
+def _write_report(args, text: str) -> int:
+    """Write ``text`` to ``--out``, if given, then to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    print(text, end="")
+    return 0
+
+
 def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
     """The quality report of ``tree``: the per-level figures (``levels``
     when the builder already has them, else the tree's level trace), then
@@ -102,14 +115,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     table = _load_table(args)
-    tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+    tree = _load_tree(args, table)
     _print_quality(tree, table, args.ratio_offset)
     return 0
 
 
 def _cmd_assign(args) -> int:
     table = _load_table(args, require_error=False)
-    tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+    tree = _load_tree(args, table)
     strategy = _STRATEGY_NAMES[args.strategy]
     if strategy is AssignmentStrategy.PROPOSED:
         allocation, log = assign_proposed(
@@ -138,7 +151,7 @@ def _cmd_assign(args) -> int:
 
 def _cmd_simulate(args) -> int:
     table = _load_table(args)
-    tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+    tree = _load_tree(args, table)
     allocation = fileio.load_allocation(args.allocation) if args.allocation else None
     report = simulate(
         tree,
@@ -149,11 +162,7 @@ def _cmd_simulate(args) -> int:
         lanes=args.lanes,
     )
     text = fileio.simulation_report_csv(report, table)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    return _write_report(args, text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -185,18 +194,14 @@ def _cmd_sweep_error(args) -> int:
         "metric": args.metric,
     }
     text = fileio.error_sweep_csv(points, header)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    return _write_report(args, text)
 
 
 def _cmd_sweep_workers(args) -> int:
     if args.kmax < 0:
         raise ValidationError(f"kmax must be >= 0, got {args.kmax}")
     table = _load_table(args, require_error=False)
-    tree = fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+    tree = _load_tree(args, table)
     strategies = []
     for name in args.strategies.split(","):
         name = name.strip()
@@ -225,11 +230,7 @@ def _cmd_sweep_workers(args) -> int:
         "metric": args.metric,
     }
     text = fileio.worker_sweep_csv(points, header)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    return _write_report(args, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -65,10 +65,6 @@ class InseparableClasses(CrowdTreeError):
     """Some group of classes cannot be split by any applicable test."""
 
 
-class DepthGuardExceeded(CrowdTreeError):
-    pass
-
-
 class InstanceTooLarge(CrowdTreeError):
     """Exhaustive enumeration was asked for an instance above its size bound."""
 

@@ -28,6 +28,13 @@ def majority_decide(votes: Sequence[int]) -> int:
     return 1 if ones > n // 2 else 0
 
 
+def _check_worker_error(worker_error: float) -> None:
+    if not (0.0 < worker_error < 0.5):
+        raise ErrorProbOutOfRange(
+            f"worker error must lie strictly in (0, 0.5), got {worker_error!r}"
+        )
+
+
 def group_error(extra_pairs: int, worker_error: float) -> float:
     """Error probability of a fused group of ``2*extra_pairs + 1`` workers.
 
@@ -36,10 +43,7 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
     coefficient comes from the one before by the exact integer recurrence
     C(n, j + 1) = C(n, j) * (n - j) // (j + 1).
     """
-    if not (0.0 < worker_error < 0.5):
-        raise ErrorProbOutOfRange(
-            f"worker error must lie strictly in (0, 0.5), got {worker_error!r}"
-        )
+    _check_worker_error(worker_error)
     if extra_pairs < 0 or extra_pairs != int(extra_pairs):
         raise DomainError(f"extra pair count must be a non-negative integer, got {extra_pairs!r}")
     if extra_pairs > _MAX_EXACT_PAIRS:

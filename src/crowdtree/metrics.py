@@ -16,7 +16,6 @@ from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
-    LevelStep,
     Partition,
     TestTable,
     _compile,
@@ -172,15 +171,9 @@ def metric_multiplicative(
 def level_quantities(
     tree: DecisionTree, table: TestTable, ratio_offset: float = 1.0
 ) -> list[LevelQuantities]:
-    """Entropy, masses, and both metrics for every level of ``tree``."""
-    return _level_quantities(level_trace(tree, table), table, ratio_offset)
-
-
-def _level_quantities(
-    steps: Sequence[LevelStep], table: TestTable, ratio_offset: float
-) -> list[LevelQuantities]:
-    """:func:`level_quantities` of a level trace that a compile or the
-    builder made, so its partitions go unchecked."""
+    """Entropy, masses, and both metrics for every level of ``tree``. The
+    level trace's partitions come from a compile, so they go unchecked."""
+    steps = level_trace(tree, table)
     out: list[LevelQuantities] = []
     h_prev = _level_entropy(table.priors, steps[0].before) if steps else 0.0
     for d, step in enumerate(steps, start=1):

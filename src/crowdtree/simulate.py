@@ -51,7 +51,7 @@ import numpy as np
 
 from .builder import BuilderConfig, _greedy_tree, build_random
 from .errors import ValidationError
-from .fusion import group_error
+from .fusion import _check_worker_error, group_error
 from .metrics import MetricConfig, _exact, exact_misclassification
 from .model import DecisionTree, TestTable, _compile, validate_tree
 from .workers import (
@@ -60,7 +60,6 @@ from .workers import (
     WorkerAllocation,
     _baseline_pairs,
     _check_budget,
-    _check_worker_error,
     _prefix_counts,
     assign_proposed,
 )
@@ -242,10 +241,10 @@ def _router(
 
 
 def _run_range(start: int, stop: int, seed: np.uint64, router: _Router) -> np.ndarray:
-    """Simulate trials [start, stop); returns the confusion counts."""
-    n = len(router.cum_priors)
-    confusion = np.zeros((n, n), dtype=np.int64)
-    for lo in range(start, stop, _CHUNK_TRIALS):
+    """Simulate the non-empty trials [start, stop); returns the confusion
+    counts, summed into the first chunk's."""
+    confusion = _run_chunk(start, min(start + _CHUNK_TRIALS, stop), seed, router)
+    for lo in range(start + _CHUNK_TRIALS, stop, _CHUNK_TRIALS):
         confusion += _run_chunk(lo, min(lo + _CHUNK_TRIALS, stop), seed, router)
     return confusion
 
@@ -384,7 +383,9 @@ def simulate(
             results = list(
                 pool.map(lambda r: _run_range(*r, seed_u, router), ranges)
             )
-    confusion = sum(results[1:], results[0])
+    confusion = results[0]
+    for counts in results[1:]:
+        confusion += counts
     questions = int(confusion.sum(axis=0) @ router.cost)  # arrivals times path workers
     misclassified = int(confusion.sum() - np.trace(confusion))
     p_hat = misclassified / trials

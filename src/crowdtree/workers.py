@@ -17,7 +17,7 @@ from itertools import count, islice
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UnknownStrategy, UnknownTest, ValidationError
-from .fusion import group_error
+from .fusion import _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
@@ -105,13 +105,6 @@ def _check_worker_args(budget: int, worker_error: float) -> None:
 def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {budget}")
-
-
-def _check_worker_error(worker_error: float) -> None:
-    if not (0.0 < worker_error < 0.5):
-        raise ValidationError(
-            f"worker error must lie strictly in (0, 0.5), got {worker_error!r}"
-        )
 
 
 class _LevelMasses(NamedTuple):

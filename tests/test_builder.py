@@ -35,7 +35,6 @@ from crowdtree.errors import (
     InstanceTooLarge,
     InvalidPartition,
     SingletonBlock,
-    ValidationError,
 )
 from crowdtree.fileio import load_tree, save_tree
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
@@ -201,20 +200,6 @@ def test_greedy_inseparable_names_pair():
     with pytest.raises(InseparableClasses) as err:
         build_greedy(table)
     assert "'b'" in str(err.value) and "'c'" in str(err.value)
-
-
-def test_builder_config_validation():
-    with pytest.raises(ValidationError):
-        BuilderConfig(max_depth=0)
-
-
-def test_depth_guard():
-    from crowdtree.errors import DepthGuardExceeded
-
-    with pytest.raises(DepthGuardExceeded):
-        build_greedy(demo_table(0.05), BuilderConfig(max_depth=2))
-    # the demo tree needs exactly four levels
-    assert build_greedy(demo_table(0.05), BuilderConfig(max_depth=4)).tree == designed_tree()
 
 
 def test_build_random_deterministic_and_valid():

@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import crowdtree
+import support
 from crowdtree import AssignmentStrategy, sweep_workers
 from crowdtree.cli import main
 from crowdtree.errors import DomainError
+from crowdtree.fileio import table_to_text
 from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree
 
 INSEPARABLE_CSV = "class,a,b,c\nprior,0.2,0.4,0.4\nt,0,1,1\n"
@@ -43,6 +45,16 @@ def test_build_prints_quality_and_writes_tree(table_path, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["root"]["test"] == "T1"
     assert doc["builder"]["metric"] == "additive"
+
+
+def test_build_has_no_depth_limit(tmp_path, capsys):
+    # a 70-class chain needs 69 levels, one class split off at each
+    path = tmp_path / "chain.csv"
+    path.write_text(table_to_text(support.chain_table(70)), encoding="utf-8")
+    assert main(["build", "--table", str(path), "--error-prob", "0.01"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:70]] == [str(d) for d in range(1, 70)]
+    assert rows[70].startswith("exact_pm,")
 
 
 def test_build_multiplicative_same_tree(table_path, tmp_path):

@@ -14,7 +14,7 @@ from crowdtree import (
     validate_table,
     validate_tree,
 )
-from crowdtree.builder import BuilderConfig, build_greedy, build_random
+from crowdtree.builder import build_greedy, build_random
 from crowdtree.metrics import exact_correct, exact_misclassification, level_quantities
 from crowdtree.simulate import simulate
 from crowdtree.workers import allocation_cost, assign_proposed
@@ -262,7 +262,7 @@ def test_1200_class_chain_has_no_depth_limit():
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         random_tree = build_random(table, 0)
-        tree = build_greedy(table, BuilderConfig(max_depth=n)).tree
+        tree = build_greedy(table).tree
         assert tree.depth() == random_tree.depth() == n - 1
         assert tree.leaf_labels() == tuple(reversed(table.classes))
         assert tree.test_ids() == table.tests
