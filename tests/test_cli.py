@@ -264,6 +264,10 @@ GOLDEN_JOBS = {
                                               "--metric", "multiplicative"],
     "demo_sweep_error.txt": ["sweep-error", "--table", "TABLE"],
 }
+for _metric in ("additive", "multiplicative"):
+    GOLDEN_JOBS[f"random12_sweep_error_{_metric}.txt"] = [
+        "sweep-error", "--table", os.path.join(DATA_DIR, "random12_table.csv"),
+        "--grid", "0.01:0.45:0.04", "--random-trees", "5", "--metric", _metric]
 # build and evaluate reports on the demo table and on a 12-class table with an
 # error matrix (support.random_table(18, 12, 16, cell_errors=True), stored as text)
 _QUALITY_TABLES = {
