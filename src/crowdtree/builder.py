@@ -12,9 +12,16 @@ additive metric and the correct mass c under the multiplicative one. The
 choice is exact without enumerating the cross product: Dinkelbach's
 iteration for the additive ratio, a walk along the lower-left hull of the
 Minkowski sum of the per-block points for the multiplicative product.
+Under one scalar error every point of a block carries the same mass, so
+both choices take each block's least-h point, the lowest test index on
+equal h, and the greedy tree does not depend on the error;
+:func:`crowdtree.simulate.sweep_error` builds it once. The additive
+selector takes that point outright in a block of one mass, so that
+rounding in its key h + lam * g cannot tie points whose h differ.
 
 Both builders read what does not change between levels from one
-:class:`_Cells` per build: bit masks of the cells answering 1 and of the
+:class:`_Cells` per build, or per table for random builds that share it
+through :func:`_random_tree`: bit masks of the cells answering 1 and of the
 undefined ones, the outcome rows and, for a greedy build, the products
 ``p·e`` (additive) or ``p·(1−e)`` (multiplicative) of every cell, made by
 numpy with the same bits as Python's ``*``. A test applies to a block when
@@ -35,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import compress
-from operator import and_, itemgetter, not_, or_
+from operator import and_, attrgetter, itemgetter, not_, or_
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -115,7 +122,11 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
     where H_b is the block's own entropy term, so the argmin of h + lam * g;
     ties go to the lowest index.
     Once lam stops rising, that argmax is the lexicographically smallest
-    optimum."""
+    optimum. A block whose points all carry one g takes its least-h point,
+    the lowest index on equal h, in every round: that is the argmin for any
+    lam, and taking it outright keeps rounding in h + lam * g from tying
+    points whose h differ. Under one scalar error every block is such a
+    block, so the choice does not depend on the error."""
     error_free = [next((p for p in pts if p.mass == 0.0), None) for pts in points]
     if None not in error_free:
         return error_free  # the level scores +inf
@@ -124,9 +135,12 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
         g = math.fsum(p.mass for p in choice)
         return metric_additive(h_before - sum(p.h for p in choice), g)
 
+    one_mass = [min(pts, key=attrgetter("h")) if all(p.mass == pts[0].mass for p in pts)
+                else None for pts in points]
     lam = ratio([pts[0] for pts in points])
     while True:
-        choice = [min(pts, key=lambda p: p.h + lam * p.mass) for pts in points]
+        choice = [min(pts, key=lambda p: p.h + lam * p.mass) if least is None else least
+                  for pts, least in zip(points, one_mass)]
         value = ratio(choice)
         if not value > lam:
             return choice
@@ -323,8 +337,13 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
     Blocks are visited level by level in partition order, so a given seed
     reproduces the same tree bit for bit.
     """
+    return _random_tree(table, seed, _cells(table))
+
+
+def _random_tree(table: TestTable, seed: int, cells: _Cells) -> DecisionTree:
+    """The tree of :func:`build_random` from ``cells``, the table's
+    :func:`_cells`, which any number of seeds can share."""
     rng = random.Random(seed)
-    cells = _cells(table)
 
     def choose(partition: Partition) -> dict[Block, int]:
         chosen: dict[Block, int] = {}

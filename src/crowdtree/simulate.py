@@ -49,10 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import BuilderConfig, _greedy_tree, build_random
+from .builder import BuilderConfig, _cells, _greedy_tree, _random_tree
 from .errors import ValidationError
 from .fusion import _check_worker_error, group_error
-from .metrics import MetricConfig, _exact, exact_misclassification
+from .metrics import MetricConfig, _exact
 from .model import DecisionTree, TestTable, _compile, validate_tree
 from .workers import (
     AssignmentStrategy,
@@ -431,12 +431,16 @@ def sweep_error(
     of scalar test error probabilities, all evaluated exactly.
 
     The whole grid and the tree count are checked before any tree is
-    built. A random tree depends only on the table's outcomes and its seed,
-    so the ``n_random_trees`` trees are built and compiled once, and each is
-    scored at every grid point in one batched pass of the exact evaluator,
-    one lane per grid point (grid points × classes floats). Each designed
-    tree is built without the level quantities that :func:`build_greedy`
-    attaches, and compiled once, for its pm.
+    built. No tree depends on the grid point: a random tree depends only on
+    the table's outcomes and its seed, and under one scalar error the greedy
+    choice takes each block's least-h test, lowest index on equal h (see
+    :mod:`crowdtree.builder`). So the designed tree is built once, at the
+    largest grid error, where no mass can underflow to 0 unless it does at
+    every grid point, and without the level quantities that
+    :func:`build_greedy` attaches; then the ``n_random_trees`` trees from
+    one shared set of table cells. Each tree is compiled once and scored at
+    every grid point in one batched pass of the exact evaluator, one lane
+    per grid point (grid points × classes floats).
     """
     config = config or BuilderConfig()
     grid = list(grid)
@@ -445,15 +449,16 @@ def sweep_error(
     for p_star in grid:
         if not (0.0 < p_star < 0.5):
             raise ValidationError(f"grid error prob {p_star!r} outside (0, 0.5)")
-    random_trees, designed_pms = [], []
-    for p_star in grid:
-        tbl = table.with_scalar_error(p_star)
-        designed_pms.append(exact_misclassification(_greedy_tree(tbl, config), tbl))
-        if not random_trees:  # after the first designed tree: it names an inseparable pair
-            random_trees = [build_random(tbl, seed + i) for i in range(n_random_trees)]
+    if not grid:
+        return []
+    tbl = table.with_scalar_error(max(grid))
+    trees = [_greedy_tree(tbl, config)]  # first: it names an inseparable pair
+    cells = _cells(tbl)
+    trees += [_random_tree(tbl, seed + i, cells) for i in range(n_random_trees)]
     factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
+    designed_pms, *random_pms = [_exact(tree, table, factors)[0] for tree in trees]
     # per grid point, a contiguous row (as np.mean and np.std of a list read) of the trees' pms
-    random_pms = np.array([_exact(tree, table, factors)[0] for tree in random_trees]).T.copy()
+    random_pms = np.array(random_pms).T.copy()
     return [
         ErrorSweepPoint(
             error_prob=float(p_star),
@@ -461,7 +466,7 @@ def sweep_error(
             random_mean_pm=float(np.mean(pms)),
             random_std_pm=float(np.std(pms)),
         )
-        for p_star, designed_pm, pms in zip(grid, designed_pms, random_pms)
+        for p_star, designed_pm, pms in zip(grid, designed_pms.tolist(), random_pms)
     ]
 
 

@@ -30,6 +30,7 @@ from crowdtree import (
     validate_table,
     validate_tree,
 )
+from crowdtree.builder import _Point, _select_additive
 from crowdtree.errors import (
     InseparableClasses,
     InstanceTooLarge,
@@ -412,3 +413,37 @@ def test_built_trees_validate_and_round_trip_through_files(
             assert loaded == tree
             save_tree(str(second), loaded, table, {"kind": "property"})
             assert second.read_bytes() == first.read_bytes()
+
+
+def test_select_additive_takes_least_h_in_a_block_of_one_mass():
+    low, high = 1.0, math.nextafter(1.0, 2.0)
+    points = [_Point(0, high, 1.0), _Point(1, low, 1.0)]
+    # h_before makes lam 99, and h + 99 * 1.0 rounds to 100.0 at both points
+    assert high + 99.0 == low + 99.0
+    assert _select_additive([points], 100.0) == [points[1]]
+    # a block of mixed masses keeps the key h + lam * g: its least-h point loses on mass
+    mixed = [_Point(0, high, 1.0), _Point(1, low, math.nextafter(1.0, 2.0))]
+    assert _select_additive([points, mixed], 200.0) == [points[1], mixed[0]]
+
+
+CONFIGS = [BuilderConfig(metric=MetricConfig(kind=kind, ratio_offset=offset))
+           for kind in Metric for offset in (1.0, 0.5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    max_classes=st.integers(2, 14),
+    cell_errors=st.booleans(),
+    na_prob=st.sampled_from([0.0, 0.12, 0.3]),
+    errors=st.lists(st.floats(1e-300, 0.5, exclude_max=True), min_size=2, max_size=2),
+)
+def test_greedy_tree_does_not_depend_on_one_scalar_error(
+    seed, max_classes, cell_errors, na_prob, errors
+):
+    table = support.random_table(
+        seed, max_classes=max_classes, max_tests=16, cell_errors=cell_errors, na_prob=na_prob
+    )
+    for config in CONFIGS:
+        first, second = (build_greedy(table.with_scalar_error(p), config).tree for p in errors)
+        assert first == second

@@ -304,16 +304,20 @@ def test_sweep_workers_equals_per_budget_allocations():
 def test_sweep_error_equals_per_point_builds():
     cases = [(demo_table(0.05), [0.01, 0.05, 0.1, 0.2, 0.3, 0.45])]
     cases.extend((t, [0.05, 0.25]) for t in list(_cell_tables())[:4])
+    # at 5e-324 every mass underflows to 0 and the additive greedy tree is
+    # another one, but every tree's pm there is 0
+    cases.append((support.random_table(3, max_classes=10, max_tests=12), [5e-324, 0.1]))
+    configs = [BuilderConfig(metric=MetricConfig(kind=kind, ratio_offset=offset))
+               for kind in Metric for offset in (1.0, 0.5)]
     for table, grid in cases:
-        for metric in METRICS:
-            config = BuilderConfig(metric=metric)
+        for config in configs:
             got = sweep_error(table, grid, n_random_trees=7, config=config, seed=2)
             assert got == support.per_point_sweep_error(table, grid, 7, config, seed=2)
 
 
 def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
     builds = _counting(monkeypatch, simulate_module, "_greedy_tree")
-    randoms = _counting(monkeypatch, simulate_module, "build_random")
+    randoms = _counting(monkeypatch, simulate_module, "_random_tree")
     with pytest.raises(ValidationError, match="0.5"):
         sweep_error(demo_table(), [0.05, 0.1, 0.5], n_random_trees=3)
     inseparable = validate_table(["a", "b", "c"], [0.2, 0.4, 0.4], ["t"], [[0, 1, 1]], 0.1)
@@ -479,14 +483,18 @@ def test_sweep_workers_runs_assign_proposed_once(monkeypatch):
 
 
 def test_sweep_error_builds_each_random_tree_once(monkeypatch):
-    calls = _counting(monkeypatch, simulate_module, "build_random")
+    calls = _counting(monkeypatch, simulate_module, "_random_tree")
+    shared = _counting(monkeypatch, simulate_module, "_cells")
+    own = _counting(monkeypatch, builder_module, "_cells")
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
     assert [args[1] for args in calls] == list(range(4, 24))
+    # one set of cells for the random trees, and the designed tree's own
+    assert len(shared) == 1 and len(own) == 1
 
 
 def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
-    built = {"build_random": [], "_greedy_tree": []}
+    built = {"_random_tree": [], "_greedy_tree": []}
     for name, trees in built.items():
         original = getattr(simulate_module, name)
 
@@ -498,11 +506,11 @@ def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
     compiled = _counting_compiles(monkeypatch)
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
-    assert len(built["build_random"]) == 20 and len(built["_greedy_tree"]) == len(grid)
-    # the designed tree of each grid point once, for its pm: no level figures
-    for tree in built["build_random"] + built["_greedy_tree"]:
+    assert len(built["_random_tree"]) == 20 and len(built["_greedy_tree"]) == 1
+    # the one designed tree once, for its pms at every grid point: no level figures
+    for tree in built["_random_tree"] + built["_greedy_tree"]:
         assert sum(args[0] is tree for args in compiled) == 1
-    assert len(compiled) == 20 + len(grid)
+    assert len(compiled) == 21
 
 
 def test_exact_evaluators_never_call_class_path():
