@@ -456,17 +456,17 @@ def sweep_error(
     cells = _cells(tbl)
     trees += [_random_tree(tbl, seed + i, cells) for i in range(n_random_trees)]
     factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
-    designed_pms, *random_pms = [_exact(tree, table, factors)[0] for tree in trees]
-    # per grid point, a contiguous row (as np.mean and np.std of a list read) of the trees' pms
-    random_pms = np.array(random_pms).T.copy()
+    pms = [_exact(tree, table, factors)[0] for tree in trees]
+    # per grid point, a contiguous row (as np.mean and np.std of a list read) of the random pms
+    random_pms = np.array(pms[1:]).T.copy()
     return [
         ErrorSweepPoint(
             error_prob=float(p_star),
             designed_pm=designed_pm,
-            random_mean_pm=float(np.mean(pms)),
-            random_std_pm=float(np.std(pms)),
+            random_mean_pm=float(np.mean(row)),
+            random_std_pm=float(np.std(row)),
         )
-        for p_star, designed_pm, pms in zip(grid, designed_pms.tolist(), random_pms)
+        for p_star, designed_pm, row in zip(grid, pms[0].tolist(), random_pms)
     ]
 
 
