@@ -20,17 +20,53 @@ selector takes that point outright in a block of one mass, so that
 rounding in its key h + lam * g cannot tie points whose h differ.
 
 Both builders read what does not change between levels from one
-:class:`_Cells` per build, or per table for random builds that share it
-through :func:`_random_tree`: bit masks of the cells answering 1 and of the
-undefined ones, the outcome rows and, for a greedy build, the products
-``p·e`` (additive) or ``p·(1−e)`` (multiplicative) of every cell, made by
-numpy with the same bits as Python's ``*``. A test applies to a block when
-it is defined for every member and answers 1 for some but not all of them.
-The mass is ``fsum`` of the block's products, picked out at C level; h is
-computed once per split of the block, since many tests split a small block
-the same way. Each chosen block is split once, and that split makes both
-the next level's blocks and the tree's node. A greedy build's per-level
-figures are read afterwards from the tree it built.
+:class:`_Cells` per build, or per table for random builds and the
+designed build of :func:`crowdtree.simulate.sweep_error`, which share it:
+bit masks of the cells answering 1 and of the undefined ones, the outcome
+rows and, for a greedy build, the products ``p·e`` (additive) or
+``p·(1−e)`` (multiplicative) of every cell, made by numpy with the same
+bits as Python's ``*``, and the screen's per-class rows made from them. A
+test applies to a block when it is defined for every member and answers 1
+for some but not all of them. Each chosen block is split once, and that
+split makes both the next level's blocks and the tree's node. A greedy
+build's per-level figures are read afterwards from the tree it built.
+
+Scoring. The exact value of a point is :func:`_block_points`'s: the mass
+is ``fsum`` of the block's products, picked out at C level, and h comes
+from :func:`crowdtree.metrics._entropy_term` once per split of the block,
+since many tests split a block the same way. It is the one source of every
+value a selector compares, but most points never need it. Once per level,
+:func:`_screen` sums per-class rows over the classes in block order
+(``np.add.reduceat``, tests × classes work) and gives, for every
+applicable point, the masses M0 and M1 of its two sides, its mass~ (g~ or
+c~), and h~ = E_B − (M_B·log2 M_B − M0·log2 M0 − M1·log2 M1), computed as
+E_B + M0·log2(M0/M) + M1·log2(M1/M) with M = M0 + M1 so that nothing
+cancels; E_B is the block's exact entropy term and M_B its prior mass.
+Each screened value lies within delta = 64·u·n_B·(E_B + M_B) of the exact
+one, with u = 2^-53 and n_B the block's size: to first order, with log2
+within two units in the last place, the two differ by at most
+12·u·n_B·(E_B + M_B), and the tests hold them within delta / 16. Only the
+points that can still win under delta are scored exactly:
+
+- additive: each block's first point, which sets lam; its first
+  error-free point (a g~ of 0 is exact, a sum of products that are all 0);
+  the points that decide the one-mass rule on exact masses: where every
+  member's products agree over tests, so that all masses do, those whose
+  h~ lies within 2 delta of the least, else a point whose g~ lies more
+  than 2 delta from the first's or, if none does, all points; and in each
+  Dinkelbach round the points whose key h~ + lam·g~ lies within
+  4 (1 + lam) delta of the block's least, or every point where a key
+  could overflow;
+- multiplicative: every point but those an earlier point dominates with
+  margin (its c~ lower by more than 2 delta, and its h~ too or its split
+  the same), which :func:`_lower_left_hull` would skip; so the unchanged
+  walk sees every vertex of each block's hull, each with its lowest test
+  index.
+
+The closed form does not replace :func:`crowdtree.metrics._entropy_term`:
+``np.log2`` and ``math.log2`` differ in the last bit on some inputs, and
+``fsum`` has no numpy form, so its values round differently from the
+bits that the greedy trees, their tie-breaks and level figures rest on.
 """
 
 from __future__ import annotations
@@ -41,9 +77,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import compress
-from operator import and_, attrgetter, itemgetter, not_, or_
-from typing import Iterator, NamedTuple
+from itertools import accumulate, chain, compress, count, repeat
+from operator import and_, attrgetter, itemgetter, le, lt, not_, or_, sub
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,8 +88,8 @@ from .metrics import (
     LevelQuantities,
     Metric,
     MetricConfig,
+    _block_entropy,
     _entropy_term,
-    _level_entropy,
     exact_correct,
     exact_misclassification,
     level_quantities,
@@ -112,7 +148,11 @@ class _Point(NamedTuple):
     mass: float  # the error mass g (additive) or the correct mass c (multiplicative)
 
 
-def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point]:
+def _select_additive(
+    points: list[list[_Point]],
+    h_before: float,
+    narrow: Callable[[float], list[list[_Point]]] | None = None,
+) -> list[_Point]:
     """The additive level choice from ``points[k]``, open block k's points
     in test order as :func:`_block_points` scores them; the sums below run
     over one chosen point per block.
@@ -126,7 +166,12 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
     the lowest index on equal h, in every round: that is the argmin for any
     lam, and taking it outright keeps rounding in h + lam * g from tying
     points whose h differ. Under one scalar error every block is such a
-    block, so the choice does not depend on the error."""
+    block, so the choice does not depend on the error.
+
+    ``narrow(lam)``, when given, lists per block the points among which a
+    round at lam takes its argmin, in test order; the default is ``points``.
+    The screened level choice passes the points that can still be the argmin
+    there, which include every one whose key is least."""
     error_free = [next((p for p in pts if p.mass == 0.0), None) for pts in points]
     if None not in error_free:
         return error_free  # the level scores +inf
@@ -139,8 +184,9 @@ def _select_additive(points: list[list[_Point]], h_before: float) -> list[_Point
                 else None for pts in points]
     lam = ratio([pts[0] for pts in points])
     while True:
+        rounds = points if narrow is None else narrow(lam)
         choice = [min(pts, key=lambda p: p.h + lam * p.mass) if least is None else least
-                  for pts, least in zip(points, one_mass)]
+                  for pts, least in zip(rounds, one_mass)]
         value = ratio(choice)
         if not value > lam:
             return choice
@@ -196,7 +242,8 @@ class _Cells(NamedTuple):
     tests_one: list[int]  # per class, the mask of the tests answering 1 (bit m: test m)
     tests_undefined: list[int]  # per class, the mask of the tests undefined for it
     outcomes: list[bytes]  # per test, each class's outcome; -1 reads 255
-    mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class
+    mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class, in screen
+    screen: np.ndarray | None  # what :func:`_screen` sums, mass rows included; see _screen_rows
 
 
 def _masks(cells: np.ndarray) -> list[int]:
@@ -207,18 +254,37 @@ def _masks(cells: np.ndarray) -> list[int]:
 
 
 def _cells(table: TestTable, metric: Metric | None = None) -> _Cells:
-    """The mass products of ``metric``, none without one, are elementwise
-    IEEE operations, with the same bits as ``table.priors[i] *
-    float(table.errors[m, i])`` or its complement."""
+    """The mass products of ``metric``, and the screen's rows made from
+    them, none without one, are elementwise IEEE operations, with the same
+    bits as ``table.priors[i] * float(table.errors[m, i])`` or its
+    complement."""
     priors, ones = np.asarray(table.priors), table.outcomes == 1
     rows, n = table.outcomes.tobytes(), table.n_classes
-    mass = []
+    mass, screen = [], None
     if metric is not None:
-        factor = table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors
-        mass = [memoryview(row) for row in priors * factor]
+        screen = _screen_rows(table, metric, priors, ones)
+        mass = [memoryview(row) for row in screen[:-1, 2]]
     outcomes = [rows[k : k + n] for k in range(0, len(rows), n)]
     undefined = _masks(table.outcomes.T < 0)
-    return _Cells(table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass)
+    return _Cells(table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, screen)
+
+
+def _screen_rows(
+    table: TestTable, metric: Metric, priors: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """Per test m, the rows over classes i [p_i if m answers 1 else 0 |
+    p_i if m answers 0 else 0 | the mass product p_i * e or
+    p_i * (1 - e), NaN where undefined]; then one slot past the tests,
+    [p_i | 1 if i's defined products differ between tests else 0 | 0]."""
+    t = table.n_tests
+    rows = np.zeros((t + 1, 3, table.n_classes))
+    np.multiply(priors, ones, out=rows[:t, 0])
+    np.multiply(priors, table.outcomes == 0, out=rows[:t, 1])
+    factor = table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors
+    np.multiply(priors, factor, out=rows[:t, 2])
+    rows[t, 0] = priors
+    rows[t, 1] = np.fmin.reduce(rows[:t, 2], axis=0) != np.fmax.reduce(rows[:t, 2], axis=0)
+    return rows
 
 
 def _applicable(cells: _Cells, block: Block) -> list[int]:
@@ -227,19 +293,26 @@ def _applicable(cells: _Cells, block: Block) -> list[int]:
     pick = itemgetter(*block)
     ones = pick(cells.tests_one)
     fit = reduce(or_, ones) & ~(reduce(and_, ones) | reduce(or_, pick(cells.tests_undefined)))
-    return [m for m, bit in enumerate(reversed(bin(fit))) if bit == "1"]  # lowest bit first
+    return [*compress(count(), bin(fit)[:1:-1].encode().translate(_BITS))]  # lowest bit first
 
 
-def _block_points(cells: _Cells, block: Block) -> list[_Point]:
-    """One point per test applicable to ``block``, in test order; empty if
-    none is. The test's ones on the block fix both sub-blocks, so h is
-    computed once per split, from the block's priors."""
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # the digits of bin() as the bytes 0 and 1
+
+
+def _block_points(
+    cells: _Cells, block: Block, tests: list[int] | None = None, h_of: dict | None = None
+) -> list[_Point]:
+    """One point per test of ``tests``, each applicable to ``block``, in
+    their order; by default every applicable test, in test order, so
+    empty if none is. The test's ones on the block fix both sub-blocks, so
+    h is computed once per split, from the block's priors, and kept in
+    ``h_of`` for later calls on the block."""
     mask = sum(map((1).__lshift__, block))
     pick = itemgetter(*block)
     priors = pick(cells.priors)
-    h_of: dict[int, float] = {}
+    h_of = {} if h_of is None else h_of
     points = []
-    for m in _applicable(cells, block):
+    for m in _applicable(cells, block) if tests is None else tests:
         ones = cells.ones[m] & mask
         h = h_of.get(ones)
         if h is None:
@@ -251,21 +324,202 @@ def _block_points(cells: _Cells, block: Block) -> list[_Point]:
     return points
 
 
+_ULP = 2.0**-53  # u, the unit roundoff of a float64
+_SLACK = 64  # delta = _SLACK * u * n_B * (E_B + M_B)
+
+
+class _Screen(NamedTuple):
+    """One level's screen: one approximate point per (open block, applicable
+    test) pair, blocks in partition order and tests in order within each."""
+
+    block: list[int]  # per point, the index of its block
+    test: list[int]  # per point, its test index
+    split: np.ndarray  # per point, h~ - E_B: h~ less its block's exact entropy term
+    mass: np.ndarray  # per point, g~ or c~
+    splits: list[float]  # split, as floats
+    masses: list[float]  # mass, as floats
+    bounds: list[int]  # block k's points are [bounds[k], bounds[k + 1])
+    delta: list[float]  # per block, the bound delta on |h~ - h| and |mass~ - mass|
+    proven: list[bool]  # per block, whether every member's mass products agree over tests
+
+
+def _screen(
+    cells: _Cells, blocks: list[Block], terms: list[float], applicable: list[list[int]]
+) -> _Screen:
+    """The screen of a level whose open blocks are ``blocks``, with exact
+    entropy terms ``terms`` and applicable tests ``applicable``, none
+    empty, from one sum per block over its members' rows of
+    ``cells.screen``, in the columns of the tests that apply to some block:
+    see the module docstring."""
+    sizes, tests = [len(b) for b in blocks], [*chain.from_iterable(applicable)]
+    at = {m: j for j, m in enumerate(dict.fromkeys(tests))}  # the tests that apply somewhere
+    rows = cells.screen.take([*at, len(cells.ones)], 0).take([*chain.from_iterable(blocks)], 2)
+    sums = np.add.reduceat(rows, [*accumulate(sizes[:-1], initial=0)], axis=2)
+    n_blocks = len(blocks)
+    block = [k for k, ms in enumerate(applicable) for _ in ms]
+    ones_zeros_mass = sums.transpose(0, 2, 1).reshape(-1, 3).take(
+        [at[m] * n_blocks + k for m, k in zip(tests, block)], 0
+    )
+    sides = ones_zeros_mass[:, :2]
+    by_side = sides / (sides[:, 0] + sides[:, 1])[:, None]
+    np.log2(by_side, out=by_side)
+    by_side *= sides
+    delta, proven = [], []
+    for n, entropy, mass, mixed in zip(sizes, terms, *sums[-1, :2].tolist()):
+        delta.append(_SLACK * _ULP * n * (entropy + mass))
+        proven.append(mixed == 0.0)
+    split, mass = by_side[:, 0] + by_side[:, 1], ones_zeros_mass[:, 2]
+    return _Screen(
+        block, tests, split, mass, split.tolist(), mass.tolist(),
+        [*accumulate(map(len, applicable), initial=0)], delta, proven,
+    )
+
+
+def _near_least_h(screen: _Screen, lo: int, hi: int, delta: float) -> list[int]:
+    """The points of [lo, hi), one block's, whose h~ lies within 2 delta of
+    the block's least: every point whose exact h can be the least."""
+    split = screen.splits[lo:hi]
+    return [*compress(range(lo, hi), map(le, split, repeat(min(split) + 2.0 * delta)))]
+
+
+def _additive_points(
+    screen: _Screen,
+) -> tuple[list[list[int]], Callable[[float], list[list[int] | None]]]:
+    """(base, narrow): the points of a screened level that
+    :func:`_select_additive` sees, as indices into the screen.
+
+    ``base[k]`` lists the points of block k that the selector must see
+    before its first round: the first, which sets lam; the first error-free
+    one (a g~ of 0 is exact: it sums products that are all 0); and those
+    that decide the one-mass rule as all points would. A proven block adds
+    the points of :func:`_near_least_h`. Another block adds a point whose
+    g~ lies farther than 2 delta from the first point's, as their exact
+    masses differ, or else all its points.
+
+    ``narrow(lam)`` lists, per block that is not proven, the points whose
+    key h~ + lam * g~ lies within 4 (1 + lam) delta of the block's least:
+    each key lies within 2 (1 + lam) delta of its exact one, rounding
+    included, so these hold every point whose exact key can be least. Where
+    a key could overflow, every point. A proven block gets None: the
+    selector takes its least-h point outright."""
+    mass, bounds = screen.masses, screen.bounds
+    blocks = [*zip(bounds, bounds[1:], screen.delta, screen.proven)]
+
+    def narrow(lam: float) -> list[list[int] | None]:
+        if not math.isfinite(4.0 * lam):
+            return [None if proven else [*range(lo, hi)] for lo, hi, _, proven in blocks]
+        keys = (screen.split + lam * screen.mass).tolist()
+        kept: list[list[int] | None] = []
+        for lo, hi, delta, proven in blocks:
+            if proven:
+                kept.append(None)
+                continue
+            least = min(keys[lo:hi]) + 4.0 * (1.0 + lam) * delta
+            kept.append([*compress(range(lo, hi), map(le, keys[lo:hi], repeat(least)))])
+        return kept
+
+    base = []
+    for lo, hi, delta, proven in blocks:
+        ms = mass[lo:hi]
+        keep = {lo}
+        if 0.0 in ms:
+            keep.add(lo + ms.index(0.0))
+        if proven:
+            keep.update(_near_least_h(screen, lo, hi, delta))
+        else:
+            away = map(lt, repeat(2.0 * delta), map(abs, map(sub, ms, repeat(ms[0]))))
+            far = next(compress(range(lo, hi), away), None)
+            keep.update(range(lo, hi) if far is None else (far,))
+        base.append(sorted(keep))
+    return base, narrow
+
+
+def _multiplicative_points(cells: _Cells, blocks: list[Block], screen: _Screen) -> list[list[int]]:
+    """Per block, points whose exact values include every vertex of the
+    block's lower-left hull, with its lowest test index, as indices into
+    the screen. A proven block keeps the points of :func:`_near_least_h`.
+    Any other block drops each point that its witness, the least-c~ point
+    before it in (h~, c~, test) order, dominates with margin: the witness's
+    c~ is lower by more than 2 delta, and either its h~ is too or it has the
+    same split (the ``ones & mask`` key, up to the mirror, that
+    :func:`_block_points` shares h under). A dropped point's exact h is no
+    lower than its witness's and its exact c higher, so
+    :func:`_lower_left_hull` skips it, and leaving it out changes no step
+    of the hull."""
+    order = np.lexsort((screen.mass, screen.split, screen.block)).tolist()
+    tests, split, mass = screen.test, screen.splits, screen.masses
+    points = []
+    for block, lo, hi, delta, proven in zip(
+        blocks, screen.bounds, screen.bounds[1:], screen.delta, screen.proven
+    ):
+        if proven:
+            points.append(_near_least_h(screen, lo, hi, delta))
+            continue
+        mask, margin, keep = sum(map((1).__lshift__, block)), 2.0 * delta, []
+
+        def key(i: int) -> int:
+            ones = cells.ones[tests[i]] & mask
+            return min(ones, mask ^ ones)
+
+        w_h = w_c = math.inf
+        w = w_key = None
+        for i in order[lo:hi]:
+            h, c = split[i], mass[i]
+            if w_c < c - margin:
+                if w_h < h - margin:
+                    continue
+                if w_key is None:
+                    w_key = key(w)
+                if w_key == key(i):
+                    continue
+            keep.append(i)
+            if c < w_c:
+                w_h, w_c, w, w_key = h, c, i, None
+        points.append(sorted(keep))
+    return points
+
+
 def _choose_level_assignment(
     table: TestTable, cells: _Cells, config: BuilderConfig, partition: Partition
 ) -> dict[Block, int]:
     """One test index per open block, exactly maximizing the level metric; ties
-    go to the lexicographically smallest test indices, blocks in partition order."""
+    go to the lexicographically smallest test indices, blocks in partition order.
+
+    The level's screen picks, per block, the tests that can still win, and
+    only those are scored exactly, by :func:`_block_points`, each once."""
     open_blocks = [b for b in partition if len(b) > 1]
-    points = []
-    for block in open_blocks:
-        points.append(_block_points(cells, block))
-        if not points[-1]:
+    applicable = [_applicable(cells, b) for b in open_blocks]
+    for block, tests in zip(open_blocks, applicable):
+        if not tests:
             raise _inseparable_error(table, block)
-    entropy_before = _level_entropy(table.priors, partition)
+    terms = [_block_entropy(table.priors, b) for b in open_blocks]
+    screen = _screen(cells, open_blocks, terms, applicable)
+    entropy_before = 0.0
+    for term in terms:  # as _level_entropy adds them; a singleton adds 0.0
+        entropy_before += term
+    scored: dict[int, _Point] = {}  # by point index
+    h_of: list[dict[int, float]] = [{} for _ in open_blocks]  # per block, h by split
+
+    def exact(k: int, indices: list[int]) -> list[_Point]:
+        """Block k's exact points at the screen's point ``indices``."""
+        new = [i for i in indices if i not in scored]
+        if new:
+            tests = [screen.test[i] for i in new]
+            scored.update(zip(new, _block_points(cells, open_blocks[k], tests, h_of[k])))
+        return [scored[i] for i in indices]
+
     if config.metric.kind is Metric.ADDITIVE:
-        choice = _select_additive(points, entropy_before)
+        base, narrow_indices = _additive_points(screen)
+        points = [exact(k, indices) for k, indices in enumerate(base)]
+
+        def narrow(lam: float) -> list[list[_Point]]:
+            return [pts if indices is None else exact(k, indices)
+                    for k, (pts, indices) in enumerate(zip(points, narrow_indices(lam)))]
+
+        choice = _select_additive(points, entropy_before, narrow)
     else:
+        base = _multiplicative_points(cells, open_blocks, screen)
+        points = [exact(k, indices) for k, indices in enumerate(base)]
         singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
         offset = config.metric.ratio_offset
         choice = _select_multiplicative(points, entropy_before, singletons, offset)
@@ -321,13 +575,14 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     compile that takes stays cached on the tree for its other readers.
     """
     config = config or BuilderConfig()
-    tree = _greedy_tree(table, config)
+    tree = _greedy_tree(table, config, _cells(table, config.metric.kind))
     return GreedyResult(tree, tuple(level_quantities(tree, table, config.metric.ratio_offset)))
 
 
-def _greedy_tree(table: TestTable, config: BuilderConfig) -> DecisionTree:
-    """The tree of :func:`build_greedy`, without its level quantities."""
-    cells = _cells(table, config.metric.kind)
+def _greedy_tree(table: TestTable, config: BuilderConfig, cells: _Cells) -> DecisionTree:
+    """The tree of :func:`build_greedy`, without its level quantities, from
+    ``cells``, the table's :func:`_cells` under the config's metric, which
+    :func:`_random_tree` can share."""
     return _grow(table, cells, partial(_choose_level_assignment, table, cells, config))
 
 

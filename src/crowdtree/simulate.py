@@ -438,9 +438,10 @@ def sweep_error(
     largest grid error, where no mass can underflow to 0 unless it does at
     every grid point, and without the level quantities that
     :func:`build_greedy` attaches; then the ``n_random_trees`` trees from
-    one shared set of table cells. Each tree is compiled once and scored at
-    every grid point in one batched pass of the exact evaluator, one lane
-    per grid point (grid points × classes floats).
+    the same table cells, made once for both builders. Each tree is
+    compiled once and scored at every grid point in one batched pass of
+    the exact evaluator, one lane per grid point (grid points × classes
+    floats).
     """
     config = config or BuilderConfig()
     grid = list(grid)
@@ -452,8 +453,8 @@ def sweep_error(
     if not grid:
         return []
     tbl = table.with_scalar_error(max(grid))
-    trees = [_greedy_tree(tbl, config)]  # first: it names an inseparable pair
-    cells = _cells(tbl)
+    cells = _cells(tbl, config.metric.kind)
+    trees = [_greedy_tree(tbl, config, cells)]  # first: it names an inseparable pair
     trees += [_random_tree(tbl, seed + i, cells) for i in range(n_random_trees)]
     factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
     pms = [_exact(tree, table, factors)[0] for tree in trees]

@@ -954,6 +954,47 @@ def greedy_levels_per_pair(table: TestTable, config: BuilderConfig) -> list[tupl
     return levels
 
 
+def level_choice_per_point(table: TestTable, cells, config: BuilderConfig, partition) -> dict:
+    """The greedy level choice, test index per open block, from every point
+    of ``builder._block_points`` and the builder's own selectors, with no
+    screen: what each level chose before the screen."""
+    from crowdtree import builder
+
+    open_blocks = [b for b in partition if len(b) > 1]
+    points = []
+    for block in open_blocks:
+        points.append(builder._block_points(cells, block))
+        if not points[-1]:
+            raise builder._inseparable_error(table, block)
+    entropy_before = level_entropy(table.priors, partition)
+    if config.metric.kind is Metric.ADDITIVE:
+        choice = builder._select_additive(points, entropy_before)
+    else:
+        singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
+        choice = builder._select_multiplicative(
+            points, entropy_before, singletons, config.metric.ratio_offset
+        )
+    return {b: p.test for b, p in zip(open_blocks, choice)}
+
+
+def table_variant(table: TestTable, priors=None, outcomes=None, errors=None) -> TestTable:
+    """``table`` with its priors, outcome rows (-1 undefined) or per-cell
+    errors replaced, validated again; new rows get tests T1, T2, ..."""
+    priors = table.priors if priors is None else priors
+    outcomes = table.outcomes if outcomes is None else np.asarray(outcomes)
+    errors = table.errors if errors is None else np.asarray(errors)
+    tests = table.tests if len(outcomes) == table.n_tests else [
+        f"T{m}" for m in range(1, len(outcomes) + 1)
+    ]
+    return validate_table(
+        list(table.classes),
+        list(priors),
+        list(tests),
+        [[None if v < 0 else int(v) for v in row] for row in outcomes.tolist()],
+        np.where(outcomes >= 0, errors, 0.0).tolist(),
+    )
+
+
 def build_random_per_block(table: TestTable, seed: int) -> DecisionTree:
     """:func:`build_random` from a NumPy ``applicable_tests`` scan per block,
     the partition refined through ``refine_partition`` and the tree assembled

@@ -3,8 +3,10 @@ import itertools
 import math
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from crowdtree import (
     validate_table,
     validate_tree,
 )
-from crowdtree.builder import _Point, _select_additive
+from crowdtree.builder import _ULP, _Point, _select_additive
 from crowdtree.errors import (
     InseparableClasses,
     InstanceTooLarge,
@@ -41,6 +43,8 @@ from crowdtree.fileio import load_tree, save_tree
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
 
 import support
+
+builder_module = importlib.import_module("crowdtree.builder")
 
 
 def test_greedy_reproduces_designed_tree_both_metrics():
@@ -447,3 +451,107 @@ def test_greedy_tree_does_not_depend_on_one_scalar_error(
     for config in CONFIGS:
         first, second = (build_greedy(table.with_scalar_error(p), config).tree for p in errors)
         assert first == second
+
+
+def _extreme_table(seed: int, n: int, priors: str, errors: str):
+    """A seeded table of ``n`` classes and 12 tests, each with both
+    outcomes and about 10% undefined cells, with priors all equal, half of
+    them near 1e-300, or Gamma(2); and errors all 0, all 0.4999, or mixed
+    (0, 0.4999, 0.1, 1e-9 and uniform in [0, 0.3))."""
+    rng = np.random.default_rng([seed, n])
+    outcomes = rng.integers(0, 2, (12, n))
+    outcomes[:, :2] = [0, 1]
+    undefined = rng.random((12, n)) < 0.1
+    undefined[:, :2] = False
+    outcomes[undefined] = -1
+    if priors == "equal":
+        p = np.full(n, 1.0 / n)
+    elif priors == "tiny":
+        tiny = rng.random(n) < 0.5
+        tiny[:2] = [True, False]
+        p = np.where(tiny, 1e-300 * (1.0 + rng.random(n)), 1.0)
+        p[~tiny] = (1.0 - p[tiny].sum()) / (~tiny).sum()
+    else:
+        p = rng.gamma(2.0, size=n)
+        p /= p.sum()
+    if errors == "zero":
+        e = np.zeros((12, n))
+    elif errors == "near half":
+        e = np.full((12, n), 0.4999)
+    else:
+        picks = rng.choice([0.0, 0.4999, 0.1, 1e-9], size=(12, n))
+        e = np.where(rng.random((12, n)) < 0.7, picks, rng.uniform(0.0, 0.3, (12, n)))
+    return validate_table(
+        [f"c{i}" for i in range(n)],
+        p.tolist(),
+        [f"T{m}" for m in range(12)],
+        [[None if v < 0 else int(v) for v in row] for row in outcomes.tolist()],
+        e.tolist(),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    source=st.sampled_from(["random_table", "extreme"]),
+    n=st.sampled_from([2, 3, 7, 40, 200]),
+    priors=st.sampled_from(["equal", "tiny", "gamma"]),
+    errors=st.sampled_from(["zero", "near half", "mixed"]),
+)
+def test_screen_lies_within_a_sixteenth_of_its_bound(seed, source, n, priors, errors):
+    """Every screened point's h~ = E_B + split and mass~ lie within
+    delta / 16 of the exact point of ``_block_points``, on the whole class
+    set, a third of it and a pair, and the screen raises no warning."""
+    if source == "random_table":
+        table = support.random_table(seed, max_classes=12, max_tests=16, cell_errors=True)
+    else:
+        table = _extreme_table(seed, n, priors, errors)
+    rng = random.Random(seed)
+    whole = table.all_classes_block()
+    blocks = [whole]
+    if len(whole) > 2:
+        blocks += [tuple(sorted(rng.sample(whole, max(2, len(whole) // 3)))),
+                   tuple(sorted(rng.sample(whole, 2)))]
+    cells = builder_module._cells(table)
+    tests = [builder_module._applicable(cells, b) for b in blocks]
+    blocks, tests = [b for b, ms in zip(blocks, tests) if ms], [ms for ms in tests if ms]
+    terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
+    for kind in Metric:
+        cells = builder_module._cells(table, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            screen = builder_module._screen(cells, blocks, terms, tests)
+        for block, entropy, lo, hi, delta in zip(
+            blocks, terms, screen.bounds, screen.bounds[1:], screen.delta
+        ):
+            mass = math.fsum(table.priors[i] for i in block)
+            assert math.isclose(delta, 64 * _ULP * len(block) * (entropy + mass), rel_tol=1e-9)
+            points = builder_module._block_points(cells, block)
+            assert [p.test for p in points] == screen.test[lo:hi]
+            for point, split, approx in zip(points, screen.splits[lo:hi], screen.masses[lo:hi]):
+                assert abs(entropy + split - point.h) <= delta / 16
+                assert abs(approx - point.mass) <= delta / 16
+
+
+def test_greedy_builds_score_few_points_exactly(monkeypatch):
+    """On a 100-class wide table, the screen leaves at most a tenth of the
+    (open block, applicable test) points to exact scoring."""
+    table = support.wide_table(100, 0)
+    for kind in Metric:
+        config = BuilderConfig(metric=MetricConfig(kind=kind))
+        cells = builder_module._cells(table, kind)
+        tree = build_greedy(table, config).tree
+        applicable = sum(len(builder_module._applicable(cells, b))
+                         for step in level_trace(tree, table) for b in step.before if len(b) > 1)
+        scored = []
+        original = builder_module._block_points
+
+        def counted(*args):
+            points = original(*args)
+            scored.extend(points)
+            return points
+
+        monkeypatch.setattr(builder_module, "_block_points", counted)
+        assert build_greedy(table, config).tree == tree
+        monkeypatch.undo()
+        assert applicable > 7000 and len(scored) <= applicable // 10, (kind, len(scored))

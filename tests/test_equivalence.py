@@ -489,8 +489,8 @@ def test_sweep_error_builds_each_random_tree_once(monkeypatch):
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
     assert [args[1] for args in calls] == list(range(4, 24))
-    # one set of cells for the random trees, and the designed tree's own
-    assert len(shared) == 1 and len(own) == 1
+    # one set of cells, made by the sweep, for the designed tree and the random ones
+    assert len(shared) == 1 and own == []
 
 
 def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
@@ -1230,6 +1230,81 @@ def test_inseparable_error_equals_per_pair_scan():
             got = builder_module._inseparable_error(table, block)
             want = support.inseparable_error_per_pair(table, block)
             assert type(got) is type(want) and str(got) == str(want), block
+
+
+def _screening_tables():
+    """Tables on which each screened level choice must equal the choice from
+    every point: the demo at five errors; random tables with priors 1/n,
+    with every test row twice, under one scalar error (every block of one
+    mass), at error 0 (every level error-free), with repeated flat test
+    errors (some masses tie, not all) and with those errors and priors 1/n
+    apart by a few units in the last place (entropies of different splits
+    nearly tie); and a 200-class wide table."""
+    for p_star in (0.0, 0.01, 0.05, 0.2, 0.45):
+        yield demo_table(p_star)
+    flat = (0.05, 0.1, 0.05, 0.2)
+    for seed in range(40):
+        table = support.random_table(seed, max_classes=12, max_tests=14, cell_errors=True)
+        n = table.n_classes
+        yield support.table_variant(table, priors=[1.0 / n] * n)
+        near = support.table_variant(table, priors=[(1.0 + 2e-16 * (i % 3)) / n for i in range(n)])
+        yield near.with_test_errors({t: flat[m % 4] for m, t in enumerate(table.tests)})
+        yield support.table_variant(
+            table,
+            outcomes=np.concatenate([table.outcomes, table.outcomes[::-1]]),
+            errors=np.concatenate([table.errors, table.errors[::-1]]),
+        )
+        yield table.with_scalar_error(0.1)
+        yield table.with_scalar_error(0.0)
+        yield table.with_test_errors({t: flat[m % 4] for m, t in enumerate(table.tests) if m % 3})
+    yield support.wide_table(200, 0)
+
+
+@pytest.mark.parametrize("config", SCORING_CONFIGS)
+def test_screened_level_choice_equals_choice_from_every_point(config):
+    """At every level, the screened choice equals the choice from every
+    point; under the multiplicative metric each block's exactly scored
+    points also have the lower-left hull of all its points."""
+    for table in _screening_tables():
+        cells = builder_module._cells(table, config.metric.kind)
+        for step in level_trace(build_greedy(table, config).tree, table):
+            got = builder_module._choose_level_assignment(table, cells, config, step.before)
+            assert got == support.level_choice_per_point(table, cells, config, step.before)
+            if config.metric.kind is Metric.MULTIPLICATIVE:
+                _check_screened_hulls(table, cells, step.before)
+
+
+def _check_screened_hulls(table, cells, partition):
+    blocks = [b for b in partition if len(b) > 1]
+    terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
+    applicable = [builder_module._applicable(cells, b) for b in blocks]
+    screen = builder_module._screen(cells, blocks, terms, applicable)
+    kept = builder_module._multiplicative_points(cells, blocks, screen)
+    for block, indices in zip(blocks, kept):
+        tests = [screen.test[i] for i in indices]
+        hull = builder_module._lower_left_hull(builder_module._block_points(cells, block, tests))
+        assert hull == builder_module._lower_left_hull(builder_module._block_points(cells, block))
+
+
+def test_screened_level_choice_raises_the_same_inseparable_error():
+    def outcome(choose, table, cells, config, partition):
+        try:
+            return choose(table, cells, config, partition)
+        except InseparableClasses as error:
+            return type(error), str(error)
+
+    for table in _inseparable_tables():
+        whole = table.all_classes_block()
+        partitions = [(whole,)]
+        for block in itertools.islice(itertools.combinations(whole, 3), 10):
+            partitions.append((*((i,) for i in whole if i not in block), block))
+        for config in SCORING_CONFIGS[:2]:
+            cells = builder_module._cells(table, config.metric.kind)
+            for partition in partitions:
+                args = table, cells, config, partition
+                assert outcome(builder_module._choose_level_assignment, *args) == outcome(
+                    support.level_choice_per_point, *args
+                )
 
 
 def test_random_trees_equal_per_block_builder():
