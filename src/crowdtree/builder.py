@@ -28,8 +28,11 @@ rows and, for a greedy build, the products ``p·e`` (additive) or
 bits as Python's ``*``, and the screen's per-class rows made from them. A
 test applies to a block when it is defined for every member and answers 1
 for some but not all of them. Each chosen block is split once, and that
-split makes both the next level's blocks and the tree's node. A greedy
-build's per-level figures are read afterwards from the tree it built.
+split makes both the next level's blocks and the tree's node, which
+:func:`_assemble` makes from the build's list of splits;
+:func:`crowdtree.simulate.sweep_error` scores the splits without it. A
+greedy build's per-level figures are read afterwards from the tree it
+built.
 
 Scoring. The exact value of a point is :func:`_block_points`'s: the mass
 is ``fsum`` of the block's products, picked out at C level, and h comes
@@ -495,7 +498,7 @@ def _choose_level_assignment(
     terms = [_block_entropy(table.priors, b) for b in open_blocks]
     screen = _screen(cells, open_blocks, terms, applicable)
     entropy_before = 0.0
-    for term in terms:  # as _level_entropy adds them; a singleton adds 0.0
+    for term in terms:  # as level_entropy adds them; a singleton adds 0.0
         entropy_before += term
     scored: dict[int, _Point] = {}  # by point index
     h_of: list[dict[int, float]] = [{} for _ in open_blocks]  # per block, h by split
@@ -554,15 +557,17 @@ def _assemble(splits: list, table: TestTable) -> DecisionTree:
     return DecisionTree(node_of[table.all_classes_block()])
 
 
-def _grow(table: TestTable, cells: _Cells, choose) -> DecisionTree:
-    """The tree made level by level from the one-block partition:
-    ``choose(partition)`` maps each open block to a test index, and each
-    chosen block is split by its test, until every block is a singleton."""
+def _grow(table: TestTable, cells: _Cells, choose) -> list[tuple]:
+    """The splits of the tree made level by level from the one-block
+    partition, as :func:`_split_level` lists them: ``choose(partition)``
+    maps each open block to a test index, and each chosen block is split by
+    its test, until every block is a singleton. :func:`_assemble` makes the
+    tree of them."""
     partition: Partition = (table.all_classes_block(),)
     splits: list[tuple] = []
     while any(len(b) > 1 for b in partition):
         partition = _split_level(cells, partition, choose(partition), splits)
-    return _assemble(splits, table)
+    return splits
 
 
 def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> GreedyResult:
@@ -575,14 +580,15 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     compile that takes stays cached on the tree for its other readers.
     """
     config = config or BuilderConfig()
-    tree = _greedy_tree(table, config, _cells(table, config.metric.kind))
+    splits = _greedy_splits(table, config, _cells(table, config.metric.kind))
+    tree = _assemble(splits, table)
     return GreedyResult(tree, tuple(level_quantities(tree, table, config.metric.ratio_offset)))
 
 
-def _greedy_tree(table: TestTable, config: BuilderConfig, cells: _Cells) -> DecisionTree:
-    """The tree of :func:`build_greedy`, without its level quantities, from
+def _greedy_splits(table: TestTable, config: BuilderConfig, cells: _Cells) -> list[tuple]:
+    """The :func:`_grow` splits of :func:`build_greedy`'s tree, from
     ``cells``, the table's :func:`_cells` under the config's metric, which
-    :func:`_random_tree` can share."""
+    :func:`_random_splits` can share."""
     return _grow(table, cells, partial(_choose_level_assignment, table, cells, config))
 
 
@@ -592,12 +598,13 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
     Blocks are visited level by level in partition order, so a given seed
     reproduces the same tree bit for bit.
     """
-    return _random_tree(table, seed, _cells(table))
+    return _assemble(_random_splits(table, seed, _cells(table)), table)
 
 
-def _random_tree(table: TestTable, seed: int, cells: _Cells) -> DecisionTree:
-    """The tree of :func:`build_random` from ``cells``, the table's
-    :func:`_cells`, which any number of seeds can share."""
+def _random_splits(table: TestTable, seed: int, cells: _Cells) -> list[tuple]:
+    """The :func:`_grow` splits of :func:`build_random`'s tree, from
+    ``cells``, the table's :func:`_cells`, which any number of seeds can
+    share."""
     rng = random.Random(seed)
 
     def choose(partition: Partition) -> dict[Block, int]:

@@ -18,9 +18,8 @@ from .metrics import (
     _additive_approx,
     _bounds_additive,
     _bounds_multiplicative,
+    _exact,
     _multiplicative_approx,
-    exact_correct,
-    exact_misclassification,
     level_quantities,
 )
 from .simulate import simulate, sweep_error, sweep_workers
@@ -77,7 +76,8 @@ def _write_report(args, text: str) -> int:
 def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
     """The quality report of ``tree``: the per-level figures (``levels``
     when the builder already has them, else the tree's level trace), then
-    the exact values, approximations and bounds."""
+    the exact values, both from one survival pass, approximations and
+    bounds."""
     if levels is None:
         levels = level_quantities(tree, table, ratio_offset)
     print("level,entropy_before,entropy_after,error_mass,correct_mass,"
@@ -87,7 +87,7 @@ def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
             f"{q.level},{q.entropy_before!r},{q.entropy_after!r},{q.error_mass!r},"
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
-    exact_pm, exact_pc = exact_misclassification(tree, table), exact_correct(tree, table)
+    exact_pm, exact_pc = _exact(tree, table)
     lo_a, hi_a = _bounds_additive(levels)
     lo_m, hi_m = _bounds_multiplicative(levels, ratio_offset)
     print(f"exact_pm,{exact_pm!r}")

@@ -12,10 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
+    LevelStep,
     Partition,
     TestTable,
     _compile,
@@ -67,16 +70,29 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
     it, renormalized to the block.
     """
     check_partition(len(priors), partition)
-    return _level_entropy(priors, partition)
-
-
-def _level_entropy(priors: Sequence[float], partition: Partition) -> float:
-    """:func:`level_entropy` without the check, for a partition that the
-    caller made itself."""
     total = 0.0
     for block in partition:
         total += _block_entropy(priors, block)
     return total
+
+
+def _trace_entropies(priors: Sequence[float], steps: Sequence[LevelStep]) -> list[float]:
+    """:func:`level_entropy` of each partition of a level trace, once each:
+    the first level's before, then every level's after.
+
+    The trace is of a tree checked against a table, whose priors are all
+    positive, so a level's tested blocks are its partition's blocks of more
+    than one class, in partition order. Only those are summed: a singleton's
+    term is 0.0, and adding it changes no bit. The last level leaves only
+    singletons, so its after is 0.0."""
+    out = []
+    for step in steps:
+        total = 0.0
+        for block in step.assignment:
+            total += _entropy_term([priors[i] for i in block])
+        out.append(total)
+    out.append(0.0)
+    return out
 
 
 def _block_entropy(priors: Sequence[float], block: Block) -> float:
@@ -174,10 +190,9 @@ def level_quantities(
     """Entropy, masses, and both metrics for every level of ``tree``. The
     level trace's partitions come from a compile, so they go unchecked."""
     steps = level_trace(tree, table)
+    entropies = _trace_entropies(table.priors, steps)
     out: list[LevelQuantities] = []
-    h_prev = _level_entropy(table.priors, steps[0].before) if steps else 0.0
-    for d, step in enumerate(steps, start=1):
-        h_next = _level_entropy(table.priors, step.after)
+    for d, (step, h_prev, h_next) in enumerate(zip(steps, entropies, entropies[1:]), start=1):
         g, b = _masses(table, step.assignment)
         out.append(
             LevelQuantities(
@@ -190,7 +205,6 @@ def level_quantities(
                 multiplicative_metric=metric_multiplicative(h_prev, h_next, b, ratio_offset),
             )
         )
-        h_prev = h_next
     return out
 
 
@@ -210,6 +224,30 @@ def _survivals(form: _Compiled, table: TestTable, factors) -> list:
             for i in block:
                 survive[i] *= row[i]  # the first product is a fresh vector
     return survive
+
+
+def _split_pms(trees: Sequence[list], priors: Sequence[float], factor: np.ndarray) -> np.ndarray:
+    """:func:`exact_misclassification` of each tree, given as its builder
+    splits ``(block, test, zeros, ones)``, when every cell's factor
+    ``1 - e`` is ``factor``, a vector with one lane per error setting; one
+    row per tree, one column per lane.
+
+    Each lane has the bits of :func:`_exact` with that factor in every
+    cell. A class's survival there is ``1.0 * v``, which is ``v``, then
+    times ``v`` once more per further test on its path, so it depends only
+    on the class's depth, the number of split blocks holding it: one
+    product per depth serves every class and tree. The classes' terms ``p * (1 - survival)``
+    are then added in class order, as :func:`_exact` adds them (a running
+    sum; a pairwise reduction would round differently)."""
+    n = len(priors)
+    depth = np.array([np.bincount([i for split in splits for i in split[0]], minlength=n)
+                      for splits in trees])
+    survive = [np.ones_like(factor), factor]  # by depth; no class has depth 0
+    for _ in range(2, int(depth.max()) + 1):
+        survive.append(survive[-1] * factor)
+    loss = 1.0 - np.array(survive)  # per depth and lane
+    terms = np.asarray(priors)[:, None] * loss[depth]  # per tree, class and lane
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _exact(tree: DecisionTree, table: TestTable, factors=None) -> tuple:

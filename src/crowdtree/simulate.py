@@ -49,10 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .builder import BuilderConfig, _cells, _greedy_tree, _random_tree
+from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
 from .errors import ValidationError
 from .fusion import _check_worker_error, group_error
-from .metrics import MetricConfig, _exact
+from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, validate_tree
 from .workers import (
     AssignmentStrategy,
@@ -436,12 +436,14 @@ def sweep_error(
     choice takes each block's least-h test, lowest index on equal h (see
     :mod:`crowdtree.builder`). So the designed tree is built once, at the
     largest grid error, where no mass can underflow to 0 unless it does at
-    every grid point, and without the level quantities that
-    :func:`build_greedy` attaches; then the ``n_random_trees`` trees from
-    the same table cells, made once for both builders. Each tree is
-    compiled once and scored at every grid point in one batched pass of
-    the exact evaluator, one lane per grid point (grid points × classes
-    floats).
+    every grid point; then the ``n_random_trees`` trees from the same table
+    cells, made once for both builders. No tree is assembled: each stays
+    the builder's list of splits, and every tree is scored at every grid
+    point at once, one lane per grid point (trees × classes × grid points
+    floats). Under one scalar error every cell carries the same factor, so
+    a class's survival depends only on how many splits it passes
+    (:func:`crowdtree.metrics._split_pms`), with the bits of the exact
+    evaluator on the assembled tree.
     """
     config = config or BuilderConfig()
     grid = list(grid)
@@ -454,12 +456,11 @@ def sweep_error(
         return []
     tbl = table.with_scalar_error(max(grid))
     cells = _cells(tbl, config.metric.kind)
-    trees = [_greedy_tree(tbl, config, cells)]  # first: it names an inseparable pair
-    trees += [_random_tree(tbl, seed + i, cells) for i in range(n_random_trees)]
-    factors = [[1.0 - np.array(grid, dtype=np.float64)] * table.n_classes] * table.n_tests
-    pms = [_exact(tree, table, factors)[0] for tree in trees]
+    trees = [_greedy_splits(tbl, config, cells)]  # first: it names an inseparable pair
+    trees += [_random_splits(tbl, seed + i, cells) for i in range(n_random_trees)]
+    pms = _split_pms(trees, table.priors, 1.0 - np.array(grid, dtype=np.float64))
     # per grid point, a contiguous row (as np.mean and np.std of a list read) of the random pms
-    random_pms = np.array(pms[1:]).T.copy()
+    random_pms = pms[1:].T.copy()
     return [
         ErrorSweepPoint(
             error_prob=float(p_star),

@@ -21,7 +21,7 @@ from .fusion import _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
-    _level_entropy,
+    _trace_entropies,
     metric_additive,
     metric_multiplicative,
 )
@@ -116,15 +116,31 @@ class _LevelMasses(NamedTuple):
     untested: list[float]  # priors of the classes no test sees here
 
 
-def _level_masses(table: TestTable, step: LevelStep) -> _LevelMasses:
-    h_before = _level_entropy(table.priors, step.before)
-    h_after = _level_entropy(table.priors, step.after)
-    tested: dict[str, list[float]] = {}
-    for block, test_id in step.assignment.items():
-        tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
-    seen = {i for block in step.assignment for i in block}
-    untested = [p for i, p in enumerate(table.priors) if i not in seen]
-    return _LevelMasses(h_before, h_after, tested, untested)
+def _level_masses(table: TestTable, steps: list[LevelStep]) -> list[_LevelMasses]:
+    entropies = _trace_entropies(table.priors, steps)
+    levels = []
+    for step, h_before, h_after in zip(steps, entropies, entropies[1:]):
+        tested: dict[str, list[float]] = {}
+        for block, test_id in step.assignment.items():
+            tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
+        seen = {i for block in step.assignment for i in block}
+        untested = [p for i, p in enumerate(table.priors) if i not in seen]
+        levels.append(_LevelMasses(h_before, h_after, tested, untested))
+    return levels
+
+
+def _partials(xs: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of ``xs``: each is the
+    ``fsum`` of ``xs`` less those before it, until that is 0. ``fsum``
+    rounds the exact sum of its inputs correctly, so a sum of doubles that
+    is not 0 never rounds to 0, and each partial is within half an ulp of
+    what is left: a handful of floats stand for any number of ``xs``."""
+    xs = list(xs)
+    out = []
+    while (r := math.fsum(xs)) != 0.0:
+        out.append(r)
+        xs.append(-r)
+    return out
 
 
 def assign_proposed(
@@ -136,27 +152,36 @@ def assign_proposed(
 ) -> tuple[WorkerAllocation, list[AssignStep]]:
     """Distribute worker pairs greedily, always repairing the weakest level.
 
-    Each iteration recomputes every level's metric under the current fused
-    errors, picks the weakest level (lowest additive metric or highest
-    multiplicative metric; earliest level on ties), and commits one pair to
-    the test at that level whose reinforcement improves the level metric the
-    most (lowest test index on ties).
+    Each iteration picks the weakest level under the current fused errors
+    (lowest additive metric or highest multiplicative metric; earliest
+    level on ties) and commits one pair to the test at that level whose
+    reinforcement improves the level metric the most (lowest test index on
+    ties).
 
-    Only the fused errors change between iterations, so each level's two
-    entropies and its priors grouped by assigned test are computed once per
-    call, and the group error once per distinct pair count. A level's error
-    (correct) mass is then the exactly rounded ``fsum`` of ``p * e``
-    (``p * (1 - e)``, plus the untested priors), the same value a fused
-    table would give. The rule never reads ``budget`` except to stop, so
-    the first K steps of the log are the run for budget K.
+    A level's metric reads its two entropies, computed once per call, and
+    its error mass, the exactly rounded ``fsum`` of ``p * e`` over the
+    classes its tests see (under the multiplicative metric its correct
+    mass, of ``p * (1 - e)`` plus the untested priors): the same value a
+    fused table would give. Each level keeps that sum exact as a few
+    :func:`_partials`, and so does each (level, test, pair count) for the
+    test's own classes there. A candidate pair is scored from the level's
+    partials less its test's at the current count plus its test's at the
+    next, and ``fsum`` of those rounds the new exact sum correctly: a
+    handful of floats per test of the level, whatever the class count. A
+    commit re-sums only the levels that use the test that got the pair.
+    The group error is computed once per distinct pair count. The rule
+    never reads ``budget`` except to stop, so the first K steps of the log
+    are the run for budget K.
     """
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
-    steps = level_trace(tree, table)
-    levels = [_level_masses(table, step) for step in steps]
-    tested = {t for step in steps for t in step.assignment.values()}  # every node is in a level
-    pairs = {t: 0 for t in sorted(tested, key=table.test_index)}
+    additive = metric.kind is Metric.ADDITIVE
+    levels = _level_masses(table, level_trace(tree, table))
+    candidates = [sorted(level.tested, key=table.test_index) for level in levels]
+    pairs = {t: 0 for t in sorted({t for ts in candidates for t in ts}, key=table.test_index)}
+    uses = {t: [d for d, ts in enumerate(candidates) if t in ts] for t in pairs}
     fused_by_pairs: dict[int, float] = {}
+    terms: dict[tuple[int, str, int], list[float]] = {}
     log: list[AssignStep] = []
 
     def fused(k: int) -> float:
@@ -164,47 +189,61 @@ def assign_proposed(
             fused_by_pairs[k] = group_error(k, worker_error)
         return fused_by_pairs[k]
 
-    errors = {t: fused(0) for t in pairs}
+    def term(d: int, test_id: str, k: int) -> list[float]:
+        """The partials of level d's masses from ``test_id`` at k pairs."""
+        key = (d, test_id, k)
+        if key not in terms:
+            e = fused(k)
+            factor = e if additive else 1.0 - e
+            terms[key] = _partials([p * factor for p in levels[d].tested[test_id]])
+        return terms[key]
 
-    def level_metric(level: _LevelMasses, errs: Mapping[str, float]) -> float:
-        if metric.kind is Metric.ADDITIVE:
-            g = math.fsum(p * errs[t] for t, ps in level.tested.items() for p in ps)
-            return metric_additive(level.entropy_before - level.entropy_after, g)
-        tested = (p * (1.0 - errs[t]) for t, ps in level.tested.items() for p in ps)
-        c = math.fsum([*level.untested, *tested])
+    def moved(d: int, test_id: str) -> list[float]:
+        """Level d's partials with one more pair on ``test_id``."""
+        k = pairs[test_id]
+        return [*sums[d], *(-x for x in term(d, test_id, k)), *term(d, test_id, k + 1)]
+
+    def level_metric(d: int, partials: list[float]) -> float:
+        level, mass = levels[d], math.fsum(partials)
+        if additive:
+            return metric_additive(level.entropy_before - level.entropy_after, mass)
         return metric_multiplicative(
-            level.entropy_before, level.entropy_after, c, metric.ratio_offset
+            level.entropy_before, level.entropy_after, mass, metric.ratio_offset
         )
 
+    sums = [
+        _partials([*(x for t in ts for x in term(d, t, 0)), *([] if additive else level.untested)])
+        for d, (level, ts) in enumerate(zip(levels, candidates))
+    ]
+    values = [level_metric(d, partials) for d, partials in enumerate(sums)]
     for iteration in range(1, budget + 1):
-        values = [level_metric(level, errors) for level in levels]
-        if metric.kind is Metric.ADDITIVE:
+        if additive:
             target = min(range(len(values)), key=lambda d: (values[d], d))
         else:
             target = min(range(len(values)), key=lambda d: (-values[d], d))
         best_test: str | None = None
         best_value = 0.0
-        for test_id in sorted(levels[target].tested, key=table.test_index):
-            value = level_metric(levels[target], {**errors, test_id: fused(pairs[test_id] + 1)})
-            better = (
-                value > best_value
-                if metric.kind is Metric.ADDITIVE
-                else value < best_value
-            )
+        for test_id in candidates[target]:
+            value = level_metric(target, moved(target, test_id))
+            better = value > best_value if additive else value < best_value
             if best_test is None or better:
                 best_test, best_value = test_id, value
         assert best_test is not None
+        before = values[target]
+        for d in uses[best_test]:
+            sums[d] = _partials(moved(d, best_test))
+            values[d] = level_metric(d, sums[d])
+            del terms[d, best_test, pairs[best_test]]
         pairs[best_test] += 1
-        errors[best_test] = fused(pairs[best_test])
         log.append(
             AssignStep(
                 iteration=iteration,
                 level=target + 1,
                 test=best_test,
-                metric_before=values[target],
+                metric_before=before,
                 metric_after=best_value,
                 pairs_after=pairs[best_test],
-                effective_error_after=errors[best_test],
+                effective_error_after=fused(pairs[best_test]),
             )
         )
     allocation = WorkerAllocation(

@@ -515,6 +515,8 @@ def test_screen_lies_within_a_sixteenth_of_its_bound(seed, source, n, priors, er
     cells = builder_module._cells(table)
     tests = [builder_module._applicable(cells, b) for b in blocks]
     blocks, tests = [b for b, ms in zip(blocks, tests) if ms], [ms for ms in tests if ms]
+    if not blocks:  # a screen has some block: on an extreme table every test splits classes 0, 1
+        blocks, tests = [(0, 1)], [builder_module._applicable(cells, (0, 1))]
     terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
     for kind in Metric:
         cells = builder_module._cells(table, kind)

@@ -276,6 +276,18 @@ def test_assign_proposed_equals_fused_rebuild_random_instances():
                     assert got == want
 
 
+@pytest.mark.parametrize("worker_error", [0.05, 0.45])
+@pytest.mark.parametrize("metric", METRICS, ids=["additive", "multiplicative"])
+def test_assign_proposed_equals_fused_rebuild_large_budget(metric, worker_error):
+    table = support.wide_table(40, 0)
+    tree = build_greedy(table).tree
+    budget = 150
+    allocation, log = support.fused_rebuild_assign(tree, table, budget, worker_error, metric)
+    assert assign_proposed(tree, table, budget, worker_error, metric) == (allocation, log)
+    for k in (0, 1, 40, 149):  # the run for budget K is the first K steps
+        assert assign_proposed(tree, table, k, worker_error, metric)[1] == log[:k]
+
+
 def test_allocation_cost_equals_subtree_rebuild():
     cases = [(designed_tree(), demo_table(0.05)), (alternative_tree(), demo_table(0.05))]
     cases.extend((tree, table) for table in _cell_tables() for tree in _trees(table))
@@ -315,9 +327,30 @@ def test_sweep_error_equals_per_point_builds():
             assert got == support.per_point_sweep_error(table, grid, 7, config, seed=2)
 
 
+@pytest.mark.parametrize("lanes", [1, 30])
+def test_split_pms_equal_exact_on_assembled_trees(lanes):
+    rng = np.random.default_rng(lanes)
+    tables = [support.random_table(seed, max_classes=12, max_tests=12) for seed in SEEDS]
+    tables.append(support.wide_table(40, 0))
+    for t, table in enumerate(tables):
+        grid = rng.uniform(0.0, 0.5, size=lanes)
+        edge = (None, 5e-324, 0.4999)[t % 3]  # a mass that underflows, an error near 0.5
+        if edge is not None:
+            grid[t % lanes] = edge
+        factor = 1.0 - grid
+        cells = builder_module._cells(table, Metric.ADDITIVE)
+        trees = [builder_module._greedy_splits(table, BuilderConfig(), cells)]
+        trees += [builder_module._random_splits(table, seed, cells) for seed in range(4)]
+        pms = metrics_module._split_pms(trees, table.priors, factor)
+        factors = [[factor] * table.n_classes] * table.n_tests
+        for splits, row in zip(trees, pms):
+            want = metrics_module._exact(builder_module._assemble(splits, table), table, factors)
+            assert row.tolist() == want[0].tolist()
+
+
 def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
-    builds = _counting(monkeypatch, simulate_module, "_greedy_tree")
-    randoms = _counting(monkeypatch, simulate_module, "_random_tree")
+    builds = _counting(monkeypatch, simulate_module, "_greedy_splits")
+    randoms = _counting(monkeypatch, simulate_module, "_random_splits")
     with pytest.raises(ValidationError, match="0.5"):
         sweep_error(demo_table(), [0.05, 0.1, 0.5], n_random_trees=3)
     inseparable = validate_table(["a", "b", "c"], [0.2, 0.4, 0.4], ["t"], [[0, 1, 1]], 0.1)
@@ -483,7 +516,7 @@ def test_sweep_workers_runs_assign_proposed_once(monkeypatch):
 
 
 def test_sweep_error_builds_each_random_tree_once(monkeypatch):
-    calls = _counting(monkeypatch, simulate_module, "_random_tree")
+    calls = _counting(monkeypatch, simulate_module, "_random_splits")
     shared = _counting(monkeypatch, simulate_module, "_cells")
     own = _counting(monkeypatch, builder_module, "_cells")
     grid = [0.01 * k for k in range(1, 31)]
@@ -493,8 +526,8 @@ def test_sweep_error_builds_each_random_tree_once(monkeypatch):
     assert len(shared) == 1 and own == []
 
 
-def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
-    built = {"_random_tree": [], "_greedy_tree": []}
+def test_sweep_error_assembles_and_compiles_no_tree(monkeypatch):
+    built = {"_random_splits": [], "_greedy_splits": []}
     for name, trees in built.items():
         original = getattr(simulate_module, name)
 
@@ -503,14 +536,14 @@ def test_sweep_error_compiles_each_random_tree_once(monkeypatch):
             return trees[-1]
 
         monkeypatch.setattr(simulate_module, name, build)
+    assembled = _counting(monkeypatch, builder_module, "_assemble")
     compiled = _counting_compiles(monkeypatch)
+    survivals = _counting(monkeypatch, metrics_module, "_survivals")
     grid = [0.01 * k for k in range(1, 31)]
     sweep_error(demo_table(), grid, n_random_trees=20, seed=4)
-    assert len(built["_random_tree"]) == 20 and len(built["_greedy_tree"]) == 1
-    # the one designed tree once, for its pms at every grid point: no level figures
-    for tree in built["_random_tree"] + built["_greedy_tree"]:
-        assert sum(args[0] is tree for args in compiled) == 1
-    assert len(compiled) == 21
+    assert len(built["_random_splits"]) == 20 and len(built["_greedy_splits"]) == 1
+    # every tree is scored from its splits, at every grid point, with no tree object
+    assert assembled == [] and compiled == [] and survivals == []
 
 
 def test_exact_evaluators_never_call_class_path():
@@ -1336,6 +1369,23 @@ def test_random_builder_errors_equal_per_block_builder():
             assert got == _random_build(support.build_random_per_block, table, seed)
             outcomes.append(type(got))
     assert str in outcomes and DecisionTree in outcomes  # both paths are met
+
+
+def test_cli_quality_reports_make_one_survival_pass(monkeypatch, tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(DEMO_TABLE_CSV, encoding="utf-8")
+    tree = str(tmp_path / "tree.json")
+    on_table = ["--table", str(table), "--error-prob", "0.05"]
+    passes = _counting(monkeypatch, metrics_module, "_survivals")
+    for argv in (
+        ["build", *on_table, "--out", tree],
+        ["build", *on_table, "--metric", "multiplicative"],
+        ["evaluate", "--tree", tree, *on_table],
+    ):
+        passes.clear()
+        assert cli_module.main(argv) == 0
+        assert len(passes) == 1  # exact_pm and exact_pc from one pass
+    capsys.readouterr()
 
 
 def _cli_compile_counts(monkeypatch, argv):

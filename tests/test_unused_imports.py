@@ -1,8 +1,9 @@
-"""Every name a crowdtree module imports is used in that module.
+"""Every name a crowdtree module or a test file imports is used in that
+file.
 
-No linter runs on the package, so this AST check stands in for one. The
-package's ``__init__.py`` is left out: its imports are the public
-re-exports.
+No linter runs on the package or its tests, so this AST check stands in
+for one. The package's ``__init__.py`` is left out: its imports are the
+public re-exports.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import crowdtree
 
 PACKAGE = Path(crowdtree.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,5 +40,14 @@ def test_package_modules_use_every_name_they_import():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
         and (found := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_test_files_use_every_name_they_import():
+    unused = {
+        path.name: found
+        for path in sorted(TESTS.glob("*.py"))
+        if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}

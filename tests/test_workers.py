@@ -1,6 +1,10 @@
+import math
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdtree import (
     AssignmentStrategy,
@@ -18,7 +22,7 @@ from crowdtree import (
 from crowdtree.errors import UnknownStrategy, UnknownTest, ValidationError
 from crowdtree.fixtures import demo_table, designed_tree
 from crowdtree.model import DecisionTree, Internal, Leaf
-from crowdtree.workers import WorkerAllocation
+from crowdtree.workers import WorkerAllocation, _partials
 
 import support
 
@@ -214,3 +218,31 @@ def test_baseline_rejects_trees_the_table_does_not_fit():
         for strategy in (s for s in AssignmentStrategy if s is not AssignmentStrategy.PROPOSED):
             with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
                 assign_baseline(tree, TABLE, strategy, 3, 0.2)
+
+
+# a level's masses: products p * e or p * (1 - e) of priors from 1 down to
+# 1e-300 and into the subnormals, and errors from 0 up to 0.4999
+_PRIORS = st.one_of(st.floats(1e-300, 1.0), st.floats(5e-324, 2.0**-1022))
+_MASSES = st.lists(
+    st.builds(
+        lambda p, e, correct: p * (1.0 - e) if correct else p * e,
+        _PRIORS, st.floats(0.0, 0.4999), st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_MASSES, b=_MASSES, c=_MASSES)
+@example(a=[1.0, 1e-300, -1.0], b=[5e-324] * 3, c=[0.4999, 2.0**-1074])
+@example(a=[0.1] * 10, b=[], c=[])
+def test_partials_hold_the_exact_sum(a, b, c):
+    def exact(xs):
+        return sum(map(Fraction, xs), Fraction(0))
+
+    partials = _partials(a)
+    assert exact(partials) == exact(a)
+    assert math.fsum(partials) == math.fsum(a)
+    # a level's sum with test b's masses replaced by test c's
+    moved = _partials(a + b) + [-x for x in _partials(b)] + _partials(c)
+    assert math.fsum(moved) == math.fsum(a + c)
