@@ -70,22 +70,7 @@ def parse_table_text(
         priors = [float(v) for v in prior_row[1:]]
     except ValueError as exc:
         raise ParseError(f"bad prior value: {exc}", 2) from None
-    tests: list[str] = []
-    codes: list[list[int]] = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            raise ParseError("blank line inside table", lineno)
-        row = line.split(",")
-        if len(row) != len(head):
-            raise ParseError(f"expected {len(classes)} outcomes, got {len(row) - 1}", lineno)
-        tests.append(row[0])
-        try:
-            codes.append(list(map(_OUTCOME_CODE, row[1:])))
-        except KeyError as exc:
-            raise ParseError(
-                f"outcome must be 0, 1 or '-', got {exc.args[0]!r}", lineno
-            ) from None
-    outcomes = np.array(codes, dtype=np.int8)
+    tests, outcomes = _parse_outcomes(lines[2:], len(classes))
 
     if error_matrix_text is not None:
         if error_prob is not None:
@@ -96,10 +81,48 @@ def parse_table_text(
     return _checked_table(tuple(classes), priors, tuple(tests), outcomes, errors)
 
 
-_OUTCOME_CODE = {"-": -1, "0": 0, "1": 1}.__getitem__
+# per byte: the outcome code of a one-character cell, 2 where no cell has it
+_OUTCOME_CODE = np.full(256, 2, dtype=np.int8)
+_OUTCOME_CODE[list(b"-01")] = -1, 0, 1
+_COMMA = ord(",")
+
+
+def _parse_outcomes(lines: list[str], n: int) -> tuple[list[str], np.ndarray]:
+    """(test ids, int8 outcomes) of the test rows ``lines`` of a table with
+    ``n`` classes. A well-formed row is its id, then ``n`` one-byte cells
+    after commas, so the rows' cells, joined by commas, are one byte string
+    in which every even byte is a cell and every odd one a comma; they are
+    read in one pass through a byte table. Otherwise the first bad row, in
+    line order, raises from :func:`_outcome_row`."""
+    tests, _, cells = zip(*(line.partition(",") for line in lines))
+    grid = np.frombuffer((",".join(cells) + ",").encode("utf-8"), dtype=np.uint8)
+    if all(len(row) == 2 * n - 1 for row in cells) and grid.size == 2 * n * len(lines):
+        grid = grid.reshape(len(lines), n, 2)
+        codes = _OUTCOME_CODE[grid[:, :, 0]]
+        if (grid[:, :, 1] == _COMMA).all() and (codes < 2).all():
+            return list(tests), codes
+    for lineno, line in enumerate(lines, start=3):
+        _outcome_row(line, lineno, n)
+    raise AssertionError("a table row failed the byte check but parses")
+
+
+def _outcome_row(line: str, lineno: int, n: int) -> None:
+    """Raise the :class:`ParseError` of the test row ``line``, if it has one."""
+    if not line:
+        raise ParseError("blank line inside table", lineno)
+    row = line.split(",")
+    if len(row) != n + 1:
+        raise ParseError(f"expected {n} outcomes, got {len(row) - 1}", lineno)
+    for cell in row[1:]:
+        if cell not in ("-", "0", "1"):
+            raise ParseError(f"outcome must be 0, 1 or '-', got {cell!r}", lineno)
 
 
 def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str]) -> np.ndarray:
+    """The error matrix's rows in the order of ``tests``. A well-formed file
+    has one row per test with ``len(classes)`` values, which are split and
+    read by ``float`` in one flat pass; otherwise the first bad row, in line
+    order, raises from :func:`_error_row`."""
     lines = _split_lines(text)
     while lines and not lines[-1]:
         lines.pop()
@@ -108,24 +131,45 @@ def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str])
     head = lines[0].split(",")
     if head[0] != "class" or head[1:] != list(classes):
         raise ParseError("error matrix header must list the table's classes", 1)
-    known = set(tests)
-    rows: dict[str, list[float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        if len(row) != len(head):
-            raise ParseError(f"expected {len(classes)} error entries", lineno)
-        if row[0] in rows:
-            raise ParseError(f"duplicate error row for test {row[0]!r}", lineno)
-        if row[0] not in known:
-            raise ParseError(f"error row for unknown test {row[0]!r}", lineno)
+    n, known = len(classes), set(tests)
+    rows = [line.partition(",") for line in lines[1:]]
+    values = [cells for _, _, cells in rows]
+    row_of = {test_id: r for r, (test_id, _, _) in enumerate(rows)}
+    if (
+        len(row_of) == len(rows)
+        and known.issuperset(row_of)
+        and all(row.count(",") == n - 1 for row in values)
+    ):
         try:
-            rows[row[0]] = list(map(float, row[1:]))
-        except ValueError as exc:
-            raise ParseError(f"bad error value: {exc}", lineno) from None
-    missing = [t for t in tests if t not in rows]
-    if missing:
-        raise ParseError(f"no error row for tests {missing}")
-    return np.array([rows[t] for t in tests], dtype=np.float64)
+            flat = list(map(float, ",".join(values).split(","))) if values else []
+        except ValueError:
+            pass
+        else:
+            missing = [t for t in tests if t not in row_of]
+            if missing:
+                raise ParseError(f"no error row for tests {missing}")
+            return np.array(flat, dtype=np.float64).reshape(-1, n)[[row_of[t] for t in tests]]
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        _error_row(line, lineno, n, seen, known)
+    raise AssertionError("an error row failed the flat read but parses")
+
+
+def _error_row(line: str, lineno: int, n: int, seen: set, known: set) -> None:
+    """Raise the :class:`ParseError` of the error row ``line``, if it has
+    one, given the ids of the rows above it in ``seen``; adds its id."""
+    row = line.split(",")
+    if len(row) != n + 1:
+        raise ParseError(f"expected {n} error entries", lineno)
+    if row[0] in seen:
+        raise ParseError(f"duplicate error row for test {row[0]!r}", lineno)
+    if row[0] not in known:
+        raise ParseError(f"error row for unknown test {row[0]!r}", lineno)
+    try:
+        list(map(float, row[1:]))
+    except ValueError as exc:
+        raise ParseError(f"bad error value: {exc}", lineno) from None
+    seen.add(row[0])
 
 
 def load_table(
@@ -142,24 +186,31 @@ def load_table(
     return parse_table_text(text, error_prob, matrix_text)
 
 
-_OUTCOME_TEXT = np.array(["-", "0", "1"])
+_CELL_TEXT = np.frombuffer(b"-,0,1,", dtype=np.uint16)  # at outcome + 1: its cell and a comma
+
+
+def _table_bytes(table: TestTable) -> bytes:
+    """:func:`table_to_text` in UTF-8. The test rows' cells are written as
+    two-byte (cell, comma) units; each row's last comma becomes its newline."""
+    width = 2 * table.n_classes
+    cells = bytearray(_CELL_TEXT[table.outcomes + 1].tobytes())
+    cells[width - 1 :: width] = b"\n" * len(table.tests)
+    head = "class," + ",".join(table.classes) + "\nprior," + ",".join(map(repr, table.priors))
+    parts = [(head + "\n").encode("utf-8")]
+    for r, test_id in enumerate(table.tests):
+        parts += (test_id + ",").encode("utf-8"), cells[r * width : (r + 1) * width]
+    return b"".join(parts)
 
 
 def table_to_text(table: TestTable) -> str:
     """Canonical structural CSV for a table; error probabilities are not part
     of the structure and are omitted."""
-    lines = ["class," + ",".join(table.classes)]
-    lines.append("prior," + ",".join(repr(p) for p in table.priors))
-    cells = _OUTCOME_TEXT[table.outcomes + 1].tolist()  # -1, 0, 1 -> "-", "0", "1"
-    lines.extend(
-        test_id + "," + ",".join(row) for test_id, row in zip(table.tests, cells)
-    )
-    return "\n".join(lines) + "\n"
+    return _table_bytes(table).decode("utf-8")
 
 
 def table_checksum(table: TestTable) -> str:
     """SHA-256 of the canonical structural CSV (classes, priors, outcomes)."""
-    return hashlib.sha256(table_to_text(table).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_table_bytes(table)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

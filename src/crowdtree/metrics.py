@@ -116,11 +116,20 @@ def _entropy_term(masses: list[float]) -> float:
     return mass * h
 
 
-def _masses(table: TestTable, assignment: Mapping[Block, str]) -> tuple[float, float]:
-    """(:func:`level_error_mass`, :func:`level_correct_mass`) without the
-    partition check. A class in an assigned block has the assigned test's
-    error, a class left untested has error 0."""
-    errs = [0.0] * table.n_classes
+def _masses(
+    table: TestTable, assignment: Mapping[Block, str], total: list[float]
+) -> tuple[float, float]:
+    """(:func:`level_error_mass`, :func:`level_correct_mass`) of a level
+    whose assigned blocks are disjoint, without the partition check, given
+    ``total``, the :func:`_partials` of all priors. A class in an assigned
+    block has the assigned test's error, a class left untested has error 0.
+    So the error mass is the tested classes' ``p * e``, and the correct
+    mass is all the priors less the tested ones plus their ``p * (1 - e)``:
+    each has the exact sum of the per-class terms, which ``fsum`` rounds
+    as it rounds those, at a cost in tested classes only."""
+    wrong: list[float] = []
+    right = list(total)
+    priors = table.priors
     for block, test_id in assignment.items():
         m = table.test_index(test_id)
         for i in block:
@@ -129,27 +138,49 @@ def _masses(table: TestTable, assignment: Mapping[Block, str]) -> tuple[float, f
                 raise InvalidPartition(
                     f"test {test_id!r} undefined for class {table.classes[i]!r}"
                 )
-            errs[i] = e
-    return (
-        math.fsum(p * e for p, e in zip(table.priors, errs)),
-        math.fsum(p * (1.0 - e) for p, e in zip(table.priors, errs)),
-    )
+            p = priors[i]
+            wrong.append(p * e)
+            right += p * (1.0 - e), -p
+    return math.fsum(wrong), math.fsum(right)
+
+
+def _partials(xs: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of ``xs``: each is the
+    ``fsum`` of ``xs`` less those before it, until that is 0. ``fsum``
+    rounds the exact sum of its inputs correctly, so a sum of doubles that
+    is not 0 never rounds to 0, and each partial is within half an ulp of
+    what is left: a handful of floats stand for any number of ``xs``."""
+    xs = list(xs)
+    out = []
+    while (r := math.fsum(xs)) != 0.0:
+        out.append(r)
+        xs.append(-r)
+    return out
+
+
+def _checked_masses(
+    table: TestTable, partition: Partition, assignment: Mapping[Block, str]
+) -> tuple[float, float]:
+    check_partition(table.n_classes, partition)
+    blocks = set(map(tuple, partition))
+    for block in assignment:
+        if block not in blocks:
+            raise InvalidPartition(f"assigned block {block!r} is not a block of the partition")
+    return _masses(table, assignment, _partials(table.priors))
 
 
 def level_error_mass(
     table: TestTable, partition: Partition, assignment: Mapping[Block, str]
 ) -> float:
     """Prior-weighted probability that some test at this level errs."""
-    check_partition(table.n_classes, partition)
-    return _masses(table, assignment)[0]
+    return _checked_masses(table, partition, assignment)[0]
 
 
 def level_correct_mass(
     table: TestTable, partition: Partition, assignment: Mapping[Block, str]
 ) -> float:
     """Prior-weighted probability that every test at this level answers right."""
-    check_partition(table.n_classes, partition)
-    return _masses(table, assignment)[1]
+    return _checked_masses(table, partition, assignment)[1]
 
 
 def metric_additive(entropy_drop: float, error_mass: float) -> float:
@@ -191,9 +222,10 @@ def level_quantities(
     level trace's partitions come from a compile, so they go unchecked."""
     steps = level_trace(tree, table)
     entropies = _trace_entropies(table.priors, steps)
+    total = _partials(table.priors)
     out: list[LevelQuantities] = []
     for d, (step, h_prev, h_next) in enumerate(zip(steps, entropies, entropies[1:]), start=1):
-        g, b = _masses(table, step.assignment)
+        g, b = _masses(table, step.assignment, total)
         out.append(
             LevelQuantities(
                 level=d,

@@ -27,16 +27,27 @@ is in that leaf's one absorbing state, numbered after every internal
 state. A node fixes its root path, so the draw counter at it (1 plus the
 workers above it) is a per-node constant, and so is everything a step
 reads. Per state the router holds the seated draw's ``counter *
-_KEY_COUNTER``, the seated worker's threshold, whether the node's group
-votes, and at ``2 * state + wrong`` the next state: the child on the
-class's error-free outcome when the seated answer (or the vote) is right,
-the other child when it is wrong. An absorbing state has threshold 0 and
-both next states equal to itself, so a trial that has arrived stays. Every
-trial of a chunk takes one vectorised step per tree depth, with no loop
-over nodes and no per-trial node or counter. A trial's answers are the
-workers on its leaf's root path, so the question count is the sum over
-leaves of arrivals times that path's workers. There are internal nodes ×
-classes states plus one per leaf, at 33 bytes each.
+_KEY_COUNTER``, the seated worker's threshold, and at ``2 * state +
+wrong`` the next state: the child on the class's error-free outcome when
+the seated answer (or the vote) is right, the other child when it is
+wrong. When some group votes it also holds, per state, the node's group
+size and the extra workers' threshold (the worker error's, or 0.5's on an
+undefined cell). An absorbing state has threshold 0 and both next states
+equal to itself, so a trial that has arrived stays.
+
+Every trial of a chunk takes one vectorised step per tree depth, with no
+loop over nodes. At step d every trial not yet at a leaf is at a depth-d
+node, so the router plans each depth once. Where every depth-d node has
+the same draw counter (at every depth without an allocation, and above
+the first node with extra workers with one), the step hashes every trial
+with that one offset and reads no per-trial counter; a trial at a leaf
+hashes it too, harmlessly, as its threshold is 0. A depth with no voting
+node skips the vote, and a voting root votes on whole arrays, as every
+trial starts there. A trial's answers are the workers on its leaf's root
+path, so the question count is the sum over leaves of arrivals times that
+path's workers. There are internal nodes × classes states plus one per
+leaf, at 32 bytes each, plus an 8-byte threshold and a 1-byte group size
+(wider past 255 workers) when some group votes.
 """
 
 from __future__ import annotations
@@ -145,23 +156,20 @@ def _classes(x: np.ndarray, cum_priors: np.ndarray, guide: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class _Router:
-    """Per-state lookup tables for one step of every trial at once (see the
-    module docstring). ``absorbing`` is the first leaf state; internal
-    nodes are ranked, and leaves numbered, in preorder. Error probabilities
-    are held as :func:`_thresholds`."""
+    """Per-state lookup tables and a per-depth plan for one step of every
+    trial at once (see the module docstring). ``absorbing`` is the first
+    leaf state; internal nodes are ranked, and leaves numbered, in preorder.
+    Error probabilities are held as :func:`_thresholds`."""
 
     draw: np.ndarray  # per state: the seated draw's counter * _KEY_COUNTER, 0 at leaves
     seated: np.ndarray  # per state: the seated threshold; 0.5 on undefined cells, 0 at leaves
     next: np.ndarray  # at 2 * state + wrong: the next state; a leaf's state is its own
-    vote: np.ndarray | None  # per state: the node's group has extra workers; None if none has
-    row: np.ndarray  # per rank: first cell of its test's row, read for voters only
-    group: np.ndarray  # per rank: workers answering (uint64), read for voters only
-    extra: np.ndarray  # the worker threshold, then that of 0.5 (undefined cells)
-    undefined: np.ndarray  # per cell, read for voters only
+    extra: np.ndarray | None  # per state: the extra workers' threshold; None if no group votes
+    group: np.ndarray | None  # per state: its node's workers, 0 at leaves; None if no group votes
+    plan: tuple[tuple[np.uint64 | None, str], ...]  # per depth: (shared draw offset, voters)
     leaf_cls: np.ndarray  # per leaf: its class index
     cost: np.ndarray  # per class: the workers on its leaf's root path
     absorbing: int
-    depth: int
     cum_priors: np.ndarray  # per class; the last is exactly 1
     guide: np.ndarray  # per guide bucket: see _guide
 
@@ -185,12 +193,12 @@ def _router(
         counter[form.child[2 * k]] = counter[form.child[2 * k + 1]] = counter[k] + group[k]
     tests = np.array(form.test, dtype=np.int64)[internal]
     ranked = np.array(form.test) >= 0
-    rank_group = np.array(group, dtype=np.uint64)[internal]
 
     # per (rank, class) views of the state tables, written in place: the
-    # only temporaries are the seated thresholds of the test table's cells
-    # and chunk-sized blocks of next states
-    cells = _thresholds(np.where(table.outcomes >= 0, table.errors, 0.5))
+    # only temporaries are thresholds of the test table's cells and
+    # chunk-sized blocks of next states
+    undefined = table.outcomes < 0
+    cells = _thresholds(np.where(undefined, 0.5, table.errors))
     seated = np.zeros(states, dtype=np.uint64)
     np.take(cells, tests, axis=0, out=seated[:absorbing].reshape(-1, n), mode="clip")
     del cells
@@ -213,11 +221,27 @@ def _router(
         pairs[lo : lo + step, :, 0] = on_zero + flip
         pairs[lo : lo + step, :, 1] = on_one - flip
     nxt[2 * absorbing :] = np.repeat(np.arange(absorbing, states), 2)
-    vote = None
-    if (rank_group > 1).any():
-        vote = np.zeros(states, dtype=bool)
-        vote[:absorbing].reshape(-1, n)[:] = (rank_group > 1)[:, None]
-    worker_error = allocation.worker_error if allocation is not None else 0.5
+
+    # per depth: the draw counters and the largest group of its internal nodes
+    counters: list[set[int]] = [set() for _ in range(max(form.depth))]
+    largest = [1] * max(form.depth)
+    for k in internal:
+        counters[form.depth[k]].add(counter[k])
+        largest[form.depth[k]] = max(largest[form.depth[k]], group[k])
+    plan = []
+    for d, (shared, size) in enumerate(zip(counters, largest)):
+        offset = None
+        if len(shared) == 1:
+            offset = np.uint64(shared.pop() * int(_KEY_COUNTER) % (1 << 64))
+        plan.append((offset, "none" if size == 1 else "all" if d == 0 else "some"))
+    extra = sizes = None
+    if max(largest) > 1:
+        worker = _thresholds([allocation.worker_error, 0.5])
+        extra = np.zeros(states, dtype=np.uint64)
+        np.take(worker[undefined.view(np.uint8)], tests, axis=0,
+                out=extra[:absorbing].reshape(-1, n), mode="clip")
+        sizes = np.zeros(states, dtype=np.min_scalar_type(max(largest)))
+        sizes[:absorbing].reshape(-1, n)[:] = np.array(group)[internal][:, None]
     cost = np.zeros(n, dtype=np.int64)
     cost[[form.leaf[k] for k in leaves]] = [counter[k] - 1 for k in leaves]
     cum = np.cumsum(np.asarray(table.priors, dtype=np.float64))
@@ -226,15 +250,12 @@ def _router(
         draw=draw,
         seated=seated,
         next=nxt,
-        vote=vote,
-        row=tests * n,
-        group=rank_group,
-        extra=_thresholds([worker_error, 0.5]),
-        undefined=(table.outcomes < 0).ravel(),
+        extra=extra,
+        group=sizes,
+        plan=tuple(plan),
         leaf_cls=np.array(form.leaf, dtype=np.int64)[leaves],
         cost=cost,
         absorbing=absorbing,
-        depth=max(form.depth),
         cum_priors=cum,
         guide=_guide(cum),
     )
@@ -265,28 +286,36 @@ def _run_chunk(lo: int, hi: int, seed: np.uint64, r: _Router) -> np.ndarray:
     key = _trial_key(seed, np.arange(lo, hi, dtype=np.uint64))
     cls = _classes(_bits(key, np.uint64(0)), r.cum_priors, r.guide)
     state = cls  # the root is internal node 0: a trial's state there is its class
-    for _ in range(r.depth):
-        state = _step(r, key, cls, state)
+    for offset, voters in r.plan:
+        state = _step(r, offset, voters, key, state)
     assert (state >= r.absorbing).all(), "trial stuck above a leaf"
     n = len(r.cum_priors)
     leaf = r.leaf_cls[state - r.absorbing]
     return np.bincount(cls * n + leaf, minlength=n * n).reshape(n, n)
 
 
-def _step(r: _Router, key: np.ndarray, cls: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Every trial's next state."""
-    wrong = _hash(key, r.draw.take(state)) < r.seated.take(state)
-    if r.vote is not None:
-        voters = np.flatnonzero(r.vote.take(state))
-        if voters.size:
-            at = state[voters]
-            rank = at // len(r.cum_priors)
-            wrong[voters] = _majority_wrong(
-                key[voters],
-                r.draw.take(at),
-                r.extra.take(r.undefined.take(r.row.take(rank) + cls[voters])),
-                r.group.take(rank),
-                wrong[voters],
+def _step(
+    r: _Router, offset: np.uint64 | None, voters: str, key: np.ndarray, state: np.ndarray
+) -> np.ndarray:
+    """Every trial's next state, at a depth of ``r.plan``: the draw offset
+    its nodes share (None if they differ) and which of its trials vote:
+    "none", "some" (those whose group has extra workers) or "all" (at a
+    voting root, where every trial is)."""
+    if offset is None:
+        offset = r.draw.take(state)
+    wrong = _hash(key, offset) < r.seated.take(state)
+    if voters == "all":  # every trial is at the root
+        wrong = _majority_wrong(key, offset, r.extra.take(state), r.group.take(state), wrong)
+    elif voters == "some":
+        group = r.group.take(state)
+        at = np.flatnonzero(group > 1)
+        if at.size:
+            wrong[at] = _majority_wrong(
+                key[at],
+                offset if offset.ndim == 0 else offset[at],
+                r.extra.take(state[at]),
+                group[at],
+                wrong[at],
             )
     at = state << 1
     at += wrong
@@ -295,32 +324,36 @@ def _step(r: _Router, key: np.ndarray, cls: np.ndarray, state: np.ndarray) -> np
 
 def _majority_wrong(
     key: np.ndarray,
-    offset: np.ndarray,
+    offset: np.ndarray | np.uint64,
     threshold: np.ndarray,
     group: np.ndarray,
     seated_wrong: np.ndarray,
 ) -> np.ndarray:
     """Whether more than half of each group answers wrong, given its seated
     worker's answer. A group's size is odd and above 1; the seated draw is
-    at ``offset``, and extra worker j errs when the draw at ``offset + j *
-    _KEY_COUNTER`` (draw ``counter + j``) falls below ``threshold``. The
-    voters' arrays are narrowed only when some group has no more workers,
-    and they are consumed: ``offset`` is advanced in place."""
+    at ``offset``, one per voter or one for all, and extra worker j errs
+    when the draw at ``offset + j * _KEY_COUNTER`` (draw ``counter + j``)
+    falls below ``threshold``. The voters' arrays are narrowed only when
+    some group has no more workers, and they are consumed: an ``offset``
+    array is advanced in place."""
     largest = int(group.max())
     n_wrong = seated_wrong.astype(np.min_scalar_type(largest))
     voting = None  # positions still drawing; None while all are
     size = group
-    for j in range(1, largest):
-        if size.min() <= j:
-            keep = np.flatnonzero(size > j)
-            voting = keep if voting is None else voting[keep]
-            key, offset, threshold, size = key[keep], offset[keep], threshold[keep], size[keep]
-        offset += _KEY_COUNTER  # modular: worker j's draw is counter + j
-        if voting is None:
-            n_wrong += _hash(key, offset) < threshold
-        else:
-            n_wrong[voting] += _hash(key, offset) < threshold
-    return n_wrong > group >> np.uint64(1)
+    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is intended
+        for j in range(1, largest):
+            if size.min() <= j:
+                keep = np.flatnonzero(size > j)
+                voting = keep if voting is None else voting[keep]
+                key, threshold, size = key[keep], threshold[keep], size[keep]
+                if offset.ndim:
+                    offset = offset[keep]
+            offset += _KEY_COUNTER  # worker j's draw is counter + j
+            if voting is None:
+                n_wrong += _hash(key, offset) < threshold
+            else:
+                n_wrong[voting] += _hash(key, offset) < threshold
+    return n_wrong > group >> 1
 
 
 @dataclass(frozen=True, eq=False)

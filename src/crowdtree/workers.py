@@ -21,6 +21,7 @@ from .fusion import _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
+    _partials,
     _trace_entropies,
     metric_additive,
     metric_multiplicative,
@@ -113,34 +114,22 @@ class _LevelMasses(NamedTuple):
     entropy_before: float
     entropy_after: float
     tested: dict[str, list[float]]  # test -> priors of the classes it sees here
-    untested: list[float]  # priors of the classes no test sees here
+    untested: list[float]  # the _partials of the priors of the classes no test sees here
 
 
 def _level_masses(table: TestTable, steps: list[LevelStep]) -> list[_LevelMasses]:
+    """Per level, at a cost in its tested classes: its untested priors are
+    all the priors' partials less its tested priors."""
     entropies = _trace_entropies(table.priors, steps)
+    total = _partials(table.priors)
     levels = []
     for step, h_before, h_after in zip(steps, entropies, entropies[1:]):
         tested: dict[str, list[float]] = {}
         for block, test_id in step.assignment.items():
             tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
-        seen = {i for block in step.assignment for i in block}
-        untested = [p for i, p in enumerate(table.priors) if i not in seen]
+        untested = _partials([*total, *(-p for ps in tested.values() for p in ps)])
         levels.append(_LevelMasses(h_before, h_after, tested, untested))
     return levels
-
-
-def _partials(xs: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of ``xs``: each is the
-    ``fsum`` of ``xs`` less those before it, until that is 0. ``fsum``
-    rounds the exact sum of its inputs correctly, so a sum of doubles that
-    is not 0 never rounds to 0, and each partial is within half an ulp of
-    what is left: a handful of floats stand for any number of ``xs``."""
-    xs = list(xs)
-    out = []
-    while (r := math.fsum(xs)) != 0.0:
-        out.append(r)
-        xs.append(-r)
-    return out
 
 
 def assign_proposed(

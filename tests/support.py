@@ -43,6 +43,7 @@ from crowdtree.metrics import (
 from crowdtree.model import (
     Internal,
     LevelStep,
+    _checked_table,
     applicable_tests,
     level_trace,
     refine_partition,
@@ -561,6 +562,19 @@ def per_node_simulation(
     return confusion, asked
 
 
+def masses_per_class(table: TestTable, assignment) -> tuple[float, float]:
+    """(error mass, correct mass) of a level as sums over every class, an
+    untested class with error 0."""
+    errs = [0.0] * table.n_classes
+    for block, test_id in assignment.items():
+        for i in block:
+            errs[i] = float(table.errors[table.test_index(test_id), i])
+    return (
+        math.fsum(p * e for p, e in zip(table.priors, errs)),
+        math.fsum(p * (1.0 - e) for p, e in zip(table.priors, errs)),
+    )
+
+
 def chain_table(n: int, error_prob: float = 0.01) -> TestTable:
     """n classes and n - 1 tests; test j is 1 for class j, 0 for the classes
     after it and undefined for those before, so each test splits off one
@@ -634,27 +648,27 @@ def validate_tree_recursive(tree: DecisionTree, table: TestTable) -> None:
 
 def router_arrays_recursive(tree: DecisionTree, table: TestTable, allocation) -> dict:
     """The simulator's routing tables (all but the class draw's), one Python
-    value per state, from a recursive walk: internal nodes are ranked and leaves numbered in the
-    order the walk meets them, and the draw counter at a node is 1 plus the
-    workers above it."""
+    value per state or depth, from a recursive walk: internal nodes are
+    ranked and leaves numbered in the order the walk meets them, and the
+    draw counter at a node is 1 plus the workers above it."""
     n = table.n_classes
-    internal: list = []  # (node, counter) in preorder
+    internal: list = []  # (node, counter, depth) in preorder
     leaves: list = []
 
     def group(node) -> int:
         return allocation.group_size(node.test) if allocation is not None else 1
 
-    def walk(node, counter: int) -> None:
+    def walk(node, counter: int, depth: int) -> None:
         if isinstance(node, Leaf):
             leaves.append((node, counter))
         else:
-            internal.append((node, counter))
-            walk(node.zero, counter + group(node))
-            walk(node.one, counter + group(node))
+            internal.append((node, counter, depth))
+            walk(node.zero, counter + group(node), depth + 1)
+            walk(node.one, counter + group(node), depth + 1)
 
-    walk(tree.root, 1)
+    walk(tree.root, 1, 0)
     absorbing = len(internal) * n
-    rank = {id(node): r for r, (node, _) in enumerate(internal)}
+    rank = {id(node): r for r, (node, _, _) in enumerate(internal)}
     number = {id(node): j for j, (node, _) in enumerate(leaves)}
 
     def state(node, c: int) -> int:
@@ -663,8 +677,9 @@ def router_arrays_recursive(tree: DecisionTree, table: TestTable, allocation) ->
     def threshold(error: float) -> int:
         return math.ceil(error * 2**53) << 11
 
-    draw, seated, nxt, vote = [], [], [], []
-    for node, counter in internal:
+    worker_error = allocation.worker_error if allocation is not None else 0.5
+    draw, seated, nxt, extra, sizes = [], [], [], [], []
+    for node, counter, _ in internal:
         m = table.test_index(node.test)
         for c in range(n):
             outcome = int(table.outcomes[m, c])
@@ -672,33 +687,37 @@ def router_arrays_recursive(tree: DecisionTree, table: TestTable, allocation) ->
             seated.append(threshold(float(table.errors[m, c]) if outcome >= 0 else 0.5))
             right, wrong = (node.one, node.zero) if outcome == 1 else (node.zero, node.one)
             nxt += [state(right, c), state(wrong, c)]
-            vote.append(group(node) > 1)
+            extra.append(threshold(worker_error if outcome >= 0 else 0.5))
+            sizes.append(group(node))
     for j in range(len(leaves)):
         draw.append(0)
         seated.append(0)
         nxt += [absorbing + j] * 2
-        vote.append(False)
+        extra.append(0)
+        sizes.append(0)
     cost = [0] * n
     for node, counter in leaves:
         cost[table.class_index(node.label)] = counter - 1
-
-    def depth(node) -> int:
-        return 0 if isinstance(node, Leaf) else 1 + max(depth(node.zero), depth(node.one))
-
-    worker_error = allocation.worker_error if allocation is not None else 0.5
+    plan = []
+    for d in range(max(depth for _, _, depth in internal) + 1):
+        at = [(counter, group(node)) for node, counter, depth in internal if depth == d]
+        shared = {counter for counter, _ in at}
+        offset = None
+        if len(shared) == 1:
+            offset = np.uint64(shared.pop() * 0xD1B54A32D192ED03 & _MASK64)
+        voting = any(size > 1 for _, size in at)
+        plan.append((offset, "none" if not voting else "all" if d == 0 else "some"))
+    votes = any(size > 1 for size in sizes)
     return {
         "draw": np.array(draw, dtype=np.uint64),
         "seated": np.array(seated, dtype=np.uint64),
         "next": np.array(nxt, dtype=np.int64),
-        "vote": np.array(vote) if any(vote) else None,
-        "row": np.array([table.test_index(node.test) * n for node, _ in internal], dtype=np.int64),
-        "group": np.array([group(node) for node, _ in internal], dtype=np.uint64),
-        "extra": np.array([threshold(worker_error), threshold(0.5)], dtype=np.uint64),
-        "undefined": (table.outcomes < 0).ravel(),
+        "extra": np.array(extra, dtype=np.uint64) if votes else None,
+        "group": np.array(sizes, dtype=np.min_scalar_type(max(sizes))) if votes else None,
+        "plan": tuple(plan),
         "leaf_cls": np.array([table.class_index(node.label) for node, _ in leaves], dtype=np.int64),
         "cost": np.array(cost, dtype=np.int64),
         "absorbing": absorbing,
-        "depth": depth(tree.root),
     }
 
 
@@ -897,6 +916,91 @@ def _parse_error_matrix_per_cell(
     if missing:
         raise ParseError(f"no error row for tests {missing}")
     return [rows[t] for t in tests]
+
+
+def parse_table_text_per_row(
+    text: str,
+    error_prob: float | None = None,
+    error_matrix_text: str | None = None,
+) -> TestTable:
+    """``fileio.parse_table_text`` as it was before its whole-array passes:
+    one dict lookup per outcome cell and one list of floats per error row."""
+    lines = _split_lines(text)
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        raise ParseError("expected 'class,<id>,...' with at least two classes", 1)
+    head = lines[0].split(",")
+    if head[0] != "class" or len(head) < 3:
+        raise ParseError("expected 'class,<id>,...' with at least two classes", 1)
+    classes = head[1:]
+    if len(lines) < 2 or lines[1].split(",")[0] != "prior":
+        raise ParseError("expected 'prior,<p>,...'", 2)
+    prior_row = lines[1].split(",")
+    if len(lines) < 3:
+        raise ParseError("table needs at least one test row", 3)
+    if len(prior_row) != len(head):
+        raise ParseError(f"expected {len(classes)} priors, got {len(prior_row) - 1}", 2)
+    try:
+        priors = [float(v) for v in prior_row[1:]]
+    except ValueError as exc:
+        raise ParseError(f"bad prior value: {exc}", 2) from None
+    tests: list[str] = []
+    codes: list[list[int]] = []
+    code = {"-": -1, "0": 0, "1": 1}.__getitem__
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            raise ParseError("blank line inside table", lineno)
+        row = line.split(",")
+        if len(row) != len(head):
+            raise ParseError(f"expected {len(classes)} outcomes, got {len(row) - 1}", lineno)
+        tests.append(row[0])
+        try:
+            codes.append(list(map(code, row[1:])))
+        except KeyError as exc:
+            raise ParseError(
+                f"outcome must be 0, 1 or '-', got {exc.args[0]!r}", lineno
+            ) from None
+    outcomes = np.array(codes, dtype=np.int8)
+
+    if error_matrix_text is not None:
+        if error_prob is not None:
+            raise ValidationError("give either a scalar error or a matrix, not both")
+        errors = _parse_error_matrix_per_row(error_matrix_text, classes, tests)
+    else:
+        errors = 0.0 if error_prob is None else error_prob
+    return _checked_table(tuple(classes), priors, tuple(tests), outcomes, errors)
+
+
+def _parse_error_matrix_per_row(
+    text: str, classes: Sequence[str], tests: Sequence[str]
+) -> np.ndarray:
+    lines = _split_lines(text)
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
+        raise ParseError("empty error matrix", 1)
+    head = lines[0].split(",")
+    if head[0] != "class" or head[1:] != list(classes):
+        raise ParseError("error matrix header must list the table's classes", 1)
+    known = set(tests)
+    rows: dict[str, list[float]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
+        if len(row) != len(head):
+            raise ParseError(f"expected {len(classes)} error entries", lineno)
+        if row[0] in rows:
+            raise ParseError(f"duplicate error row for test {row[0]!r}", lineno)
+        if row[0] not in known:
+            raise ParseError(f"error row for unknown test {row[0]!r}", lineno)
+        try:
+            rows[row[0]] = list(map(float, row[1:]))
+        except ValueError as exc:
+            raise ParseError(f"bad error value: {exc}", lineno) from None
+    missing = [t for t in tests if t not in rows]
+    if missing:
+        raise ParseError(f"no error row for tests {missing}")
+    return np.array([rows[t] for t in tests], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

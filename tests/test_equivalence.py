@@ -41,6 +41,7 @@ from crowdtree.errors import (
     ErrorProbOutOfRange,
     InapplicableTest,
     InseparableClasses,
+    InvalidPartition,
     NonPositivePrior,
     ParseError,
     PriorSumMismatch,
@@ -56,7 +57,7 @@ from crowdtree.fileio import (
     table_to_text,
     tree_to_doc,
 )
-from crowdtree.metrics import level_quantities
+from crowdtree.metrics import level_correct_mass, level_error_mass, level_quantities
 from crowdtree.model import DecisionTree, Internal, Leaf, level_trace, validate_tree
 from crowdtree.simulate import SimulationReport
 from crowdtree.workers import WorkerAllocation, effective_table
@@ -546,6 +547,25 @@ def test_sweep_error_assembles_and_compiles_no_tree(monkeypatch):
     assert assembled == [] and compiled == [] and survivals == []
 
 
+def test_level_masses_equal_per_class_sums():
+    cases = [(designed_tree(), demo_table(0.05)), (alternative_tree(), demo_table(0.3))]
+    for seed in range(12):
+        table = support.random_table(seed, max_classes=12, max_tests=16, cell_errors=True,
+                                     max_error=0.45)
+        cases += [(build_greedy(table).tree, table), (build_random(table, seed), table)]
+    chain = support.chain_table(60, 0.3)
+    cases += [(build_greedy(chain).tree, chain)]
+    for tree, table in cases:
+        steps = level_trace(tree, table)
+        for q, step in zip(level_quantities(tree, table), steps, strict=True):
+            want = support.masses_per_class(table, step.assignment)
+            assert (q.error_mass, q.correct_mass) == want
+            assert want == (level_error_mass(table, step.before, step.assignment),
+                            level_correct_mass(table, step.before, step.assignment))
+    with pytest.raises(InvalidPartition, match="is not a block of the partition"):
+        level_error_mass(demo_table(0.05), ((0, 1), (2, 3, 4)), {(0, 1, 2): "T1"})
+
+
 def test_exact_evaluators_never_call_class_path():
     tree, table = designed_tree(), demo_table(0.05)
     assert exact_misclassification(tree, table) == 0.08231187500000005
@@ -628,6 +648,20 @@ _CHUNK = simulate_module._CHUNK_TRIALS
 _OFF_PATH_UNDEFINED_SEED = 23  # misrouted trials meet cells undefined for their class
 
 
+# (table, tree, allocation) cases that meet each kind of step of the router's plan
+_UNSHARED_OFFSETS = dict(table_seed=1, tree_seed=None, kind="proposed", budget=4)
+_VOTING_ROOT = dict(table_seed=0, tree_seed=None, kind="proposed", budget=4)
+_SILENT_DEPTH_BETWEEN_VOTES = dict(table_seed=7, tree_seed=None, kind="random", budget=3)
+_OFF_PATH_VOTES = dict(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=0, kind="proposed",
+                       budget=3)
+
+
+def _example_case(table_seed, tree_seed, kind, budget):
+    table = support.random_table(table_seed, cell_errors=True, max_error=0.3)
+    tree = build_greedy(table).tree if tree_seed is None else build_random(table, tree_seed)
+    return tree, table, _allocation_of(kind, tree, table, budget)
+
+
 def _allocation_of(kind, tree, table, budget):
     if kind == "none":
         return None
@@ -655,6 +689,10 @@ def _allocation_of(kind, tree, table, budget):
          trials=_CHUNK + 1, seed=5)
 @example(table_seed=_OFF_PATH_UNDEFINED_SEED, tree_seed=1, kind="random", budget=9,
          trials=_CHUNK - 1, seed=6)
+@example(**_UNSHARED_OFFSETS, trials=_CHUNK + 1, seed=7)
+@example(**_VOTING_ROOT, trials=2_000, seed=8)
+@example(**_SILENT_DEPTH_BETWEEN_VOTES, trials=_CHUNK - 1, seed=9)
+@example(**_OFF_PATH_VOTES, trials=_CHUNK + 1, seed=10)
 def test_simulate_is_lane_invariant_and_equals_per_node_router(
     table_seed, tree_seed, kind, budget, trials, seed
 ):
@@ -672,6 +710,49 @@ def test_lane_property_examples_meet_off_path_undefined_cells():
         for k, m in enumerate(form.test) if m >= 0
         for c in range(table.n_classes) if c not in form.block[k]
     )
+
+
+def test_lane_property_examples_meet_every_kind_of_step():
+    def plan(case):
+        return simulate_module._router(*_example_case(**case)).plan
+
+    # pair counts that differ along paths leave some depth with no shared draw offset
+    assert any(offset is None for offset, _ in plan(_UNSHARED_OFFSETS))
+    assert plan(_VOTING_ROOT)[0][1] == "all"
+    voting = "".join("v" if voters != "none" else "." for _, voters in
+                     plan(_SILENT_DEPTH_BETWEEN_VOTES))
+    assert re.search(r"v\.+v", voting), voting
+    # a voting node whose test is undefined for a class off its own path
+    tree, table, allocation = _example_case(**_OFF_PATH_VOTES)
+    form = model_module._compile(tree, table)
+    assert any(
+        allocation.group_size(table.tests[m]) > 1 and table.outcomes[m, c] < 0
+        for k, m in enumerate(form.test) if m >= 0
+        for c in range(table.n_classes) if c not in form.block[k]
+    )
+
+
+def test_chunk_takes_no_per_trial_draw_offset_without_allocation():
+    takes = []
+
+    class CountedTakes(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            takes.append(len(indices))
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+    tree, table, allocation = _example_case(**_UNSHARED_OFFSETS)
+    seed = np.uint64(3)
+    for alloc in (None, allocation):
+        router = simulate_module._router(tree, table, alloc)
+        counted = dataclasses.replace(router, draw=router.draw.view(CountedTakes))
+        takes.clear()
+        got = simulate_module._run_chunk(0, 5_000, seed, counted)
+        assert (got == simulate_module._run_chunk(0, 5_000, seed, router)).all()
+        unshared = sum(offset is None for offset, _ in router.plan)
+        if alloc is None:
+            assert unshared == 0 and takes == []
+        else:  # one per-trial take per depth whose nodes' draw counters differ
+            assert unshared > 0 and takes == [5_000] * unshared
 
 
 def test_simulate_draws_once_per_depth_and_worker(monkeypatch):
@@ -970,7 +1051,8 @@ def test_compiled_form_rebuilds_the_same_tree(table_seed, tree_seed, greedy):
     blocks: dict = {}
     support.subtree_blocks_recursive(tree.root, table, blocks)
     assert form.block == [blocks[id(node)] for node in model_module._preorder(tree.root)]
-    assert max(form.depth) == tree.depth() == support.router_arrays_recursive(tree, table, None)["depth"]
+    plan = support.router_arrays_recursive(tree, table, None)["plan"]
+    assert max(form.depth) == tree.depth() == len(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1209,62 @@ def test_parse_table_text_equals_per_cell_parser():
     for kind in (ParseError, UselessTest, DuplicateIdentifier, ErrorProbOutOfRange,
                  NonPositivePrior, PriorSumMismatch):
         assert kind in outcomes, kind
+
+
+_INGEST_EDITS = ("none", "bad cell", "short row", "cell moved down", "blank line",
+                 "duplicate error row", "unknown error row", "missing error row",
+                 "non-float error")
+
+
+def _edited(table_text, matrix_text, edit, row, cell, token):
+    """The table and error-matrix texts with one ``edit`` at test ``row``
+    (and at its class ``cell``), writing ``token`` where a cell is replaced."""
+    lines, errs = table_text.split("\n"), matrix_text.split("\n")
+    at, err_at = 2 + row, 1 + row  # the test's line in each text
+    cells, err_cells = lines[at].split(","), errs[err_at].split(",")
+    if edit == "bad cell":
+        lines[at] = ",".join(cells[: 1 + cell] + [token] + cells[2 + cell :])
+    elif edit == "short row":
+        lines[at] = ",".join(cells[:-1])
+    elif edit == "cell moved down":  # the rows' cells still alternate with commas
+        lines[at] = ",".join(cells[:-1])
+        below = lines[at + 1].split(",")  # the last test row is followed by ""
+        lines[at + 1] = ",".join(below[:1] + cells[-1:] + below[1:])
+    elif edit == "blank line":
+        lines.insert(at, "")
+    elif edit == "duplicate error row":
+        errs.insert(err_at, errs[err_at])
+    elif edit == "unknown error row":
+        errs[err_at] = ",".join(["nope"] + err_cells[1:])
+    elif edit == "missing error row":
+        del errs[err_at]
+    elif edit == "non-float error":
+        errs[err_at] = ",".join(err_cells[: 1 + cell] + [token] + err_cells[2 + cell :])
+    return "\n".join(lines), "\n".join(errs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    wide=st.booleans(),
+    edit=st.sampled_from(_INGEST_EDITS),
+    row=st.integers(0, 10**6),
+    cell=st.integers(0, 10**6),
+    # neither an outcome nor a float
+    token=st.sampled_from(["x", "", "1-", "\u00e9", "0.1.2", "1e", "--1", "0x1"]),
+)
+def test_parsers_equal_per_row_parsers(table_seed, wide, edit, row, cell, token):
+    table = support.random_table(table_seed, max_classes=30 if wide else 6,
+                                 max_tests=40 if wide else 8, cell_errors=True, max_error=0.45)
+    text, matrix = _edited(table_to_text(table), _matrix_text(table), edit,
+                           row % len(table.tests), cell % table.n_classes, token)
+    got = _ingest(parse_table_text, text, None, matrix)
+    assert got == _ingest(support.parse_table_text_per_row, text, None, matrix)
+    if edit == "none":
+        assert got[0] == table.classes and got[5] == table.outcomes.tobytes()
+    else:
+        assert got[0] is ParseError
+        assert (got[2] is None) == (edit == "missing error row")  # its message names no line
 
 
 def test_validate_table_equals_per_cell_validator():
