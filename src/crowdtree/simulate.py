@@ -492,16 +492,16 @@ def sweep_error(
     trees = [_greedy_splits(tbl, config, cells)]  # first: it names an inseparable pair
     trees += [_random_splits(tbl, seed + i, cells) for i in range(n_random_trees)]
     pms = _split_pms(trees, table.priors, 1.0 - np.array(grid, dtype=np.float64))
-    # per grid point, a contiguous row (as np.mean and np.std of a list read) of the random pms
+    # per grid point a contiguous row of the random pms, each reduced pairwise as a list would be
     random_pms = pms[1:].T.copy()
     return [
-        ErrorSweepPoint(
-            error_prob=float(p_star),
-            designed_pm=designed_pm,
-            random_mean_pm=float(np.mean(row)),
-            random_std_pm=float(np.std(row)),
+        ErrorSweepPoint(error_prob=float(p_star), designed_pm=d, random_mean_pm=m, random_std_pm=s)
+        for p_star, d, m, s in zip(
+            grid,
+            pms[0].tolist(),
+            np.mean(random_pms, axis=1).tolist(),
+            np.std(random_pms, axis=1).tolist(),
         )
-        for p_star, designed_pm, row in zip(grid, pms[0].tolist(), random_pms)
     ]
 
 
@@ -529,10 +529,12 @@ def sweep_workers(
     seeded allocations, each evaluated exactly. Every budget, the worker
     error and the draw count are checked before any work, also when
     ``k_values`` is empty. Every allocation is a prefix count of one stream
-    of test picks (:func:`_sweep_pairs`; one :func:`assign_proposed` run at
-    the largest budget serves every budget), the group error is computed
-    once per distinct pair count, and the tree, compiled once, is scored
-    for every setting in one batched exact pass (settings × classes floats).
+    of test picks, and all of them are held as one (settings × tests) int
+    array (:func:`_sweep_pairs`; one :func:`assign_proposed` run at the
+    largest budget serves every budget). The group error is computed once
+    per distinct pair count, the tree, compiled once, is scored for every
+    setting in one batched exact pass (settings × classes floats), and each
+    strategy's draws are averaged in one reduction per strategy.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -549,35 +551,46 @@ def sweep_workers(
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     pairs = _sweep_pairs(tests, log, k_values, strategies, seed, random_draws)
+    counts, first = np.unique(pairs, return_index=True)
     # in the order the settings meet them, so the first count past the limit raises
-    fused = {k: group_error(k, worker_error) for k in dict.fromkeys(k for r in pairs for k in r)}
-    lut = np.array([fused.get(k, 0.0) for k in range(max(fused, default=0) + 1)])
-    lanes = 1.0 - lut[np.array(pairs).T]  # per test, 1 - its fused error in every setting
+    met = counts[np.argsort(first)]
+    lut = np.zeros(counts.max(initial=0) + 1)
+    lut[met] = [group_error(k, worker_error) for k in met.tolist()]
+    lanes = 1.0 - lut[pairs.T]  # per test, 1 - its fused error in every setting
     factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
-    pm = _exact(tree, table, factors)[0]
-    points: list[WorkerSweepPoint] = []
-    at = 0
-    for budget in k_values:
-        for strategy in strategies:  # the mean of one draw is that draw's pm
-            width = random_draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
-            value, at = float(np.mean(pm[at : at + width])), at + width
-            points.append(WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=value))
-    return points
+    pm = _exact(tree, table, factors)[0].reshape(len(k_values), -1)
+    means, at = [], 0
+    for strategy in strategies:  # a one-draw strategy's mean is that draw's pm
+        width = random_draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
+        block = pm[:, at : at + width]
+        means.append((block[:, 0] if width == 1 else np.mean(block, axis=1)).tolist())
+        at += width
+    return [
+        WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=column[b])
+        for b, budget in enumerate(k_values)
+        for strategy, column in zip(strategies, means)
+    ]
 
 
 def _sweep_pairs(
     tests: list[str], log: list[AssignStep], budgets: list[int], strategies, seed: int, draws: int
-) -> list[list[int]]:
+) -> np.ndarray:
     """The pairs on each of ``tests`` of every allocation that
-    :func:`sweep_workers` scores, one row per (budget, strategy, draw) in
-    that order. The proposed allocation for budget K is the first K steps of
-    ``log``; baseline draw j reads the :func:`_baseline_pairs` stream of
-    ``seed + j``, and single-test and all-tests make one draw."""
-    n, position = len(tests), {t: i for i, t in enumerate(tests)}
-    picks = (position[step.test] for step in log)
-    rows = {AssignmentStrategy.PROPOSED: [_prefix_counts(picks, n, budgets)]}
-    for strategy in strategies:
-        if strategy not in rows:
-            width = draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
-            rows[strategy] = [_baseline_pairs(n, strategy, budgets, seed + j) for j in range(width)]
-    return [draw[b] for b in range(len(budgets)) for s in strategies for draw in rows[s]]
+    :func:`sweep_workers` scores: a (settings × tests) int array, one row
+    per (budget, strategy, draw) in that order. The proposed allocation for
+    budget K is the first K steps of ``log``; baseline draw j reads the
+    :func:`_baseline_pairs` stream of ``seed + j``, and single-test and
+    all-tests make one draw."""
+    n = len(tests)
+    widths = [draws if s is AssignmentStrategy.RANDOM_PER_PAIR else 1 for s in strategies]
+    pairs = np.empty((len(budgets), sum(widths), n), dtype=np.int64)
+    at = 0
+    for strategy, width in zip(strategies, widths):
+        if strategy is AssignmentStrategy.PROPOSED:
+            position = {t: i for i, t in enumerate(tests)}
+            pairs[:, at] = _prefix_counts([position[step.test] for step in log], n, budgets)
+        else:
+            for j in range(width):
+                pairs[:, at + j] = _baseline_pairs(n, strategy, budgets, seed + j)
+        at += width
+    return pairs.reshape(-1, n)

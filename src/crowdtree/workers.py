@@ -13,8 +13,9 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import UnknownStrategy, UnknownTest, ValidationError
 from .fusion import _check_worker_error, group_error
@@ -106,6 +107,8 @@ def _check_worker_args(budget: int, worker_error: float) -> None:
 def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {budget}")
+    if budget >= 1 << 63:  # pair counts are held as int64
+        raise ValidationError(f"pair budget must be below 2**63, got {budget}")
 
 
 class _LevelMasses(NamedTuple):
@@ -261,7 +264,7 @@ def assign_baseline(
     _check_worker_args(budget, worker_error)
     validate_tree(tree, table)
     tests = sorted(tree.test_ids(), key=table.test_index)
-    pairs = dict(zip(tests, _baseline_pairs(len(tests), strategy, [budget], seed)[0]))
+    pairs = dict(zip(tests, _baseline_pairs(len(tests), strategy, [budget], seed)[0].tolist()))
     return WorkerAllocation(
         extra_pairs=pairs,
         worker_error=worker_error,
@@ -273,36 +276,47 @@ def assign_baseline(
 
 def _baseline_pairs(
     n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int], seed: int
-) -> list[list[int]]:
+) -> np.ndarray:
     """Per budget, the pairs that :func:`assign_baseline` puts on each of
-    the tree's ``n_tests`` tests, in table declaration order.
+    the tree's ``n_tests`` tests, in table declaration order: a (budgets ×
+    tests) int array.
 
     Both random strategies read one stream of test picks from
     ``random.Random(seed)``: single-test puts the whole budget on the first
     pick, random per-pair one pair on each of the first K picks, so budget
     K's pairs are a prefix count of the stream."""
+    budgets = np.asarray(budgets, dtype=np.int64)
     if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-        return [[budget] * n_tests for budget in budgets]
+        return np.repeat(budgets[:, None], n_tests, axis=1)
     rng = random.Random(seed)
-    picks = (rng.randrange(n_tests) for _ in count())
     if strategy is AssignmentStrategy.SINGLE_TEST:
-        first = next(picks)
-        return [[budget if i == first else 0 for i in range(n_tests)] for budget in budgets]
+        pairs = np.zeros((len(budgets), n_tests), dtype=np.int64)
+        pairs[:, rng.randrange(n_tests)] = budgets
+        return pairs
     if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
+        picks = [rng.randrange(n_tests) for _ in range(budgets.max(initial=0))]
         return _prefix_counts(picks, n_tests, budgets)
     raise UnknownStrategy(
         f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
     )
 
 
-def _prefix_counts(picks: Iterator[int], n_tests: int, budgets: Sequence[int]) -> list[list[int]]:
-    """Per budget K, how many of the first K ``picks`` name each test position."""
-    counts, done, at = [0] * n_tests, 0, {}
-    for budget in sorted(set(budgets)):
-        for i in islice(picks, budget - done):
-            counts[i] += 1
-        done, at[budget] = budget, counts.copy()
-    return [at[budget] for budget in budgets]
+def _prefix_counts(picks: Sequence[int], n_tests: int, budgets: Sequence[int]) -> np.ndarray:
+    """Per budget K, how many of the first K ``picks`` name each test
+    position: a (budgets × tests) int array. ``picks`` holds exactly the
+    largest budget's picks.
+
+    Pick i counts toward every budget above i: in sorted order, toward the
+    budgets from rank r on, r being how many budgets are at most i. One
+    bincount of (r, pick) and a running sum down the sorted budgets give
+    every budget's counts."""
+    budgets = np.asarray(budgets, dtype=np.int64)
+    order = np.argsort(budgets)
+    rank = np.searchsorted(budgets[order], np.arange(len(picks)), side="right")
+    keys = rank * n_tests + np.asarray(picks, dtype=np.int64)
+    pairs = np.empty((len(budgets), n_tests), dtype=np.int64)
+    pairs[order] = np.bincount(keys, minlength=pairs.size).reshape(pairs.shape).cumsum(axis=0)
+    return pairs
 
 
 def allocation_cost(

@@ -387,6 +387,47 @@ def per_budget_sweep_workers(
     return points
 
 
+def baseline_pairs_lists(
+    n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int], seed: int
+) -> list[list[int]]:
+    """Per budget, the baseline's pairs on each test as Python lists, read
+    lazily from the ``random.Random(seed)`` stream of test picks."""
+    if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
+        return [[budget] * n_tests for budget in budgets]
+    rng = random.Random(seed)
+    picks = (rng.randrange(n_tests) for _ in itertools.count())
+    if strategy is AssignmentStrategy.SINGLE_TEST:
+        first = next(picks)
+        return [[budget if i == first else 0 for i in range(n_tests)] for budget in budgets]
+    assert strategy is AssignmentStrategy.RANDOM_PER_PAIR
+    return prefix_counts_lists(picks, n_tests, budgets)
+
+
+def prefix_counts_lists(picks, n_tests: int, budgets: Sequence[int]) -> list[list[int]]:
+    """Per budget K, how many of the first K picks of the iterator
+    ``picks`` name each test position, counted one pick at a time."""
+    counts, done, at = [0] * n_tests, 0, {}
+    for budget in sorted(set(budgets)):
+        for i in itertools.islice(picks, budget - done):
+            counts[i] += 1
+        done, at[budget] = budget, counts.copy()
+    return [at[budget] for budget in budgets]
+
+
+def sweep_pairs_lists(tests, log, budgets, strategies, seed: int, draws: int) -> list[list[int]]:
+    """The worker sweep's pair rows, one per (budget, strategy, draw), as
+    Python lists."""
+    n, position = len(tests), {t: i for i, t in enumerate(tests)}
+    picks = (position[step.test] for step in log)
+    rows = {AssignmentStrategy.PROPOSED: [prefix_counts_lists(picks, n, budgets)]}
+    for strategy in strategies:
+        if strategy not in rows:
+            width = draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
+            rows[strategy] = [baseline_pairs_lists(n, strategy, budgets, seed + j)
+                              for j in range(width)]
+    return [draw[b] for b in range(len(budgets)) for s in strategies for draw in rows[s]]
+
+
 def per_point_sweep_error(
     table, grid, n_random_trees=20, config=None, seed=0
 ) -> list[ErrorSweepPoint]:

@@ -556,6 +556,21 @@ def test_sweep_workers_pair_limit(table_path, tree_path, capsys):
     assert rows[-1].startswith("501,proposed,") and len(rows) == 8 + 502
 
 
+def test_sweep_workers_pair_limit_names_the_first_count_the_settings_meet():
+    # settings run budget by budget in the given order, so the first budget's
+    # count raises, not the smallest count past the limit
+    tree, table = designed_tree(), demo_table(0.05)
+    cases = [
+        ([502, 501], [AssignmentStrategy.ALL_WORKERS_ALL_TESTS], 502),
+        ([502, 501], [AssignmentStrategy.SINGLE_TEST], 502),
+        ([503, 501], [AssignmentStrategy.PROPOSED, AssignmentStrategy.ALL_WORKERS_ALL_TESTS], 503),
+    ]
+    for k_values, strategies, first in cases:
+        message = f"exact summation supports at most 500 pairs, got {first}$"
+        with pytest.raises(DomainError, match=message):
+            sweep_workers(tree, table, k_values, strategies, 0.2)
+
+
 def test_cli_jobs_leave_numpy_ma_unimported(table_path, tmp_path):
     # numpy.ma (pulled in by np.unique, among others) adds about 1.5 MB of peak RSS
     tree = str(tmp_path / "guard-tree.json")

@@ -70,6 +70,7 @@ cli_module = importlib.import_module("crowdtree.cli")
 metrics_module = importlib.import_module("crowdtree.metrics")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
+workers_module = importlib.import_module("crowdtree.workers")
 
 METRICS = (MetricConfig(), MetricConfig(kind=Metric.MULTIPLICATIVE, ratio_offset=0.5))
 SEEDS = range(12)
@@ -254,6 +255,57 @@ def test_sweep_pairs_follow_assign_baseline_streams():
                         assert dict(zip(tests, rows[b * width + j])) == want.extra_pairs
 
 
+_STRATEGIES = list(AssignmentStrategy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    tree_seed=st.integers(-1, 3),  # -1 is the greedy tree
+    budgets=st.lists(st.integers(0, 14), min_size=1, max_size=7),  # unsorted, repeated
+    strategies=st.lists(st.sampled_from(_STRATEGIES), min_size=1, max_size=5),
+    draws=st.integers(1, 4),
+    seed=st.integers(0, 1_000),
+)
+@example(table_seed=0, tree_seed=-1, budgets=[0], strategies=_STRATEGIES, draws=3, seed=0)
+@example(table_seed=1, tree_seed=0, budgets=[9, 2, 9, 0], strategies=_STRATEGIES[::-1],
+         draws=1, seed=5)
+def test_sweep_pair_arrays_equal_list_counts(
+    table_seed, tree_seed, budgets, strategies, draws, seed
+):
+    table = support.random_table(table_seed, max_classes=10, max_tests=12, cell_errors=True)
+    tree = build_greedy(table).tree if tree_seed < 0 else build_random(table, tree_seed)
+    tests = sorted(tree.test_ids(), key=table.test_index)
+    log = []
+    if AssignmentStrategy.PROPOSED in strategies:
+        log = assign_proposed(tree, table, max(budgets), 0.2)[1]
+    pairs = simulate_module._sweep_pairs(tests, log, budgets, strategies, seed, draws)
+    want = support.sweep_pairs_lists(tests, log, budgets, strategies, seed, draws)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(want), len(tests))
+    assert pairs.tolist() == want
+    for strategy in _STRATEGIES[1:]:
+        got = workers_module._baseline_pairs(len(tests), strategy, budgets, seed)
+        assert got.tolist() == support.baseline_pairs_lists(len(tests), strategy, budgets, seed)
+        allocation = assign_baseline(tree, table, strategy, budgets[0], 0.2, seed)
+        assert all(type(k) is int for k in allocation.extra_pairs.values())
+    picks = np.random.default_rng(seed).integers(len(tests), size=max(budgets)).tolist()
+    got = workers_module._prefix_counts(picks, len(tests), budgets)
+    assert got.tolist() == support.prefix_counts_lists(iter(picks), len(tests), budgets)
+
+
+def test_sweep_pair_arrays_equal_list_counts_in_every_strategy_order():
+    tree, table = designed_tree(), demo_table(0.05)
+    tests = sorted(tree.test_ids(), key=table.test_index)
+    budgets = [6, 0, 11, 6, 2]
+    log = assign_proposed(tree, table, max(budgets), 0.2)[1]
+    for strategies in itertools.permutations(_STRATEGIES):
+        for draws in (1, 4):
+            pairs = simulate_module._sweep_pairs(tests, log, budgets, strategies, 3, draws)
+            assert pairs.tolist() == support.sweep_pairs_lists(
+                tests, log, budgets, strategies, 3, draws
+            )
+
+
 def test_assign_proposed_equals_fused_rebuild_demo_every_budget():
     tree, table = designed_tree(), demo_table(0.05)
     for metric in METRICS:
@@ -326,6 +378,32 @@ def test_sweep_error_equals_per_point_builds():
         for config in configs:
             got = sweep_error(table, grid, n_random_trees=7, config=config, seed=2)
             assert got == support.per_point_sweep_error(table, grid, 7, config, seed=2)
+
+
+def _hex_fields(points):
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(p))
+        for p in points
+    ]
+
+
+def test_sweep_statistics_equal_per_row_reductions_bit_for_bit():
+    # one axis reduction per statistic against np.mean / np.std of each
+    # point's own list, compared by float.hex so that a sign of zero counts
+    table = demo_table(0.05)
+    default_grid = cli_module._parse_grid("0.01:0.30:0.01")  # the CLI's default grid
+    for grid, n_random_trees in ((default_grid, 20), (default_grid, 1), ([0.1], 5), ([0.2], 1)):
+        got = sweep_error(table, grid, n_random_trees=n_random_trees, seed=4)
+        want = support.per_point_sweep_error(table, grid, n_random_trees, seed=4)
+        assert _hex_fields(got) == _hex_fields(want)
+        if n_random_trees == 1:
+            assert all(p.random_std_pm.hex() == "0x0.0p+0" for p in got)
+    tree = designed_tree()
+    for random_draws in (1, 20):  # from 8 values on, a pairwise sum differs from a running one
+        args = (tree, table, [4, 0, 9], list(AssignmentStrategy), 0.2)
+        got = sweep_workers(*args, seed=2, random_draws=random_draws)
+        want = support.per_budget_sweep_workers(*args, seed=2, random_draws=random_draws)
+        assert _hex_fields(got) == _hex_fields(want)
 
 
 @pytest.mark.parametrize("lanes", [1, 30])

@@ -18,6 +18,7 @@ from crowdtree import (
     exact_misclassification,
     group_error,
     level_quantities,
+    sweep_workers,
 )
 from crowdtree.errors import UnknownStrategy, UnknownTest, ValidationError
 from crowdtree.fixtures import demo_table, designed_tree
@@ -142,6 +143,21 @@ def test_assign_proposed_validates_args():
         assign_proposed(TREE, TABLE, -1, 0.2)
     with pytest.raises(ValidationError):
         assign_proposed(TREE, TABLE, 1, 0.5)
+
+
+def test_pair_budgets_are_checked_below_2_63():
+    # pair counts are held as int64: a budget past that fails its check, not a cast
+    message = "pair budget must be below 2\\*\\*63, got 9223372036854775808"
+    with pytest.raises(ValidationError, match=message):
+        assign_proposed(TREE, TABLE, 1 << 63, 0.2)
+    for strategy in list(AssignmentStrategy)[1:]:
+        with pytest.raises(ValidationError, match=message):
+            assign_baseline(TREE, TABLE, strategy, 1 << 63, 0.2)
+        with pytest.raises(ValidationError, match=message):
+            sweep_workers(TREE, TABLE, [3, 1 << 63], [strategy], 0.2)
+    largest = (1 << 63) - 1
+    alloc = assign_baseline(TREE, TABLE, AssignmentStrategy.ALL_WORKERS_ALL_TESTS, largest, 0.2)
+    assert all(type(k) is int and k == largest for k in alloc.extra_pairs.values())
 
 
 def test_baseline_single_test():
