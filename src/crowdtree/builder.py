@@ -107,8 +107,8 @@ from .model import (
     Node,
     Partition,
     TestTable,
+    _compile,
     applicable_tests,
-    level_trace,
     split_block,
 )
 
@@ -667,10 +667,7 @@ class Objective(enum.Enum):
 
 
 def _level_test_key(tree: DecisionTree, table: TestTable) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(table.test_index(step.assignment[b]) for b in step.before if b in step.assignment)
-        for step in level_trace(tree, table)
-    )
+    return tuple(tuple(m for _, m, _, _ in level) for level in _compile(tree, table).levels)
 
 
 def best_tree_exhaustive(

@@ -125,26 +125,29 @@ def _cmd_assign(args) -> int:
     table = _load_table(args, require_error=False)
     tree = _load_tree(args, table)
     strategy = _STRATEGY_NAMES[args.strategy]
+    rows = []  # the whole report, so that a failing job prints none of it
     if strategy is AssignmentStrategy.PROPOSED:
         allocation, log = assign_proposed(
             tree, table, args.workers, args.worker_error, _metric_config(args)
         )
-        print("iteration,level,test,metric_before,metric_after,pairs,effective_error")
-        for step in log:
-            print(
-                f"{step.iteration},{step.level},{step.test},{step.metric_before!r},"
-                f"{step.metric_after!r},{step.pairs_after},{step.effective_error_after!r}"
-            )
+        rows.append("iteration,level,test,metric_before,metric_after,pairs,effective_error")
+        rows += (
+            f"{step.iteration},{step.level},{step.test},{step.metric_before!r},"
+            f"{step.metric_after!r},{step.pairs_after},{step.effective_error_after!r}"
+            for step in log
+        )
     else:
         allocation = assign_baseline(
             tree, table, strategy, args.workers, args.worker_error, args.seed
         )
-    print("test,extra_pairs,workers,effective_error")
-    for test_id, k in allocation.extra_pairs.items():
-        print(f"{test_id},{k},{2 * k + 1},{allocation.effective_error(test_id)!r}")
+    rows.append("test,extra_pairs,workers,effective_error")
+    rows += (
+        f"{test_id},{k},{2 * k + 1},{allocation.effective_error(test_id)!r}"
+        for test_id, k in allocation.extra_pairs.items()
+    )
     expected, flat = allocation_cost(tree, table, allocation)
-    print(f"expected_questions,{expected!r}")
-    print(f"total_group_size,{flat}")
+    rows += f"expected_questions,{expected!r}", f"total_group_size,{flat}"
+    print("\n".join(rows))
     if args.out:
         fileio.save_allocation(args.out, allocation)
     return 0

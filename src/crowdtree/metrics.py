@@ -18,13 +18,11 @@ from .errors import InvalidPartition, ValidationError
 from .model import (
     Block,
     DecisionTree,
-    LevelStep,
     Partition,
     TestTable,
     _compile,
     _Compiled,
     check_partition,
-    level_trace,
 )
 
 
@@ -76,19 +74,17 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
     return total
 
 
-def _trace_entropies(priors: Sequence[float], steps: Sequence[LevelStep]) -> list[float]:
-    """:func:`level_entropy` of each partition of a level trace, once each:
-    the first level's before, then every level's after.
-
-    The trace is of a tree checked against a table, whose priors are all
+def _level_entropies(priors: Sequence[float], levels: Sequence[list]) -> list[float]:
+    """:func:`level_entropy` of the partition entering each of a compiled
+    form's ``levels``, then 0.0, as the last level leaves only singletons.
+    The form is of a tree checked against a table, whose priors are all
     positive, so a level's tested blocks are its partition's blocks of more
     than one class, in partition order. Only those are summed: a singleton's
-    term is 0.0, and adding it changes no bit. The last level leaves only
-    singletons, so its after is 0.0."""
+    term is 0.0, and adding it changes no bit."""
     out = []
-    for step in steps:
+    for level in levels:
         total = 0.0
-        for block in step.assignment:
+        for block, *_ in level:
             total += _entropy_term([priors[i] for i in block])
         out.append(total)
     out.append(0.0)
@@ -116,27 +112,25 @@ def _entropy_term(masses: list[float]) -> float:
     return mass * h
 
 
-def _masses(
-    table: TestTable, assignment: Mapping[Block, str], total: list[float]
-) -> tuple[float, float]:
+def _masses(table: TestTable, splits, total: list[float]) -> tuple[float, float]:
     """(:func:`level_error_mass`, :func:`level_correct_mass`) of a level
-    whose assigned blocks are disjoint, without the partition check, given
-    ``total``, the :func:`_partials` of all priors. A class in an assigned
-    block has the assigned test's error, a class left untested has error 0.
-    So the error mass is the tested classes' ``p * e``, and the correct
-    mass is all the priors less the tested ones plus their ``p * (1 - e)``:
-    each has the exact sum of the per-class terms, which ``fsum`` rounds
-    as it rounds those, at a cost in tested classes only."""
+    given as ``(block, test index, ...)`` items with disjoint blocks,
+    without the partition check, given ``total``, the :func:`_partials` of
+    all priors. A class in an assigned block has the assigned test's error,
+    a class left untested has error 0. So the error mass is the tested
+    classes' ``p * e``, and the correct mass is all the priors less the
+    tested ones plus their ``p * (1 - e)``: each has the exact sum of the
+    per-class terms, which ``fsum`` rounds as it rounds those, at a cost in
+    tested classes only."""
     wrong: list[float] = []
     right = list(total)
     priors = table.priors
-    for block, test_id in assignment.items():
-        m = table.test_index(test_id)
+    for block, m, *_ in splits:
         for i in block:
             e = table.errors.item(m, i)
             if math.isnan(e):
                 raise InvalidPartition(
-                    f"test {test_id!r} undefined for class {table.classes[i]!r}"
+                    f"test {table.tests[m]!r} undefined for class {table.classes[i]!r}"
                 )
             p = priors[i]
             wrong.append(p * e)
@@ -166,7 +160,9 @@ def _checked_masses(
     for block in assignment:
         if block not in blocks:
             raise InvalidPartition(f"assigned block {block!r} is not a block of the partition")
-    return _masses(table, assignment, _partials(table.priors))
+    # looked up lazily: a block's undefined cell raises before a later block's unknown test
+    splits = ((block, table.test_index(t)) for block, t in assignment.items())
+    return _masses(table, splits, _partials(table.priors))
 
 
 def level_error_mass(
@@ -219,13 +215,13 @@ def level_quantities(
     tree: DecisionTree, table: TestTable, ratio_offset: float = 1.0
 ) -> list[LevelQuantities]:
     """Entropy, masses, and both metrics for every level of ``tree``. The
-    level trace's partitions come from a compile, so they go unchecked."""
-    steps = level_trace(tree, table)
-    entropies = _trace_entropies(table.priors, steps)
+    levels come from a compile, so they go unchecked."""
+    levels = _compile(tree, table).levels
+    entropies = _level_entropies(table.priors, levels)
     total = _partials(table.priors)
     out: list[LevelQuantities] = []
-    for d, (step, h_prev, h_next) in enumerate(zip(steps, entropies, entropies[1:]), start=1):
-        g, b = _masses(table, step.assignment, total)
+    for d, (level, h_prev, h_next) in enumerate(zip(levels, entropies, entropies[1:]), start=1):
+        g, b = _masses(table, level, total)
         out.append(
             LevelQuantities(
                 level=d,
@@ -250,8 +246,8 @@ def _survivals(form: _Compiled, table: TestTable, factors) -> list:
     lane gets the bits of its own float pass (the same IEEE operations).
     """
     survive = [1.0] * table.n_classes
-    for m, block in zip(form.test, form.block):
-        if m >= 0:
+    for level in form.levels:
+        for block, m, _, _ in level:
             row = factors[m]
             for i in block:
                 survive[i] *= row[i]  # the first product is a fresh vector

@@ -11,8 +11,11 @@ JSON writer read that list. ``_compile`` checks a tree against a table and
 gives, per preorder node, the test index, child links, leaf class, depth
 and class block, found by routing every class down its error-free path.
 It is the one tree checker: ``validate_tree`` is the compile with its form
-discarded. Level traces, the exact evaluators, allocation costs and the
-simulator's tables read that form.
+discarded. The same walk records, per depth, each tested node's split
+``(block, test index, zeros, ones)`` as the builders list theirs, in
+partition order: it pops the zero child first, so it meets each depth's
+nodes left to right. Every level reader, ``level_trace`` included, reads
+that record; allocation costs and the simulator's tables read the form.
 
 The form is memoised on the tree, keyed on the identity of the table's
 ``outcomes``, ``classes`` and ``tests``, the only parts of a table it
@@ -423,6 +426,7 @@ class _Compiled(NamedTuple):
     test: list[int]  # test index, -1 at leaves
     leaf: list[int]  # class index at leaves, -1 at internal nodes
     block: list[Block]  # the classes whose error-free path passes the node
+    levels: list[list[tuple]]  # per depth, the tested nodes' splits, in partition order
 
 
 def _compile(tree: DecisionTree, table: TestTable) -> _Compiled:
@@ -441,8 +445,8 @@ def _compile_uncached(tree: DecisionTree, table: TestTable) -> _Compiled:
     """The preorder form of ``tree``. Raises unless every node is on some
     class's error-free path and each path ends at its class's leaf; of the
     classes that fail, the first in class order raises."""
-    form = _Compiled([], [], [], [], [])
-    child, depth, test, leaf, block = form
+    form = _Compiled([], [], [], [], [], [])
+    child, depth, test, leaf, block, levels = form
     failures: dict[int, CrowdTreeError] = {}
     n = table.n_classes
     cells = table.outcomes.tobytes()  # test m's row is cells[m * n : (m + 1) * n]; -1 reads 255
@@ -482,8 +486,12 @@ def _compile_uncached(tree: DecisionTree, table: TestTable) -> _Compiled:
                         f"test {node.test!r} undefined for class {table.classes[i]!r}"
                     )
         test.append(m)
-        stack.append((node.one, 2 * k + 1, d + 1, tuple(ones)))
-        stack.append((node.zero, 2 * k, d + 1, tuple(zeros)))
+        zeros, ones = tuple(zeros), tuple(ones)
+        if d == len(levels):
+            levels.append([])
+        levels[d].append((arriving, m, zeros, ones))
+        stack.append((node.one, 2 * k + 1, d + 1, ones))
+        stack.append((node.zero, 2 * k, d + 1, zeros))
     if failures:
         raise failures[min(failures)]
     if () in block:  # reached by no class: its parent's test sends them all one way
@@ -498,18 +506,15 @@ def level_trace(tree: DecisionTree, table: TestTable) -> list[LevelStep]:
     Singleton blocks (classes already isolated) persist untested through
     deeper levels until every block is a singleton.
     """
-    child, _, test, _, block = _compile(tree, table)
-    frontier, before, steps = [0], (block[0],), []
-    while True:
-        assignment = {block[k]: table.tests[test[k]] for k in frontier if test[k] >= 0}
-        if not assignment:
-            return steps
-        nxt: list[int] = []  # a tested block's two halves replace it in place
-        for k in frontier:
-            nxt += child[2 * k : 2 * k + 2] if test[k] >= 0 else (k,)
-        after = tuple(block[k] for k in nxt)
-        steps.append(LevelStep(before, assignment, after))
-        frontier, before = nxt, after
+    steps, before = [], (table.all_classes_block(),)
+    for level in _compile(tree, table).levels:
+        halves = {block: (zeros, ones) for block, _, zeros, ones in level}
+        after: list[Block] = []
+        for block in before:  # a tested block's two halves replace it in place
+            after += halves.get(block, (block,))
+        steps.append(LevelStep(before, {b: table.tests[m] for b, m, _, _ in level}, tuple(after)))
+        before = steps[-1].after
+    return steps
 
 
 def validate_tree(tree: DecisionTree, table: TestTable) -> None:

@@ -22,12 +22,12 @@ from .fusion import _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
+    _level_entropies,
     _partials,
-    _trace_entropies,
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, LevelStep, TestTable, _compile, level_trace, validate_tree
+from .model import DecisionTree, TestTable, _compile, validate_tree
 
 
 class AssignmentStrategy(enum.Enum):
@@ -120,19 +120,19 @@ class _LevelMasses(NamedTuple):
     untested: list[float]  # the _partials of the priors of the classes no test sees here
 
 
-def _level_masses(table: TestTable, steps: list[LevelStep]) -> list[_LevelMasses]:
-    """Per level, at a cost in its tested classes: its untested priors are
-    all the priors' partials less its tested priors."""
-    entropies = _trace_entropies(table.priors, steps)
+def _level_masses(table: TestTable, levels: list[list[tuple]]) -> list[_LevelMasses]:
+    """Per level of a compiled form's ``levels``, at a cost in its tested classes: its
+    untested priors are all the priors' partials less its tested priors."""
+    entropies = _level_entropies(table.priors, levels)
     total = _partials(table.priors)
-    levels = []
-    for step, h_before, h_after in zip(steps, entropies, entropies[1:]):
+    out = []
+    for level, h_before, h_after in zip(levels, entropies, entropies[1:]):
         tested: dict[str, list[float]] = {}
-        for block, test_id in step.assignment.items():
-            tested.setdefault(test_id, []).extend(table.priors[i] for i in block)
+        for block, m, _, _ in level:
+            tested.setdefault(table.tests[m], []).extend(table.priors[i] for i in block)
         untested = _partials([*total, *(-p for ps in tested.values() for p in ps)])
-        levels.append(_LevelMasses(h_before, h_after, tested, untested))
-    return levels
+        out.append(_LevelMasses(h_before, h_after, tested, untested))
+    return out
 
 
 def assign_proposed(
@@ -168,7 +168,7 @@ def assign_proposed(
     metric = metric or MetricConfig()
     _check_worker_args(budget, worker_error)
     additive = metric.kind is Metric.ADDITIVE
-    levels = _level_masses(table, level_trace(tree, table))
+    levels = _level_masses(table, _compile(tree, table).levels)
     candidates = [sorted(level.tested, key=table.test_index) for level in levels]
     pairs = {t: 0 for t in sorted({t for ts in candidates for t in ts}, key=table.test_index)}
     uses = {t: [d for d, ts in enumerate(candidates) if t in ts] for t in pairs}
@@ -328,7 +328,7 @@ def allocation_cost(
     an error-free object reaches the node; the flat total just sums group
     sizes over all allocated tests.
     """
-    child, _, test, _, block = _compile(tree, table)
+    child, _, test, _, block, _ = _compile(tree, table)
     prior = table.priors.__getitem__
     mass = [0.0] * len(test)  # of the classes reaching each node
     mass[0] = math.fsum(table.priors)

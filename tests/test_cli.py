@@ -556,6 +556,16 @@ def test_sweep_workers_pair_limit(table_path, tree_path, capsys):
     assert rows[-1].startswith("501,proposed,") and len(rows) == 8 + 502
 
 
+def test_assign_pair_limit_prints_no_partial_report(table_path, tree_path, capsys):
+    message = "exact summation supports at most 500 pairs, got 600"
+    argv = ["assign", "--tree", tree_path, "--table", table_path, *ON_DEMO_TREE,
+            "--workers", "600"]
+    for strategy in ("all", "single"):
+        assert main([*argv, "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_sweep_workers_pair_limit_names_the_first_count_the_settings_meet():
     # settings run budget by budget in the given order, so the first budget's
     # count raises, not the smallest count past the limit

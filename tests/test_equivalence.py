@@ -981,6 +981,32 @@ def test_level_trace_equals_recursive_walk():
         )
 
 
+def test_compiled_levels_are_the_builders_splits():
+    # the compile records each level's splits as the builders list them, and
+    # its blocks are the tested blocks of the recursive level walk
+    tables = [
+        support.random_table(seed, max_classes=12, max_tests=16, cell_errors=seed % 2 == 1)
+        for seed in range(40)
+    ]
+    tables += [support.wide_table(40, 0), support.chain_table(60)]
+    for table in tables:
+        runs = [
+            builder_module._greedy_splits(
+                table, BuilderConfig(metric=metric), builder_module._cells(table, metric.kind)
+            )
+            for metric in METRICS
+        ]
+        cells = builder_module._cells(table)
+        runs += [builder_module._random_splits(table, seed, cells) for seed in range(3)]
+        for splits in runs:
+            tree = builder_module._assemble(splits, table)
+            levels = model_module._compile(tree, table).levels
+            assert [split for level in levels for split in level] == splits
+            assert [[split[0] for split in level] for level in levels] == [
+                list(step.assignment) for step in support.level_trace_recursive(tree, table)
+            ]
+
+
 def _unreached_node_tree():
     """The demo tree with its root test repeated on the zero side: every
     class reaches its own leaf, but the inner T1 sends them all one way."""

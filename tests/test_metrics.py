@@ -19,7 +19,7 @@ from crowdtree import (
     multiplicative_approx,
     validate_table,
 )
-from crowdtree.errors import InvalidPartition, ValidationError
+from crowdtree.errors import InvalidPartition, UnknownTest, ValidationError
 from crowdtree.fixtures import demo_table, designed_tree, alternative_tree
 from crowdtree.metrics import MetricConfig
 from crowdtree.model import DecisionTree, Internal, Leaf
@@ -81,6 +81,16 @@ def test_level_masses():
     assert level_correct_mass(TABLE, FULL, {FULL[0]: "T1"}) == pytest.approx(0.95)
     assert level_correct_mass(TABLE, part, {part[0]: "T5"}) == pytest.approx(0.98)
     assert level_correct_mass(TABLE, SINGLETONS, {}) == 1.0
+
+
+def test_level_masses_keep_first_fault_order():
+    # each block's test name is looked up as its block is reached
+    part = ((0, 1), (2, 3, 4))
+    for mass in (level_error_mass, level_correct_mass):
+        with pytest.raises(InvalidPartition, match="'T5' undefined for class 'c4'"):
+            mass(TABLE, part, {(2, 3, 4): "T5", (0, 1): "NOPE"})
+        with pytest.raises(UnknownTest):
+            mass(TABLE, part, {(0, 1): "NOPE", (2, 3, 4): "T5"})
 
 
 def test_correct_mass_linear_in_tested_mass():
