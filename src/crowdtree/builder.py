@@ -39,17 +39,21 @@ is ``fsum`` of the block's products, picked out at C level, and h comes
 from :func:`crowdtree.metrics._entropy_term` once per split of the block,
 since many tests split a block the same way. It is the one source of every
 value a selector compares, but most points never need it. Once per level,
-:func:`_screen` sums per-class rows over the classes in block order
-(``np.add.reduceat``, tests × classes work) and gives, for every
-applicable point, the masses M0 and M1 of its two sides, its mass~ (g~ or
-c~), and h~ = E_B − (M_B·log2 M_B − M0·log2 M0 − M1·log2 M1), computed as
-E_B + M0·log2(M0/M) + M1·log2(M1/M) with M = M0 + M1 so that nothing
-cancels; E_B is the block's exact entropy term and M_B its prior mass.
-Each screened value lies within delta = 64·u·n_B·(E_B + M_B) of the exact
-one, with u = 2^-53 and n_B the block's size: to first order, with log2
-within two units in the last place, the two differ by at most
-12·u·n_B·(E_B + M_B), and the tests hold them within delta / 16. Only the
-points that can still win under delta are scored exactly:
+:func:`_screen` takes the open blocks' members' rows of the class-major
+``_Cells.screen`` and sums them per block (one ``take`` and one
+``np.add.reduceat`` along the class axis), and gives, as flat arrays with
+one entry per applicable point, its block, its test, its mass~ (g~ or c~)
+and, from the masses M0 and M1 of its two sides, h~ = E_B − (M_B·log2 M_B
+− M0·log2 M0 − M1·log2 M1), computed as E_B + M0·log2(M0/M) +
+M1·log2(M1/M) with M = M0 + M1 so that nothing cancels; E_B is the
+block's exact entropy term and M_B its prior mass. Each screened value
+lies within delta = 64·u·n_B·(E_B + M_B) of the exact one, with u = 2^-53
+and n_B the block's size: to first order, with log2 within two units in
+the last place, the two differ by at most 12·u·n_B·(E_B + M_B), and the
+tests hold them within delta / 16. Only the points that can still win
+under delta are scored exactly, picked by masked segment reductions over
+the block bounds (``np.minimum.reduceat``, a per-point threshold and
+``flatnonzero``); Python makes a :class:`_Point` only for them:
 
 - additive: each block's first point, which sets lam; its first
   error-free point (a g~ of 0 is exact, a sum of products that are all 0);
@@ -64,7 +68,10 @@ points that can still win under delta are scored exactly:
   margin (its c~ lower by more than 2 delta, and its h~ too or its split
   the same), which :func:`_lower_left_hull` would skip; so the unchanged
   walk sees every vertex of each block's hull, each with its lowest test
-  index.
+  index. The witness of a point is the first least-c~ point before it in
+  (block, h~, c~, test) order, a segmented running minimum; the test
+  masks are compared only for points that tie their witness's h~ in a
+  block of three or more classes.
 
 The closed form does not replace :func:`crowdtree.metrics._entropy_term`:
 ``np.log2`` and ``math.log2`` differ in the last bit on some inputs, and
@@ -80,8 +87,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, repeat
-from operator import and_, attrgetter, itemgetter, le, lt, not_, or_, sub
+from itertools import accumulate, chain, compress, count
+from operator import and_, attrgetter, itemgetter, not_, or_
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -245,8 +252,8 @@ class _Cells(NamedTuple):
     tests_one: list[int]  # per class, the mask of the tests answering 1 (bit m: test m)
     tests_undefined: list[int]  # per class, the mask of the tests undefined for it
     outcomes: list[bytes]  # per test, each class's outcome; -1 reads 255
-    mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class, in screen
-    screen: np.ndarray | None  # what :func:`_screen` sums, mass rows included; see _screen_rows
+    mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class
+    screen: np.ndarray | None  # what :func:`_screen` sums, class-major; see _screen_rows
 
 
 def _masks(cells: np.ndarray) -> list[int]:
@@ -265,29 +272,30 @@ def _cells(table: TestTable, metric: Metric | None = None) -> _Cells:
     rows, n = table.outcomes.tobytes(), table.n_classes
     mass, screen = [], None
     if metric is not None:
-        screen = _screen_rows(table, metric, priors, ones)
-        mass = [memoryview(row) for row in screen[:-1, 2]]
+        products = priors * (table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors)
+        mass = [memoryview(row) for row in products]
+        screen = _screen_rows(table, priors, ones, products)
     outcomes = [rows[k : k + n] for k in range(0, len(rows), n)]
     undefined = _masks(table.outcomes.T < 0)
     return _Cells(table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, screen)
 
 
 def _screen_rows(
-    table: TestTable, metric: Metric, priors: np.ndarray, ones: np.ndarray
+    table: TestTable, priors: np.ndarray, ones: np.ndarray, products: np.ndarray
 ) -> np.ndarray:
-    """Per test m, the rows over classes i [p_i if m answers 1 else 0 |
-    p_i if m answers 0 else 0 | the mass product p_i * e or
-    p_i * (1 - e), NaN where undefined]; then one slot past the tests,
-    [p_i | 1 if i's defined products differ between tests else 0 | 0]."""
+    """Per class i and test m, the row [p_i if m answers 1 else 0 | p_i if
+    m answers 0 else 0 | the mass product ``products[m, i]``, NaN where
+    undefined]; then one slot past the tests, [p_i | 1 if i's defined
+    products differ between tests else 0 | 0]. Class-major, so that a
+    level sums each block's members along the first axis."""
     t = table.n_tests
-    rows = np.zeros((t + 1, 3, table.n_classes))
-    np.multiply(priors, ones, out=rows[:t, 0])
-    np.multiply(priors, table.outcomes == 0, out=rows[:t, 1])
-    factor = table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors
-    np.multiply(priors, factor, out=rows[:t, 2])
-    rows[t, 0] = priors
-    rows[t, 1] = np.fmin.reduce(rows[:t, 2], axis=0) != np.fmax.reduce(rows[:t, 2], axis=0)
-    return rows
+    rows = np.zeros((3, t + 1, table.n_classes))
+    np.multiply(priors, ones, out=rows[0, :t])
+    np.multiply(priors, table.outcomes == 0, out=rows[1, :t])
+    rows[2, :t] = products
+    rows[0, t] = priors
+    rows[1, t] = np.fmin.reduce(products, axis=0) != np.fmax.reduce(products, axis=0)
+    return rows.transpose(2, 1, 0).copy()
 
 
 def _applicable(cells: _Cells, block: Block) -> list[int]:
@@ -335,15 +343,14 @@ class _Screen(NamedTuple):
     """One level's screen: one approximate point per (open block, applicable
     test) pair, blocks in partition order and tests in order within each."""
 
-    block: list[int]  # per point, the index of its block
-    test: list[int]  # per point, its test index
+    block: np.ndarray  # per point, the index of its block
+    test: np.ndarray  # per point, its test index
     split: np.ndarray  # per point, h~ - E_B: h~ less its block's exact entropy term
     mass: np.ndarray  # per point, g~ or c~
-    splits: list[float]  # split, as floats
-    masses: list[float]  # mass, as floats
-    bounds: list[int]  # block k's points are [bounds[k], bounds[k + 1])
-    delta: list[float]  # per block, the bound delta on |h~ - h| and |mass~ - mass|
-    proven: list[bool]  # per block, whether every member's mass products agree over tests
+    bounds: np.ndarray  # block k's points are [bounds[k], bounds[k + 1])
+    size: np.ndarray  # per block, its number of classes
+    delta: np.ndarray  # per block, the bound delta on |h~ - h| and |mass~ - mass|
+    proven: np.ndarray  # per block, whether every member's mass products agree over tests
 
 
 def _screen(
@@ -352,134 +359,135 @@ def _screen(
     """The screen of a level whose open blocks are ``blocks``, with exact
     entropy terms ``terms`` and applicable tests ``applicable``, none
     empty, from one sum per block over its members' rows of
-    ``cells.screen``, in the columns of the tests that apply to some block:
-    see the module docstring."""
-    sizes, tests = [len(b) for b in blocks], [*chain.from_iterable(applicable)]
-    at = {m: j for j, m in enumerate(dict.fromkeys(tests))}  # the tests that apply somewhere
-    rows = cells.screen.take([*at, len(cells.ones)], 0).take([*chain.from_iterable(blocks)], 2)
-    sums = np.add.reduceat(rows, [*accumulate(sizes[:-1], initial=0)], axis=2)
-    n_blocks = len(blocks)
-    block = [k for k, ms in enumerate(applicable) for _ in ms]
-    ones_zeros_mass = sums.transpose(0, 2, 1).reshape(-1, 3).take(
-        [at[m] * n_blocks + k for m, k in zip(tests, block)], 0
-    )
-    sides = ones_zeros_mass[:, :2]
-    by_side = sides / (sides[:, 0] + sides[:, 1])[:, None]
+    ``cells.screen``: see the module docstring."""
+    sizes, counts = [*map(len, blocks)], [*map(len, applicable)]
+    members = cells.screen.take([*chain.from_iterable(blocks)], 0)
+    sums = np.add.reduceat(members, [*accumulate(sizes[:-1], initial=0)], axis=0)
+    block = np.arange(len(blocks)).repeat(counts)
+    test = np.fromiter(chain.from_iterable(applicable), np.intp, len(block))
+    points = sums[block, test]
+    sides = points[:, :2]
+    by_side = sides / sides.sum(axis=1, keepdims=True)
     np.log2(by_side, out=by_side)
     by_side *= sides
-    delta, proven = [], []
-    for n, entropy, mass, mixed in zip(sizes, terms, *sums[-1, :2].tolist()):
-        delta.append(_SLACK * _ULP * n * (entropy + mass))
-        proven.append(mixed == 0.0)
-    split, mass = by_side[:, 0] + by_side[:, 1], ones_zeros_mass[:, 2]
-    return _Screen(
-        block, tests, split, mass, split.tolist(), mass.tolist(),
-        [*accumulate(map(len, applicable), initial=0)], delta, proven,
-    )
+    whole, size = sums[:, -1], np.array(sizes)
+    delta = _SLACK * _ULP * size * (whole[:, 0] + terms)
+    split, bounds = by_side[:, 0] + by_side[:, 1], np.array([*accumulate(counts, initial=0)])
+    return _Screen(block, test, split, points[:, 2], bounds, size, delta, whole[:, 1] == 0.0)
 
 
-def _near_least_h(screen: _Screen, lo: int, hi: int, delta: float) -> list[int]:
-    """The points of [lo, hi), one block's, whose h~ lies within 2 delta of
-    the block's least: every point whose exact h can be the least."""
-    split = screen.splits[lo:hi]
-    return [*compress(range(lo, hi), map(le, split, repeat(min(split) + 2.0 * delta)))]
+def _by_block(indices: np.ndarray, bounds: np.ndarray) -> list[list[int]]:
+    """The sorted point ``indices`` of a screen with block ``bounds``, split
+    by block."""
+    cuts, flat = indices.searchsorted(bounds).tolist(), indices.tolist()
+    return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _additive_points(
-    screen: _Screen,
-) -> tuple[list[list[int]], Callable[[float], list[list[int] | None]]]:
-    """(base, narrow): the points of a screened level that
-    :func:`_select_additive` sees, as indices into the screen.
+def _additive_points(screen: _Screen) -> list[list[int]]:
+    """Per block, the points of a screened level that
+    :func:`_select_additive` must see before its first round, as indices
+    into the screen: the first, which sets lam; the first error-free one (a
+    g~ of 0 is exact: it sums products that are all 0); and those that
+    decide the one-mass rule as all points would. A proven block adds those
+    whose h~ lies within 2 delta of the block's least, every point whose
+    exact h can be the least. Another block adds its first point whose g~
+    lies farther than 2 delta from the first point's, as their exact masses
+    differ, or else all its points."""
+    split, mass, block, first = screen.split, screen.mass, screen.block, screen.bounds[:-1]
+    margin, proven, n = 2.0 * screen.delta, screen.proven, len(block)
+    at = np.arange(n)
+    far = np.abs(mass - mass[first][block]) > margin[block]
+    firsts = np.minimum.reduceat(np.where(far, at, n), first)  # per block its first far point, or n
+    keep = (firsts == n)[block]  # a proven block's g~ agree bit for bit: it has no far point
+    if np.count_nonzero(proven):
+        near = split <= (np.minimum.reduceat(split, first) + margin)[block]
+        keep = np.where(proven[block], near, keep)
+    keep[first] = True
+    keep[firsts[firsts < n]] = True
+    if np.count_nonzero(mass == 0.0):  # each block's first error-free point
+        firsts = np.minimum.reduceat(np.where(mass == 0.0, at, n), first)
+        keep[firsts[firsts < n]] = True
+    return _by_block(keep.nonzero()[0], screen.bounds)
 
-    ``base[k]`` lists the points of block k that the selector must see
-    before its first round: the first, which sets lam; the first error-free
-    one (a g~ of 0 is exact: it sums products that are all 0); and those
-    that decide the one-mass rule as all points would. A proven block adds
-    the points of :func:`_near_least_h`. Another block adds a point whose
-    g~ lies farther than 2 delta from the first point's, as their exact
-    masses differ, or else all its points.
 
-    ``narrow(lam)`` lists, per block that is not proven, the points whose
-    key h~ + lam * g~ lies within 4 (1 + lam) delta of the block's least:
-    each key lies within 2 (1 + lam) delta of its exact one, rounding
-    included, so these hold every point whose exact key can be least. Where
-    a key could overflow, every point. A proven block gets None: the
-    selector takes its least-h point outright."""
-    mass, bounds = screen.masses, screen.bounds
-    blocks = [*zip(bounds, bounds[1:], screen.delta, screen.proven)]
-
-    def narrow(lam: float) -> list[list[int] | None]:
-        if not math.isfinite(4.0 * lam):
-            return [None if proven else [*range(lo, hi)] for lo, hi, _, proven in blocks]
-        keys = (screen.split + lam * screen.mass).tolist()
-        kept: list[list[int] | None] = []
-        for lo, hi, delta, proven in blocks:
-            if proven:
-                kept.append(None)
-                continue
-            least = min(keys[lo:hi]) + 4.0 * (1.0 + lam) * delta
-            kept.append([*compress(range(lo, hi), map(le, keys[lo:hi], repeat(least)))])
-        return kept
-
-    base = []
-    for lo, hi, delta, proven in blocks:
-        ms = mass[lo:hi]
-        keep = {lo}
-        if 0.0 in ms:
-            keep.add(lo + ms.index(0.0))
-        if proven:
-            keep.update(_near_least_h(screen, lo, hi, delta))
-        else:
-            away = map(lt, repeat(2.0 * delta), map(abs, map(sub, ms, repeat(ms[0]))))
-            far = next(compress(range(lo, hi), away), None)
-            keep.update(range(lo, hi) if far is None else (far,))
-        base.append(sorted(keep))
-    return base, narrow
+def _narrow(screen: _Screen, lam: float) -> list[list[int]]:
+    """Per block, the points among which a round of
+    :func:`_select_additive` at ``lam`` takes its argmin, as indices into
+    the screen: those whose key h~ + lam * g~ lies within 4 (1 + lam) delta
+    of the block's least. Each key lies within 2 (1 + lam) delta of its
+    exact one, rounding included, so these hold every point whose exact key
+    can be least. Where a key could overflow, every point. A proven block
+    gets none: the selector takes its least-h point outright."""
+    kept = ~screen.proven[screen.block]
+    if math.isfinite(4.0 * lam):
+        keys = screen.split + lam * screen.mass
+        least = np.minimum.reduceat(keys, screen.bounds[:-1]) + 4.0 * (1.0 + lam) * screen.delta
+        kept &= keys <= least[screen.block]
+    return _by_block(kept.nonzero()[0], screen.bounds)
 
 
 def _multiplicative_points(cells: _Cells, blocks: list[Block], screen: _Screen) -> list[list[int]]:
     """Per block, points whose exact values include every vertex of the
     block's lower-left hull, with its lowest test index, as indices into
-    the screen. A proven block keeps the points of :func:`_near_least_h`.
-    Any other block drops each point that its witness, the least-c~ point
-    before it in (h~, c~, test) order, dominates with margin: the witness's
-    c~ is lower by more than 2 delta, and either its h~ is too or it has the
-    same split (the ``ones & mask`` key, up to the mirror, that
-    :func:`_block_points` shares h under). A dropped point's exact h is no
-    lower than its witness's and its exact c higher, so
+    the screen. A proven block keeps the points whose h~ lies within
+    2 delta of the block's least. Any other block drops each point that its
+    witness, the first least-c~ point before it in (h~, c~, test) order,
+    dominates with margin: the witness's c~ is lower by more than 2 delta,
+    and either its h~ is too or it has the same split, up to the mirror,
+    under which :func:`_block_points` shares h. A dropped point's exact h
+    is no lower than its witness's and its exact c higher, so
     :func:`_lower_left_hull` skips it, and leaving it out changes no step
-    of the hull."""
-    order = np.lexsort((screen.mass, screen.split, screen.block)).tolist()
-    tests, split, mass = screen.test, screen.splits, screen.masses
-    points = []
-    for block, lo, hi, delta, proven in zip(
-        blocks, screen.bounds, screen.bounds[1:], screen.delta, screen.proven
-    ):
-        if proven:
-            points.append(_near_least_h(screen, lo, hi, delta))
-            continue
-        mask, margin, keep = sum(map((1).__lshift__, block)), 2.0 * delta, []
+    of the hull.
 
-        def key(i: int) -> int:
-            ones = cells.ones[tests[i]] & mask
-            return min(ones, mask ^ ones)
+    In that order a point is a witness when its c~ lies below every earlier
+    one of its block. A running minimum of (-block, c~), compared as complex
+    numbers are, real part first, gives each point the least c~ before it
+    in its block. Two points of one split have the same h~, bit for bit,
+    and every test applicable to a block of two splits it the same way;
+    only in a larger block does a point whose h~ equals its witness's need
+    :func:`_same_split`."""
+    order = np.lexsort((screen.mass, screen.split, screen.block))
+    split, mass, block = screen.split[order], screen.mass[order], screen.block
+    first, n = screen.bounds[:-1], len(order)
+    running = np.empty(n, complex)  # (-block, c~), least first
+    np.negative(block, out=running.real)
+    running.imag = mass
+    np.minimum.accumulate(running, out=running)
+    least = running.imag  # the least c~ of each point's block up to the point
+    falls = np.empty(n, bool)  # where the least falls: the witnesses
+    falls[0] = True
+    np.not_equal(running[1:], running[:-1], out=falls[1:])
+    witness = np.maximum.accumulate(np.where(falls, np.arange(n), 0))  # each point's last one
+    margin, lower = (2.0 * screen.delta)[block], split[witness]
+    same = lower == split  # only these can share their witness's split
+    drop = (least < mass - margin) & ((lower < split - margin) | same)
+    pairs = (drop & same & (screen.size[block] > 2)).nonzero()[0]
+    if pairs.size:
+        tests = screen.test[order[pairs]], screen.test[order[witness[pairs]]]
+        drop[pairs] = _same_split(cells, blocks, block[pairs], *tests)
+    if np.count_nonzero(screen.proven):  # a proven block's least h~ sorts first
+        near = split <= (split[first] + 2.0 * screen.delta)[block]
+        drop = np.where(screen.proven[block], ~near, drop)
+    kept = order[~drop]
+    kept.sort()
+    return _by_block(kept, screen.bounds)
 
-        w_h = w_c = math.inf
-        w = w_key = None
-        for i in order[lo:hi]:
-            h, c = split[i], mass[i]
-            if w_c < c - margin:
-                if w_h < h - margin:
-                    continue
-                if w_key is None:
-                    w_key = key(w)
-                if w_key == key(i):
-                    continue
-            keep.append(i)
-            if c < w_c:
-                w_h, w_c, w, w_key = h, c, i, None
-        points.append(sorted(keep))
-    return points
+
+def _same_split(
+    cells: _Cells, blocks: list[Block], block: np.ndarray, tests: np.ndarray, others: np.ndarray
+) -> list[bool]:
+    """Whether the test of each of ``tests``, applicable to the open block
+    of index ``block`` at the same place, splits it as the test of
+    ``others`` there does, up to the mirror."""
+    masks: dict[int, int] = {}
+    same = []
+    for k, m, w in zip(block.tolist(), tests.tolist(), others.tolist()):
+        mask = masks.get(k)
+        if mask is None:
+            mask = masks[k] = sum(map((1).__lshift__, blocks[k]))
+        ones, other = cells.ones[m] & mask, cells.ones[w] & mask
+        same.append(ones == other or ones == mask ^ other)
+    return same
 
 
 def _choose_level_assignment(
@@ -502,22 +510,24 @@ def _choose_level_assignment(
         entropy_before += term
     scored: dict[int, _Point] = {}  # by point index
     h_of: list[dict[int, float]] = [{} for _ in open_blocks]  # per block, h by split
+    lows = screen.bounds.tolist()
 
     def exact(k: int, indices: list[int]) -> list[_Point]:
         """Block k's exact points at the screen's point ``indices``."""
         new = [i for i in indices if i not in scored]
         if new:
-            tests = [screen.test[i] for i in new]
-            scored.update(zip(new, _block_points(cells, open_blocks[k], tests, h_of[k])))
+            lo, tests = lows[k], applicable[k]
+            points = _block_points(cells, open_blocks[k], [tests[i - lo] for i in new], h_of[k])
+            scored.update(zip(new, points))
         return [scored[i] for i in indices]
 
     if config.metric.kind is Metric.ADDITIVE:
-        base, narrow_indices = _additive_points(screen)
-        points = [exact(k, indices) for k, indices in enumerate(base)]
+        points = [exact(k, indices) for k, indices in enumerate(_additive_points(screen))]
+        proven = screen.proven.tolist()
 
         def narrow(lam: float) -> list[list[_Point]]:
-            return [pts if indices is None else exact(k, indices)
-                    for k, (pts, indices) in enumerate(zip(points, narrow_indices(lam)))]
+            return [pts if done else exact(k, indices) for k, (pts, done, indices)
+                    in enumerate(zip(points, proven, _narrow(screen, lam)))]
 
         choice = _select_additive(points, entropy_before, narrow)
     else:

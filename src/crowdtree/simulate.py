@@ -72,6 +72,7 @@ from .workers import (
     _baseline_pairs,
     _check_budget,
     _prefix_counts,
+    _ranked,
     assign_proposed,
 )
 
@@ -551,10 +552,11 @@ def sweep_workers(
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     pairs = _sweep_pairs(tests, log, k_values, strategies, seed, random_draws)
-    counts, first = np.unique(pairs, return_index=True)
-    # in the order the settings meet them, so the first count past the limit raises
-    met = counts[np.argsort(first)]
-    lut = np.zeros(counts.max(initial=0) + 1)
+    first = np.full(pairs.max(initial=0) + 1, pairs.size)  # per count, where the settings first meet it
+    np.minimum.at(first, pairs.ravel(), np.arange(pairs.size))
+    met = np.flatnonzero(first < pairs.size)
+    met = met[np.argsort(first[met])]  # in meeting order, so the first count past the limit raises
+    lut = np.zeros(len(first))
     lut[met] = [group_error(k, worker_error) for k in met.tolist()]
     lanes = 1.0 - lut[pairs.T]  # per test, 1 - its fused error in every setting
     factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
@@ -581,16 +583,16 @@ def _sweep_pairs(
     budget K is the first K steps of ``log``; baseline draw j reads the
     :func:`_baseline_pairs` stream of ``seed + j``, and single-test and
     all-tests make one draw."""
-    n = len(tests)
+    n, ranked = len(tests), _ranked(budgets)  # the budgets' own work, once for every stream
     widths = [draws if s is AssignmentStrategy.RANDOM_PER_PAIR else 1 for s in strategies]
     pairs = np.empty((len(budgets), sum(widths), n), dtype=np.int64)
     at = 0
     for strategy, width in zip(strategies, widths):
         if strategy is AssignmentStrategy.PROPOSED:
             position = {t: i for i, t in enumerate(tests)}
-            pairs[:, at] = _prefix_counts([position[step.test] for step in log], n, budgets)
+            pairs[:, at] = _prefix_counts([position[step.test] for step in log], n, ranked)
         else:
             for j in range(width):
-                pairs[:, at + j] = _baseline_pairs(n, strategy, budgets, seed + j)
+                pairs[:, at + j] = _baseline_pairs(n, strategy, ranked, seed + j)
         at += width
     return pairs.reshape(-1, n)

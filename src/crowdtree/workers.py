@@ -274,8 +274,27 @@ def assign_baseline(
     )
 
 
+class _Budgets(NamedTuple):
+    """Pair budgets with what a prefix count needs of them alone, which one
+    sweep makes once for all its pick streams."""
+
+    values: np.ndarray  # the budgets, int64, in the given order
+    order: np.ndarray  # the permutation that sorts them
+    rank: np.ndarray  # per pick i below the largest budget, how many budgets are at most i
+
+
+def _ranked(budgets: Sequence[int] | _Budgets) -> _Budgets:
+    """``budgets`` with their ranks; kept as given if already ranked."""
+    if isinstance(budgets, _Budgets):
+        return budgets
+    values = np.asarray(budgets, dtype=np.int64)
+    order = np.argsort(values)
+    rank = np.searchsorted(values[order], np.arange(values.max(initial=0)), side="right")
+    return _Budgets(values, order, rank)
+
+
 def _baseline_pairs(
-    n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int], seed: int
+    n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int] | _Budgets, seed: int
 ) -> np.ndarray:
     """Per budget, the pairs that :func:`assign_baseline` puts on each of
     the tree's ``n_tests`` tests, in table declaration order: a (budgets ×
@@ -285,23 +304,25 @@ def _baseline_pairs(
     ``random.Random(seed)``: single-test puts the whole budget on the first
     pick, random per-pair one pair on each of the first K picks, so budget
     K's pairs are a prefix count of the stream."""
-    budgets = np.asarray(budgets, dtype=np.int64)
+    budgets = _ranked(budgets)
     if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-        return np.repeat(budgets[:, None], n_tests, axis=1)
+        return np.repeat(budgets.values[:, None], n_tests, axis=1)
     rng = random.Random(seed)
     if strategy is AssignmentStrategy.SINGLE_TEST:
-        pairs = np.zeros((len(budgets), n_tests), dtype=np.int64)
-        pairs[:, rng.randrange(n_tests)] = budgets
+        pairs = np.zeros((len(budgets.values), n_tests), dtype=np.int64)
+        pairs[:, rng.randrange(n_tests)] = budgets.values
         return pairs
     if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-        picks = [rng.randrange(n_tests) for _ in range(budgets.max(initial=0))]
+        picks = [rng.randrange(n_tests) for _ in range(len(budgets.rank))]
         return _prefix_counts(picks, n_tests, budgets)
     raise UnknownStrategy(
         f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
     )
 
 
-def _prefix_counts(picks: Sequence[int], n_tests: int, budgets: Sequence[int]) -> np.ndarray:
+def _prefix_counts(
+    picks: Sequence[int], n_tests: int, budgets: Sequence[int] | _Budgets
+) -> np.ndarray:
     """Per budget K, how many of the first K ``picks`` name each test
     position: a (budgets × tests) int array. ``picks`` holds exactly the
     largest budget's picks.
@@ -310,12 +331,11 @@ def _prefix_counts(picks: Sequence[int], n_tests: int, budgets: Sequence[int]) -
     budgets from rank r on, r being how many budgets are at most i. One
     bincount of (r, pick) and a running sum down the sorted budgets give
     every budget's counts."""
-    budgets = np.asarray(budgets, dtype=np.int64)
-    order = np.argsort(budgets)
-    rank = np.searchsorted(budgets[order], np.arange(len(picks)), side="right")
-    keys = rank * n_tests + np.asarray(picks, dtype=np.int64)
-    pairs = np.empty((len(budgets), n_tests), dtype=np.int64)
-    pairs[order] = np.bincount(keys, minlength=pairs.size).reshape(pairs.shape).cumsum(axis=0)
+    budgets = _ranked(budgets)
+    keys = budgets.rank * n_tests + np.asarray(picks, dtype=np.int64)
+    pairs = np.empty((len(budgets.values), n_tests), dtype=np.int64)
+    counts = np.bincount(keys, minlength=pairs.size).reshape(pairs.shape)
+    pairs[budgets.order] = counts.cumsum(axis=0)
     return pairs
 
 

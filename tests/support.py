@@ -1185,3 +1185,73 @@ def inseparable_error_per_pair(table: TestTable, block) -> InseparableClasses:
         f"no applicable test splits the group {names}; classes "
         f"{names[0]!r} and {names[1]!r} stay together"
     )
+
+
+def additive_points_lists(screen) -> list[list[int]]:
+    """``builder._additive_points`` from Python lists, block by block: the
+    first point, the first error-free one, and the near-least-h points of
+    a proven block or else the first point whose g~ lies more than
+    2 delta from the first's, or every point when none does."""
+    split, mass, bounds = screen.split.tolist(), screen.mass.tolist(), screen.bounds.tolist()
+    base = []
+    for lo, hi, delta, proven in zip(bounds, bounds[1:], screen.delta.tolist(), screen.proven):
+        keep = {lo}
+        zeros = [i for i in range(lo, hi) if mass[i] == 0.0]
+        keep.update(zeros[:1])
+        if proven:
+            least = min(split[lo:hi]) + 2.0 * delta
+            keep.update(i for i in range(lo, hi) if split[i] <= least)
+        else:
+            far = [i for i in range(lo, hi) if 2.0 * delta < abs(mass[i] - mass[lo])]
+            keep.update(far[:1] if far else range(lo, hi))
+        base.append(sorted(keep))
+    return base
+
+
+def narrow_lists(screen, lam: float) -> list[list[int]]:
+    """``builder._narrow`` from Python lists, block by block."""
+    keys = (screen.split + lam * screen.mass).tolist()
+    bounds = screen.bounds.tolist()
+    kept = []
+    for lo, hi, delta, proven in zip(bounds, bounds[1:], screen.delta.tolist(), screen.proven):
+        if proven:
+            kept.append([])
+        elif not math.isfinite(4.0 * lam):
+            kept.append(list(range(lo, hi)))
+        else:
+            least = min(keys[lo:hi]) + 4.0 * (1.0 + lam) * delta
+            kept.append([i for i in range(lo, hi) if keys[i] <= least])
+    return kept
+
+
+def multiplicative_points_lists(cells, blocks, screen) -> list[list[int]]:
+    """``builder._multiplicative_points`` from Python lists, one point at a
+    time in (h~, c~, test) order per block, the witness being the first
+    least-c~ point before it and the split compared on the tests' masks."""
+    split, mass, tests = screen.split.tolist(), screen.mass.tolist(), screen.test.tolist()
+    bounds, points = screen.bounds.tolist(), []
+    for block, lo, hi, delta, proven in zip(
+        blocks, bounds, bounds[1:], screen.delta.tolist(), screen.proven
+    ):
+        if proven:
+            least = min(split[lo:hi]) + 2.0 * delta
+            points.append([i for i in range(lo, hi) if split[i] <= least])
+            continue
+        mask, margin, keep = sum(1 << i for i in block), 2.0 * delta, []
+
+        def key(i: int) -> int:
+            ones = cells.ones[tests[i]] & mask
+            return min(ones, mask ^ ones)
+
+        witness = None
+        for i in sorted(range(lo, hi), key=lambda i: (split[i], mass[i], i)):
+            w = witness
+            if w is not None and mass[w] < mass[i] - margin and (
+                split[w] < split[i] - margin or key(w) == key(i)
+            ):
+                continue
+            keep.append(i)
+            if w is None or mass[i] < mass[w]:
+                witness = i
+        points.append(sorted(keep))
+    return points

@@ -529,8 +529,8 @@ def test_screen_lies_within_a_sixteenth_of_its_bound(seed, source, n, priors, er
             mass = math.fsum(table.priors[i] for i in block)
             assert math.isclose(delta, 64 * _ULP * len(block) * (entropy + mass), rel_tol=1e-9)
             points = builder_module._block_points(cells, block)
-            assert [p.test for p in points] == screen.test[lo:hi]
-            for point, split, approx in zip(points, screen.splits[lo:hi], screen.masses[lo:hi]):
+            assert [p.test for p in points] == screen.test[lo:hi].tolist()
+            for point, split, approx in zip(points, screen.split[lo:hi], screen.mass[lo:hi]):
                 assert abs(entropy + split - point.h) <= delta / 16
                 assert abs(approx - point.mass) <= delta / 16
 

@@ -1514,7 +1514,9 @@ def _screening_tables():
     mass), at error 0 (every level error-free), with repeated flat test
     errors (some masses tie, not all) and with those errors and priors 1/n
     apart by a few units in the last place (entropies of different splits
-    nearly tie); and a 200-class wide table."""
+    nearly tie); 40-class wide tables of three seeds, a 100-class one and a
+    200-class one, with per-cell errors and undefined cells in the odd
+    tests, as the benchmark's tables have."""
     for p_star in (0.0, 0.01, 0.05, 0.2, 0.45):
         yield demo_table(p_star)
     flat = (0.05, 0.1, 0.05, 0.2)
@@ -1532,6 +1534,9 @@ def _screening_tables():
         yield table.with_scalar_error(0.1)
         yield table.with_scalar_error(0.0)
         yield table.with_test_errors({t: flat[m % 4] for m, t in enumerate(table.tests) if m % 3})
+    for seed in range(3):
+        yield support.wide_table(40, seed)
+    yield support.wide_table(100, 0)
     yield support.wide_table(200, 0)
 
 
@@ -1559,6 +1564,43 @@ def _check_screened_hulls(table, cells, partition):
         tests = [screen.test[i] for i in indices]
         hull = builder_module._lower_left_hull(builder_module._block_points(cells, block, tests))
         assert hull == builder_module._lower_left_hull(builder_module._block_points(cells, block))
+
+
+def test_screen_filters_equal_per_block_lists():
+    """At every level of the greedy builds on the screening tables, the
+    array filters keep the points that the list-based filters of
+    ``support`` keep, block by block, in each Dinkelbach round of the
+    build and at lam 0 and an overflowing lam; also on tables where half
+    the cells have error 0, so that a block's first error-free point is
+    often not its first, and under one error with priors 1/n apart by a
+    few units in the last place, so that proven blocks have entropies
+    that nearly tie."""
+    extra = []
+    for seed in range(40):
+        table = support.random_table(seed, max_classes=12, max_tests=14, cell_errors=True)
+        odd = np.arange(table.errors.size).reshape(table.errors.shape) % 2
+        extra.append(support.table_variant(table, errors=np.where(odd, 0.0, table.errors)))
+        n = table.n_classes
+        near = [(1.0 + 2e-16 * (i % 3)) / n for i in range(n)]
+        extra.append(support.table_variant(table, priors=near).with_scalar_error(0.1))
+    for table in itertools.chain(_screening_tables(), extra):
+        for kind in Metric:
+            cells = builder_module._cells(table, kind)
+            config = BuilderConfig(metric=MetricConfig(kind=kind))
+            for step in level_trace(build_greedy(table, config).tree, table):
+                blocks = [b for b in step.before if len(b) > 1]
+                terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
+                applicable = [builder_module._applicable(cells, b) for b in blocks]
+                screen = builder_module._screen(cells, blocks, terms, applicable)
+                if kind is Metric.MULTIPLICATIVE:
+                    got = builder_module._multiplicative_points(cells, blocks, screen)
+                    assert got == support.multiplicative_points_lists(cells, blocks, screen)
+                    continue
+                assert builder_module._additive_points(screen) == support.additive_points_lists(
+                    screen
+                )
+                for lam in (0.0, 0.5, 3.0, 1e308):
+                    assert builder_module._narrow(screen, lam) == support.narrow_lists(screen, lam)
 
 
 def test_screened_level_choice_raises_the_same_inseparable_error():

@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtree import (
+    BuilderConfig,
     additive_approx,
     bounds_additive,
     bounds_multiplicative,
     build_greedy,
+    build_random,
     exact_correct,
     exact_misclassification,
     level_correct_mass,
@@ -21,7 +25,7 @@ from crowdtree import (
 )
 from crowdtree.errors import InvalidPartition, UnknownTest, ValidationError
 from crowdtree.fixtures import demo_table, designed_tree, alternative_tree
-from crowdtree.metrics import MetricConfig
+from crowdtree.metrics import Metric, MetricConfig
 from crowdtree.model import DecisionTree, Internal, Leaf
 
 import support
@@ -276,3 +280,63 @@ def test_level_quantities_entropies_decrease():
 def test_metric_config_validates_offset():
     with pytest.raises(ValidationError):
         MetricConfig(ratio_offset=0.0)
+
+
+_U = 2.0**-53  # the unit roundoff of a float64
+
+
+def _tree(table, tree_seed, offset):
+    """The greedy tree under the multiplicative metric at ``offset`` for a
+    negative ``tree_seed``, else the random tree of that seed."""
+    if tree_seed < 0:
+        config = BuilderConfig(MetricConfig(Metric.MULTIPLICATIVE, ratio_offset=offset))
+        return build_greedy(table, config).tree
+    return build_random(table, tree_seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    cell_errors=st.booleans(),
+    tree_seed=st.integers(-1, 3),
+    offset=st.sampled_from([1.0, 0.5]),
+)
+def test_product_of_correct_masses_is_an_identity_of_the_level_metrics(
+    table_seed, cell_errors, tree_seed, offset
+):
+    """With m_d = ((H_{d-1} + r) / (H_d + r)) / c_d and H_D = 0 after the
+    last level, the product telescopes: prod c_d = (H_0 + r) / (r prod m_d).
+    Each side rounds once or a few times per level, so they agree within
+    8 u per level, relative."""
+    table = support.random_table(table_seed, max_classes=10, max_tests=12, cell_errors=cell_errors)
+    levels = level_quantities(_tree(table, tree_seed, offset), table, offset)
+    assert levels[-1].entropy_after == 0.0
+    product = metric = 1.0
+    for q in levels:
+        product *= q.correct_mass
+        metric *= q.multiplicative_metric
+    identity = (levels[0].entropy_before + offset) / (offset * metric)
+    assert abs(product - identity) <= 8 * len(levels) * _U * product
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    tree_seed=st.integers(-1, 3),
+    offset=st.sampled_from([1.0, 0.5]),
+)
+def test_product_of_correct_masses_is_below_exact_pc_under_one_error(
+    table_seed, tree_seed, offset
+):
+    """Under one scalar error a class's factor at level d is 1 - e while it
+    is still tested there and 1 after, so every factor falls as the class's
+    depth grows; factors that fall together are positively correlated
+    (Chebyshev's sum inequality), so prod c_d <= exact pc, within 8 u per
+    level for rounding. With per-cell errors this can fail."""
+    table = support.random_table(table_seed, max_classes=10, max_tests=12, max_error=0.45)
+    tree = _tree(table, tree_seed, offset)
+    levels = level_quantities(tree, table, offset)
+    product = 1.0
+    for q in levels:
+        product *= q.correct_mass
+    assert product <= exact_correct(tree, table) + 8 * len(levels) * _U
