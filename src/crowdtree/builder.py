@@ -38,22 +38,28 @@ Scoring. The exact value of a point is :func:`_block_points`'s: the mass
 is ``fsum`` of the block's products, picked out at C level, and h comes
 from :func:`crowdtree.metrics._entropy_term` once per split of the block,
 since many tests split a block the same way. It is the one source of every
-value a selector compares, but most points never need it. Once per level,
+value a selector compares, but on a large level most points never need
+it. A level whose open blocks hold fewer than ``_SCREEN_FROM`` (member,
+applicable test) pairs, as every level of a 12-class table with at most
+21 tests does, is scored point by point: there the screen's fixed cost,
+a few dozen NumPy calls, exceeds the exact scoring it saves. On a larger level,
 :func:`_screen` takes the open blocks' members' rows of the class-major
-``_Cells.screen`` and sums them per block (one ``take`` and one
-``np.add.reduceat`` along the class axis), and gives, as flat arrays with
-one entry per applicable point, its block, its test, its mass~ (g~ or c~)
-and, from the masses M0 and M1 of its two sides, h~ = E_B − (M_B·log2 M_B
-− M0·log2 M0 − M1·log2 M1), computed as E_B + M0·log2(M0/M) +
-M1·log2(M1/M) with M = M0 + M1 so that nothing cancels; E_B is the
-block's exact entropy term and M_B its prior mass. Each screened value
-lies within delta = 64·u·n_B·(E_B + M_B) of the exact one, with u = 2^-53
-and n_B the block's size: to first order, with log2 within two units in
-the last place, the two differ by at most 12·u·n_B·(E_B + M_B), and the
-tests hold them within delta / 16. Only the points that can still win
-under delta are scored exactly, picked by masked segment reductions over
-the block bounds (``np.minimum.reduceat``, a per-point threshold and
-``flatnonzero``); Python makes a :class:`_Point` only for them:
+``_Cells.screen``, in the columns from the least to the greatest test
+that applies to some block, and of ``_Cells.whole``, and sums them per
+block (``np.add.reduceat`` along the class axis). It gives, as flat
+arrays with one entry per applicable point, its block, its test, its
+mass~ (g~ or c~) and, from the masses M0 and M1 of its two sides, h~ =
+E_B − (M_B·log2 M_B − M0·log2 M0 − M1·log2 M1), computed as E_B +
+M0·log2(M0/M) + M1·log2(M1/M) with M = M0 + M1 so that nothing cancels;
+E_B is the block's exact entropy term and M_B its prior mass. Each
+screened value lies within delta = 64·u·n_B·(E_B + M_B) of the exact one,
+with u = 2^-53 and n_B the block's size: to first order, with log2 within
+two units in the last place, the two differ by at most
+12·u·n_B·(E_B + M_B), and the tests hold them within delta / 16. Only the
+points that can still win under delta are scored exactly, picked by
+masked segment reductions over the block bounds (``np.minimum.reduceat``,
+a per-point threshold and ``nonzero``); Python makes a :class:`_Point`
+only for them:
 
 - additive: each block's first point, which sets lam; its first
   error-free point (a g~ of 0 is exact, a sum of products that are all 0);
@@ -88,7 +94,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, count
-from operator import and_, attrgetter, itemgetter, not_, or_
+from operator import and_, attrgetter, itemgetter, mul, not_, or_
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -253,7 +259,8 @@ class _Cells(NamedTuple):
     tests_undefined: list[int]  # per class, the mask of the tests undefined for it
     outcomes: list[bytes]  # per test, each class's outcome; -1 reads 255
     mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class
-    screen: np.ndarray | None  # what :func:`_screen` sums, class-major; see _screen_rows
+    screen: np.ndarray | None  # per class and test, what :func:`_screen` sums; see _screen_rows
+    whole: np.ndarray | None  # per class, what :func:`_screen` sums for the whole block
 
 
 def _masks(cells: np.ndarray) -> list[int]:
@@ -270,32 +277,34 @@ def _cells(table: TestTable, metric: Metric | None = None) -> _Cells:
     complement."""
     priors, ones = np.asarray(table.priors), table.outcomes == 1
     rows, n = table.outcomes.tobytes(), table.n_classes
-    mass, screen = [], None
+    mass, screen, whole = [], None, None
     if metric is not None:
         products = priors * (table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors)
         mass = [memoryview(row) for row in products]
-        screen = _screen_rows(table, priors, ones, products)
+        screen, whole = _screen_rows(table, priors, ones, products)
     outcomes = [rows[k : k + n] for k in range(0, len(rows), n)]
     undefined = _masks(table.outcomes.T < 0)
-    return _Cells(table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, screen)
+    return _Cells(
+        table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, screen, whole
+    )
 
 
 def _screen_rows(
     table: TestTable, priors: np.ndarray, ones: np.ndarray, products: np.ndarray
-) -> np.ndarray:
-    """Per class i and test m, the row [p_i if m answers 1 else 0 | p_i if
-    m answers 0 else 0 | the mass product ``products[m, i]``, NaN where
-    undefined]; then one slot past the tests, [p_i | 1 if i's defined
-    products differ between tests else 0 | 0]. Class-major, so that a
-    level sums each block's members along the first axis."""
-    t = table.n_tests
-    rows = np.zeros((3, t + 1, table.n_classes))
-    np.multiply(priors, ones, out=rows[0, :t])
-    np.multiply(priors, table.outcomes == 0, out=rows[1, :t])
-    rows[2, :t] = products
-    rows[0, t] = priors
-    rows[1, t] = np.fmin.reduce(products, axis=0) != np.fmax.reduce(products, axis=0)
-    return rows.transpose(2, 1, 0).copy()
+) -> tuple[np.ndarray, np.ndarray]:
+    """(screen, whole), class-major, so that a level sums each block's
+    members along the first axis. ``screen[i, m]`` is [p_i if test m
+    answers 1 else 0 | p_i if m answers 0 else 0 | the mass product
+    ``products[m, i]``, NaN where undefined]; ``whole[i]`` is [p_i | 1 if
+    i's defined products differ between tests else 0]."""
+    screen = np.empty((table.n_classes, table.n_tests, 3))
+    np.multiply(priors[:, None], ones.T, out=screen[:, :, 0])
+    np.multiply(priors[:, None], table.outcomes.T == 0, out=screen[:, :, 1])
+    screen[:, :, 2] = products.T
+    whole = np.empty((table.n_classes, 2))
+    whole[:, 0] = priors
+    whole[:, 1] = np.fmin.reduce(products, axis=0) != np.fmax.reduce(products, axis=0)
+    return screen, whole
 
 
 def _applicable(cells: _Cells, block: Block) -> list[int]:
@@ -359,18 +368,24 @@ def _screen(
     """The screen of a level whose open blocks are ``blocks``, with exact
     entropy terms ``terms`` and applicable tests ``applicable``, none
     empty, from one sum per block over its members' rows of
-    ``cells.screen``: see the module docstring."""
+    ``cells.whole`` and of ``cells.screen``, in the columns from the least
+    to the greatest test that applies to some block: see the module
+    docstring."""
     sizes, counts = [*map(len, blocks)], [*map(len, applicable)]
-    members = cells.screen.take([*chain.from_iterable(blocks)], 0)
-    sums = np.add.reduceat(members, [*accumulate(sizes[:-1], initial=0)], axis=0)
+    lo = min([tests[0] for tests in applicable])
+    hi = max([tests[-1] for tests in applicable]) + 1
+    members = np.fromiter(chain.from_iterable(blocks), np.intp, sum(sizes))
+    offsets = np.fromiter(accumulate(sizes[:-1], initial=0), np.intp, len(sizes))
+    sums = np.add.reduceat(cells.screen[:, lo:hi][members], offsets)
+    whole = np.add.reduceat(cells.whole[members], offsets)
     block = np.arange(len(blocks)).repeat(counts)
     test = np.fromiter(chain.from_iterable(applicable), np.intp, len(block))
-    points = sums[block, test]
+    points = sums[block, test - lo]
     sides = points[:, :2]
     by_side = sides / sides.sum(axis=1, keepdims=True)
     np.log2(by_side, out=by_side)
     by_side *= sides
-    whole, size = sums[:, -1], np.array(sizes)
+    size = np.array(sizes)
     delta = _SLACK * _ULP * size * (whole[:, 0] + terms)
     split, bounds = by_side[:, 0] + by_side[:, 1], np.array([*accumulate(counts, initial=0)])
     return _Screen(block, test, split, points[:, 2], bounds, size, delta, whole[:, 1] == 0.0)
@@ -383,25 +398,30 @@ def _by_block(indices: np.ndarray, bounds: np.ndarray) -> list[list[int]]:
     return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _near_least_h(screen: _Screen, split: np.ndarray) -> np.ndarray:
+    """Per point, whether its h~ lies within 2 delta of its block's least:
+    every point whose exact h can be the least. ``split`` holds the points'
+    h~ - E_B in screen order or in any order within each block."""
+    least = np.minimum.reduceat(split, screen.bounds[:-1]) + 2.0 * screen.delta
+    return split <= least[screen.block]
+
+
 def _additive_points(screen: _Screen) -> list[list[int]]:
     """Per block, the points of a screened level that
     :func:`_select_additive` must see before its first round, as indices
     into the screen: the first, which sets lam; the first error-free one (a
     g~ of 0 is exact: it sums products that are all 0); and those that
-    decide the one-mass rule as all points would. A proven block adds those
-    whose h~ lies within 2 delta of the block's least, every point whose
-    exact h can be the least. Another block adds its first point whose g~
-    lies farther than 2 delta from the first point's, as their exact masses
-    differ, or else all its points."""
+    decide the one-mass rule as all points would. A proven block adds the
+    points of :func:`_near_least_h`. Another block adds its first point
+    whose g~ lies farther than 2 delta from the first point's, as their
+    exact masses differ, or else all its points."""
     split, mass, block, first = screen.split, screen.mass, screen.block, screen.bounds[:-1]
-    margin, proven, n = 2.0 * screen.delta, screen.proven, len(block)
-    at = np.arange(n)
-    far = np.abs(mass - mass[first][block]) > margin[block]
+    n, at = len(block), np.arange(len(block))
+    far = np.abs(mass - mass[first][block]) > (2.0 * screen.delta)[block]
     firsts = np.minimum.reduceat(np.where(far, at, n), first)  # per block its first far point, or n
     keep = (firsts == n)[block]  # a proven block's g~ agree bit for bit: it has no far point
-    if np.count_nonzero(proven):
-        near = split <= (np.minimum.reduceat(split, first) + margin)[block]
-        keep = np.where(proven[block], near, keep)
+    if np.count_nonzero(screen.proven):
+        keep = np.where(screen.proven[block], _near_least_h(screen, split), keep)
     keep[first] = True
     keep[firsts[firsts < n]] = True
     if np.count_nonzero(mass == 0.0):  # each block's first error-free point
@@ -429,15 +449,14 @@ def _narrow(screen: _Screen, lam: float) -> list[list[int]]:
 def _multiplicative_points(cells: _Cells, blocks: list[Block], screen: _Screen) -> list[list[int]]:
     """Per block, points whose exact values include every vertex of the
     block's lower-left hull, with its lowest test index, as indices into
-    the screen. A proven block keeps the points whose h~ lies within
-    2 delta of the block's least. Any other block drops each point that its
-    witness, the first least-c~ point before it in (h~, c~, test) order,
-    dominates with margin: the witness's c~ is lower by more than 2 delta,
-    and either its h~ is too or it has the same split, up to the mirror,
-    under which :func:`_block_points` shares h. A dropped point's exact h
-    is no lower than its witness's and its exact c higher, so
-    :func:`_lower_left_hull` skips it, and leaving it out changes no step
-    of the hull.
+    the screen. A proven block keeps the points of :func:`_near_least_h`.
+    Any other block drops each point that its witness, the first least-c~
+    point before it in (h~, c~, test) order, dominates with margin: the
+    witness's c~ is lower by more than 2 delta, and either its h~ is too or
+    it has the same split, up to the mirror, under which
+    :func:`_block_points` shares h. A dropped point's exact h is no lower
+    than its witness's and its exact c higher, so :func:`_lower_left_hull`
+    skips it, and leaving it out changes no step of the hull.
 
     In that order a point is a witness when its c~ lies below every earlier
     one of its block. A running minimum of (-block, c~), compared as complex
@@ -447,11 +466,9 @@ def _multiplicative_points(cells: _Cells, blocks: list[Block], screen: _Screen) 
     only in a larger block does a point whose h~ equals its witness's need
     :func:`_same_split`."""
     order = np.lexsort((screen.mass, screen.split, screen.block))
-    split, mass, block = screen.split[order], screen.mass[order], screen.block
-    first, n = screen.bounds[:-1], len(order)
-    running = np.empty(n, complex)  # (-block, c~), least first
-    np.negative(block, out=running.real)
-    running.imag = mass
+    split, mass, block, n = screen.split[order], screen.mass[order], screen.block, len(order)
+    running = mass * 1j  # (-block, c~), least first
+    running -= block
     np.minimum.accumulate(running, out=running)
     least = running.imag  # the least c~ of each point's block up to the point
     falls = np.empty(n, bool)  # where the least falls: the witnesses
@@ -465,9 +482,8 @@ def _multiplicative_points(cells: _Cells, blocks: list[Block], screen: _Screen) 
     if pairs.size:
         tests = screen.test[order[pairs]], screen.test[order[witness[pairs]]]
         drop[pairs] = _same_split(cells, blocks, block[pairs], *tests)
-    if np.count_nonzero(screen.proven):  # a proven block's least h~ sorts first
-        near = split <= (split[first] + 2.0 * screen.delta)[block]
-        drop = np.where(screen.proven[block], ~near, drop)
+    if np.count_nonzero(screen.proven):
+        drop = np.where(screen.proven[block], ~_near_least_h(screen, split), drop)
     kept = order[~drop]
     kept.sort()
     return _by_block(kept, screen.bounds)
@@ -496,20 +512,51 @@ def _choose_level_assignment(
     """One test index per open block, exactly maximizing the level metric; ties
     go to the lexicographically smallest test indices, blocks in partition order.
 
-    The level's screen picks, per block, the tests that can still win, and
-    only those are scored exactly, by :func:`_block_points`, each once."""
+    A level whose open blocks hold fewer than ``_SCREEN_FROM`` (member,
+    applicable test) pairs scores every point exactly: there the screen
+    costs more than the exact scoring it saves. A larger level's screen
+    picks, per block, the tests that can still win, and only those are
+    scored exactly (:func:`_screened_points`). Both give the same choice."""
     open_blocks = [b for b in partition if len(b) > 1]
     applicable = [_applicable(cells, b) for b in open_blocks]
     for block, tests in zip(open_blocks, applicable):
         if not tests:
             raise _inseparable_error(table, block)
     terms = [_block_entropy(table.priors, b) for b in open_blocks]
-    screen = _screen(cells, open_blocks, terms, applicable)
     entropy_before = 0.0
     for term in terms:  # as level_entropy adds them; a singleton adds 0.0
         entropy_before += term
+    if sum(map(mul, map(len, open_blocks), map(len, applicable))) < _SCREEN_FROM:
+        points = [_block_points(cells, b, tests) for b, tests in zip(open_blocks, applicable)]
+        narrow = None
+    else:
+        points, narrow = _screened_points(cells, config, open_blocks, terms, applicable)
+    if config.metric.kind is Metric.ADDITIVE:
+        choice = _select_additive(points, entropy_before, narrow)
+    else:
+        singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
+        offset = config.metric.ratio_offset
+        choice = _select_multiplicative(points, entropy_before, singletons, offset)
+    return {b: p.test for b, p in zip(open_blocks, choice)}
+
+
+_SCREEN_FROM = 256  # the (member, applicable test) pairs of a level worth screening
+
+
+def _screened_points(
+    cells: _Cells,
+    config: BuilderConfig,
+    blocks: list[Block],
+    terms: list[float],
+    applicable: list[list[int]],
+) -> tuple[list[list[_Point]], Callable[[float], list[list[_Point]]] | None]:
+    """(points, narrow): per open block, the exactly scored points that a
+    selector needs first, and for the additive one the ``narrow`` of
+    :func:`_select_additive`, from the level's screen. Each point is
+    scored once, by :func:`_block_points`."""
+    screen = _screen(cells, blocks, terms, applicable)
     scored: dict[int, _Point] = {}  # by point index
-    h_of: list[dict[int, float]] = [{} for _ in open_blocks]  # per block, h by split
+    h_of: list[dict[int, float]] = [{} for _ in blocks]  # per block, h by split
     lows = screen.bounds.tolist()
 
     def exact(k: int, indices: list[int]) -> list[_Point]:
@@ -517,26 +564,21 @@ def _choose_level_assignment(
         new = [i for i in indices if i not in scored]
         if new:
             lo, tests = lows[k], applicable[k]
-            points = _block_points(cells, open_blocks[k], [tests[i - lo] for i in new], h_of[k])
+            points = _block_points(cells, blocks[k], [tests[i - lo] for i in new], h_of[k])
             scored.update(zip(new, points))
         return [scored[i] for i in indices]
 
-    if config.metric.kind is Metric.ADDITIVE:
-        points = [exact(k, indices) for k, indices in enumerate(_additive_points(screen))]
-        proven = screen.proven.tolist()
+    if config.metric.kind is not Metric.ADDITIVE:
+        base = _multiplicative_points(cells, blocks, screen)
+        return [exact(k, indices) for k, indices in enumerate(base)], None
+    points = [exact(k, indices) for k, indices in enumerate(_additive_points(screen))]
+    proven = screen.proven.tolist()
 
-        def narrow(lam: float) -> list[list[_Point]]:
-            return [pts if done else exact(k, indices) for k, (pts, done, indices)
-                    in enumerate(zip(points, proven, _narrow(screen, lam)))]
+    def narrow(lam: float) -> list[list[_Point]]:
+        return [pts if done else exact(k, indices) for k, (pts, done, indices)
+                in enumerate(zip(points, proven, _narrow(screen, lam)))]
 
-        choice = _select_additive(points, entropy_before, narrow)
-    else:
-        base = _multiplicative_points(cells, open_blocks, screen)
-        points = [exact(k, indices) for k, indices in enumerate(base)]
-        singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
-        offset = config.metric.ratio_offset
-        choice = _select_multiplicative(points, entropy_before, singletons, offset)
-    return {b: p.test for b, p in zip(open_blocks, choice)}
+    return points, narrow
 
 
 def _split_level(cells: _Cells, partition: Partition, chosen: dict, splits: list) -> Partition:

@@ -62,7 +62,7 @@ import numpy as np
 
 from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
 from .errors import ValidationError
-from .fusion import _check_worker_error, group_error
+from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
 from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, validate_tree
 from .workers import (
@@ -70,9 +70,9 @@ from .workers import (
     AssignStep,
     WorkerAllocation,
     _baseline_pairs,
+    _Budgets,
     _check_budget,
     _prefix_counts,
-    _ranked,
     assign_proposed,
 )
 
@@ -552,13 +552,16 @@ def sweep_workers(
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
     pairs = _sweep_pairs(tests, log, k_values, strategies, seed, random_draws)
-    first = np.full(pairs.max(initial=0) + 1, pairs.size)  # per count, where the settings first meet it
-    np.minimum.at(first, pairs.ravel(), np.arange(pairs.size))
-    met = np.flatnonzero(first < pairs.size)
+    flat = pairs.ravel()
+    # one slot per count; every count past the exact limit shares the last one
+    slot = np.minimum(flat, _MAX_EXACT_PAIRS + 1)
+    first = np.full(slot.max(initial=0) + 1, flat.size)  # per slot, where settings first meet it
+    np.minimum.at(first, slot, np.arange(flat.size))
+    met = np.flatnonzero(first < flat.size)
     met = met[np.argsort(first[met])]  # in meeting order, so the first count past the limit raises
     lut = np.zeros(len(first))
-    lut[met] = [group_error(k, worker_error) for k in met.tolist()]
-    lanes = 1.0 - lut[pairs.T]  # per test, 1 - its fused error in every setting
+    lut[met] = [group_error(k, worker_error) for k in flat[first[met]].tolist()]
+    lanes = 1.0 - lut[slot.reshape(pairs.shape).T]  # per test, 1 - its fused error in every setting
     factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
     pm = _exact(tree, table, factors)[0].reshape(len(k_values), -1)
     means, at = [], 0
@@ -583,7 +586,7 @@ def _sweep_pairs(
     budget K is the first K steps of ``log``; baseline draw j reads the
     :func:`_baseline_pairs` stream of ``seed + j``, and single-test and
     all-tests make one draw."""
-    n, ranked = len(tests), _ranked(budgets)  # the budgets' own work, once for every stream
+    n, ranked = len(tests), _Budgets(budgets)  # ranked once, on first use, for every stream
     widths = [draws if s is AssignmentStrategy.RANDOM_PER_PAIR else 1 for s in strategies]
     pairs = np.empty((len(budgets), sum(widths), n), dtype=np.int64)
     at = 0

@@ -13,6 +13,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -264,7 +265,8 @@ def assign_baseline(
     _check_worker_args(budget, worker_error)
     validate_tree(tree, table)
     tests = sorted(tree.test_ids(), key=table.test_index)
-    pairs = dict(zip(tests, _baseline_pairs(len(tests), strategy, [budget], seed)[0].tolist()))
+    counts = _baseline_pairs(len(tests), strategy, _Budgets([budget]), seed)[0]
+    pairs = dict(zip(tests, counts.tolist()))
     return WorkerAllocation(
         extra_pairs=pairs,
         worker_error=worker_error,
@@ -274,27 +276,29 @@ def assign_baseline(
     )
 
 
-class _Budgets(NamedTuple):
-    """Pair budgets with what a prefix count needs of them alone, which one
-    sweep makes once for all its pick streams."""
+class _Budgets:
+    """Pair budgets. What a prefix count needs of them alone is made on
+    first use and then kept, so one sweep ranks its budgets once for all
+    its pick streams, and the all-tests and single-test strategies, which
+    read only the budgets, never rank them."""
 
-    values: np.ndarray  # the budgets, int64, in the given order
-    order: np.ndarray  # the permutation that sorts them
-    rank: np.ndarray  # per pick i below the largest budget, how many budgets are at most i
+    def __init__(self, budgets: Sequence[int]):
+        self.values = np.asarray(budgets, dtype=np.int64)  # in the given order
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The permutation that sorts the budgets."""
+        return np.argsort(self.values)
 
-def _ranked(budgets: Sequence[int] | _Budgets) -> _Budgets:
-    """``budgets`` with their ranks; kept as given if already ranked."""
-    if isinstance(budgets, _Budgets):
-        return budgets
-    values = np.asarray(budgets, dtype=np.int64)
-    order = np.argsort(values)
-    rank = np.searchsorted(values[order], np.arange(values.max(initial=0)), side="right")
-    return _Budgets(values, order, rank)
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Per pick i below the largest budget, how many budgets are at most i."""
+        picks = np.arange(self.values.max(initial=0))
+        return np.searchsorted(self.values[self.order], picks, side="right")
 
 
 def _baseline_pairs(
-    n_tests: int, strategy: AssignmentStrategy, budgets: Sequence[int] | _Budgets, seed: int
+    n_tests: int, strategy: AssignmentStrategy, budgets: _Budgets, seed: int
 ) -> np.ndarray:
     """Per budget, the pairs that :func:`assign_baseline` puts on each of
     the tree's ``n_tests`` tests, in table declaration order: a (budgets ×
@@ -304,7 +308,6 @@ def _baseline_pairs(
     ``random.Random(seed)``: single-test puts the whole budget on the first
     pick, random per-pair one pair on each of the first K picks, so budget
     K's pairs are a prefix count of the stream."""
-    budgets = _ranked(budgets)
     if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
         return np.repeat(budgets.values[:, None], n_tests, axis=1)
     rng = random.Random(seed)
@@ -313,16 +316,14 @@ def _baseline_pairs(
         pairs[:, rng.randrange(n_tests)] = budgets.values
         return pairs
     if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-        picks = [rng.randrange(n_tests) for _ in range(len(budgets.rank))]
+        picks = [rng.randrange(n_tests) for _ in range(budgets.values.max(initial=0))]
         return _prefix_counts(picks, n_tests, budgets)
     raise UnknownStrategy(
         f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
     )
 
 
-def _prefix_counts(
-    picks: Sequence[int], n_tests: int, budgets: Sequence[int] | _Budgets
-) -> np.ndarray:
+def _prefix_counts(picks: Sequence[int], n_tests: int, budgets: _Budgets) -> np.ndarray:
     """Per budget K, how many of the first K ``picks`` name each test
     position: a (budgets × tests) int array. ``picks`` holds exactly the
     largest budget's picks.
@@ -331,7 +332,6 @@ def _prefix_counts(
     budgets from rank r on, r being how many budgets are at most i. One
     bincount of (r, pick) and a running sum down the sorted budgets give
     every budget's counts."""
-    budgets = _ranked(budgets)
     keys = budgets.rank * n_tests + np.asarray(picks, dtype=np.int64)
     pairs = np.empty((len(budgets.values), n_tests), dtype=np.int64)
     counts = np.bincount(keys, minlength=pairs.size).reshape(pairs.shape)

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import crowdtree
 import support
-from crowdtree import AssignmentStrategy, sweep_workers
+from crowdtree import AssignmentStrategy, assign_baseline, sweep_workers
 from crowdtree.cli import main
 from crowdtree.errors import DomainError
 from crowdtree.fileio import table_to_text
@@ -579,6 +580,23 @@ def test_sweep_workers_pair_limit_names_the_first_count_the_settings_meet():
         message = f"exact summation supports at most 500 pairs, got {first}$"
         with pytest.raises(DomainError, match=message):
             sweep_workers(tree, table, k_values, strategies, 0.2)
+
+
+def test_pair_limit_fails_without_memory_sized_by_the_budget():
+    # the one-pool and one-test baselines never rank their budget, and the sweep's
+    # per-count table stops at the exact limit: a budget of 10**7 costs no 80 MB array
+    tree, table = designed_tree(), demo_table(0.05)
+    tracemalloc.start()
+    try:
+        for strategy in (AssignmentStrategy.SINGLE_TEST, AssignmentStrategy.ALL_WORKERS_ALL_TESTS):
+            allocation = assign_baseline(tree, table, strategy, 10**7, 0.2)
+            assert max(allocation.extra_pairs.values()) == 10**7
+            with pytest.raises(DomainError, match="at most 500 pairs, got 10000000$"):
+                sweep_workers(tree, table, [3, 10**7, 600], [strategy], 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cli_jobs_leave_numpy_ma_unimported(table_path, tmp_path):

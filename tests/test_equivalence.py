@@ -284,12 +284,14 @@ def test_sweep_pair_arrays_equal_list_counts(
     assert pairs.dtype == np.int64 and pairs.shape == (len(want), len(tests))
     assert pairs.tolist() == want
     for strategy in _STRATEGIES[1:]:
-        got = workers_module._baseline_pairs(len(tests), strategy, budgets, seed)
+        got = workers_module._baseline_pairs(
+            len(tests), strategy, workers_module._Budgets(budgets), seed
+        )
         assert got.tolist() == support.baseline_pairs_lists(len(tests), strategy, budgets, seed)
         allocation = assign_baseline(tree, table, strategy, budgets[0], 0.2, seed)
         assert all(type(k) is int for k in allocation.extra_pairs.values())
     picks = np.random.default_rng(seed).integers(len(tests), size=max(budgets)).tolist()
-    got = workers_module._prefix_counts(picks, len(tests), budgets)
+    got = workers_module._prefix_counts(picks, len(tests), workers_module._Budgets(budgets))
     assert got.tolist() == support.prefix_counts_lists(iter(picks), len(tests), budgets)
 
 
@@ -1552,6 +1554,13 @@ def test_screened_level_choice_equals_choice_from_every_point(config):
             assert got == support.level_choice_per_point(table, cells, config, step.before)
             if config.metric.kind is Metric.MULTIPLICATIVE:
                 _check_screened_hulls(table, cells, step.before)
+
+
+@pytest.mark.parametrize("config", SCORING_CONFIGS)
+def test_screen_on_small_levels_keeps_the_choice_from_every_point(config, monkeypatch):
+    # the levels too small to be worth screening, screened all the same
+    monkeypatch.setattr(builder_module, "_SCREEN_FROM", 0)
+    test_screened_level_choice_equals_choice_from_every_point(config)
 
 
 def _check_screened_hulls(table, cells, partition):
