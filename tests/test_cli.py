@@ -269,6 +269,12 @@ for _metric in ("additive", "multiplicative"):
     GOLDEN_JOBS[f"random12_sweep_error_{_metric}.txt"] = [
         "sweep-error", "--table", os.path.join(DATA_DIR, "random12_table.csv"),
         "--grid", "0.01:0.45:0.04", "--random-trees", "5", "--metric", _metric]
+    # all four strategies on 12 classes with per-cell errors
+    GOLDEN_JOBS[f"random12_sweep_workers_{_metric}.txt"] = [
+        "sweep-workers", "--tree", os.path.join(DATA_DIR, "random12_build_additive_r1.json"),
+        "--table", os.path.join(DATA_DIR, "random12_table.csv"),
+        "--error-matrix", os.path.join(DATA_DIR, "random12_errors.csv"), "--kmax", "12",
+        "--worker-error", "0.2", "--draws", "5", "--seed", "3", "--metric", _metric]
 # build and evaluate reports on the demo table and on a 12-class table with an
 # error matrix (support.random_table(18, 12, 16, cell_errors=True), stored as text)
 _QUALITY_TABLES = {
