@@ -327,15 +327,21 @@ def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
     try:
         strategy = AssignmentStrategy(doc["strategy"])
         pairs = {row["test"]: row["extra_pairs"] for row in doc["tests"]}
-        return WorkerAllocation(
+        allocation = WorkerAllocation(
             extra_pairs=pairs,
             worker_error=float(doc["worker_error"]),
             strategy=strategy,
             seed=doc.get("seed"),
-            shared_pool=bool(doc.get("shared_pool", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad allocation document: {exc}") from None
+    # the strategy decides it; a document that says otherwise is inconsistent
+    if bool(doc.get("shared_pool", allocation.shared_pool)) != allocation.shared_pool:
+        raise ParseError(
+            f"bad allocation document: shared_pool {doc['shared_pool']!r} contradicts "
+            f"strategy {strategy.value!r}"
+        )
+    return allocation
 
 
 def save_allocation(path: str, allocation: WorkerAllocation) -> None:

@@ -22,6 +22,7 @@ from .model import (
     TestTable,
     _compile,
     _Compiled,
+    _tree_tests,
     check_partition,
 )
 
@@ -286,7 +287,7 @@ def _exact(tree: DecisionTree, table: TestTable, factors=None) -> tuple:
     form = _compile(tree, table)
     pm = pc = 0.0
     if factors is None:  # per test on the tree, its row of 1 - e as floats
-        tests = sorted(set(form.test) - {-1})
+        tests = _tree_tests(form)
         factors = dict(zip(tests, (1.0 - table.errors[tests]).tolist()))
     for p, survive in zip(table.priors, _survivals(form, table, factors)):
         pm += p * (1.0 - survive)

@@ -441,6 +441,11 @@ def _compile(tree: DecisionTree, table: TestTable) -> _Compiled:
     return form
 
 
+def _tree_tests(form: _Compiled) -> list[int]:
+    """The table indices of the distinct tests on a compiled tree, ascending."""
+    return sorted(set(form.test) - {-1})
+
+
 def _compile_uncached(tree: DecisionTree, table: TestTable) -> _Compiled:
     """The preorder form of ``tree``. Raises unless every node is on some
     class's error-free path and each path ends at its class's leaf; of the

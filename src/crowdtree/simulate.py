@@ -64,15 +64,13 @@ from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
 from .errors import ValidationError
 from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
 from .metrics import MetricConfig, _exact, _split_pms
-from .model import DecisionTree, TestTable, _compile, validate_tree
+from .model import DecisionTree, TestTable, _compile, _tree_tests
 from .workers import (
     AssignmentStrategy,
-    AssignStep,
     WorkerAllocation,
-    _baseline_pairs,
-    _Budgets,
     _check_budget,
-    _prefix_counts,
+    _draws,
+    _pair_counts,
     assign_proposed,
 )
 
@@ -529,13 +527,17 @@ def sweep_workers(
     errors; the random-per-pair strategy is averaged over ``random_draws``
     seeded allocations, each evaluated exactly. Every budget, the worker
     error and the draw count are checked before any work, also when
-    ``k_values`` is empty. Every allocation is a prefix count of one stream
-    of test picks, and all of them are held as one (settings × tests) int
-    array (:func:`_sweep_pairs`; one :func:`assign_proposed` run at the
-    largest budget serves every budget). The group error is computed once
-    per distinct pair count, the tree, compiled once, is scored for every
-    setting in one batched exact pass (settings × classes floats), and each
-    strategy's draws are averaged in one reduction per strategy.
+    ``k_values`` is empty, and then the tree against ``table``. Every
+    allocation is a prefix count of one stream of test picks, and all of
+    them are held as one (settings × tests) int array
+    (:func:`crowdtree.workers._pair_counts`; one :func:`assign_proposed`
+    run at the largest budget serves every budget). A pair count past the
+    exact limit raises before any group error is computed: the first one
+    the settings meet, budget by budget in the given order. The group error
+    is then computed once per distinct pair count, the tree, compiled once,
+    is scored for every setting in one batched exact pass (settings ×
+    classes floats), and each strategy's draws are averaged in one
+    reduction per strategy.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -546,56 +548,28 @@ def sweep_workers(
     _check_worker_error(worker_error)
     if not k_values:
         return []
-    validate_tree(tree, table)
-    tests = sorted(tree.test_ids(), key=table.test_index)
-    log: list[AssignStep] = []
+    tests = _tree_tests(_compile(tree, table))
+    proposed = None
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)
-    pairs = _sweep_pairs(tests, log, k_values, strategies, seed, random_draws)
+        position = {table.tests[m]: i for i, m in enumerate(tests)}
+        proposed = [position[step.test] for step in log]
+    pairs = _pair_counts(len(tests), proposed, k_values, strategies, seed, random_draws)
     flat = pairs.ravel()
-    # one slot per count; every count past the exact limit shares the last one
-    slot = np.minimum(flat, _MAX_EXACT_PAIRS + 1)
-    first = np.full(slot.max(initial=0) + 1, flat.size)  # per slot, where settings first meet it
-    np.minimum.at(first, slot, np.arange(flat.size))
-    met = np.flatnonzero(first < flat.size)
-    met = met[np.argsort(first[met])]  # in meeting order, so the first count past the limit raises
-    lut = np.zeros(len(first))
-    lut[met] = [group_error(k, worker_error) for k in flat[first[met]].tolist()]
-    lanes = 1.0 - lut[slot.reshape(pairs.shape).T]  # per test, 1 - its fused error in every setting
-    factors = {table.test_index(t): [lane] * table.n_classes for t, lane in zip(tests, lanes)}
+    past = flat > _MAX_EXACT_PAIRS
+    if past.any():  # the first count past the limit, in the order the settings meet them
+        group_error(int(flat[past.argmax()]), worker_error)  # raises
+    met = np.bincount(flat, minlength=1)  # per pair count, how many cells hold it
+    lut = np.zeros(len(met))
+    counts = np.flatnonzero(met)
+    lut[counts] = [group_error(k, worker_error) for k in counts.tolist()]
+    lanes = 1.0 - lut[pairs.T]  # per test, 1 - its fused error in every setting
+    factors = {m: [lane] * table.n_classes for m, lane in zip(tests, lanes)}
     pm = _exact(tree, table, factors)[0].reshape(len(k_values), -1)
-    means, at = [], 0
-    for strategy in strategies:  # a one-draw strategy's mean is that draw's pm
-        width = random_draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
-        block = pm[:, at : at + width]
-        means.append((block[:, 0] if width == 1 else np.mean(block, axis=1)).tolist())
-        at += width
+    ends = np.cumsum([_draws(strategy, random_draws) for strategy in strategies])
+    means = [np.mean(block, axis=1).tolist() for block in np.split(pm, ends, axis=1)[:-1]]
     return [
         WorkerSweepPoint(budget=int(budget), strategy=strategy, pm=column[b])
         for b, budget in enumerate(k_values)
         for strategy, column in zip(strategies, means)
     ]
-
-
-def _sweep_pairs(
-    tests: list[str], log: list[AssignStep], budgets: list[int], strategies, seed: int, draws: int
-) -> np.ndarray:
-    """The pairs on each of ``tests`` of every allocation that
-    :func:`sweep_workers` scores: a (settings × tests) int array, one row
-    per (budget, strategy, draw) in that order. The proposed allocation for
-    budget K is the first K steps of ``log``; baseline draw j reads the
-    :func:`_baseline_pairs` stream of ``seed + j``, and single-test and
-    all-tests make one draw."""
-    n, ranked = len(tests), _Budgets(budgets)  # ranked once, on first use, for every stream
-    widths = [draws if s is AssignmentStrategy.RANDOM_PER_PAIR else 1 for s in strategies]
-    pairs = np.empty((len(budgets), sum(widths), n), dtype=np.int64)
-    at = 0
-    for strategy, width in zip(strategies, widths):
-        if strategy is AssignmentStrategy.PROPOSED:
-            position = {t: i for i, t in enumerate(tests)}
-            pairs[:, at] = _prefix_counts([position[step.test] for step in log], n, ranked)
-        else:
-            for j in range(width):
-                pairs[:, at + j] = _baseline_pairs(n, strategy, ranked, seed + j)
-        at += width
-    return pairs.reshape(-1, n)

@@ -13,7 +13,6 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .metrics import (
     metric_additive,
     metric_multiplicative,
 )
-from .model import DecisionTree, TestTable, _compile, validate_tree
+from .model import DecisionTree, TestTable, _compile, _tree_tests
 
 
 class AssignmentStrategy(enum.Enum):
@@ -40,18 +39,12 @@ class AssignmentStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class WorkerAllocation:
-    """Extra worker pairs per test on top of one seated worker each.
-
-    ``shared_pool`` marks the convention where one pool of workers answers
-    every test (then ``extra_pairs`` holds the same pair count for each test
-    and the budget is not a sum across tests).
-    """
+    """Extra worker pairs per test on top of one seated worker each."""
 
     extra_pairs: Mapping[str, int]
     worker_error: float
     strategy: AssignmentStrategy
     seed: int | None = None
-    shared_pool: bool = False
 
     def __post_init__(self):
         for test_id, k in self.extra_pairs.items():
@@ -60,6 +53,13 @@ class WorkerAllocation:
                     f"pairs on test {test_id!r} must be an integer >= 0, got {k!r}"
                 )
         _check_worker_error(self.worker_error)
+
+    @property
+    def shared_pool(self) -> bool:
+        """Whether one pool of workers answers every test, as under the
+        all-tests strategy: then ``extra_pairs`` holds the same pair count
+        for each test and the budget is not a sum across tests."""
+        return self.strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS
 
     def pairs_for(self, test_id: str) -> int:
         try:
@@ -98,11 +98,6 @@ class AssignStep:
     metric_after: float
     pairs_after: int
     effective_error_after: float
-
-
-def _check_worker_args(budget: int, worker_error: float) -> None:
-    _check_budget(budget)
-    _check_worker_error(worker_error)
 
 
 def _check_budget(budget: int) -> None:
@@ -167,7 +162,8 @@ def assign_proposed(
     are the run for budget K.
     """
     metric = metric or MetricConfig()
-    _check_worker_args(budget, worker_error)
+    _check_budget(budget)
+    _check_worker_error(worker_error)
     additive = metric.kind is Metric.ADDITIVE
     levels = _level_masses(table, _compile(tree, table).levels)
     candidates = [sorted(level.tested, key=table.test_index) for level in levels]
@@ -258,85 +254,84 @@ def assign_baseline(
     """One of the reference allocations: all pairs on one random test, each
     pair on an independently random test, or one shared pool on every test.
 
-    Randomized strategies draw from ``seed``; for a fixed seed the random
-    per-pair choices for budget K are a prefix of those for budget K+1.
-    Raises, as every other reader does, unless ``tree`` fits ``table``.
+    Checks the budget and the worker error, then, as every other reader
+    does, the tree against ``table``, then that ``strategy`` is a baseline
+    (:class:`UnknownStrategy`). Randomized strategies draw from ``seed``;
+    for a fixed seed the random per-pair choices for budget K are a prefix
+    of those for budget K+1.
     """
-    _check_worker_args(budget, worker_error)
-    validate_tree(tree, table)
-    tests = sorted(tree.test_ids(), key=table.test_index)
-    counts = _baseline_pairs(len(tests), strategy, _Budgets([budget]), seed)[0]
-    pairs = dict(zip(tests, counts.tolist()))
+    _check_budget(budget)
+    _check_worker_error(worker_error)
+    tests = [table.tests[m] for m in _tree_tests(_compile(tree, table))]
+    counts = _pair_counts(len(tests), None, [budget], [strategy], seed, 1)[0]
     return WorkerAllocation(
-        extra_pairs=pairs,
+        extra_pairs=dict(zip(tests, counts.tolist())),
         worker_error=worker_error,
         strategy=strategy,
         seed=seed,
-        shared_pool=strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS,
     )
 
 
-class _Budgets:
-    """Pair budgets. What a prefix count needs of them alone is made on
-    first use and then kept, so one sweep ranks its budgets once for all
-    its pick streams, and the all-tests and single-test strategies, which
-    read only the budgets, never rank them."""
-
-    def __init__(self, budgets: Sequence[int]):
-        self.values = np.asarray(budgets, dtype=np.int64)  # in the given order
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The permutation that sorts the budgets."""
-        return np.argsort(self.values)
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        """Per pick i below the largest budget, how many budgets are at most i."""
-        picks = np.arange(self.values.max(initial=0))
-        return np.searchsorted(self.values[self.order], picks, side="right")
+def _draws(strategy: AssignmentStrategy, draws: int) -> int:
+    """How many allocations ``strategy`` makes per budget in a sweep."""
+    return draws if strategy is AssignmentStrategy.RANDOM_PER_PAIR else 1
 
 
-def _baseline_pairs(
-    n_tests: int, strategy: AssignmentStrategy, budgets: _Budgets, seed: int
+def _pair_counts(
+    n_tests: int,
+    proposed: Sequence[int] | None,
+    budgets: Sequence[int],
+    strategies: Sequence[AssignmentStrategy],
+    seed: int,
+    draws: int,
 ) -> np.ndarray:
-    """Per budget, the pairs that :func:`assign_baseline` puts on each of
-    the tree's ``n_tests`` tests, in table declaration order: a (budgets ×
-    tests) int array.
+    """The pairs on each of a tree's ``n_tests`` tests, in table
+    declaration order, of every allocation: a (settings × tests) int64
+    array, one row per (budget, strategy, draw) in that order.
 
-    Both random strategies read one stream of test picks from
-    ``random.Random(seed)``: single-test puts the whole budget on the first
-    pick, random per-pair one pair on each of the first K picks, so budget
-    K's pairs are a prefix count of the stream."""
-    if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-        return np.repeat(budgets.values[:, None], n_tests, axis=1)
-    rng = random.Random(seed)
-    if strategy is AssignmentStrategy.SINGLE_TEST:
-        pairs = np.zeros((len(budgets.values), n_tests), dtype=np.int64)
-        pairs[:, rng.randrange(n_tests)] = budgets.values
-        return pairs
-    if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
-        picks = [rng.randrange(n_tests) for _ in range(budgets.values.max(initial=0))]
-        return _prefix_counts(picks, n_tests, budgets)
-    raise UnknownStrategy(
-        f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
-    )
+    Draw j of a random strategy reads one stream of test picks from
+    ``random.Random(seed + j)``: single-test puts the whole budget on the
+    first pick, random per-pair one pair on each of the first K picks. The
+    proposed stream is ``proposed``, the test positions of an
+    :func:`assign_proposed` log at the largest budget; without one the
+    proposed strategy, like any non-strategy, raises
+    :class:`UnknownStrategy`.
 
-
-def _prefix_counts(picks: Sequence[int], n_tests: int, budgets: _Budgets) -> np.ndarray:
-    """Per budget K, how many of the first K ``picks`` name each test
-    position: a (budgets × tests) int array. ``picks`` holds exactly the
-    largest budget's picks.
-
-    Pick i counts toward every budget above i: in sorted order, toward the
-    budgets from rank r on, r being how many budgets are at most i. One
-    bincount of (r, pick) and a running sum down the sorted budgets give
-    every budget's counts."""
-    keys = budgets.rank * n_tests + np.asarray(picks, dtype=np.int64)
-    pairs = np.empty((len(budgets.values), n_tests), dtype=np.int64)
-    counts = np.bincount(keys, minlength=pairs.size).reshape(pairs.shape)
-    pairs[budgets.order] = counts.cumsum(axis=0)
-    return pairs
+    Budget K's pairs are a prefix count of its stream. Pick i counts toward
+    every budget above i: in sorted order, toward the budgets from rank r
+    on, r being how many budgets are at most i. One bincount of (r, pick)
+    and a running sum down the sorted budgets give every budget's counts.
+    The budgets are ranked once, and only for a stream, so all-tests and
+    single-test never make a budget-sized array.
+    """
+    values = np.asarray(budgets, dtype=np.int64)
+    largest = int(values.max(initial=0))
+    settings = [(s, j) for s in strategies for j in range(_draws(s, draws))]
+    pairs = np.zeros((len(values), len(settings), n_tests), dtype=np.int64)
+    order = rank = None
+    for column, (strategy, j) in enumerate(settings):
+        rows = pairs[:, column]  # per budget, this draw's pairs
+        if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
+            rows[:] = values[:, None]
+            continue
+        if strategy is AssignmentStrategy.SINGLE_TEST:
+            rows[:, random.Random(seed + j).randrange(n_tests)] = values
+            continue
+        if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
+            rng = random.Random(seed + j)
+            picks = (rng.randrange(n_tests) for _ in range(largest))
+        elif strategy is AssignmentStrategy.PROPOSED and proposed is not None:
+            picks = proposed
+        else:
+            raise UnknownStrategy(
+                f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
+            )
+        if rank is None:
+            order = np.argsort(values)
+            rank = np.searchsorted(values[order], np.arange(largest), side="right")
+        keys = rank * n_tests + np.fromiter(picks, np.int64, largest)
+        rows[order] = np.bincount(keys, minlength=rows.size).reshape(rows.shape).cumsum(axis=0)
+    return pairs.reshape(-1, n_tests)
 
 
 def allocation_cost(

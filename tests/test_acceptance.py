@@ -19,10 +19,12 @@ from crowdtree import (
     bounds_additive,
     bounds_multiplicative,
     build_greedy,
+    build_random,
     enumerate_trees,
     exact_correct,
     exact_misclassification,
     group_error,
+    level_quantities,
     multiplicative_approx,
     prop1_check,
     refine_partition,
@@ -143,6 +145,36 @@ def test_criterion_4_bound_sandwich_multiplicative():
         else "sandwich held on all 200 instances"
     )
     _report("4b", not failures, detail)
+
+
+def test_criterion_4_powered_pair_multiplicative():
+    # What 4b's pair becomes once each level's metric is raised to the
+    # depth: with m_d = ((H_{d-1}+r)/(H_d+r))/c_d and H_D = 0, the product
+    # telescopes to prod c_d = (H0+r)/(r prod m_d), and prod m_d lies
+    # between min m^D and max m^D. Checked on 4b's instances, greedy and
+    # random trees, at offsets 1 and 0.5 (README, "What the approximations
+    # do bound").
+    failures, worst, cases = [], 0.0, 0
+    for table in _bound_instances():
+        for r in (1.0, 0.5):
+            config = BuilderConfig(metric=MetricConfig(Metric.MULTIPLICATIVE, ratio_offset=r))
+            for tree in (build_greedy(table, config).tree, build_random(table, 0)):
+                levels = level_quantities(tree, table, r)
+                metrics = [q.multiplicative_metric for q in levels]
+                top = levels[0].entropy_before + r
+                lo = top / (r * max(metrics) ** len(levels))
+                hi = top / (r * min(metrics) ** len(levels))
+                approx = multiplicative_approx(tree, table)
+                cases += 1
+                if not (lo * (1 - 1e-12) <= approx <= hi * (1 + 1e-12)):
+                    failures.append((table.n_classes, len(levels), lo, approx, hi))
+                worst = max(worst, (lo - approx) / approx, (approx - hi) / approx)
+    detail = (
+        f"powered pair held on all {cases} trees, worst relative slack {worst:.1e}"
+        if not failures
+        else f"{len(failures)}/{cases} trees violate the powered pair; first: {failures[0]}"
+    )
+    _report("4b powered", not failures, detail)
 
 
 def test_criterion_5_fusion_suite():

@@ -398,11 +398,11 @@ def test_bad_tree_document_exits_2(command, defect, table_path, tree_path, tmp_p
     assert phrase in captured.err and captured.out == ""
 
 
-def _allocation_text(extra_pairs=1, worker_error=0.2):
+def _allocation_text(extra_pairs=1, worker_error=0.2, **fields):
     tests = [{"test": f"T{m}", "extra_pairs": 1} for m in range(1, 6)]
     tests[0]["extra_pairs"] = extra_pairs
     return json.dumps({"format": "crowdtree/allocation-v1", "strategy": "proposed",
-                       "worker_error": worker_error, "tests": tests})
+                       "worker_error": worker_error, "tests": tests, **fields})
 
 
 ALLOCATION_DEFECTS = {
@@ -412,6 +412,10 @@ ALLOCATION_DEFECTS = {
     "fractional-pairs": (_allocation_text(extra_pairs=1.5), "must be an integer >= 0, got 1.5"),
     "worker-error-0.9": (_allocation_text(worker_error=0.9), "strictly in (0, 0.5), got 0.9"),
     "worker-error-0.0": (_allocation_text(worker_error=0.0), "strictly in (0, 0.5), got 0.0"),
+    "shared-pool-not-all": (_allocation_text(shared_pool=True),
+                            "shared_pool True contradicts strategy 'proposed'"),
+    "all-not-shared-pool": (_allocation_text(strategy="all", shared_pool=False),
+                            "shared_pool False contradicts strategy 'all'"),
 }
 
 

@@ -245,8 +245,8 @@ def test_sweep_pairs_follow_assign_baseline_streams():
                 (AssignmentStrategy.RANDOM_PER_PAIR, draws),
                 (AssignmentStrategy.SINGLE_TEST, 1),
             ):
-                rows = simulate_module._sweep_pairs(
-                    tests, [], k_values, [strategy], seed, draws
+                rows = workers_module._pair_counts(
+                    len(tests), None, k_values, [strategy], seed, draws
                 )
                 assert len(rows) == width * len(k_values)
                 for b, budget in enumerate(k_values):
@@ -256,6 +256,12 @@ def test_sweep_pairs_follow_assign_baseline_streams():
 
 
 _STRATEGIES = list(AssignmentStrategy)
+
+
+def _positions(tests, log):
+    """The test positions an assign_proposed log picks, in order."""
+    position = {t: i for i, t in enumerate(tests)}
+    return [position[step.test] for step in log]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,19 +285,21 @@ def test_sweep_pair_arrays_equal_list_counts(
     log = []
     if AssignmentStrategy.PROPOSED in strategies:
         log = assign_proposed(tree, table, max(budgets), 0.2)[1]
-    pairs = simulate_module._sweep_pairs(tests, log, budgets, strategies, seed, draws)
+    pairs = workers_module._pair_counts(
+        len(tests), _positions(tests, log), budgets, strategies, seed, draws
+    )
     want = support.sweep_pairs_lists(tests, log, budgets, strategies, seed, draws)
     assert pairs.dtype == np.int64 and pairs.shape == (len(want), len(tests))
     assert pairs.tolist() == want
     for strategy in _STRATEGIES[1:]:
-        got = workers_module._baseline_pairs(
-            len(tests), strategy, workers_module._Budgets(budgets), seed
-        )
+        got = workers_module._pair_counts(len(tests), None, budgets, [strategy], seed, 1)
         assert got.tolist() == support.baseline_pairs_lists(len(tests), strategy, budgets, seed)
         allocation = assign_baseline(tree, table, strategy, budgets[0], 0.2, seed)
         assert all(type(k) is int for k in allocation.extra_pairs.values())
     picks = np.random.default_rng(seed).integers(len(tests), size=max(budgets)).tolist()
-    got = workers_module._prefix_counts(picks, len(tests), workers_module._Budgets(budgets))
+    got = workers_module._pair_counts(
+        len(tests), picks, budgets, [AssignmentStrategy.PROPOSED], seed, 1
+    )
     assert got.tolist() == support.prefix_counts_lists(iter(picks), len(tests), budgets)
 
 
@@ -302,7 +310,9 @@ def test_sweep_pair_arrays_equal_list_counts_in_every_strategy_order():
     log = assign_proposed(tree, table, max(budgets), 0.2)[1]
     for strategies in itertools.permutations(_STRATEGIES):
         for draws in (1, 4):
-            pairs = simulate_module._sweep_pairs(tests, log, budgets, strategies, 3, draws)
+            pairs = workers_module._pair_counts(
+                len(tests), _positions(tests, log), budgets, strategies, 3, draws
+            )
             assert pairs.tolist() == support.sweep_pairs_lists(
                 tests, log, budgets, strategies, 3, draws
             )
@@ -448,7 +458,7 @@ def test_sweep_error_checks_whole_grid_before_building(monkeypatch):
 def test_sweep_workers_checks_inputs_before_any_work(monkeypatch):
     tree, table = designed_tree(), demo_table(0.05)
     assigned = _counting(monkeypatch, simulate_module, "assign_proposed")
-    baselines = _counting(monkeypatch, simulate_module, "_baseline_pairs")
+    baselines = _counting(monkeypatch, simulate_module, "_pair_counts")
     compiled = _counting_compiles(monkeypatch)
     strategies = list(AssignmentStrategy)
     with pytest.raises(ValidationError, match="budget"):
@@ -1518,7 +1528,9 @@ def _screening_tables():
     apart by a few units in the last place (entropies of different splits
     nearly tie); 40-class wide tables of three seeds, a 100-class one and a
     200-class one, with per-cell errors and undefined cells in the odd
-    tests, as the benchmark's tables have."""
+    tests, as the benchmark's tables have; and a 3-class table whose
+    additive keys h + λ·g of two same-split tests tie in floating point
+    (:func:`_tied_keys_table`)."""
     for p_star in (0.0, 0.01, 0.05, 0.2, 0.45):
         yield demo_table(p_star)
     flat = (0.05, 0.1, 0.05, 0.2)
@@ -1540,6 +1552,23 @@ def _screening_tables():
         yield support.wide_table(40, seed)
     yield support.wide_table(100, 0)
     yield support.wide_table(200, 0)
+    yield _tied_keys_table()
+
+
+def _tied_keys_table():
+    """Tests t0-t3 split {a, b} from c alike; their error on class a is
+    0.45 plus 2e-6, 1e-6, 2e-12 and 0, so t2's error mass is above t3's by
+    about 1e-12. With λ about 7e-8 at the root, fl(h + λ·g) of t2
+    and t3 tie, and the choice from every point takes t2, the lower index.
+    A filter that drops a point whose witness has the same split and a mass
+    lower by more than its margin would drop t2 and pick t3: an exact key
+    strictly above another's can still round to the same float."""
+    shift = [2e-6, 1e-6, 2e-12, 0.0]
+    errors = [[0.45 + d, 0.45, 0.45] for d in shift] + [[0.1, 0.1, 0.45]]
+    outcomes = [[0, 0, 1]] * 4 + [[0, 1, None]]
+    return validate_table(
+        ["a", "b", "c"], [0.5, 0.5 - 1e-9, 1e-9], ["t0", "t1", "t2", "t3", "s"], outcomes, errors
+    )
 
 
 @pytest.mark.parametrize("config", SCORING_CONFIGS)

@@ -8,6 +8,7 @@ from crowdtree import (
     DecisionTree,
     Internal,
     Leaf,
+    assign_baseline,
     assign_proposed,
     sweep_error,
 )
@@ -156,6 +157,28 @@ def test_allocation_roundtrip(tmp_path):
     assert load_allocation(str(path)).extra_pairs == dict(alloc.extra_pairs)
     with pytest.raises(ParseError):
         allocation_from_doc({"format": "nope"})
+
+
+def test_allocation_shared_pool_follows_strategy(tmp_path):
+    table = demo_table(0.05)
+    for strategy in AssignmentStrategy:
+        if strategy is AssignmentStrategy.PROPOSED:
+            alloc = assign_proposed(designed_tree(), table, 4, 0.2)[0]
+        else:
+            alloc = assign_baseline(designed_tree(), table, strategy, 4, 0.2, seed=1)
+        shared = strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS
+        assert alloc.shared_pool is shared
+        doc = allocation_to_doc(alloc)
+        assert doc["shared_pool"] is shared and doc["budget"] == 4
+        assert allocation_from_doc(doc) == alloc
+        path = tmp_path / "alloc.json"
+        save_allocation(str(path), alloc)
+        assert load_allocation(str(path)) == alloc
+        del doc["shared_pool"]  # the strategy alone decides it
+        assert allocation_from_doc(doc).shared_pool is shared
+        doc["shared_pool"] = not shared
+        with pytest.raises(ParseError, match="contradicts strategy"):
+            allocation_from_doc(doc)
 
 
 def test_load_table(tmp_path):

@@ -340,3 +340,35 @@ def test_product_of_correct_masses_is_below_exact_pc_under_one_error(
     for q in levels:
         product *= q.correct_mass
     assert product <= exact_correct(tree, table) + 8 * len(levels) * _U
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_seed=st.integers(0, 10_000), tree_seed=st.integers(-1, 3))
+def test_sum_of_error_masses_is_a_union_bound_on_exact_pm(table_seed, tree_seed):
+    """sum g_d counts each class's prior times the sum of its path's cell
+    errors, and P(some test on the path errs) is at most that sum (a union
+    bound), so sum g_d >= exact pm for any errors, per-cell ones included.
+    Each side rounds a few times per level: within 8 u per level."""
+    table = support.random_table(
+        table_seed, max_classes=10, max_tests=12, max_error=0.45, cell_errors=True
+    )
+    tree = _tree(table, tree_seed, 1.0)
+    depth = len(level_quantities(tree, table))
+    assert additive_approx(tree, table) >= exact_misclassification(tree, table) - 8 * depth * _U
+
+
+def test_product_of_correct_masses_can_exceed_exact_pc_under_per_cell_errors():
+    # class a errs often at the root and rarely below it, b the other way
+    # round, so the two levels' factors are anti-correlated across classes
+    errors = [[0.45, 0.01, 0.01], [0.01, 0.45, 0.01]]
+    table = validate_table(["a", "b", "c"], [0.4, 0.4, 0.2], ["t0", "t1"],
+                           [[0, 0, 1], [0, 1, None]], errors)
+    tree = DecisionTree(Internal("t0", Internal("t1", Leaf("a"), Leaf("b")), Leaf("c")))
+    assert build_greedy(table).tree == tree
+    product = multiplicative_approx(tree, table)
+    assert product == pytest.approx(0.814 * 0.816, rel=1e-12)
+    assert exact_correct(tree, table) == pytest.approx(0.6336, rel=1e-12)
+    assert product > exact_correct(tree, table) + 0.03
+    # under one scalar error the same tree keeps the product below pc
+    scalar = table.with_scalar_error(0.45)
+    assert multiplicative_approx(tree, scalar) <= exact_correct(tree, scalar)
