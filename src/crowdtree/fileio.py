@@ -120,8 +120,8 @@ def _outcome_row(line: str, lineno: int, n: int) -> None:
 
 def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str]) -> np.ndarray:
     """The error matrix's rows in the order of ``tests``. A well-formed file
-    has one row per test with ``len(classes)`` values, which are split and
-    read by ``float`` in one flat pass; otherwise the first bad row, in line
+    has one row per test with ``len(classes)`` values, which are read in one
+    flat pass by :func:`_read_rows`; otherwise the first bad row, in line
     order, raises from :func:`_error_row`."""
     lines = _split_lines(text)
     while lines and not lines[-1]:
@@ -135,20 +135,13 @@ def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str])
     rows = [line.partition(",") for line in lines[1:]]
     values = [cells for _, _, cells in rows]
     row_of = {test_id: r for r, (test_id, _, _) in enumerate(rows)}
-    if (
-        len(row_of) == len(rows)
-        and known.issuperset(row_of)
-        and all(row.count(",") == n - 1 for row in values)
-    ):
-        try:
-            flat = list(map(float, ",".join(values).split(","))) if values else []
-        except ValueError:
-            pass
-        else:
+    if len(row_of) == len(rows) and known.issuperset(row_of):
+        matrix = _read_rows(values, n)
+        if matrix is not None:
             missing = [t for t in tests if t not in row_of]
             if missing:
                 raise ParseError(f"no error row for tests {missing}")
-            return np.array(flat, dtype=np.float64).reshape(-1, n)[[row_of[t] for t in tests]]
+            return matrix[[row_of[t] for t in tests]]
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         _error_row(line, lineno, n, seen, known)
@@ -170,6 +163,116 @@ def _error_row(line: str, lineno: int, n: int, seen: set, known: set) -> None:
     except ValueError as exc:
         raise ParseError(f"bad error value: {exc}", lineno) from None
     seen.add(row[0])
+
+
+# Below this many cells, reading each cell with ``float`` is as fast as the
+# fixed cost of :func:`_read_plain_decimals`' array passes: on ``repr``
+# cells they break even near 240 cells on a 2-core x86-64 VM.
+_VECTOR_READ_MIN_CELLS = 256
+_MAX_FRACTION_DIGITS = 22  # 10**22 is the largest power of ten a float holds exactly
+_POW10 = np.array([float(10**k) for k in range(_MAX_FRACTION_DIGITS + 1)])
+_POINT, _ZERO, _NINE = ord("."), ord("0"), ord("9")
+_SPLITTER = float((1 << 27) + 1)  # splits a float into two 26-bit halves
+
+
+def _read_rows(rows: list[str], n: int) -> np.ndarray | None:
+    """The ``len(rows) × n`` float64 matrix of the comma-separated cells of
+    ``rows``, each with the bits ``float`` gives it, or None unless every row
+    has ``n`` cells and ``float`` reads each."""
+    if not rows:
+        return np.empty((0, n))
+    joined = ",".join(rows)
+    if len(rows) * n >= _VECTOR_READ_MIN_CELLS:
+        ends = np.cumsum([len(row) + 1 for row in rows]) - 1
+        values = _read_plain_decimals(joined, ends, n)
+        if values is not None:
+            return values.reshape(-1, n)
+    if not all(row.count(",") == n - 1 for row in rows):
+        return None
+    try:
+        return np.array(list(map(float, joined.split(","))), dtype=np.float64).reshape(-1, n)
+    except ValueError:
+        return None
+
+
+def _read_plain_decimals(joined: str, ends: np.ndarray, n: int) -> np.ndarray | None:
+    """The cells of ``joined``, rows of ``n`` cells that end at the offsets
+    ``ends``, as :func:`_read_rows` reads them, when each cell is ASCII
+    ``digits.digits`` with at most 22 fraction digits and at most 2**62 - 1
+    as an integer without its point; otherwise None.
+
+    A cell's digits without its point are an integer ``w`` and its fraction
+    digits a count ``s``, so its value is ``x = w / 10**s``. Below 2**53 both
+    operands are exact floats, and one division rounds ``x`` correctly
+    (Clinger, 1990). From 2**53, ``q = fl(fl(w) / 10**s)`` lies within 1.5
+    units in the last place of ``x``, and the exact residual ``w - q·10**s``,
+    from a two-product, tells how many units ``x`` lies from ``q``. A cell
+    whose ``x`` lies near a midpoint of two floats, or whose ``q`` or result
+    is a power of two, is read with ``float`` alone."""
+    if not joined.isascii():
+        return None
+    raw = joined.encode("ascii")
+    text = np.frombuffer(raw, dtype=np.uint8)
+    if text.max() > _NINE:
+        return None
+    marks = np.flatnonzero(text < _ZERO)  # point, comma, point, ..., point when well formed
+    points, commas = marks[0::2], marks[1::2]
+    if (
+        marks.size != 2 * n * ends.size - 1
+        or marks[0] == 0
+        or marks[-1] == text.size - 1
+        or (np.diff(marks) < 2).any()
+        or (text[points] != _POINT).any()
+        or (text[commas] != _COMMA).any()
+        or (commas[n - 1 :: n] != ends[:-1]).any()  # each row has n cells
+    ):
+        return None
+    digits = np.append(commas, text.size) - points - 1
+    if digits.max() > _MAX_FRACTION_DIGITS:
+        return None
+    w = np.fromstring(raw.replace(b".", b""), dtype=np.int64, sep=",")
+    if w.max() >= 1 << 62:  # past 2**63 - 1, a cell reads as 2**63 - 1
+        return None
+    scale = _POW10[digits]
+    values = w / scale
+    big = np.flatnonzero(w >= 1 << 53)
+    if big.size:
+        q, p = values[big], scale[big]
+        hi = q * p
+        lo = _product_error(q, p, hi)
+        ulp = np.spacing(q)
+        # (x - q) / ulp; w - hi is exact in integers once hi >= 2**53
+        units = ((w[big] - hi.astype(np.int64)) - lo) / (p * ulp)
+        step = np.rint(units)
+        values[big] = fixed = q + step * ulp
+        q_mant, q_exp = np.frexp(q)
+        fixed_mant, fixed_exp = np.frexp(fixed)
+        redo = big[
+            (hi < 1 << 53)
+            | (np.abs(units - step) > 0.5 - 2.0**-20)
+            | (q_mant == 0.5)
+            | (fixed_mant == 0.5)
+            | (q_exp != fixed_exp)
+        ]
+        if redo.size:
+            cells = joined.split(",")
+            values[redo] = [float(cells[i]) for i in redo.tolist()]
+    return values
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """``a·b - ab`` exactly, where ``ab = fl(a·b)`` and nothing under- or
+    overflows (Dekker's two-product)."""
+    a_hi, a_lo = _split_float(a)
+    b_hi, b_lo = _split_float(b)
+    return a_lo * b_lo - (((ab - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _split_float(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` with ``hi + lo == a`` exactly and 26 significant bits each."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def load_table(

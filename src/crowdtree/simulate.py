@@ -61,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
 from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, _tree_tests
@@ -531,13 +531,16 @@ def sweep_workers(
     allocation is a prefix count of one stream of test picks, and all of
     them are held as one (settings × tests) int array
     (:func:`crowdtree.workers._pair_counts`; one :func:`assign_proposed`
-    run at the largest budget serves every budget). A pair count past the
-    exact limit raises before any group error is computed: the first one
-    the settings meet, budget by budget in the given order. The group error
-    is then computed once per distinct pair count, the tree, compiled once,
-    is scored for every setting in one batched exact pass (settings ×
-    classes floats), and each strategy's draws are averaged in one
-    reduction per strategy.
+    run at the largest budget serves every budget). A budget above the
+    exact pair limit times the tree's test count raises before any
+    allocation is made, since every strategy puts more than the limit on
+    some test; the first such budget in the given order is named.
+    Otherwise a pair count past the exact limit raises before any group
+    error is computed: the first one the settings meet, budget by budget
+    in the given order. The group error is then computed once per
+    distinct pair count, the tree, compiled once, is scored for every
+    setting in one batched exact pass (settings × classes floats), and
+    each strategy's draws are averaged in one reduction per strategy.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -549,6 +552,13 @@ def sweep_workers(
     if not k_values:
         return []
     tests = _tree_tests(_compile(tree, table))
+    too_large = next((k for k in k_values if k > _MAX_EXACT_PAIRS * len(tests)), None)
+    if too_large is not None:  # some test gets more pairs than the exact law sums
+        raise DomainError(
+            f"budget {too_large} puts more than {_MAX_EXACT_PAIRS} pairs on some test of "
+            f"the tree's {len(tests)} under every strategy; exact summation supports at "
+            f"most {_MAX_EXACT_PAIRS} pairs"
+        )
     proposed = None
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)

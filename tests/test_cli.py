@@ -601,12 +601,43 @@ def test_pair_limit_fails_without_memory_sized_by_the_budget():
         for strategy in (AssignmentStrategy.SINGLE_TEST, AssignmentStrategy.ALL_WORKERS_ALL_TESTS):
             allocation = assign_baseline(tree, table, strategy, 10**7, 0.2)
             assert max(allocation.extra_pairs.values()) == 10**7
-            with pytest.raises(DomainError, match="at most 500 pairs, got 10000000$"):
+            with pytest.raises(DomainError, match="^budget 10000000 puts more than 500 pairs"):
                 sweep_workers(tree, table, [3, 10**7, 600], [strategy], 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_budget_past_the_pair_limit_times_the_tests_fails_before_any_allocation(
+    monkeypatch, table_path, tree_path, capsys
+):
+    # the demo tree has 4 tests: any allocation of 2 001 pairs puts 501 on one of them
+    tree, table = designed_tree(), demo_table(0.05)
+    message = ("budget 2001 puts more than 500 pairs on some test of the tree's 4 under "
+               "every strategy; exact summation supports at most 500 pairs")
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an allocation was made")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("crowdtree.workers").random, "Random",
+                      no_allocation)
+        patch.setattr(importlib.import_module("crowdtree.simulate"), "assign_proposed",
+                      no_allocation)
+        for strategies in ([AssignmentStrategy.RANDOM_PER_PAIR], list(AssignmentStrategy)):
+            for k_values in ([3, 2001], [3, 2001, 10**6], [3, 600, 2001]):
+                with pytest.raises(DomainError) as caught:
+                    sweep_workers(tree, table, k_values, strategies, 0.2)
+                assert str(caught.value) == message
+    # at the bound, the first pair count the settings meet is named, as before
+    with pytest.raises(DomainError, match="at most 500 pairs, got 2000$"):
+        sweep_workers(tree, table, [3, 2000], [AssignmentStrategy.SINGLE_TEST], 0.2)
+    argv = ["sweep-workers", "--tree", tree_path, "--table", table_path, *ON_DEMO_TREE,
+            "--kmax", "2001", "--strategies", "random"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_cli_jobs_leave_numpy_ma_unimported(table_path, tmp_path):

@@ -1329,7 +1329,12 @@ def test_parse_table_text_equals_per_cell_parser():
 
 _INGEST_EDITS = ("none", "bad cell", "short row", "cell moved down", "blank line",
                  "duplicate error row", "unknown error row", "missing error row",
-                 "non-float error")
+                 "non-float error", "error cell moved down", "respelled error")
+# float spellings that the vectorised read leaves to ``float``: nan, an
+# exponent, a space, an underscore, no whole or no fraction digits, an
+# integer, non-ASCII digits, an empty cell and 25 fraction digits
+_RESPELLINGS = ("nan", "5e-02", " 0.05", "0.0_5", ".05", "5.", "0", "\u0660.\u0660\u0665", "",
+                "0.0500000000000000000000001")
 
 
 def _edited(table_text, matrix_text, edit, row, cell, token):
@@ -1354,8 +1359,12 @@ def _edited(table_text, matrix_text, edit, row, cell, token):
         errs[err_at] = ",".join(["nope"] + err_cells[1:])
     elif edit == "missing error row":
         del errs[err_at]
-    elif edit == "non-float error":
+    elif edit in ("non-float error", "respelled error"):
         errs[err_at] = ",".join(err_cells[: 1 + cell] + [token] + err_cells[2 + cell :])
+    elif edit == "error cell moved down":  # the cell count stays, the rows' counts do not
+        errs[err_at] = ",".join(err_cells[:-1])
+        below = errs[err_at + 1].split(",")  # the last error row is followed by ""
+        errs[err_at + 1] = ",".join(below[:1] + err_cells[-1:] + below[1:])
     return "\n".join(lines), "\n".join(errs)
 
 
@@ -1368,19 +1377,50 @@ def _edited(table_text, matrix_text, edit, row, cell, token):
     cell=st.integers(0, 10**6),
     # neither an outcome nor a float
     token=st.sampled_from(["x", "", "1-", "\u00e9", "0.1.2", "1e", "--1", "0x1"]),
+    spelling=st.sampled_from(_RESPELLINGS),
+    # "nan" keeps every matrix off the vectorised read; "0.25" lets a wide one take it
+    undefined=st.sampled_from(["nan", "0.25"]),
 )
-def test_parsers_equal_per_row_parsers(table_seed, wide, edit, row, cell, token):
+@example(table_seed=6, wide=True, edit="error cell moved down", row=4, cell=0, token="x",
+         spelling="0", undefined="0.25")  # 999 cells, so the vectorised read sees it
+def test_parsers_equal_per_row_parsers(table_seed, wide, edit, row, cell, token, spelling,
+                                       undefined):
     table = support.random_table(table_seed, max_classes=30 if wide else 6,
                                  max_tests=40 if wide else 8, cell_errors=True, max_error=0.45)
-    text, matrix = _edited(table_to_text(table), _matrix_text(table), edit,
-                           row % len(table.tests), cell % table.n_classes, token)
+    text, matrix = _edited(table_to_text(table), _matrix_text(table, undefined), edit,
+                           row % len(table.tests), cell % table.n_classes,
+                           spelling if edit == "respelled error" else token)
     got = _ingest(parse_table_text, text, None, matrix)
     assert got == _ingest(support.parse_table_text_per_row, text, None, matrix)
     if edit == "none":
         assert got[0] == table.classes and got[5] == table.outcomes.tobytes()
-    else:
+    elif edit != "respelled error":
         assert got[0] is ParseError
         assert (got[2] is None) == (edit == "missing error row")  # its message names no line
+
+
+@pytest.mark.parametrize("spelling", _RESPELLINGS)
+def test_respelled_error_cells_leave_the_vectorised_read(spelling, monkeypatch):
+    reads = []
+
+    def spy(*args):
+        reads.append(real(*args))
+        return reads[-1]
+
+    fileio = importlib.import_module("crowdtree.fileio")
+    real = fileio._read_plain_decimals
+    monkeypatch.setattr(fileio, "_read_plain_decimals", spy)
+    table = support.random_table(6, max_classes=30, max_tests=40, cell_errors=True,
+                                 max_error=0.45)  # 37 tests x 27 classes
+    text, matrix = table_to_text(table), _matrix_text(table, "0.25")
+    assert _ingest(parse_table_text, text, None, matrix)[0] == table.classes
+    assert len(reads) == 1 and reads[0] is not None
+    last_row, last_cell = len(table.tests) - 1, table.n_classes - 1
+    for row, cell in ((0, 0), (5, 3), (last_row, last_cell)):
+        edited = _edited(text, matrix, "respelled error", row, cell, spelling)
+        got = _ingest(parse_table_text, edited[0], None, edited[1])
+        assert got == _ingest(support.parse_table_text_per_row, edited[0], None, edited[1])
+        assert reads[-1] is None
 
 
 def test_validate_table_equals_per_cell_validator():

@@ -1,7 +1,14 @@
+import importlib
 import json
 import math
+import random
+import re
+from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdtree import (
     AssignmentStrategy,
@@ -82,6 +89,123 @@ def test_error_matrix_parsing():
         parse_table_text(DEMO_TABLE_CSV, error_matrix_text=missing)
     with pytest.raises(ValidationError):
         parse_table_text(DEMO_TABLE_CSV, error_prob=0.05, error_matrix_text=matrix)
+
+
+fileio = importlib.import_module("crowdtree.fileio")
+
+
+def _float_bits(cells):
+    return np.array(list(map(float, cells)), dtype=np.float64).view(np.uint64)
+
+
+def _plain_read(cells):
+    """The vectorised read of ``cells`` as one row, or None where it declines."""
+    joined = ",".join(cells)
+    return fileio._read_plain_decimals(joined, np.array([len(joined)]), len(cells))
+
+
+def _is_plain(cell):
+    return re.fullmatch(r"[0-9]+\.[0-9]{1,22}", cell) and int(cell.replace(".", "")) < 2**62
+
+
+def _assert_reads_as_float(cells):
+    """Both reads give ``float``'s bits, and the vectorised one declines
+    exactly the matrices that hold a cell outside its layout."""
+    got = _plain_read(cells)
+    if all(map(_is_plain, cells)):
+        assert got is not None and got.view(np.uint64).tolist() == _float_bits(cells).tolist()
+    else:
+        assert got is None
+    rows = fileio._read_rows([",".join(cells)], len(cells))
+    assert rows.view(np.uint64).ravel().tolist() == _float_bits(cells).tolist()
+
+
+_PLAIN_FLOATS = st.floats(0.0, 1e7, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            _PLAIN_FLOATS.map(repr),
+            st.tuples(_PLAIN_FLOATS, st.integers(1, 23)).map(lambda x: format(x[0], f".{x[1]}f")),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_vectorised_read_has_the_bits_of_float(cells):
+    _assert_reads_as_float(cells)
+
+
+def test_vectorised_read_fixed_cases():
+    cases = [
+        # exact binary midpoints, which round to the even neighbour
+        "4503599627370496.5", "4503599627370497.5", "9007199254740993.0",
+        "9007199254740995.0", "18014398509481986.0", "18014398509481990.0",
+        # w at 2**53 - 1, 2**53 and 2**53 + 1
+        "900719925474099.1", "900719925474099.2", "900719925474099.3",
+        "0.9007199254740991", "0.9007199254740992", "0.9007199254740993",
+        # results that are powers of two, from above and below
+        "1.0000000000000000", "0.99999999999999999", "1.0000000000000001",
+        "0.50000000000000000", "0.1250000000000000001", "2.0000000000000000",
+        # 22 and 23 fraction digits
+        "0.0000012345678901234567", "0.1234567890123456789012", "0.12345678901234567890123",
+        # digit strings at 2**62 - 1, 2**62 and past 2**63
+        "4611686018427387.903", "4611686018427387.904", "12345678901234567890123.5",
+        # leading zeros and zero
+        "000.5", "007.25000", "0.0000000000000000001", "0.0", "00.000",
+    ]
+    for cell in cases:
+        _assert_reads_as_float([cell])
+    _assert_reads_as_float(cases)
+    _assert_reads_as_float([c for c in cases if _is_plain(c)])
+
+
+def test_vectorised_read_near_midpoints():
+    # truncations of the exact midpoint of two neighbouring floats, moved by
+    # one unit of their last digit: residuals of a tiny fraction of a unit
+    rng = random.Random(5)
+    cells = []
+    for _ in range(1000):
+        x = rng.uniform(1e-6, 1e6) if rng.random() < 0.5 else rng.uniform(0.0, 1.0)
+        whole, fraction = format((Decimal(x) + Decimal(np.nextafter(x, 2.0 * x + 1.0))) / 2,
+                                 "f").split(".")
+        keep = max(k for k in range(1, 23) if int(whole + fraction[:k]) < 2**62)
+        w = int(whole + fraction[:keep])
+        for digits in (str(w + d).rjust(keep + 1, "0") for d in (-1, 0, 1)):
+            cells.append(digits[:-keep] + "." + digits[-keep:])
+    assert all(map(_is_plain, cells))
+    _assert_reads_as_float(cells)
+
+
+def _matrix(n_classes, n_tests, seed):
+    """(error-matrix text, classes, tests) with ``repr`` cells."""
+    rng = random.Random(seed)
+    classes = [f"c{i}" for i in range(1, n_classes + 1)]
+    tests = [f"T{j}" for j in range(1, n_tests + 1)]
+    lines = ["class," + ",".join(classes)]
+    lines += [t + "," + ",".join(repr(rng.uniform(0.02, 0.08)) for _ in classes) for t in tests]
+    return "\n".join(lines) + "\n", classes, tests
+
+
+def test_wide_repr_matrix_takes_the_vectorised_read(monkeypatch):
+    reads = []
+
+    def spy(*args):
+        reads.append(real(*args))
+        return reads[-1]
+
+    real = fileio._read_plain_decimals
+    monkeypatch.setattr(fileio, "_read_plain_decimals", spy)
+    text, classes, tests = _matrix(40, 60, seed=3)
+    matrix = fileio._parse_error_matrix(text, classes, tests)
+    assert len(reads) == 1 and reads[0] is not None
+    cells = [cell for line in text.split("\n")[1:-1] for cell in line.split(",")[1:]]
+    assert matrix.view(np.uint64).ravel().tolist() == _float_bits(cells).tolist()
+    # a 12-class matrix of 216 cells stays below the crossover
+    fileio._parse_error_matrix(*_matrix(12, 18, seed=3))
+    assert len(reads) == 1
 
 
 def test_table_text_roundtrip():
