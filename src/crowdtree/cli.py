@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from . import fileio
+from . import fileio, workers
 from .builder import BuilderConfig, build_greedy
 from .errors import CrowdTreeError, InseparableClasses, ValidationError
 from .metrics import (
@@ -124,6 +124,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_assign(args) -> int:
     table = _load_table(args, require_error=False)
     tree = _load_tree(args, table)
+    workers._check_pair_limit(tree, table, [args.workers])
     strategy = _STRATEGY_NAMES[args.strategy]
     rows = []  # the whole report, so that a failing job prints none of it
     if strategy is AssignmentStrategy.PROPOSED:

@@ -166,72 +166,45 @@ def validate_table(
     codes: list[list[int]] = []
     for test_id, row in zip(tests, outcomes):
         if len(row) != n:
-            problem = f"expected {n} outcomes, got {len(row)}"
-        else:
+            raise ValidationError(f"test {test_id!r}: expected {n} outcomes, got {len(row)}")
+        coded = []
+        for class_id, entry in zip(classes, row):
             try:
-                codes.append([_OUTCOME_CODES[entry] for entry in row])
-                continue
-            except (KeyError, TypeError):
-                i = next(i for i, entry in enumerate(row) if not _is_outcome(entry))
-                problem = f"outcome for {classes[i]!r} is {row[i]!r}"
-        _check_useful(tests, np.array(codes, dtype=np.int8).reshape(-1, n))  # earlier rows first
-        raise ValidationError(f"test {test_id!r}: {problem}")
+                coded.append(_OUTCOME_CODES[entry])
+            except (KeyError, TypeError):  # TypeError: unhashable
+                raise ValidationError(
+                    f"test {test_id!r}: outcome for {class_id!r} is {entry!r}"
+                ) from None
+        if 0 not in coded or 1 not in coded:
+            raise UselessTest(f"test {test_id!r} never produces both outcomes, it cannot split")
+        codes.append(coded)
     out = np.array(codes, dtype=np.int8).reshape(len(tests), n)
-    _check_useful(tests, out)
 
     if isinstance(error_probs, (int, float)):
         return TestTable(classes, priors, tests, out, _error_cells(out, error_probs))
     if len(error_probs) != len(tests):
         raise ValidationError(f"expected {len(tests)} error rows, got {len(error_probs)}")
-    rows: list = []
-    for test_id, row in zip(tests, error_probs):
+    errs = np.full(out.shape, np.nan)
+    for m, (test_id, row) in enumerate(zip(tests, error_probs)):
         if len(row) != n:
-            _error_cells(out[: len(rows)], _error_array(classes, tests, out, rows))
             raise ValidationError(f"test {test_id!r}: expected {n} error entries")
-        rows.append(row)
-    errs = _error_cells(out, _error_array(classes, tests, out, rows))
+        for i, (class_id, code, value) in enumerate(zip(classes, codes[m], row)):
+            if code < 0:
+                continue  # undefined cells carry no error model
+            try:
+                cell = np.array(value, dtype=np.float64)  # None is NaN
+            except (TypeError, ValueError):
+                cell = None
+            if cell is None or cell.ndim:
+                raise ValidationError(
+                    f"test {test_id!r}: error for {class_id!r} is {value!r}, not a number"
+                )
+            _check_error_value(float(cell))
+            errs[m, i] = cell
     return TestTable(classes, priors, tests, out, errs)
 
 
-def _error_array(
-    classes: tuple[str, ...], tests: tuple[str, ...], out: np.ndarray, rows: list
-) -> np.ndarray:
-    """The error rows as float64, one row per row of ``out`` they cover,
-    each entry converted as numpy converts it (None is NaN). Entries on
-    undefined cells are ignored; a defined cell that does not convert
-    raises, unless the range check finds an earlier defined cell first."""
-    try:
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(classes))
-    except (TypeError, ValueError):
-        pass
-    errs = np.full((len(rows), len(classes)), np.nan)
-    for m, row in enumerate(rows):
-        for i, value in enumerate(row):
-            try:
-                cell = np.array(value, dtype=np.float64)
-                if cell.ndim == 0:
-                    errs[m, i] = cell
-                    continue
-            except (TypeError, ValueError):
-                pass
-            if out[m, i] < 0:
-                continue
-            errs.flat[m * len(classes) + i :] = 0.0  # leave only earlier cells to check
-            _error_cells(out[: len(rows)], errs)
-            raise ValidationError(
-                f"test {tests[m]!r}: error for {classes[i]!r} is {value!r}, not a number"
-            )
-    return errs
-
-
 _OUTCOME_CODES = {None: -1, 0: 0, 1: 1}
-
-
-def _is_outcome(entry) -> bool:
-    try:
-        return entry in _OUTCOME_CODES
-    except TypeError:  # unhashable
-        return False
 
 
 def _checked_table(

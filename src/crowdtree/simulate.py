@@ -61,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
 from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, _tree_tests
@@ -69,6 +69,7 @@ from .workers import (
     AssignmentStrategy,
     WorkerAllocation,
     _check_budget,
+    _check_pair_limit,
     _draws,
     _pair_counts,
     assign_proposed,
@@ -551,14 +552,8 @@ def sweep_workers(
     _check_worker_error(worker_error)
     if not k_values:
         return []
+    _check_pair_limit(tree, table, k_values)
     tests = _tree_tests(_compile(tree, table))
-    too_large = next((k for k in k_values if k > _MAX_EXACT_PAIRS * len(tests)), None)
-    if too_large is not None:  # some test gets more pairs than the exact law sums
-        raise DomainError(
-            f"budget {too_large} puts more than {_MAX_EXACT_PAIRS} pairs on some test of "
-            f"the tree's {len(tests)} under every strategy; exact summation supports at "
-            f"most {_MAX_EXACT_PAIRS} pairs"
-        )
     proposed = None
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)

@@ -17,8 +17,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UnknownStrategy, UnknownTest, ValidationError
-from .fusion import _check_worker_error, group_error
+from .errors import DomainError, UnknownStrategy, UnknownTest, ValidationError
+from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
@@ -105,6 +105,17 @@ def _check_budget(budget: int) -> None:
         raise ValidationError(f"pair budget must be >= 0, got {budget}")
     if budget >= 1 << 63:  # pair counts are held as int64
         raise ValidationError(f"pair budget must be below 2**63, got {budget}")
+
+
+def _check_pair_limit(tree: DecisionTree, table: TestTable, budgets: Sequence[int]) -> None:
+    """Raise for the first of ``budgets`` above the exact pair limit times the
+    tree's test count, as every strategy then puts more than it on some test."""
+    n_tests = len(_tree_tests(_compile(tree, table)))
+    for budget in budgets:
+        if budget > _MAX_EXACT_PAIRS * n_tests:
+            raise DomainError(f"budget {budget} puts more than {_MAX_EXACT_PAIRS} pairs on some "
+                              f"test of the tree's {n_tests} under every strategy; exact "
+                              f"summation supports at most {_MAX_EXACT_PAIRS} pairs")
 
 
 class _LevelMasses(NamedTuple):

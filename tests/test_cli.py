@@ -446,6 +446,18 @@ OUT_OF_RANGE_SIZES = {
                                    "random trees must be >= 1"),
     "sweep-error-random-trees--2": (["sweep-error", "--random-trees", "-2"],
                                     "random trees must be >= 1"),
+    # malformed arguments
+    "simulate-both-error-flags": (["simulate", *ON_TREE_ARGS["simulate"],
+                                   "--error-matrix", "errors.csv"],
+                                  "give at most one of --error-prob and --error-matrix"),
+    "sweep-error-grid-two-parts": (["sweep-error", "--grid", "0.1:0.2"],
+                                   "grid must be start:stop:step, got '0.1:0.2'"),
+    "sweep-error-grid-descending": (["sweep-error", "--grid", "0.3:0.1:0.1"],
+                                    "bad grid '0.3:0.1:0.1'"),
+    "sweep-error-grid-step-0": (["sweep-error", "--grid", "0.1:0.3:0"], "bad grid '0.1:0.3:0'"),
+    "sweep-workers-unknown-strategy": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"],
+                                        "--strategies", "proposed,bogus"],
+                                       "unknown strategy 'bogus'"),
 }
 
 
@@ -623,21 +635,24 @@ def test_budget_past_the_pair_limit_times_the_tests_fails_before_any_allocation(
     with monkeypatch.context() as patch:
         patch.setattr(importlib.import_module("crowdtree.workers").random, "Random",
                       no_allocation)
-        patch.setattr(importlib.import_module("crowdtree.simulate"), "assign_proposed",
-                      no_allocation)
+        for module in ("crowdtree.simulate", "crowdtree.cli"):
+            patch.setattr(importlib.import_module(module), "assign_proposed", no_allocation)
         for strategies in ([AssignmentStrategy.RANDOM_PER_PAIR], list(AssignmentStrategy)):
             for k_values in ([3, 2001], [3, 2001, 10**6], [3, 600, 2001]):
                 with pytest.raises(DomainError) as caught:
                     sweep_workers(tree, table, k_values, strategies, 0.2)
                 assert str(caught.value) == message
+        on_tree = ["--tree", tree_path, "--table", table_path, *ON_DEMO_TREE]
+        jobs = [["sweep-workers", *on_tree, "--kmax", "2001", "--strategies", "random"]]
+        jobs += (["assign", *on_tree, "--workers", "2001", "--strategy", strategy]
+                 for strategy in ("random", "proposed"))
+        for argv in jobs:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and captured.out == "", argv
     # at the bound, the first pair count the settings meet is named, as before
     with pytest.raises(DomainError, match="at most 500 pairs, got 2000$"):
         sweep_workers(tree, table, [3, 2000], [AssignmentStrategy.SINGLE_TEST], 0.2)
-    argv = ["sweep-workers", "--tree", tree_path, "--table", table_path, *ON_DEMO_TREE,
-            "--kmax", "2001", "--strategies", "random"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_cli_jobs_leave_numpy_ma_unimported(table_path, tmp_path):

@@ -1459,6 +1459,41 @@ def test_validate_table_equals_per_cell_validator():
         validate_table(classes, priors, tests, [[0, 0, None], [1, 2, 0], [0, 0, 1]], 0.1)
 
 
+def test_validate_table_checks_rows_whole_and_cells_on_their_own():
+    ids = (["a", "b", "c"], [0.2, 0.3, 0.5], ["s", "t"])
+    # a row's length is checked before its entries
+    for outcomes, errors in (([[0, 1, 0], [1, 2]], 0.1),
+                             ([[0, 1, 0], [1, 0, None]], [[0.1, 0.2, 0.3], [0.7, 0.1]])):
+        got = _ingest(validate_table, *ids, outcomes, errors)
+        assert got == _ingest(support.validate_table_per_cell, *ids, outcomes, errors)
+        assert got[0] is ValidationError and "expected 3" in got[1]
+    args = (*ids, [[0, 1, 0], [1, 0, None]])
+    # a whole matrix of one-element lists is no float matrix
+    with pytest.raises(ValidationError, match=r"'s': error for 'a' is \[0.1\], not a number"):
+        validate_table(*args, [[[0.1], [0.2], [0.3]], [[0.3], [0.4], [0.1]]])
+    # a cell too large for a float is converted only where it is read
+    with pytest.raises(ErrorProbOutOfRange, match="0.7"):
+        validate_table(*args, [[0.7, 0.1, 0.1], [0.1, 0.1, 10**400]])
+    table = validate_table(*args, [[0.1, 0.2, 0.3], [0.3, 0.4, 10**400]])
+    assert table.errors[1, :2].tolist() == [0.3, 0.4] and np.isnan(table.errors[1, 2])
+
+
+@pytest.mark.parametrize("cell_errors", [False, True])
+def test_validate_table_equals_parse_table_text(cell_errors):
+    # the Python-data and the text constructor build the same table from one instance
+    for seed in range(60):
+        table = support.random_table(seed, cell_errors=cell_errors, max_error=0.45)
+        outcomes = [[None if o < 0 else o for o in row] for row in table.outcomes.tolist()]
+        data = (table.classes, table.priors, table.tests, outcomes)
+        got = _ingest(validate_table, *data, table.errors.tolist())
+        assert got[0] == table.classes
+        text = table_to_text(table)
+        assert got == _ingest(parse_table_text, text, error_matrix_text=_matrix_text(table))
+        if not cell_errors:
+            scalar = float(table.errors[table.outcomes >= 0][0])
+            assert _ingest(validate_table, *data, scalar) == _ingest(parse_table_text, text, scalar)
+
+
 # ---------------------------------------------------------------------------
 # The greedy builder's level scoring, and the compiles behind each report
 
