@@ -61,8 +61,18 @@ def _load_table(args, require_error: bool = True):
     return fileio.load_table(args.table, args.error_prob, args.error_matrix)
 
 
-def _load_tree(args, table):
-    return fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
+def _add_stored_tree_flags(p: argparse.ArgumentParser) -> None:
+    """The inputs that :func:`_load_stored_tree` reads."""
+    p.add_argument("--tree", required=True)
+    p.add_argument("--table", required=True)
+    _add_error_flags(p)
+    p.add_argument("--ignore-checksum", action="store_true")
+
+
+def _load_stored_tree(args, require_error: bool = True):
+    """``(table, tree)`` of a command's ``--table`` and stored ``--tree``."""
+    table = _load_table(args, require_error)
+    return table, fileio.load_tree(args.tree, table, check_checksum=not args.ignore_checksum)
 
 
 def _write_report(args, text: str) -> int:
@@ -115,15 +125,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table = _load_table(args)
-    tree = _load_tree(args, table)
+    table, tree = _load_stored_tree(args)
     _print_quality(tree, table, args.ratio_offset)
     return 0
 
 
 def _cmd_assign(args) -> int:
-    table = _load_table(args, require_error=False)
-    tree = _load_tree(args, table)
+    table, tree = _load_stored_tree(args, require_error=False)
     workers._check_pair_limit(tree, table, [args.workers])
     strategy = _STRATEGY_NAMES[args.strategy]
     rows = []  # the whole report, so that a failing job prints none of it
@@ -155,8 +163,7 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    table = _load_table(args)
-    tree = _load_tree(args, table)
+    table, tree = _load_stored_tree(args)
     allocation = fileio.load_allocation(args.allocation) if args.allocation else None
     report = simulate(
         tree,
@@ -205,8 +212,7 @@ def _cmd_sweep_error(args) -> int:
 def _cmd_sweep_workers(args) -> int:
     if args.kmax < 0:
         raise ValidationError(f"kmax must be >= 0, got {args.kmax}")
-    table = _load_table(args, require_error=False)
-    tree = _load_tree(args, table)
+    table, tree = _load_stored_tree(args, require_error=False)
     strategies = []
     for name in args.strategies.split(","):
         name = name.strip()
@@ -258,37 +264,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("evaluate", help="evaluate a stored tree against a table")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--table", required=True)
-    _add_error_flags(p)
+    _add_stored_tree_flags(p)
     p.add_argument("--ratio-offset", type=float, default=1.0)
-    p.add_argument("--ignore-checksum", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("assign", help="allocate worker pairs to a tree's tests")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--table", required=True)
-    _add_error_flags(p)
+    _add_stored_tree_flags(p)
     p.add_argument("--workers", type=int, required=True, help="pair budget")
     p.add_argument("--worker-error", type=float, required=True)
     p.add_argument("--strategy", choices=sorted(_STRATEGY_NAMES), default="proposed")
     p.add_argument("--seed", type=int, default=0)
     _add_metric_flags(p)
-    p.add_argument("--ignore-checksum", action="store_true")
     p.add_argument("--out", help="write the allocation document here")
     p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("simulate", help="Monte Carlo classification through a tree")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--table", required=True)
-    _add_error_flags(p)
+    _add_stored_tree_flags(p)
     p.add_argument("--allocation", help="allocation document to fuse workers from")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--lanes", type=int, default=1, help="parallel lanes; result is identical for any value"
     )
-    p.add_argument("--ignore-checksum", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
@@ -302,9 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_error)
 
     p = sub.add_parser("sweep-workers", help="strategy comparison across pair budgets")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--table", required=True)
-    _add_error_flags(p)
+    _add_stored_tree_flags(p)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--worker-error", type=float, required=True)
     p.add_argument(
@@ -315,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=50, help="random allocations to average")
     _add_metric_flags(p)
-    p.add_argument("--ignore-checksum", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep_workers)
 

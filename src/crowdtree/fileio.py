@@ -40,7 +40,11 @@ ALLOCATION_FORMAT = "crowdtree/allocation-v1"
 
 
 def _split_lines(text: str) -> list[str]:
-    return [line.rstrip("\r") for line in text.split("\n")]
+    """The lines of ``text``, without their ``\\r`` and trailing blank lines."""
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    while lines and not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def parse_table_text(
@@ -51,8 +55,6 @@ def parse_table_text(
     """Parse table CSV text, attaching either a scalar error probability or a
     parsed error-matrix file. Raises :class:`ParseError` with line numbers."""
     lines = _split_lines(text)
-    while lines and not lines[-1]:
-        lines.pop()
     if not lines:
         raise ParseError("expected 'class,<id>,...' with at least two classes", 1)
     head = lines[0].split(",")
@@ -124,8 +126,6 @@ def _parse_error_matrix(text: str, classes: Sequence[str], tests: Sequence[str])
     flat pass by :func:`_read_rows`; otherwise the first bad row, in line
     order, raises from :func:`_error_row`."""
     lines = _split_lines(text)
-    while lines and not lines[-1]:
-        lines.pop()
     if not lines:
         raise ParseError("empty error matrix", 1)
     head = lines[0].split(",")
@@ -352,9 +352,6 @@ def _node_from_doc(root_doc) -> Node:
     return built.pop()
 
 
-_TOO_DEEP = "tree nested too deeply for json"
-
-
 def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
     return {
         "format": TREE_FORMAT,
@@ -377,24 +374,33 @@ def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -
     return tree
 
 
-def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> None:
+def _write_json(path: str, doc: Mapping, kind: str) -> None:
+    """Write ``doc`` as indented JSON; past json's nesting limit, raise ParseError instead."""
     try:
-        text = json.dumps(tree_to_doc(tree, table, builder), indent=2)
+        text = json.dumps(doc, indent=2)
     except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+        raise ParseError(f"{kind} nested too deeply for json") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
-def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> DecisionTree:
+def _read_json(path: str, kind: str):
+    """The JSON document in ``path``; bad JSON or nesting past json's limit raises."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except RecursionError:
-            raise ParseError(_TOO_DEEP) from None
+            raise ParseError(f"{kind} nested too deeply for json") from None
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad tree document: {exc.msg}", exc.lineno) from None
-    return tree_from_doc(doc, table, check_checksum)
+            raise ParseError(f"bad {kind} document: {exc.msg}", exc.lineno) from None
+
+
+def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> None:
+    _write_json(path, tree_to_doc(tree, table, builder), "tree")
+
+
+def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> DecisionTree:
+    return tree_from_doc(_read_json(path, "tree"), table, check_checksum)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +454,11 @@ def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
 
 
 def save_allocation(path: str, allocation: WorkerAllocation) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(allocation_to_doc(allocation), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, allocation_to_doc(allocation), "allocation")
 
 
 def load_allocation(path: str) -> WorkerAllocation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad allocation document: {exc.msg}", exc.lineno) from None
-    return allocation_from_doc(doc)
+    return allocation_from_doc(_read_json(path, "allocation"))
 
 
 # ---------------------------------------------------------------------------

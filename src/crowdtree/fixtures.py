@@ -8,18 +8,8 @@ used throughout the tests and the README walkthrough.
 
 from __future__ import annotations
 
-from .model import DecisionTree, Internal, Leaf, TestTable, validate_table
-
-DEMO_CLASSES = ("c1", "c2", "c3", "c4", "c5")
-DEMO_PRIORS = (0.20, 0.05, 0.10, 0.60, 0.05)
-DEMO_TESTS = ("T1", "T2", "T3", "T4", "T5")
-DEMO_OUTCOMES = (
-    (0, 0, 0, 1, 0),  # T1
-    (1, 0, 0, 1, 1),  # T2
-    (0, 1, 0, 0, 1),  # T3
-    (0, 1, 0, 1, 1),  # T4
-    (0, 1, 1, None, 1),  # T5 undefined for c4
-)
+from .fileio import parse_table_text
+from .model import DecisionTree, Internal, Leaf, TestTable
 
 DEMO_TABLE_CSV = """\
 class,c1,c2,c3,c4,c5
@@ -34,9 +24,7 @@ T5,0,1,1,-,1
 
 def demo_table(error_prob: float = 0.05) -> TestTable:
     """The demo instance with a flat scalar test error probability."""
-    return validate_table(
-        DEMO_CLASSES, DEMO_PRIORS, DEMO_TESTS, DEMO_OUTCOMES, error_prob
-    )
+    return parse_table_text(DEMO_TABLE_CSV, error_prob)
 
 
 def designed_tree() -> DecisionTree:

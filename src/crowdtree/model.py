@@ -134,6 +134,15 @@ def _check_error_value(value: float) -> None:
         raise ErrorProbOutOfRange(f"error probability {value!r} outside [0, 0.5)")
 
 
+def _as_float(value) -> float:
+    """``float(value)``, or ±inf for a number past the float range, as the
+    text ``1e400`` reads."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_unique(ids: Sequence[str], what: str) -> None:
     seen = set()
     for ident in ids:
@@ -193,6 +202,8 @@ def validate_table(
                 continue  # undefined cells carry no error model
             try:
                 cell = np.array(value, dtype=np.float64)  # None is NaN
+            except OverflowError:
+                cell = np.array(_as_float(value))
             except (TypeError, ValueError):
                 cell = None
             if cell is None or cell.ndim:
@@ -232,7 +243,7 @@ def _checked_priors(
     _check_unique(tests, "test")
     if len(priors) != len(classes):
         raise ValidationError(f"expected {len(classes)} priors, got {len(priors)}")
-    priors = tuple(float(p) for p in priors)
+    priors = tuple(_as_float(p) for p in priors)
     for class_id, p in zip(classes, priors):
         if not (0.0 < p <= 1.0) or math.isnan(p):
             raise NonPositivePrior(f"prior for {class_id!r} is {p!r}, must be in (0, 1]")
@@ -257,8 +268,8 @@ def _error_cells(out: np.ndarray, errors: Union[float, np.ndarray]) -> np.ndarra
     for a scalar outside [0, 0.5), then for the first defined cell outside
     it in row-major order."""
     if np.ndim(errors) == 0:
-        _check_error_value(float(errors))
-        errors = float(errors)
+        errors = _as_float(errors)
+        _check_error_value(errors)
     defined = out >= 0
     errs = np.where(defined, errors, np.nan)
     bad = defined & ~((errs >= 0.0) & (errs < 0.5))  # NaN is bad too

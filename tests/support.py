@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -251,6 +252,18 @@ def class_path_pc(tree: DecisionTree, table: TestTable) -> float:
     total = 0.0
     for p, survive in zip(table.priors, class_path_survival(tree, table)):
         total += p * survive
+    return total
+
+
+def fraction_pm(tree: DecisionTree, table: TestTable) -> Fraction:
+    """``exact_misclassification``'s model value on the table's own float
+    priors and errors, in exact rational arithmetic: no step rounds."""
+    total = Fraction(0)
+    for p, class_id in zip(table.priors, table.classes):
+        survive = Fraction(1)
+        for step in class_path(tree, table, class_id):
+            survive *= 1 - Fraction(step.error_prob)
+        total += Fraction(p) * (1 - survive)
     return total
 
 

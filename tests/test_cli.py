@@ -380,8 +380,10 @@ def _table_with_other_checksum(tmp_path, tree_path):
 
 
 TREE_DEFECTS = {
-    # defect -> (the (tree, table) paths to load, a phrase of the error)
+    # defect -> (the (tree, table) paths to load, a phrase of the error, any
+    # flags to add); a row whose phrase is None has flags that waive its defect
     "checksum": (_table_with_other_checksum, "checksum"),
+    "checksum-ignored": (_table_with_other_checksum, None, "--ignore-checksum"),
     "truncated": (_truncated_tree, "bad tree document"),
     "no-one-child": (_tree_without_one_child, "internal node needs exactly"),
 }
@@ -390,12 +392,16 @@ TREE_DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(TREE_DEFECTS))
 @pytest.mark.parametrize("command", sorted(ON_TREE_ARGS))
 def test_bad_tree_document_exits_2(command, defect, table_path, tree_path, tmp_path, capsys):
-    make, phrase = TREE_DEFECTS[defect]
+    make, phrase, *flags = TREE_DEFECTS[defect]
     tree, table = make(tmp_path, tree_path)
-    argv = [command, "--tree", tree, "--table", table or table_path, *ON_TREE_ARGS[command]]
-    assert main(argv) == 2
+    argv = [command, "--tree", tree, "--table", table or table_path, *ON_TREE_ARGS[command],
+            *flags]
+    code = main(argv)
     captured = capsys.readouterr()
-    assert phrase in captured.err and captured.out == ""
+    if phrase is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 2 and phrase in captured.err and captured.out == ""
 
 
 def _allocation_text(extra_pairs=1, worker_error=0.2, **fields):
@@ -416,6 +422,7 @@ ALLOCATION_DEFECTS = {
                             "shared_pool True contradicts strategy 'proposed'"),
     "all-not-shared-pool": (_allocation_text(strategy="all", shared_pool=False),
                             "shared_pool False contradicts strategy 'all'"),
+    "nested-too-deep": ("[" * 100_000 + "]" * 100_000, "allocation nested too deeply for json"),
 }
 
 
@@ -450,6 +457,15 @@ OUT_OF_RANGE_SIZES = {
     "simulate-both-error-flags": (["simulate", *ON_TREE_ARGS["simulate"],
                                    "--error-matrix", "errors.csv"],
                                   "give at most one of --error-prob and --error-matrix"),
+    "evaluate-both-error-flags": (["evaluate", *ON_TREE_ARGS["evaluate"],
+                                   "--error-matrix", "errors.csv"],
+                                  "give at most one of --error-prob and --error-matrix"),
+    "assign-both-error-flags": (["assign", *ON_TREE_ARGS["assign"],
+                                 "--error-matrix", "errors.csv"],
+                                "give at most one of --error-prob and --error-matrix"),
+    "sweep-workers-both-error-flags": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"],
+                                        "--error-matrix", "errors.csv"],
+                                       "give at most one of --error-prob and --error-matrix"),
     "sweep-error-grid-two-parts": (["sweep-error", "--grid", "0.1:0.2"],
                                    "grid must be start:stop:step, got '0.1:0.2'"),
     "sweep-error-grid-descending": (["sweep-error", "--grid", "0.3:0.1:0.1"],

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,30 @@ def test_sum_of_error_masses_is_a_union_bound_on_exact_pm(table_seed, tree_seed)
     tree = _tree(table, tree_seed, 1.0)
     depth = len(level_quantities(tree, table))
     assert additive_approx(tree, table) >= exact_misclassification(tree, table) - 8 * depth * _U
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table_seed=st.integers(0, 10_000),
+    tree_seed=st.integers(-1, 3),
+    scale=st.sampled_from([1.0, 1e-4, 1e-8, 1e-12, 1e-15]),
+)
+def test_exact_pm_is_within_its_stated_bound_of_the_rational_value(table_seed, tree_seed, scale):
+    """pm = sum p (1 - prod (1 - e)) rounds each 1 - e by up to u/2, so a
+    class's survival is off by about its depth times u, absolutely; the
+    class terms and their sum add a relative u per class. So
+    |pm - pm*| <= (depth + 1) u + n u pm*, where pm* is the rational value
+    on the same float inputs. The relative error grows as u / e when the
+    errors shrink, which is why the bound has an absolute part."""
+    table = support.random_table(
+        table_seed, max_classes=10, max_tests=12, max_error=0.45, cell_errors=True
+    )
+    tree = _tree(table, tree_seed, 1.0)
+    table = support.table_variant(table, errors=table.errors * scale)
+    exact = support.fraction_pm(tree, table)
+    u = Fraction(_U)
+    bound = (tree.depth() + 1) * u + table.n_classes * u * exact
+    assert abs(Fraction(exact_misclassification(tree, table)) - exact) <= bound
 
 
 def test_product_of_correct_masses_can_exceed_exact_pc_under_per_cell_errors():

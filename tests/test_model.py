@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -30,7 +31,8 @@ from crowdtree.errors import (
     UselessTest,
     ValidationError,
 )
-from crowdtree.fixtures import demo_table, designed_tree, alternative_tree
+from crowdtree.fileio import parse_table_text
+from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree, alternative_tree
 
 import support
 from support import class_path
@@ -57,6 +59,14 @@ def test_error_prob_out_of_range():
         validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], 0.6)
     with pytest.raises(ErrorProbOutOfRange):
         validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], [[0.1, -0.2]])
+    # an integer past the float range reads as the text 1e400 does: as ±inf
+    for big, text in ((10**400, "inf"), (-10**400, "-inf")):
+        message = re.escape(f"error probability {text} outside [0, 0.5)")
+        for errors in (big, [[0.1, big]]):
+            with pytest.raises(ErrorProbOutOfRange, match=message):
+                validate_table(["a", "b"], [0.5, 0.5], ["t"], [[0, 1]], errors)
+        with pytest.raises(ErrorProbOutOfRange, match=message):
+            parse_table_text(DEMO_TABLE_CSV, error_prob=big)
 
 
 def test_non_numeric_error_entry():
@@ -86,6 +96,8 @@ def test_prior_validation():
         validate_table(["a", "b"], [0.0, 1.0], ["t"], [[0, 1]], 0.1)
     with pytest.raises(PriorSumMismatch):
         validate_table(["a", "b"], [0.6, 0.6], ["t"], [[0, 1]], 0.1)
+    with pytest.raises(NonPositivePrior, match="prior for 'a' is inf, must be in"):
+        validate_table(["a", "b"], [10**400, 0.5], ["t"], [[0, 1]], 0.1)
     # a hand-typed table slightly off gets renormalized
     table = validate_table(["a", "b"], [0.5000004, 0.5], ["t"], [[0, 1]], 0.1)
     assert math.isclose(sum(table.priors), 1.0, abs_tol=1e-12)
