@@ -25,14 +25,19 @@ designed build of :func:`crowdtree.simulate.sweep_error`, which share it:
 bit masks of the cells answering 1 and of the undefined ones, the outcome
 rows and, for a greedy build, the products ``p·e`` (additive) or
 ``p·(1−e)`` (multiplicative) of every cell, made by numpy with the same
-bits as Python's ``*``, and the screen's per-class rows made from them. A
-test applies to a block when it is defined for every member and answers 1
-for some but not all of them. Each chosen block is split once, and that
-split makes both the next level's blocks and the tree's node, which
-:func:`_assemble` makes from the build's list of splits;
+bits as Python's ``*``, and the screen's per-class rows made from them by
+the first screened level, so a build whose levels are all scored point by
+point never makes them. A test applies to a block when it is defined for
+every member and answers 1 for some but not all of them. Each chosen block
+is split once, and that split makes both the next level's blocks and the
+tree's node, which :func:`_assemble` makes from the build's levels of
+splits, the shape of a compiled tree's levels;
 :func:`crowdtree.simulate.sweep_error` scores the splits without it. A
-greedy build's per-level figures are read afterwards from the tree it
-built.
+greedy build's per-level figures come from its own levels: each level's
+entropy is the sum its choice made, and only the masses are summed again
+(:func:`crowdtree.metrics._level_figures`, which
+:func:`crowdtree.metrics.level_quantities` also uses), so no compile is
+made.
 
 Scoring. The exact value of a point is :func:`_block_points`'s: the mass
 is ``fsum`` of the block's products, picked out at C level, and h comes
@@ -106,9 +111,9 @@ from .metrics import (
     MetricConfig,
     _block_entropy,
     _entropy_term,
+    _level_figures,
     exact_correct,
     exact_misclassification,
-    level_quantities,
     metric_additive,
     metric_multiplicative,
 )
@@ -259,8 +264,9 @@ class _Cells(NamedTuple):
     tests_undefined: list[int]  # per class, the mask of the tests undefined for it
     outcomes: list[bytes]  # per test, each class's outcome; -1 reads 255
     mass: list[memoryview]  # per test, p * e (additive) or p * (1 - e) by class
-    screen: np.ndarray | None  # per class and test, what :func:`_screen` sums; see _screen_rows
-    whole: np.ndarray | None  # per class, what :func:`_screen` sums for the whole block
+    products: np.ndarray | None  # per test and class, what ``mass`` holds
+    table: TestTable
+    screen: list[np.ndarray]  # what :func:`_screen` sums, made by its first call; see _screen_rows
 
 
 def _masks(cells: np.ndarray) -> list[int]:
@@ -271,40 +277,42 @@ def _masks(cells: np.ndarray) -> list[int]:
 
 
 def _cells(table: TestTable, metric: Metric | None = None) -> _Cells:
-    """The mass products of ``metric``, and the screen's rows made from
-    them, none without one, are elementwise IEEE operations, with the same
-    bits as ``table.priors[i] * float(table.errors[m, i])`` or its
-    complement."""
-    priors, ones = np.asarray(table.priors), table.outcomes == 1
+    """The mass products of ``metric``, none without one, and the screen's
+    rows made from them are elementwise IEEE operations, with the same bits
+    as ``table.priors[i] * float(table.errors[m, i])`` or its complement."""
+    ones = table.outcomes == 1
     rows, n = table.outcomes.tobytes(), table.n_classes
-    mass, screen, whole = [], None, None
+    mass, products = [], None
     if metric is not None:
-        products = priors * (table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors)
+        errors = table.errors if metric is Metric.ADDITIVE else 1.0 - table.errors
+        products = np.asarray(table.priors) * errors
         mass = [memoryview(row) for row in products]
-        screen, whole = _screen_rows(table, priors, ones, products)
     outcomes = [rows[k : k + n] for k in range(0, len(rows), n)]
     undefined = _masks(table.outcomes.T < 0)
     return _Cells(
-        table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, screen, whole
+        table.priors, _masks(ones), _masks(ones.T), undefined, outcomes, mass, products, table, []
     )
 
 
-def _screen_rows(
-    table: TestTable, priors: np.ndarray, ones: np.ndarray, products: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(screen, whole), class-major, so that a level sums each block's
+def _screen_rows(cells: _Cells) -> list[np.ndarray]:
+    """[screen, whole], class-major, so that a level sums each block's
     members along the first axis. ``screen[i, m]`` is [p_i if test m
     answers 1 else 0 | p_i if m answers 0 else 0 | the mass product
     ``products[m, i]``, NaN where undefined]; ``whole[i]`` is [p_i | 1 if
-    i's defined products differ between tests else 0]."""
-    screen = np.empty((table.n_classes, table.n_tests, 3))
-    np.multiply(priors[:, None], ones.T, out=screen[:, :, 0])
-    np.multiply(priors[:, None], table.outcomes.T == 0, out=screen[:, :, 1])
-    screen[:, :, 2] = products.T
-    whole = np.empty((table.n_classes, 2))
-    whole[:, 0] = priors
-    whole[:, 1] = np.fmin.reduce(products, axis=0) != np.fmax.reduce(products, axis=0)
-    return screen, whole
+    i's defined products differ between tests else 0]. The first call
+    makes them and keeps them in ``cells.screen``, so a build none of whose
+    levels is screened never holds them."""
+    if not cells.screen:
+        table, products, priors = cells.table, cells.products, np.asarray(cells.priors)
+        screen = np.empty((table.n_classes, table.n_tests, 3))
+        np.multiply(priors[:, None], table.outcomes.T == 1, out=screen[:, :, 0])
+        np.multiply(priors[:, None], table.outcomes.T == 0, out=screen[:, :, 1])
+        screen[:, :, 2] = products.T
+        whole = np.empty((table.n_classes, 2))
+        whole[:, 0] = priors
+        whole[:, 1] = np.fmin.reduce(products, axis=0) != np.fmax.reduce(products, axis=0)
+        cells.screen[:] = screen, whole
+    return cells.screen
 
 
 def _applicable(cells: _Cells, block: Block) -> list[int]:
@@ -368,16 +376,16 @@ def _screen(
     """The screen of a level whose open blocks are ``blocks``, with exact
     entropy terms ``terms`` and applicable tests ``applicable``, none
     empty, from one sum per block over its members' rows of
-    ``cells.whole`` and of ``cells.screen``, in the columns from the least
-    to the greatest test that applies to some block: see the module
-    docstring."""
+    :func:`_screen_rows`, in the columns from the least to the greatest
+    test that applies to some block: see the module docstring."""
     sizes, counts = [*map(len, blocks)], [*map(len, applicable)]
     lo = min([tests[0] for tests in applicable])
     hi = max([tests[-1] for tests in applicable]) + 1
     members = np.fromiter(chain.from_iterable(blocks), np.intp, sum(sizes))
     offsets = np.fromiter(accumulate(sizes[:-1], initial=0), np.intp, len(sizes))
-    sums = np.add.reduceat(cells.screen[:, lo:hi][members], offsets)
-    whole = np.add.reduceat(cells.whole[members], offsets)
+    rows, whole = _screen_rows(cells)
+    sums = np.add.reduceat(rows[:, lo:hi][members], offsets)
+    whole = np.add.reduceat(whole[members], offsets)
     block = np.arange(len(blocks)).repeat(counts)
     test = np.fromiter(chain.from_iterable(applicable), np.intp, len(block))
     points = sums[block, test - lo]
@@ -507,10 +515,16 @@ def _same_split(
 
 
 def _choose_level_assignment(
-    table: TestTable, cells: _Cells, config: BuilderConfig, partition: Partition
+    table: TestTable,
+    cells: _Cells,
+    config: BuilderConfig,
+    partition: Partition,
+    entropies: list | None = None,
 ) -> dict[Block, int]:
     """One test index per open block, exactly maximizing the level metric; ties
     go to the lexicographically smallest test indices, blocks in partition order.
+    Appends the partition's :func:`crowdtree.metrics.level_entropy`, summed
+    as :func:`crowdtree.metrics._level_entropies` sums it, to ``entropies``.
 
     A level whose open blocks hold fewer than ``_SCREEN_FROM`` (member,
     applicable test) pairs scores every point exactly: there the screen
@@ -526,6 +540,8 @@ def _choose_level_assignment(
     entropy_before = 0.0
     for term in terms:  # as level_entropy adds them; a singleton adds 0.0
         entropy_before += term
+    if entropies is not None:
+        entropies.append(entropy_before)
     if sum(map(mul, map(len, open_blocks), map(len, applicable))) < _SCREEN_FROM:
         points = [_block_points(cells, b, tests) for b, tests in zip(open_blocks, applicable)]
         narrow = None
@@ -584,7 +600,7 @@ def _screened_points(
 def _split_level(cells: _Cells, partition: Partition, chosen: dict, splits: list) -> Partition:
     """The partition after each block b of ``chosen`` is split by the test
     of index ``chosen[b]``; appends (b, that index, zeros, ones), in
-    partition order, to ``splits``."""
+    partition order, to ``splits``, the level's list."""
     after: list[Block] = []
     for block in partition:
         m = chosen.get(block)
@@ -599,27 +615,29 @@ def _split_level(cells: _Cells, partition: Partition, chosen: dict, splits: list
     return tuple(after)
 
 
-def _assemble(splits: list, table: TestTable) -> DecisionTree:
-    """The tree of ``splits``, listed level by level as :func:`_split_level`
-    makes them: built from the last one back, so that a block's two halves
-    are nodes before it."""
+def _assemble(levels: list[list[tuple]], table: TestTable) -> DecisionTree:
+    """The tree of ``levels``, each the list of a level's splits as
+    :func:`_split_level` makes it: built from the last level back, so that
+    a block's two halves are nodes before it."""
     node_of: dict[Block, Node] = {(i,): Leaf(c) for i, c in enumerate(table.classes)}
-    for block, m, zeros, ones in reversed(splits):
-        node_of[block] = Internal(table.tests[m], node_of[zeros], node_of[ones])
+    for level in reversed(levels):
+        for block, m, zeros, ones in level:
+            node_of[block] = Internal(table.tests[m], node_of[zeros], node_of[ones])
     return DecisionTree(node_of[table.all_classes_block()])
 
 
-def _grow(table: TestTable, cells: _Cells, choose) -> list[tuple]:
-    """The splits of the tree made level by level from the one-block
-    partition, as :func:`_split_level` lists them: ``choose(partition)``
-    maps each open block to a test index, and each chosen block is split by
-    its test, until every block is a singleton. :func:`_assemble` makes the
-    tree of them."""
+def _grow(table: TestTable, cells: _Cells, choose) -> list[list[tuple]]:
+    """Per level, the splits of the tree made level by level from the
+    one-block partition, as :func:`_split_level` lists them, the shape of a
+    compiled tree's ``levels``: ``choose(partition)`` maps each open block
+    to a test index, and each chosen block is split by its test, until
+    every block is a singleton. :func:`_assemble` makes the tree of them."""
     partition: Partition = (table.all_classes_block(),)
-    splits: list[tuple] = []
+    levels: list[list[tuple]] = []
     while any(len(b) > 1 for b in partition):
-        partition = _split_level(cells, partition, choose(partition), splits)
-    return splits
+        levels.append([])
+        partition = _split_level(cells, partition, choose(partition), levels[-1])
+    return levels
 
 
 def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> GreedyResult:
@@ -628,20 +646,27 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     Every non-singleton block receives a test at every level; construction
     ends when all blocks are singletons. Deterministic for a given table and
     config. The result carries each level's quantities under the config's
-    ratio offset, read from the built tree by :func:`level_quantities`; the
-    compile that takes stays cached on the tree for its other readers.
+    ratio offset, as :func:`crowdtree.metrics.level_quantities` gives them
+    for the tree: each level's entropy is the one its choice summed, and
+    only the masses are summed again, so no compile is made here.
     """
     config = config or BuilderConfig()
-    splits = _greedy_splits(table, config, _cells(table, config.metric.kind))
-    tree = _assemble(splits, table)
-    return GreedyResult(tree, tuple(level_quantities(tree, table, config.metric.ratio_offset)))
+    entropies: list[float] = []
+    levels = _greedy_splits(table, config, _cells(table, config.metric.kind), entropies)
+    entropies.append(0.0)  # the last level leaves only singletons
+    figures = _level_figures(table, levels, entropies, config.metric.ratio_offset)
+    return GreedyResult(_assemble(levels, table), tuple(figures))
 
 
-def _greedy_splits(table: TestTable, config: BuilderConfig, cells: _Cells) -> list[tuple]:
-    """The :func:`_grow` splits of :func:`build_greedy`'s tree, from
+def _greedy_splits(
+    table: TestTable, config: BuilderConfig, cells: _Cells, entropies: list | None = None
+) -> list[list[tuple]]:
+    """The :func:`_grow` levels of :func:`build_greedy`'s tree, from
     ``cells``, the table's :func:`_cells` under the config's metric, which
-    :func:`_random_splits` can share."""
-    return _grow(table, cells, partial(_choose_level_assignment, table, cells, config))
+    :func:`_random_splits` can share; appends each level's entropy to
+    ``entropies``, if given."""
+    choose = partial(_choose_level_assignment, table, cells, config, entropies=entropies)
+    return _grow(table, cells, choose)
 
 
 def build_random(table: TestTable, seed: int) -> DecisionTree:
@@ -653,8 +678,8 @@ def build_random(table: TestTable, seed: int) -> DecisionTree:
     return _assemble(_random_splits(table, seed, _cells(table)), table)
 
 
-def _random_splits(table: TestTable, seed: int, cells: _Cells) -> list[tuple]:
-    """The :func:`_grow` splits of :func:`build_random`'s tree, from
+def _random_splits(table: TestTable, seed: int, cells: _Cells) -> list[list[tuple]]:
+    """The :func:`_grow` levels of :func:`build_random`'s tree, from
     ``cells``, the table's :func:`_cells`, which any number of seeds can
     share."""
     rng = random.Random(seed)

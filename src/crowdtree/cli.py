@@ -177,13 +177,21 @@ def _cmd_simulate(args) -> int:
     return _write_report(args, text)
 
 
+_MAX_GRID_POINTS = 10_000  # 333 times the default grid's 30 points
+
+
 def _parse_grid(text: str) -> list[float]:
+    """The points of ``start:stop:step``. A grid of more than about
+    ``_MAX_GRID_POINTS`` points, counted from its three numbers, fails
+    before any point is made."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise CrowdTreeError(f"grid must be start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):  # a NaN fails here too
         raise CrowdTreeError(f"bad grid {text!r}")
+    if not (stop - start) / step < _MAX_GRID_POINTS:  # an inf too
+        raise CrowdTreeError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
     grid = []
     value = start
     while value <= stop + 1e-12:

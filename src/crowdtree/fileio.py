@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _encode_string
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,8 +313,13 @@ def table_to_text(table: TestTable) -> str:
 
 
 def table_checksum(table: TestTable) -> str:
-    """SHA-256 of the canonical structural CSV (classes, priors, outcomes)."""
-    return hashlib.sha256(_table_bytes(table)).hexdigest()
+    """SHA-256 of the canonical structural CSV (classes, priors, outcomes),
+    memoised on the table, whose parts never change."""
+    digest = table.__dict__.get("_sha256")
+    if digest is None:
+        digest = hashlib.sha256(_table_bytes(table)).hexdigest()
+        object.__setattr__(table, "_sha256", digest)
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +358,17 @@ def _node_from_doc(root_doc) -> Node:
     return built.pop()
 
 
-def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
+def _tree_head(table: TestTable, builder: Mapping | None) -> dict:
+    """The tree document's members before its ``"root"``."""
     return {
         "format": TREE_FORMAT,
         "table_sha256": table_checksum(table),
         "builder": dict(builder) if builder else {"kind": "manual"},
-        "root": _node_to_doc(tree.root),
     }
+
+
+def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
+    return {**_tree_head(table, builder), "root": _node_to_doc(tree.root)}
 
 
 def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -> DecisionTree:
@@ -374,12 +384,23 @@ def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -
     return tree
 
 
-def _write_json(path: str, doc: Mapping, kind: str) -> None:
-    """Write ``doc`` as indented JSON; past json's nesting limit, raise ParseError instead."""
+def _json_text(doc: Mapping, kind: str) -> str:
+    """``doc`` as indented JSON; past json's nesting limit, raise ParseError instead."""
     try:
-        text = json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2)
     except RecursionError:
         raise ParseError(f"{kind} nested too deeply for json") from None
+
+
+def _check_nesting(nesting: int, kind: str) -> None:
+    """Raise ParseError unless json reads a document nested ``nesting`` deep."""
+    try:
+        json.loads("[" * nesting + "]" * nesting)
+    except RecursionError:
+        raise ParseError(f"{kind} nested too deeply for json") from None
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -395,8 +416,73 @@ def _read_json(path: str, kind: str):
             raise ParseError(f"bad {kind} document: {exc.msg}", exc.lineno) from None
 
 
+class _LevelText(NamedTuple):
+    """The text ``json.dumps(doc, indent=2)`` puts around a node document
+    nested some number of levels below the tree document's own object."""
+
+    test: str  # an internal node's opening, up to its test id
+    zero: str  # after its test id, up to its zero child
+    leaf: str  # a leaf's opening, up to its label
+    close: str  # after a node's last member: its closing brace
+    one: str  # after a node's zero child, up to its one child, which is at this level
+
+
+def _level_text(level: int) -> _LevelText:
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    return _LevelText("{" + inner + '"test": ', "," + inner + '"0": ',
+                      "{" + inner + '"leaf": ', outer + "}", "," + outer + '"1": ')
+
+
+_LEVEL_TEXT = tuple(map(_level_text, range(32)))  # deeper levels are made per call
+
+
+def _node_parts(root: Node) -> tuple[list[str], int]:
+    """(parts, deepest): the parts of the text that ``json.dumps(doc,
+    indent=2)`` gives the node document of ``root`` as the tree document's
+    ``"root"``, from one preorder pass, and the level of its deepest node,
+    the root's being 1. Ids are written by json's own string encoder. Before
+    the pass first reaches a level past the texts made so far, json must
+    read a document nested that deep, so a tree too deep for json fails
+    before its whole text is made."""
+    texts, parts = _LEVEL_TEXT, []
+    stack: list[tuple[Node, int]] = []  # the one children still to write, with their levels
+    node, level, deepest = root, 1, 1
+    while True:
+        while True:  # down the zero children; the one children wait
+            if level == len(texts):
+                _check_nesting(level + 1, "tree")
+                texts = (*texts, *map(_level_text, range(level, 2 * level)))
+            if not isinstance(node, Internal):
+                break
+            text = texts[level]
+            parts += text.test, _encode_string(node.test), text.zero
+            stack.append((node.one, level + 1))
+            node = node.zero
+            level += 1
+        text = texts[level]
+        parts += text.leaf, _encode_string(node.label), text.close
+        if level > deepest:
+            deepest = level
+        if not stack:
+            break
+        node, up = stack.pop()  # the one child of the node at level up - 1
+        parts += [text.close for text in texts[level - 1 : up - 1 : -1]]  # the subtrees done
+        parts.append(texts[up].one)
+        level = up
+    parts += [text.close for text in texts[level - 1 : 0 : -1]]
+    return parts, deepest
+
+
 def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> None:
-    _write_json(path, tree_to_doc(tree, table, builder), "tree")
+    """Write ``json.dumps(tree_to_doc(tree, table, builder), indent=2)`` and a
+    newline. Only the head goes through json, whose encoder is pure Python
+    once ``indent`` is set; :func:`_node_parts` writes the nodes. A tree
+    that json could not read back, nested past its limit, raises ParseError
+    and writes nothing."""
+    head = _json_text(_tree_head(table, builder), "tree")
+    parts, deepest = _node_parts(tree.root)
+    _check_nesting(deepest + 1, "tree")  # the document's own object, then one per level
+    _write_text(path, head[:-2] + ',\n  "root": ' + "".join(parts) + "\n}")
 
 
 def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> DecisionTree:
@@ -454,7 +540,7 @@ def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
 
 
 def save_allocation(path: str, allocation: WorkerAllocation) -> None:
-    _write_json(path, allocation_to_doc(allocation), "allocation")
+    _write_text(path, _json_text(allocation_to_doc(allocation), "allocation"))
 
 
 def load_allocation(path: str) -> WorkerAllocation:

@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import DomainError, ErrorProbOutOfRange, EvenVoteCount
 
 _MAX_EXACT_PAIRS = 500
+_NORMAL_EXPONENTS = 1022  # 2**-1022 is the least normal float
 _BETA_EPS = 1e-15
 _BETA_MAX_ITER = 500
 
@@ -42,6 +43,13 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
     that at most ``extra_pairs`` of the workers answer correctly. Each
     coefficient comes from the one before by the exact integer recurrence
     C(n, j + 1) = C(n, j) * (n - j) // (j + 1).
+
+    Where ``w ** n`` would leave the normal floats, n·log2(1/w) ≥ 1022, the
+    powers of ``w = f·2**e`` are taken as ``f ** (n - j)`` and their powers
+    of two carried apart, relative to the largest term's (j = k): no term
+    then underflows before it meets its coefficient. Elsewhere every power
+    is normal, f is w and e is 0, so each term is
+    ``C(n, j) * q**j * w**(n - j)`` bit for bit.
     """
     _check_worker_error(worker_error)
     if extra_pairs < 0 or extra_pairs != int(extra_pairs):
@@ -53,11 +61,16 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
     k = int(extra_pairs)
     n = 2 * k + 1
     q = 1.0 - worker_error
+    f, e = worker_error, 0
+    if n * -math.log2(worker_error) >= _NORMAL_EXPONENTS:
+        f, e = math.frexp(worker_error)
+    # term j is x·2**(e·(n - j)), x = C(n, j)·q**j·f**(n - j), in [2**-1001, 2**1000]
+    # when scaled; it is kept as x·2**(e·(k - j)), relative to the largest term's
     terms, c = [], 1  # c is C(n, j)
     for j in range(k + 1):
-        terms.append(c * q**j * worker_error ** (n - j))
+        terms.append(math.ldexp(c * q**j * f ** (n - j), e * (k - j)))
         c = c * (n - j) // (j + 1)
-    return math.fsum(terms)
+    return math.ldexp(math.fsum(terms), e * (k + 1))
 
 
 def reg_incomplete_beta(x: float, a: float, b: float) -> float:

@@ -218,7 +218,15 @@ def level_quantities(
     """Entropy, masses, and both metrics for every level of ``tree``. The
     levels come from a compile, so they go unchecked."""
     levels = _compile(tree, table).levels
-    entropies = _level_entropies(table.priors, levels)
+    return _level_figures(table, levels, _level_entropies(table.priors, levels), ratio_offset)
+
+
+def _level_figures(
+    table: TestTable, levels: Sequence[list], entropies: Sequence[float], ratio_offset: float
+) -> list[LevelQuantities]:
+    """:func:`level_quantities` of a tree given as its ``levels``, each the
+    list of its splits ``(block, test index, ...)``, with ``entropies`` the
+    :func:`_level_entropies` of those levels."""
     total = _partials(table.priors)
     out: list[LevelQuantities] = []
     for d, (level, h_prev, h_next) in enumerate(zip(levels, entropies, entropies[1:]), start=1):
@@ -257,7 +265,7 @@ def _survivals(form: _Compiled, table: TestTable, factors) -> list:
 
 def _split_pms(trees: Sequence[list], priors: Sequence[float], factor: np.ndarray) -> np.ndarray:
     """:func:`exact_misclassification` of each tree, given as its builder
-    splits ``(block, test, zeros, ones)``, when every cell's factor
+    levels of splits ``(block, test, zeros, ones)``, when every cell's factor
     ``1 - e`` is ``factor``, a vector with one lane per error setting; one
     row per tree, one column per lane.
 
@@ -269,8 +277,8 @@ def _split_pms(trees: Sequence[list], priors: Sequence[float], factor: np.ndarra
     are then added in class order, as :func:`_exact` adds them (a running
     sum; a pairwise reduction would round differently)."""
     n = len(priors)
-    depth = np.array([np.bincount([i for split in splits for i in split[0]], minlength=n)
-                      for splits in trees])
+    depth = np.array([np.bincount([i for level in levels for split in level for i in split[0]],
+                                  minlength=n) for levels in trees])
     survive = [np.ones_like(factor), factor]  # by depth; no class has depth 0
     for _ in range(2, int(depth.max()) + 1):
         survive.append(survive[-1] * factor)

@@ -7,9 +7,11 @@ single-class leaf is reached.
 
 Trees are nested ``Leaf``/``Internal`` nodes, but nothing recurses over
 them. ``_preorder`` lists the nodes; leaf labels, test ids, depth and the
-JSON writer read that list. ``_compile`` checks a tree against a table and
-gives, per preorder node, the test index, child links, leaf class, depth
-and class block, found by routing every class down its error-free path.
+tree document read that list, and the tree file writer walks the same
+order itself, keeping each node's depth. ``_compile`` checks a tree
+against a table and gives, per preorder node, the test index, child
+links, leaf class, depth and class block, found by routing every class
+down its error-free path.
 It is the one tree checker: ``validate_tree`` is the compile with its form
 discarded. The same walk records, per depth, each tested node's split
 ``(block, test index, zeros, ones)`` as the builders list theirs, in

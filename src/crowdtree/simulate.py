@@ -471,7 +471,7 @@ def sweep_error(
     largest grid error, where no mass can underflow to 0 unless it does at
     every grid point; then the ``n_random_trees`` trees from the same table
     cells, made once for both builders. No tree is assembled: each stays
-    the builder's list of splits, and every tree is scored at every grid
+    the builder's levels of splits, and every tree is scored at every grid
     point at once, one lane per grid point (trees × classes × grid points
     floats). Under one scalar error every cell carries the same factor, so
     a class's survival depends only on how many splits it passes

@@ -353,6 +353,20 @@ def test_builders_split_each_block_once_from_their_own_cells(monkeypatch):
     assert {"split_block", "applicable_tests", "refine_partition"} == set(calls)
 
 
+def test_only_screened_levels_make_the_screen_rows():
+    """Every level of a 12-class benchmark-shaped table stays under the
+    screen's threshold, so its build never makes ``_Cells.screen``; a
+    40-class build screens its first level and makes them."""
+    for n_classes, screened in ((12, False), (40, True)):
+        for seed in range(3):
+            table = support.wide_table(n_classes, seed)
+            for kind in Metric:
+                cells = builder_module._cells(table, kind)
+                config = BuilderConfig(metric=MetricConfig(kind=kind))
+                builder_module._greedy_splits(table, config, cells)
+                assert len(cells.screen) == (2 if screened else 0), (n_classes, seed, kind)
+
+
 def test_builders_do_not_recheck_their_own_partitions(monkeypatch):
     checks = []
     for name in ("crowdtree.model", "crowdtree.metrics"):

@@ -10,7 +10,7 @@ import pytest
 import crowdtree
 import support
 from crowdtree import AssignmentStrategy, assign_baseline, sweep_workers
-from crowdtree.cli import main
+from crowdtree.cli import _MAX_GRID_POINTS, _parse_grid, main
 from crowdtree.errors import DomainError
 from crowdtree.fileio import table_to_text
 from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree
@@ -471,6 +471,15 @@ OUT_OF_RANGE_SIZES = {
     "sweep-error-grid-descending": (["sweep-error", "--grid", "0.3:0.1:0.1"],
                                     "bad grid '0.3:0.1:0.1'"),
     "sweep-error-grid-step-0": (["sweep-error", "--grid", "0.1:0.3:0"], "bad grid '0.1:0.3:0'"),
+    "sweep-error-grid-step-nan": (["sweep-error", "--grid", "0.1:0.3:nan"],
+                                  "bad grid '0.1:0.3:nan'"),
+    # counted from start, stop and step before any point is made
+    "sweep-error-grid-480-million-points": (["sweep-error", "--grid", "0.01:0.49:1e-9"],
+                                            "bad grid '0.01:0.49:1e-9': more than 10000 points"),
+    "sweep-error-grid-10001-points": (["sweep-error", "--grid", "0:1:0.0001"],
+                                      "bad grid '0:1:0.0001': more than 10000 points"),
+    "sweep-error-grid-infinite-stop": (["sweep-error", "--grid", "0.01:inf:0.01"],
+                                       "bad grid '0.01:inf:0.01': more than 10000 points"),
     "sweep-workers-unknown-strategy": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"],
                                         "--strategies", "proposed,bogus"],
                                        "unknown strategy 'bogus'"),
@@ -484,6 +493,11 @@ def test_out_of_range_size_exits_2(case, table_path, tree_path, capsys):
     assert main([command, *on_tree, "--table", table_path, *rest]) == 2
     captured = capsys.readouterr()
     assert phrase in captured.err and captured.out == ""
+
+
+def test_grid_of_the_point_limit_expands():
+    grid = _parse_grid("0:0.9999:0.0001")
+    assert len(grid) == _MAX_GRID_POINTS and grid[-1] == 0.9999
 
 
 def test_exit_code_io_error(tmp_path):

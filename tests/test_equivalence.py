@@ -67,6 +67,7 @@ import support
 # The package re-exports ``simulate`` the function under the module's name.
 builder_module = importlib.import_module("crowdtree.builder")
 cli_module = importlib.import_module("crowdtree.cli")
+fileio_module = importlib.import_module("crowdtree.fileio")
 metrics_module = importlib.import_module("crowdtree.metrics")
 model_module = importlib.import_module("crowdtree.model")
 simulate_module = importlib.import_module("crowdtree.simulate")
@@ -994,8 +995,9 @@ def test_level_trace_equals_recursive_walk():
 
 
 def test_compiled_levels_are_the_builders_splits():
-    # the compile records each level's splits as the builders list them, and
-    # its blocks are the tested blocks of the recursive level walk
+    # the compile records each level's splits as the builders list them,
+    # level by level, and its blocks are the tested blocks of the recursive
+    # level walk
     tables = [
         support.random_table(seed, max_classes=12, max_tests=16, cell_errors=seed % 2 == 1)
         for seed in range(40)
@@ -1013,7 +1015,7 @@ def test_compiled_levels_are_the_builders_splits():
         for splits in runs:
             tree = builder_module._assemble(splits, table)
             levels = model_module._compile(tree, table).levels
-            assert [split for level in levels for split in level] == splits
+            assert levels == splits
             assert [[split[0] for split in level] for level in levels] == [
                 list(step.assignment) for step in support.level_trace_recursive(tree, table)
             ]
@@ -1132,12 +1134,12 @@ def test_assembled_trees_equal_recursive_assembly():
     for tree, table in _form_cases():
         chosen = [step.assignment for step in support.level_trace_recursive(tree, table)]
         root = support.assemble_recursive(table.all_classes_block(), 0, chosen, table)
-        splits = [
-            (block, table.test_index(test_id), *split_block(table, block, test_id))
+        levels = [
+            [(block, table.test_index(test_id), *split_block(table, block, test_id))
+             for block, test_id in assignment.items()]
             for assignment in chosen
-            for block, test_id in assignment.items()
         ]
-        assert builder_module._assemble(splits, table) == DecisionTree(root) == tree
+        assert builder_module._assemble(levels, table) == DecisionTree(root) == tree
 
 
 def _rebuild(form, table):
@@ -1518,7 +1520,14 @@ def _check_greedy_scoring(table, config=BuilderConfig()):
             [_point_key(p) for p in pts] for pts in points
         ]
     offset = config.metric.ratio_offset
-    assert list(result.levels) == level_quantities(result.tree, table, offset)
+    assert [_figure_bits(q) for q in result.levels] == [
+        _figure_bits(q) for q in level_quantities(result.tree, table, offset)
+    ]
+
+
+def _figure_bits(figures):
+    """A level's figures, each float by ``float.hex``."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(figures)]
 
 
 SCORING_CONFIGS = (
@@ -1812,4 +1821,27 @@ def test_cli_jobs_compile_once(monkeypatch, tmp_path, capsys):
         assert _cli_compile_counts(monkeypatch, argv) == 1
     argv = ["sweep-workers", *on_tree, "--kmax", "6", "--worker-error", "0.2", "--draws", "3"]
     assert _cli_compile_counts(monkeypatch, argv) == 1
+    capsys.readouterr()
+
+
+def test_cli_jobs_hash_their_table_once(monkeypatch, tmp_path, capsys):
+    """The table checksum is memoised on the table, so ``sweep-workers``,
+    which reads it to check the stored tree and again for its report
+    header, renders and hashes its table once."""
+    table = tmp_path / "table.csv"
+    table.write_text(DEMO_TABLE_CSV, encoding="utf-8")
+    tree = str(tmp_path / "tree.json")
+    on_table = ["--table", str(table), "--error-prob", "0.05"]
+    on_tree = ["--tree", tree, *on_table]
+    jobs = (
+        ["build", *on_table, "--out", tree],
+        ["sweep-workers", *on_tree, "--kmax", "6", "--worker-error", "0.2", "--draws", "3"],
+        ["evaluate", *on_tree],
+        ["sweep-error", "--table", str(table), "--grid", "0.05:0.25:0.1", "--random-trees", "2"],
+    )
+    for argv in jobs:
+        hashed = _counting(monkeypatch, fileio_module, "_table_bytes")
+        assert cli_module.main(argv) == 0
+        assert len(hashed) == 1, argv[0]
+        monkeypatch.undo()
     capsys.readouterr()

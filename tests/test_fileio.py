@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import json
 import math
+import os
 import random
 import re
 from decimal import Decimal
@@ -19,6 +21,7 @@ from crowdtree import (
     assign_proposed,
     sweep_error,
 )
+from crowdtree.builder import BuilderConfig, build_greedy, build_random
 from crowdtree.errors import ParseError, TableMismatch, UnknownTest, ValidationError
 from crowdtree.fileio import (
     allocation_from_doc,
@@ -38,7 +41,10 @@ from crowdtree.fileio import (
     worker_sweep_csv,
 )
 from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree
+from crowdtree.metrics import Metric, MetricConfig
 from crowdtree.simulate import simulate, sweep_workers
+
+import support
 
 
 def test_parse_demo_csv_matches_fixture():
@@ -363,6 +369,69 @@ def test_too_deep_tree_document_raises_parse_error(tmp_path):
     with pytest.raises(ParseError, match="nested too deeply for json"):
         save_tree(str(out), DecisionTree(root), demo_table(0.05))
     assert not out.exists()
+
+
+_ID_PIECES = st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "a", "é", "☃", "𝄞"]),
+                     max_size=4)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(max_size=3), values,
+                                                                  max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    random_seed=st.none() | st.integers(0, 1_000),
+    metric=st.sampled_from(list(Metric)),
+    class_piece=_ID_PIECES,
+    test_piece=_ID_PIECES,
+    builder=st.none() | st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
+)
+def test_saved_tree_is_json_dumps_of_its_document(
+    tmp_path_factory, seed, random_seed, metric, class_piece, test_piece, builder
+):
+    """``save_tree`` writes the nodes itself; its bytes are those of
+    ``json.dumps(tree_to_doc(...), indent=2)`` and a newline, for greedy
+    and random trees whose ids hold quotes, backslashes, control and
+    non-ASCII characters, under builder mappings of any JSON values (NaN
+    and infinities included) and empty containers."""
+    table = support.random_table(seed, max_classes=10, max_tests=12)
+    table = dataclasses.replace(
+        table,
+        classes=tuple(f"{i}{class_piece}" for i in range(table.n_classes)),
+        tests=tuple(f"{test_piece}{m}" for m in range(table.n_tests)),
+    )
+    if random_seed is None:
+        tree = build_greedy(table, BuilderConfig(metric=MetricConfig(kind=metric))).tree
+    else:
+        tree = build_random(table, random_seed)
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    save_tree(str(path), tree, table, builder)
+    want = json.dumps(tree_to_doc(tree, table, builder), indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_committed_trees_save_to_their_own_bytes(tmp_path):
+    """Every tree file under ``tests/data``, read and saved again with its
+    own builder mapping, is byte-identical to the file."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    tables = {
+        "demo": parse_table_text(DEMO_TABLE_CSV),
+        "random12": load_table(os.path.join(data, "random12_table.csv")),
+    }
+    names = sorted(name for name in os.listdir(data) if name.endswith(".json"))
+    assert len(names) == 8
+    for name in names:
+        with open(os.path.join(data, name), "rb") as fh:
+            committed = fh.read()
+        doc = json.loads(committed)
+        table = tables[name.split("_")[0]]
+        out = tmp_path / name
+        save_tree(str(out), tree_from_doc(doc, table), table, doc["builder"])
+        assert out.read_bytes() == committed, name
 
 
 def test_tree_document_of_depth_500_round_trips(tmp_path):

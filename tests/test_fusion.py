@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from scipy import integrate, special
@@ -35,10 +36,47 @@ def test_group_error_against_vote_enumeration():
 
 
 def test_group_error_recurrence_equals_comb_sum():
+    # bit for bit wherever every power w ** (n - j) is a normal float; past
+    # that the powers are scaled, which the tests below check
     worker_errors = (1e-12, 0.01, 0.2, 0.3, 0.4999999999)
     for k in range(501):
-        got = [group_error(k, w) for w in worker_errors]
-        assert got == support.comb_group_errors(k, worker_errors), k
+        unscaled = [w for w in worker_errors if (2 * k + 1) * -math.log2(w) < 1022]
+        got = [group_error(k, w) for w in unscaled]
+        assert got == support.comb_group_errors(k, unscaled), k
+
+
+GROUP_ERROR_REL_BOUND = 1e-12  # scipy's betainc itself strays up to 1.5e-13 on this grid
+
+
+def test_group_error_against_betainc_at_every_pair_count():
+    """Within 1e-12 of ``betainc(k + 1, k + 1, w)``, relative, for every
+    k <= 500 where that is a normal float, including the k where a term's
+    power of w would underflow: from k = 77 at w = 0.01 and k = 220 at 0.2."""
+    for w in (0.01, 0.05, 0.1, 0.2, 0.3):
+        for k in range(501):
+            want = float(special.betainc(k + 1, k + 1, w))
+            if want >= sys.float_info.min:
+                assert abs(group_error(k, w) - want) <= GROUP_ERROR_REL_BOUND * want, (w, k)
+
+
+def test_group_error_past_underflow_equals_exact_tail():
+    # the rational tail of the same float w; at w = 1e-10, k = 30 betainc is
+    # off by 1e-5, relative
+    for w, k in ((1e-10, 30), (0.01, 196), (0.05, 300), (0.2, 462), (0.2, 499)):
+        a, b = w.as_integer_ratio()  # w = a / b
+        n = 2 * k + 1
+        tail = sum(math.comb(n, j) * (b - a) ** j * a ** (n - j) for j in range(k + 1))
+        exact = tail / b**n  # int / int rounds correctly
+        assert abs(group_error(k, w) - exact) <= 1e-13 * exact, (w, k)
+
+
+def test_prop1_holds_where_group_errors_underflowed():
+    # each call reported strictly_decreasing=False while group_error read 0.0
+    for w, k_max in ((0.05, 300), (0.2, 499)):
+        report = prop1_check(w, k_max)
+        assert report.strictly_decreasing and report.passed, w
+    assert group_error(300, 0.05) == pytest.approx(1.45e-219, rel=1e-2)
+    assert group_error(499, 0.2) == pytest.approx(2.58e-99, rel=1e-2)
 
 
 def test_group_error_domain():
