@@ -1,23 +1,26 @@
 """Decision tree construction: greedy metric-driven, random, and exhaustive.
 
-The greedy and random builders share one level loop, :func:`_grow`: every
-still-ambiguous block gets exactly one applicable test per level, picked by
-the builder's own choice function, until every block is a singleton. Each
-level splits every open block into two non-empty halves, so a build ends
-within classes - 1 levels. The greedy choice is joint across the level's
-blocks and scored by the configured metric. Both metrics are sums over
-blocks of one point per (block, applicable test): h, the mass times entropy
-of the two sub-blocks, and one mass, which is the error mass g under the
-additive metric and the correct mass c under the multiplicative one. The
-choice is exact without enumerating the cross product: Dinkelbach's
-iteration for the additive ratio, a walk along the lower-left hull of the
-Minkowski sum of the per-block points for the multiplicative product.
-Under one scalar error every point of a block carries the same mass, so
-both choices take each block's least-h point, the lowest test index on
-equal h, and the greedy tree does not depend on the error;
-:func:`crowdtree.simulate.sweep_error` builds it once. The additive
-selector takes that point outright in a block of one mass, so that
-rounding in its key h + lam * g cannot tie points whose h differ.
+The greedy and random builders share one level loop, :func:`_grow`, which
+does each level's common work once: it lists the still-ambiguous (open)
+blocks, finds the tests applicable to each, and names an inseparable pair
+for the first block with none (:func:`_inseparable_error`). Only then does
+the builder's own choice function pick one applicable test per open block,
+until every block is a singleton. Each level splits every open block into
+two non-empty halves, so a build ends within classes - 1 levels. The greedy
+choice is joint across the level's blocks and scored by the configured
+metric. Both metrics are sums over blocks of one point per (block,
+applicable test): h, the mass times entropy of the two sub-blocks, and one
+mass, which is the error mass g under the additive metric and the correct
+mass c under the multiplicative one. The choice is exact without
+enumerating the cross product: Dinkelbach's iteration for the additive
+ratio, a walk along the lower-left hull of the Minkowski sum of the
+per-block points for the multiplicative product. Under one scalar error
+every point of a block carries the same mass, so both choices take each
+block's least-h point, the lowest test index on equal h, and the greedy
+tree does not depend on the error; :func:`crowdtree.simulate.sweep_error`
+builds it once. The additive selector takes that point outright in a block
+of one mass, so that rounding in its key h + lam * g cannot tie points
+whose h differ.
 
 Both builders read what does not change between levels from one
 :class:`_Cells` per build, or per table for random builds and the
@@ -98,7 +101,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, combinations, compress, count
 from operator import and_, attrgetter, itemgetter, mul, not_, or_
 from typing import Callable, Iterator, NamedTuple
 
@@ -109,9 +112,9 @@ from .metrics import (
     LevelQuantities,
     Metric,
     MetricConfig,
-    _block_entropy,
     _entropy_term,
     _level_figures,
+    _open_entropy,
     exact_correct,
     exact_misclassification,
     metric_additive,
@@ -142,21 +145,19 @@ class GreedyResult:
     levels: tuple[LevelQuantities, ...]
 
 
-def _inseparable_error(table: TestTable, block: Block) -> InseparableClasses:
+def _inseparable_error(cells: _Cells, block: Block) -> InseparableClasses:
     """Name an offending pair: the first two block members, in
-    ``itertools.combinations`` order, that no single test tells apart."""
-    cells = table.outcomes[:, block]
-    ones, zeros = cells == 1, cells == 0
-    for k in range(len(block) - 1):  # member k against every later member
-        apart = (ones[:, k, None] & zeros[:, k + 1:]) | (zeros[:, k, None] & ones[:, k + 1:])
-        together = ~apart.any(axis=0)
-        if together.any():
-            i, j = block[k], block[k + 1 + int(together.argmax())]
+    ``itertools.combinations`` order, that no single test tells apart.
+    Classes i and j are told apart by the tests defined for both on which
+    one answers 1 and the other 0, the bits of
+    ``(one[i] ^ one[j]) & ~(undefined[i] | undefined[j])``."""
+    one, undefined, classes = cells.tests_one, cells.tests_undefined, cells.table.classes
+    for i, j in combinations(block, 2):
+        if not (one[i] ^ one[j]) & ~(undefined[i] | undefined[j]):
             return InseparableClasses(
-                f"classes {table.classes[i]!r} and {table.classes[j]!r} are not "
-                f"separated by any test"
+                f"classes {classes[i]!r} and {classes[j]!r} are not separated by any test"
             )
-    names = [table.classes[i] for i in block]
+    names = [classes[i] for i in block]
     return InseparableClasses(
         f"no applicable test splits the group {names}; classes "
         f"{names[0]!r} and {names[1]!r} stay together"
@@ -515,45 +516,40 @@ def _same_split(
 
 
 def _choose_level_assignment(
-    table: TestTable,
     cells: _Cells,
     config: BuilderConfig,
     partition: Partition,
+    blocks: list[Block],
+    applicable: list[list[int]],
     entropies: list | None = None,
-) -> dict[Block, int]:
-    """One test index per open block, exactly maximizing the level metric; ties
-    go to the lexicographically smallest test indices, blocks in partition order.
-    Appends the partition's :func:`crowdtree.metrics.level_entropy`, summed
-    as :func:`crowdtree.metrics._level_entropies` sums it, to ``entropies``.
+) -> list[int]:
+    """One test index per open block of ``partition``, ``blocks`` in
+    partition order, from the tests ``applicable`` to each, none empty,
+    exactly maximizing the level metric; ties go to the lexicographically
+    smallest test indices. Appends the partition's
+    :func:`crowdtree.metrics.level_entropy`, summed by
+    :func:`crowdtree.metrics._open_entropy`, to ``entropies``.
 
     A level whose open blocks hold fewer than ``_SCREEN_FROM`` (member,
     applicable test) pairs scores every point exactly: there the screen
     costs more than the exact scoring it saves. A larger level's screen
     picks, per block, the tests that can still win, and only those are
     scored exactly (:func:`_screened_points`). Both give the same choice."""
-    open_blocks = [b for b in partition if len(b) > 1]
-    applicable = [_applicable(cells, b) for b in open_blocks]
-    for block, tests in zip(open_blocks, applicable):
-        if not tests:
-            raise _inseparable_error(table, block)
-    terms = [_block_entropy(table.priors, b) for b in open_blocks]
-    entropy_before = 0.0
-    for term in terms:  # as level_entropy adds them; a singleton adds 0.0
-        entropy_before += term
+    terms, entropy_before = _open_entropy(cells.priors, blocks)
     if entropies is not None:
         entropies.append(entropy_before)
-    if sum(map(mul, map(len, open_blocks), map(len, applicable))) < _SCREEN_FROM:
-        points = [_block_points(cells, b, tests) for b, tests in zip(open_blocks, applicable)]
+    if sum(map(mul, map(len, blocks), map(len, applicable))) < _SCREEN_FROM:
+        points = [_block_points(cells, b, tests) for b, tests in zip(blocks, applicable)]
         narrow = None
     else:
-        points, narrow = _screened_points(cells, config, open_blocks, terms, applicable)
+        points, narrow = _screened_points(cells, config, blocks, terms, applicable)
     if config.metric.kind is Metric.ADDITIVE:
         choice = _select_additive(points, entropy_before, narrow)
     else:
-        singletons = math.fsum(table.priors[b[0]] for b in partition if len(b) == 1)
+        singletons = math.fsum(cells.priors[b[0]] for b in partition if len(b) == 1)
         offset = config.metric.ratio_offset
         choice = _select_multiplicative(points, entropy_before, singletons, offset)
-    return {b: p.test for b, p in zip(open_blocks, choice)}
+    return [p.test for p in choice]
 
 
 _SCREEN_FROM = 256  # the (member, applicable test) pairs of a level worth screening
@@ -597,16 +593,18 @@ def _screened_points(
     return points, narrow
 
 
-def _split_level(cells: _Cells, partition: Partition, chosen: dict, splits: list) -> Partition:
-    """The partition after each block b of ``chosen`` is split by the test
-    of index ``chosen[b]``; appends (b, that index, zeros, ones), in
-    partition order, to ``splits``, the level's list."""
+def _split_level(cells: _Cells, partition: Partition, chosen: list, splits: list) -> Partition:
+    """The partition after each open block b, of more than one class, is
+    split by the test of index ``chosen[k]``, b being the k-th open block;
+    appends (b, that index, zeros, ones), in partition order, to
+    ``splits``, the level's list."""
     after: list[Block] = []
+    tests = iter(chosen)
     for block in partition:
-        m = chosen.get(block)
-        if m is None:
+        if len(block) == 1:
             after.append(block)
             continue
+        m = next(tests)
         side = itemgetter(*block)(cells.outcomes[m])
         # tuples made from lists: tuple() of an iterator resizes as it fills
         split = tuple([*compress(block, map(not_, side))]), tuple([*compress(block, side)])
@@ -627,16 +625,24 @@ def _assemble(levels: list[list[tuple]], table: TestTable) -> DecisionTree:
 
 
 def _grow(table: TestTable, cells: _Cells, choose) -> list[list[tuple]]:
-    """Per level, the splits of the tree made level by level from the
+    """Per level, the splits of the tree grown level by level from the
     one-block partition, as :func:`_split_level` lists them, the shape of a
-    compiled tree's ``levels``: ``choose(partition)`` maps each open block
-    to a test index, and each chosen block is split by its test, until
-    every block is a singleton. :func:`_assemble` makes the tree of them."""
+    compiled tree's ``levels``; :func:`_assemble` makes the tree of them.
+    The loop does each level's work that both builders share: it lists the
+    open blocks, of more than one class, in partition order, finds the
+    tests applicable to each (:func:`_applicable`) and raises
+    :func:`_inseparable_error` for the first with none. Only then does
+    ``choose(partition, blocks, tests)`` give one test index per open
+    block, in their order; each block is split by its test, until every
+    block is a singleton."""
     partition: Partition = (table.all_classes_block(),)
     levels: list[list[tuple]] = []
-    while any(len(b) > 1 for b in partition):
+    while blocks := [b for b in partition if len(b) > 1]:
+        tests = [_applicable(cells, b) for b in blocks]
+        if [] in tests:
+            raise _inseparable_error(cells, blocks[tests.index([])])
         levels.append([])
-        partition = _split_level(cells, partition, choose(partition), levels[-1])
+        partition = _split_level(cells, partition, choose(partition, blocks, tests), levels[-1])
     return levels
 
 
@@ -665,7 +671,7 @@ def _greedy_splits(
     ``cells``, the table's :func:`_cells` under the config's metric, which
     :func:`_random_splits` can share; appends each level's entropy to
     ``entropies``, if given."""
-    choose = partial(_choose_level_assignment, table, cells, config, entropies=entropies)
+    choose = partial(_choose_level_assignment, cells, config, entropies=entropies)
     return _grow(table, cells, choose)
 
 
@@ -684,16 +690,8 @@ def _random_splits(table: TestTable, seed: int, cells: _Cells) -> list[list[tupl
     share."""
     rng = random.Random(seed)
 
-    def choose(partition: Partition) -> dict[Block, int]:
-        chosen: dict[Block, int] = {}
-        for block in partition:
-            if len(block) == 1:
-                continue
-            tests = _applicable(cells, block)
-            if not tests:
-                raise _inseparable_error(table, block)
-            chosen[block] = tests[rng.randrange(len(tests))]
-        return chosen
+    def choose(_partition, _blocks, applicable: list[list[int]]) -> list[int]:
+        return [tests[rng.randrange(len(tests))] for tests in applicable]
 
     return _grow(table, cells, choose)
 
@@ -772,5 +770,5 @@ def best_tree_exhaustive(
         if better or (value == best_value and key < best_key):
             best_tree, best_value, best_key = tree, value, key
     if best_tree is None:
-        raise _inseparable_error(table, table.all_classes_block())
+        raise _inseparable_error(_cells(table), table.all_classes_block())
     return best_tree, best_value

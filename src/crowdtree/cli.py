@@ -221,6 +221,8 @@ def _cmd_sweep_workers(args) -> int:
     if args.kmax < 0:
         raise ValidationError(f"kmax must be >= 0, got {args.kmax}")
     table, tree = _load_stored_tree(args, require_error=False)
+    budgets = range(args.kmax + 1)  # lazy: the check stops at the first budget past the limit
+    workers._check_pair_limit(tree, table, budgets)
     strategies = []
     for name in args.strategies.split(","):
         name = name.strip()
@@ -232,7 +234,7 @@ def _cmd_sweep_workers(args) -> int:
     points = sweep_workers(
         tree,
         table,
-        list(range(args.kmax + 1)),
+        budgets,
         strategies,
         args.worker_error,
         seed=args.seed,

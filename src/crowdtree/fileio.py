@@ -371,14 +371,23 @@ def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = 
     return {**_tree_head(table, builder), "root": _node_to_doc(tree.root)}
 
 
+def _object(doc, kind: str) -> Mapping:
+    """``doc``, if it is a JSON object; else raise ParseError."""
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"{kind} document must be an object, got {type(doc).__name__}")
+    return doc
+
+
 def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -> DecisionTree:
     """Rebuild and fully validate a tree document against ``table``."""
-    if doc.get("format") != TREE_FORMAT:
+    if _object(doc, "tree").get("format") != TREE_FORMAT:
         raise ParseError(f"unsupported tree format {doc.get('format')!r}")
     if check_checksum and doc.get("table_sha256") != table_checksum(table):
         raise TableMismatch(
             "tree document was built from a different table (checksum mismatch)"
         )
+    if "root" not in doc:
+        raise ParseError("bad tree document: no 'root'")
     tree = DecisionTree(_node_from_doc(doc["root"]))
     validate_tree(tree, table)
     return tree
@@ -517,11 +526,15 @@ def allocation_to_doc(allocation: WorkerAllocation) -> dict:
 
 
 def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
-    if doc.get("format") != ALLOCATION_FORMAT:
+    if _object(doc, "allocation").get("format") != ALLOCATION_FORMAT:
         raise ParseError(f"unsupported allocation format {doc.get('format')!r}")
     try:
         strategy = AssignmentStrategy(doc["strategy"])
-        pairs = {row["test"]: row["extra_pairs"] for row in doc["tests"]}
+        pairs = {}
+        for row in doc["tests"]:
+            if row["test"] in pairs:
+                raise ParseError(f"duplicate allocation row for test {row['test']!r}")
+            pairs[row["test"]] = row["extra_pairs"]
         allocation = WorkerAllocation(
             extra_pairs=pairs,
             worker_error=float(doc["worker_error"]),

@@ -81,7 +81,7 @@ def reg_incomplete_beta(x: float, a: float, b: float) -> float:
     keeps the fraction in its fast-converging region. Absolute accuracy is
     about 1e-13 or better across the domain.
     """
-    if math.isnan(x) or not (0.0 <= x <= 1.0):
+    if not 0.0 <= x <= 1.0:  # a NaN fails too
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"shape parameters must be positive, got a={a!r}, b={b!r}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -80,16 +82,21 @@ def _level_entropies(priors: Sequence[float], levels: Sequence[list]) -> list[fl
     form's ``levels``, then 0.0, as the last level leaves only singletons.
     The form is of a tree checked against a table, whose priors are all
     positive, so a level's tested blocks are its partition's blocks of more
-    than one class, in partition order. Only those are summed: a singleton's
-    term is 0.0, and adding it changes no bit."""
-    out = []
-    for level in levels:
-        total = 0.0
-        for block, *_ in level:
-            total += _entropy_term([priors[i] for i in block])
-        out.append(total)
+    than one class, in partition order. Only those are summed
+    (:func:`_open_entropy`): a singleton's term is 0.0, and adding it
+    changes no bit."""
+    out = [_open_entropy(priors, [block for block, *_ in level])[1] for level in levels]
     out.append(0.0)
     return out
+
+
+def _open_entropy(priors: Sequence[float], blocks: Sequence[Block]) -> tuple[list[float], float]:
+    """(terms, total): the :func:`_entropy_term` of each of a level's open
+    ``blocks``, in partition order, and their running sum in that order,
+    the level's :func:`level_entropy` bit for bit. The greedy builder's
+    level choice and :func:`_level_entropies` both sum a level here."""
+    terms = [_entropy_term([priors[i] for i in block]) for block in blocks]
+    return terms, reduce(add, terms, 0.0)  # not sum(), which compensates from Python 3.12
 
 
 def _block_entropy(priors: Sequence[float], block: Block) -> float:

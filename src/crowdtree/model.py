@@ -53,7 +53,6 @@ from .errors import (
 Block = tuple[int, ...]
 Partition = tuple[Block, ...]
 
-_PRIOR_EXACT_TOL = 1e-9
 _PRIOR_RENORM_TOL = 1e-6
 
 
@@ -247,12 +246,12 @@ def _checked_priors(
         raise ValidationError(f"expected {len(classes)} priors, got {len(priors)}")
     priors = tuple(_as_float(p) for p in priors)
     for class_id, p in zip(classes, priors):
-        if not (0.0 < p <= 1.0) or math.isnan(p):
+        if not 0.0 < p <= 1.0:  # a NaN fails too
             raise NonPositivePrior(f"prior for {class_id!r} is {p!r}, must be in (0, 1]")
     total = math.fsum(priors)
     if abs(total - 1.0) > _PRIOR_RENORM_TOL:
         raise PriorSumMismatch(f"priors sum to {total!r}, expected 1")
-    if abs(total - 1.0) > _PRIOR_EXACT_TOL or total != 1.0:
+    if total != 1.0:
         priors = tuple(p / total for p in priors)
     return priors
 

@@ -512,6 +512,9 @@ class WorkerSweepPoint:
     pm: float
 
 
+_MAX_SWEEP_PAIRS = 1 << 23  # the pair counts a sweep holds at once, 64 MiB as int64
+
+
 def sweep_workers(
     tree: DecisionTree,
     table: TestTable,
@@ -535,13 +538,15 @@ def sweep_workers(
     run at the largest budget serves every budget). A budget above the
     exact pair limit times the tree's test count raises before any
     allocation is made, since every strategy puts more than the limit on
-    some test; the first such budget in the given order is named.
-    Otherwise a pair count past the exact limit raises before any group
-    error is computed: the first one the settings meet, budget by budget
-    in the given order. The group error is then computed once per
-    distinct pair count, the tree, compiled once, is scored for every
-    setting in one batched exact pass (settings × classes floats), and
-    each strategy's draws are averaged in one reduction per strategy.
+    some test; the first such budget in the given order is named. So does
+    a sweep whose (settings × tests) array would hold more than
+    ``_MAX_SWEEP_PAIRS`` pair counts. Otherwise a pair count past the
+    exact limit raises before any group error is computed: the first one
+    the settings meet, budget by budget in the given order. The group
+    error is then computed once per distinct pair count, the tree,
+    compiled once, is scored for every setting in one batched exact pass
+    (settings × classes floats), and each strategy's draws are averaged in
+    one reduction per strategy.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -554,6 +559,12 @@ def sweep_workers(
         return []
     _check_pair_limit(tree, table, k_values)
     tests = _tree_tests(_compile(tree, table))
+    settings = sum(_draws(strategy, random_draws) for strategy in strategies)
+    if len(k_values) * settings * len(tests) > _MAX_SWEEP_PAIRS:
+        raise ValidationError(
+            f"{len(k_values)} budgets x {settings} allocations x {len(tests)} tests make more "
+            f"than {_MAX_SWEEP_PAIRS} pair counts; use fewer budgets or random draws"
+        )
     proposed = None
     if AssignmentStrategy.PROPOSED in strategies:
         _, log = assign_proposed(tree, table, max(k_values), worker_error, metric)

@@ -48,7 +48,7 @@ class WorkerAllocation:
 
     def __post_init__(self):
         for test_id, k in self.extra_pairs.items():
-            if not isinstance(k, numbers.Integral) or k < 0:
+            if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
                 raise ValidationError(
                     f"pairs on test {test_id!r} must be an integer >= 0, got {k!r}"
                 )

@@ -1123,7 +1123,7 @@ def level_choice_per_point(table: TestTable, cells, config: BuilderConfig, parti
     for block in open_blocks:
         points.append(builder._block_points(cells, block))
         if not points[-1]:
-            raise builder._inseparable_error(table, block)
+            raise builder._inseparable_error(cells, block)
     entropy_before = level_entropy(table.priors, partition)
     if config.metric.kind is Metric.ADDITIVE:
         choice = builder._select_additive(points, entropy_before)

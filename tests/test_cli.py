@@ -370,6 +370,24 @@ def _truncated_tree(tmp_path, tree_path):
     return str(path), None
 
 
+def _tree_text(text):
+    def make(tmp_path, tree_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path), None
+
+    return make
+
+
+def _tree_without_root(tmp_path, tree_path):
+    with open(tree_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["root"]
+    path = tmp_path / "no_root.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), None
+
+
 def _table_with_other_checksum(tmp_path, tree_path):
     other = tmp_path / "other.csv"
     other.write_text(
@@ -386,6 +404,9 @@ TREE_DEFECTS = {
     "checksum-ignored": (_table_with_other_checksum, None, "--ignore-checksum"),
     "truncated": (_truncated_tree, "bad tree document"),
     "no-one-child": (_tree_without_one_child, "internal node needs exactly"),
+    "array": (_tree_text("[]"), "tree document must be an object, got list"),
+    "string": (_tree_text('"x"'), "tree document must be an object, got str"),
+    "no-root": (_tree_without_root, "bad tree document: no 'root'"),
 }
 
 
@@ -423,6 +444,10 @@ ALLOCATION_DEFECTS = {
     "all-not-shared-pool": (_allocation_text(strategy="all", shared_pool=False),
                             "shared_pool False contradicts strategy 'all'"),
     "nested-too-deep": ("[" * 100_000 + "]" * 100_000, "allocation nested too deeply for json"),
+    "array": ("[]", "allocation document must be an object, got list"),
+    "boolean-pairs": (_allocation_text(extra_pairs=True), "must be an integer >= 0, got True"),
+    "repeated-test": (_allocation_text().replace("]", ', {"test": "T1", "extra_pairs": 3}]'),
+                      "duplicate allocation row for test 'T1'"),
 }
 
 
@@ -449,6 +474,13 @@ OUT_OF_RANGE_SIZES = {
                               "kmax must be >= 0"),
     "sweep-workers-draws-0": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"], "--draws", "0"],
                               "random draws must be >= 1"),
+    # checked before any budget, draw or pair array is made
+    "sweep-workers-kmax-10**12": (["sweep-workers", *ON_TREE_ARGS["sweep-workers"],
+                                   "--kmax", str(10**12)],
+                                  "budget 2001 puts more than 500 pairs on some test"),
+    "sweep-workers-draws-past-the-pair-counts": (
+        ["sweep-workers", *ON_TREE_ARGS["sweep-workers"], "--draws", str(10**8)],
+        "3 budgets x 100000003 allocations x 4 tests make more than 8388608 pair counts"),
     "sweep-error-random-trees-0": (["sweep-error", "--random-trees", "0"],
                                    "random trees must be >= 1"),
     "sweep-error-random-trees--2": (["sweep-error", "--random-trees", "-2"],

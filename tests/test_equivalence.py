@@ -1595,10 +1595,11 @@ def _inseparable_tables():
 
 def test_inseparable_error_equals_per_pair_scan():
     for table in _inseparable_tables():
+        cells = builder_module._cells(table)
         blocks = [table.all_classes_block()]
         blocks += [b for b in itertools.combinations(range(table.n_classes), 3)][:20]
         for block in blocks:
-            got = builder_module._inseparable_error(table, block)
+            got = builder_module._inseparable_error(cells, block)
             want = support.inseparable_error_per_pair(table, block)
             assert type(got) is type(want) and str(got) == str(want), block
 
@@ -1663,7 +1664,12 @@ def test_screened_level_choice_equals_choice_from_every_point(config):
     for table in _screening_tables():
         cells = builder_module._cells(table, config.metric.kind)
         for step in level_trace(build_greedy(table, config).tree, table):
-            got = builder_module._choose_level_assignment(table, cells, config, step.before)
+            blocks = [b for b in step.before if len(b) > 1]
+            applicable = [builder_module._applicable(cells, b) for b in blocks]
+            tests = builder_module._choose_level_assignment(
+                cells, config, step.before, blocks, applicable
+            )
+            got = dict(zip(blocks, tests))
             assert got == support.level_choice_per_point(table, cells, config, step.before)
             if config.metric.kind is Metric.MULTIPLICATIVE:
                 _check_screened_hulls(table, cells, step.before)
@@ -1678,7 +1684,7 @@ def test_screen_on_small_levels_keeps_the_choice_from_every_point(config, monkey
 
 def _check_screened_hulls(table, cells, partition):
     blocks = [b for b in partition if len(b) > 1]
-    terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
+    terms = [metrics_module._block_entropy(table.priors, b) for b in blocks]
     applicable = [builder_module._applicable(cells, b) for b in blocks]
     screen = builder_module._screen(cells, blocks, terms, applicable)
     kept = builder_module._multiplicative_points(cells, blocks, screen)
@@ -1711,7 +1717,7 @@ def test_screen_filters_equal_per_block_lists():
             config = BuilderConfig(metric=MetricConfig(kind=kind))
             for step in level_trace(build_greedy(table, config).tree, table):
                 blocks = [b for b in step.before if len(b) > 1]
-                terms = [builder_module._block_entropy(table.priors, b) for b in blocks]
+                terms = [metrics_module._block_entropy(table.priors, b) for b in blocks]
                 applicable = [builder_module._applicable(cells, b) for b in blocks]
                 screen = builder_module._screen(cells, blocks, terms, applicable)
                 if kind is Metric.MULTIPLICATIVE:
@@ -1725,25 +1731,37 @@ def test_screen_filters_equal_per_block_lists():
                     assert builder_module._narrow(screen, lam) == support.narrow_lists(screen, lam)
 
 
-def test_screened_level_choice_raises_the_same_inseparable_error():
-    def outcome(choose, table, cells, config, partition):
-        try:
-            return choose(table, cells, config, partition)
-        except InseparableClasses as error:
-            return type(error), str(error)
+def test_choosers_get_only_blocks_with_applicable_tests(monkeypatch):
+    """On every inseparable table, no chooser call of a greedy build (both
+    metrics) or a random build receives an open block without applicable
+    tests: the level loop raises first, with the error of the per-pair
+    references."""
+    grow, received, raised = builder_module._grow, [], []
 
+    def spied(table, cells, choose):
+        def spy(partition, *rest):
+            received.extend((cells, b) for b in partition if len(b) > 1)
+            return choose(partition, *rest)
+
+        return grow(table, cells, spy)
+
+    def outcome(build, *args):
+        try:
+            build(*args)
+        except InseparableClasses as error:
+            raised.append(build)
+            return str(error)
+
+    monkeypatch.setattr(builder_module, "_grow", spied)
     for table in _inseparable_tables():
-        whole = table.all_classes_block()
-        partitions = [(whole,)]
-        for block in itertools.islice(itertools.combinations(whole, 3), 10):
-            partitions.append((*((i,) for i in whole if i not in block), block))
         for config in SCORING_CONFIGS[:2]:
             cells = builder_module._cells(table, config.metric.kind)
-            for partition in partitions:
-                args = table, cells, config, partition
-                assert outcome(builder_module._choose_level_assignment, *args) == outcome(
-                    support.level_choice_per_point, *args
-                )
+            got = outcome(builder_module._greedy_splits, table, config, cells)
+            assert got == outcome(support.greedy_levels_per_pair, table, config)
+        got = outcome(builder_module._random_splits, table, 0, builder_module._cells(table))
+        assert got == outcome(support.build_random_per_block, table, 0)
+    assert len(raised) > 100 and len(received) > 100
+    assert all(builder_module._applicable(cells, b) for cells, b in received)
 
 
 def test_random_trees_equal_per_block_builder():
