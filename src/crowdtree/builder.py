@@ -102,7 +102,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, combinations, compress, count
-from operator import and_, attrgetter, itemgetter, mul, not_, or_
+from operator import add, and_, attrgetter, itemgetter, mul, not_, or_
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -200,7 +200,8 @@ def _select_additive(
 
     def ratio(choice: list[_Point]) -> float:
         g = math.fsum(p.mass for p in choice)
-        return metric_additive(h_before - sum(p.h for p in choice), g)
+        # a left fold, not sum(), which compensates from Python 3.12 and would move tie-breaks
+        return metric_additive(h_before - reduce(add, (p.h for p in choice), 0.0), g)
 
     one_mass = [min(pts, key=attrgetter("h")) if all(p.mass == pts[0].mass for p in pts)
                 else None for pts in points]
@@ -251,7 +252,8 @@ def _select_multiplicative(
 
     def score(choice: list[_Point]) -> float:
         correct = math.fsum([*(p.mass for p in choice), singleton_mass])
-        return metric_multiplicative(entropy_before, sum(p.h for p in choice), correct, offset)
+        h_after = reduce(add, (p.h for p in choice), 0.0)  # a left fold, as in ratio()
+        return metric_multiplicative(entropy_before, h_after, correct, offset)
 
     return max(vertices, key=lambda choice: (score(choice), [-p.test for p in choice]))
 
@@ -329,19 +331,18 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # the digits of bin() as the bytes 
 
 
 def _block_points(
-    cells: _Cells, block: Block, tests: list[int] | None = None, h_of: dict | None = None
+    cells: _Cells, block: Block, tests: list[int], h_of: dict | None = None
 ) -> list[_Point]:
     """One point per test of ``tests``, each applicable to ``block``, in
-    their order; by default every applicable test, in test order, so
-    empty if none is. The test's ones on the block fix both sub-blocks, so
-    h is computed once per split, from the block's priors, and kept in
-    ``h_of`` for later calls on the block."""
+    their order. The test's ones on the block fix both sub-blocks, so h is
+    computed once per split, from the block's priors, and kept in ``h_of``
+    for later calls on the block."""
     mask = sum(map((1).__lshift__, block))
     pick = itemgetter(*block)
     priors = pick(cells.priors)
     h_of = {} if h_of is None else h_of
     points = []
-    for m in _applicable(cells, block) if tests is None else tests:
+    for m in tests:
         ones = cells.ones[m] & mask
         h = h_of.get(ones)
         if h is None:

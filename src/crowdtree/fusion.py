@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, ErrorProbOutOfRange, EvenVoteCount
 
 _MAX_EXACT_PAIRS = 500
@@ -71,6 +73,33 @@ def group_error(extra_pairs: int, worker_error: float) -> float:
         terms.append(math.ldexp(c * q**j * f ** (n - j), e * (k - j)))
         c = c * (n - j) // (j + 1)
     return math.ldexp(math.fsum(terms), e * (k + 1))
+
+
+def _answer_errors(errors: np.ndarray, pairs, worker_error: float) -> np.ndarray:
+    """The chance that a test's group answers wrong by majority, per cell.
+
+    ``errors`` holds the seated worker's error cells of some tests (tests ×
+    classes, NaN where a test is undefined) and ``pairs`` a pair count per
+    test, after any leading axes of settings. This is the one place that
+    turns a pair count into a wrong answer's probability for the
+    evaluator, the allocator and the worker sweep.
+
+    Every voter, the seated one too, errs at ``worker_error``: each cell of
+    a test is :func:`group_error` of its count, k = 0 included, so
+    ``errors`` is not read and the result, shaped ``(…, tests, 1)``,
+    broadcasts over classes. A count that :func:`group_error` refuses
+    raises first, the first such in the order of ``pairs``; then the group
+    error is computed once per distinct count.
+    """
+    pairs = np.asarray(pairs)
+    top = pairs.max(initial=0)
+    if top > _MAX_EXACT_PAIRS or pairs.min(initial=0) < 0:  # raises for the first such count
+        group_error(int(pairs[(pairs < 0) | (pairs > _MAX_EXACT_PAIRS)][0]), worker_error)
+    pairs = pairs.astype(np.int64, copy=False)
+    fused = np.zeros(int(top) + 1)
+    for k in np.flatnonzero(np.bincount(pairs.ravel(), minlength=1)).tolist():
+        fused[k] = group_error(k, worker_error)
+    return fused[pairs][..., None]
 
 
 def reg_incomplete_beta(x: float, a: float, b: float) -> float:

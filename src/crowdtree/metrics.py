@@ -34,21 +34,26 @@ class Metric(enum.Enum):
     MULTIPLICATIVE = "multiplicative"
 
 
+def _check_ratio_offset(offset: float) -> None:
+    if not 0.0 < offset < math.inf:  # a NaN fails too
+        raise ValidationError(f"ratio offset must be finite and > 0, got {offset!r}")
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """Which construction metric to drive decisions with.
 
     ``ratio_offset`` is the additive offset applied to entropies inside the
     multiplicative metric's ratio; 1.0 is the conventional choice and is not
-    claimed optimal.
+    claimed optimal. It must be finite and positive: an infinite offset
+    makes every ratio inf / inf, a NaN.
     """
 
     kind: Metric = Metric.ADDITIVE
     ratio_offset: float = 1.0
 
     def __post_init__(self):
-        if not self.ratio_offset > 0:
-            raise ValidationError(f"ratio offset must be > 0, got {self.ratio_offset!r}")
+        _check_ratio_offset(self.ratio_offset)
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,7 @@ def metric_multiplicative(
     """Offset entropy ratio of consecutive levels per unit correct mass."""
     if not correct_mass > 0:
         raise ValidationError(f"correct mass must be > 0, got {correct_mass!r}")
-    if not ratio_offset > 0:
-        raise ValidationError(f"ratio offset must be > 0, got {ratio_offset!r}")
+    _check_ratio_offset(ratio_offset)
     if entropy_after > entropy_before:
         raise ValidationError("entropy must not increase between levels")
     ratio = (entropy_before + ratio_offset) / (entropy_after + ratio_offset)

@@ -21,8 +21,8 @@ that record; allocation costs and the simulator's tables read the form.
 
 The form is memoised on the tree, keyed on the identity of the table's
 ``outcomes``, ``classes`` and ``tests``, the only parts of a table it
-reads. Tables derived by ``with_scalar_error`` and ``with_test_errors``
-share those objects, so a tree compiles once for a table and every error
+reads. Tables derived by ``with_scalar_error``, ``with_test_errors`` and
+``workers.effective_table`` share those objects, so a tree compiles once for a table and every error
 setting of it. The key holds the read-only outcomes array, so its id
 cannot be reused while the entry lives. A failed compile stores nothing.
 """

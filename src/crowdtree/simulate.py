@@ -62,7 +62,7 @@ import numpy as np
 
 from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
 from .errors import ValidationError
-from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
+from .fusion import _answer_errors, _check_worker_error
 from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, _tree_tests
 from .workers import (
@@ -542,11 +542,12 @@ def sweep_workers(
     a sweep whose (settings × tests) array would hold more than
     ``_MAX_SWEEP_PAIRS`` pair counts. Otherwise a pair count past the
     exact limit raises before any group error is computed: the first one
-    the settings meet, budget by budget in the given order. The group
-    error is then computed once per distinct pair count, the tree,
-    compiled once, is scored for every setting in one batched exact pass
-    (settings × classes floats), and each strategy's draws are averaged in
-    one reduction per strategy.
+    the settings meet, budget by budget in the given order. Each test's
+    answer error in every setting comes from one
+    :func:`crowdtree.fusion._answer_errors` call (settings × tests floats),
+    the tree, compiled once, is scored for every setting in one batched
+    exact pass (settings × classes floats), and each strategy's draws are
+    averaged in one reduction per strategy.
     """
     metric = metric or MetricConfig()
     k_values = list(k_values)
@@ -571,15 +572,8 @@ def sweep_workers(
         position = {table.tests[m]: i for i, m in enumerate(tests)}
         proposed = [position[step.test] for step in log]
     pairs = _pair_counts(len(tests), proposed, k_values, strategies, seed, random_draws)
-    flat = pairs.ravel()
-    past = flat > _MAX_EXACT_PAIRS
-    if past.any():  # the first count past the limit, in the order the settings meet them
-        group_error(int(flat[past.argmax()]), worker_error)  # raises
-    met = np.bincount(flat, minlength=1)  # per pair count, how many cells hold it
-    lut = np.zeros(len(met))
-    counts = np.flatnonzero(met)
-    lut[counts] = [group_error(k, worker_error) for k in counts.tolist()]
-    lanes = 1.0 - lut[pairs.T]  # per test, 1 - its fused error in every setting
+    wrong = _answer_errors(table.errors[tests], pairs, worker_error)[..., 0]
+    lanes = np.subtract(1.0, wrong.T, order="C")  # per test, 1 - its answer's error per setting
     factors = {m: [lane] * table.n_classes for m, lane in zip(tests, lanes)}
     pm = _exact(tree, table, factors)[0].reshape(len(k_values), -1)
     ends = np.cumsum([_draws(strategy, random_draws) for strategy in strategies])

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, UnknownStrategy, UnknownTest, ValidationError
-from .fusion import _MAX_EXACT_PAIRS, _check_worker_error, group_error
+from .fusion import _MAX_EXACT_PAIRS, _answer_errors, _check_worker_error, group_error
 from .metrics import (
     Metric,
     MetricConfig,
@@ -80,11 +80,16 @@ class WorkerAllocation:
 
 
 def effective_table(table: TestTable, allocation: WorkerAllocation) -> TestTable:
-    """Table with each allocated test's error column set to its fused error."""
-    fused = {
-        k: group_error(k, allocation.worker_error) for k in set(allocation.extra_pairs.values())
-    }
-    return table.with_test_errors({t: fused[k] for t, k in allocation.extra_pairs.items()})
+    """Table with each allocated test's defined cells set to the chance that
+    its group answers wrong (:func:`crowdtree.fusion._answer_errors`). It
+    shares the table's outcomes, classes and tests, so a tree compiled for
+    one is compiled for the other."""
+    rows = [table.test_index(t) for t in allocation.extra_pairs]
+    errors = table.errors.copy()
+    wrong = _answer_errors(errors[rows], list(allocation.extra_pairs.values()),
+                           allocation.worker_error)
+    errors[rows] = np.where(table.outcomes[rows] >= 0, wrong, np.nan)
+    return TestTable(table.classes, table.priors, table.tests, table.outcomes, errors)
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,11 @@ def assign_proposed(
     next, and ``fsum`` of those rounds the new exact sum correctly: a
     handful of floats per test of the level, whatever the class count. A
     commit re-sums only the levels that use the test that got the pair.
-    The group error is computed once per distinct pair count. The rule
-    never reads ``budget`` except to stop, so the first K steps of the log
-    are the run for budget K.
+    The chance that a test answers wrong comes from one
+    :func:`crowdtree.fusion._answer_errors` call per pair count, for every
+    test at once, so each (test, count) is derived once. The rule never
+    reads ``budget`` except to stop, so the first K steps of the log are
+    the run for budget K.
     """
     metric = metric or MetricConfig()
     _check_budget(budget)
@@ -180,20 +187,19 @@ def assign_proposed(
     candidates = [sorted(level.tested, key=table.test_index) for level in levels]
     pairs = {t: 0 for t in sorted({t for ts in candidates for t in ts}, key=table.test_index)}
     uses = {t: [d for d, ts in enumerate(candidates) if t in ts] for t in pairs}
-    fused_by_pairs: dict[int, float] = {}
+    errors = table.errors[[table.test_index(t) for t in pairs]]
+    wrong: dict[int, dict[str, float]] = {}  # per pair count, per test: its answer's error
     terms: dict[tuple[int, str, int], list[float]] = {}
     log: list[AssignStep] = []
-
-    def fused(k: int) -> float:
-        if k not in fused_by_pairs:
-            fused_by_pairs[k] = group_error(k, worker_error)
-        return fused_by_pairs[k]
 
     def term(d: int, test_id: str, k: int) -> list[float]:
         """The partials of level d's masses from ``test_id`` at k pairs."""
         key = (d, test_id, k)
         if key not in terms:
-            e = fused(k)
+            if k not in wrong:
+                at_k = _answer_errors(errors, np.full(len(errors), k), worker_error)
+                wrong[k] = dict(zip(pairs, at_k[:, 0].tolist()))
+            e = wrong[k][test_id]
             factor = e if additive else 1.0 - e
             terms[key] = _partials([p * factor for p in levels[d].tested[test_id]])
         return terms[key]
@@ -216,19 +222,11 @@ def assign_proposed(
         for d, (level, ts) in enumerate(zip(levels, candidates))
     ]
     values = [level_metric(d, partials) for d, partials in enumerate(sums)]
+    up = 1.0 if additive else -1.0  # up * metric grows as a level gets stronger
     for iteration in range(1, budget + 1):
-        if additive:
-            target = min(range(len(values)), key=lambda d: (values[d], d))
-        else:
-            target = min(range(len(values)), key=lambda d: (-values[d], d))
-        best_test: str | None = None
-        best_value = 0.0
-        for test_id in candidates[target]:
-            value = level_metric(target, moved(target, test_id))
-            better = value > best_value if additive else value < best_value
-            if best_test is None or better:
-                best_test, best_value = test_id, value
-        assert best_test is not None
+        target = min(range(len(values)), key=lambda d: (up * values[d], d))
+        scored = [(level_metric(target, moved(target, t)), t) for t in candidates[target]]
+        best_value, best_test = max(scored, key=lambda s: up * s[0])  # the first on ties
         before = values[target]
         for d in uses[best_test]:
             sums[d] = _partials(moved(d, best_test))
@@ -243,7 +241,7 @@ def assign_proposed(
                 metric_before=before,
                 metric_after=best_value,
                 pairs_after=pairs[best_test],
-                effective_error_after=fused(pairs[best_test]),
+                effective_error_after=wrong[pairs[best_test]][best_test],
             )
         )
     allocation = WorkerAllocation(

@@ -267,6 +267,84 @@ def fraction_pm(tree: DecisionTree, table: TestTable) -> Fraction:
     return total
 
 
+VOTE_ENUMERATION_MAX_VOTERS = 9  # groups up to 4 pairs: at most 2**9 answer patterns per node
+
+
+class VoteEnumeration(NamedTuple):
+    confusion: list[list[Fraction]]  # [i][j]: P(an object of class i ends at class j's leaf)
+    pm: Fraction  # sum over classes of prior times the chance of another class's leaf
+    questions: list[Fraction]  # [i]: the expected worker answers an object of class i costs
+
+
+def majority_wrong_fraction(
+    seated: Fraction, extra_pairs: int, worker: Fraction, max_voters: int
+) -> Fraction:
+    """The chance that more than half of a group answers wrong, when its
+    seated worker errs with ``seated`` and its ``2 * extra_pairs`` extra
+    workers each with ``worker``.
+
+    Up to ``max_voters`` voters, every answer pattern is enumerated: bit 0
+    is the seated worker, each other bit an extra worker, a set bit a wrong
+    answer. Past it, the extra workers' wrong count j is summed with its
+    binomial count: the majority is wrong when j + (seated wrong) > k."""
+    k = extra_pairs
+    n = 2 * k + 1
+    # extra[j]: the chance of one given answer pattern of the extra workers with j wrong
+    extra = [worker**j * (1 - worker) ** (2 * k - j) for j in range(2 * k + 1)]
+    if n <= max_voters:
+        total = Fraction(0)
+        for pattern in range(1 << n):
+            if bin(pattern).count("1") > k:
+                first = seated if pattern & 1 else 1 - seated
+                total += first * extra[bin(pattern >> 1).count("1")]
+        return total
+    tail = [sum(math.comb(2 * k, j) * extra[j] for j in range(lo, 2 * k + 1)) for lo in (k, k + 1)]
+    return seated * tail[0] + (1 - seated) * tail[1]
+
+
+def vote_enumeration(tree: DecisionTree, table: TestTable, allocation=None) -> VoteEnumeration:
+    """The simulator's model in exact rational arithmetic on the float
+    inputs: per class, walk every root path the object can take. At a node
+    the seated worker errs at the cell's error and the node's ``2k`` extra
+    workers at the allocation's worker error (k = 0 without an allocation);
+    a wrong majority sends the object to the child its class's outcome does
+    not name. A cell undefined for the class sends it to each child with
+    probability 1/2, as a group of fair coins votes. An object's answers
+    are the group sizes of the nodes it visits, weighted by the chance of
+    each visit."""
+    n = table.n_classes
+    worker = Fraction(0 if allocation is None else allocation.worker_error)  # no voter at 0 pairs
+    wrong_of: dict[tuple, Fraction] = {}  # by (seated error, pairs)
+    confusion = [[Fraction(0)] * n for _ in range(n)]
+    questions = [Fraction(0)] * n
+
+    def walk(i: int, node, mass: Fraction) -> None:
+        if isinstance(node, Leaf):
+            confusion[i][table.class_index(node.label)] += mass
+            return
+        m = table.test_index(node.test)
+        outcome = int(table.outcomes[m, i])
+        pairs = 0 if allocation is None else allocation.pairs_for(node.test)
+        questions[i] += mass * (2 * pairs + 1)
+        if outcome < 0:
+            wrong = Fraction(1, 2)
+        else:
+            key = (float(table.errors[m, i]), pairs)
+            if key not in wrong_of:
+                wrong_of[key] = majority_wrong_fraction(
+                    Fraction(key[0]), key[1], worker, VOTE_ENUMERATION_MAX_VOTERS
+                )
+            wrong = wrong_of[key]
+        right, other = (node.one, node.zero) if outcome == 1 else (node.zero, node.one)
+        walk(i, right, mass * (1 - wrong))
+        walk(i, other, mass * wrong)
+
+    for i in range(n):
+        walk(i, tree.root, Fraction(1))
+    pm = sum(Fraction(p) * (1 - confusion[i][i]) for i, p in enumerate(table.priors))
+    return VoteEnumeration(confusion, pm, questions)
+
+
 def survivals_per_setting(form, table: TestTable, fused=None) -> list[float]:
     """One error setting's survivals on a compiled tree: per class, in class
     order, the root-to-leaf product of ``1 - e`` as floats, reading each cell
@@ -1121,7 +1199,7 @@ def level_choice_per_point(table: TestTable, cells, config: BuilderConfig, parti
     open_blocks = [b for b in partition if len(b) > 1]
     points = []
     for block in open_blocks:
-        points.append(builder._block_points(cells, block))
+        points.append(builder._block_points(cells, block, builder._applicable(cells, block)))
         if not points[-1]:
             raise builder._inseparable_error(cells, block)
     entropy_before = level_entropy(table.priors, partition)

@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import itertools
 import math
@@ -543,11 +544,32 @@ def test_screen_lies_within_a_sixteenth_of_its_bound(seed, source, n, priors, er
         ):
             mass = math.fsum(table.priors[i] for i in block)
             assert math.isclose(delta, 64 * _ULP * len(block) * (entropy + mass), rel_tol=1e-9)
-            points = builder_module._block_points(cells, block)
+            points = builder_module._block_points(
+                cells, block, builder_module._applicable(cells, block)
+            )
             assert [p.test for p in points] == screen.test[lo:hi].tolist()
             for point, split, approx in zip(points, screen.split[lo:hi], screen.mass[lo:hi]):
                 assert abs(entropy + split - point.h) <= delta / 16
                 assert abs(approx - point.mass) <= delta / 16
+
+
+def _integer_sum(values, start=0):
+    """``sum`` of integers only: the builder adds floats by a left fold."""
+    values = list(values)
+    if not all(isinstance(v, int) for v in [start, *values]):
+        raise TypeError(f"sum of non-integers: {values!r}")
+    return builtins.sum(values, start)
+
+
+def test_builder_adds_no_floats_with_sum(monkeypatch):
+    """From Python 3.12 ``sum`` compensates float sums, so a selector that
+    added its h values with it would score, and break ties, by the Python
+    version. The builder's ``sum`` only ever sees integers."""
+    tables = [demo_table(0.05), support.random_table(18, 12, 16, cell_errors=True)]
+    configs = [BuilderConfig(metric=MetricConfig(kind=kind)) for kind in Metric]
+    trees = [build_greedy(table, config).tree for table in tables for config in configs]
+    monkeypatch.setattr(builder_module, "sum", _integer_sum, raising=False)
+    assert [build_greedy(table, config).tree for table in tables for config in configs] == trees
 
 
 def test_greedy_builds_score_few_points_exactly(monkeypatch):

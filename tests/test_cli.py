@@ -527,6 +527,29 @@ def test_out_of_range_size_exits_2(case, table_path, tree_path, capsys):
     assert phrase in captured.err and captured.out == ""
 
 
+INFINITE_OFFSET = {
+    # command -> argv after the command; TREE and TABLE are the demo's, OUT a fresh path
+    "build": ["--table", "TABLE", "--error-prob", "0.05", "--metric", "multiplicative",
+              "--out", "OUT"],
+    "evaluate": ["--tree", "TREE", "--table", "TABLE", "--error-prob", "0.05"],
+    "assign": ["--tree", "TREE", "--table", "TABLE", *ON_DEMO_TREE, "--workers", "2",
+               "--metric", "multiplicative", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INFINITE_OFFSET))
+def test_infinite_ratio_offset_exits_2(command, table_path, tree_path, tmp_path, capsys):
+    """An infinite offset makes every multiplicative ratio inf / inf: the
+    command refuses it before it prints or writes anything."""
+    out = tmp_path / "out"
+    files = {"TABLE": table_path, "TREE": tree_path, "OUT": str(out)}
+    argv = [command, *(files.get(a, a) for a in INFINITE_OFFSET[command]), "--ratio-offset", "inf"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "ratio offset must be finite and > 0, got inf" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_grid_of_the_point_limit_expands():
     grid = _parse_grid("0:0.9999:0.0001")
     assert len(grid) == _MAX_GRID_POINTS and grid[-1] == 0.9999

@@ -1515,7 +1515,11 @@ def _check_greedy_scoring(table, config=BuilderConfig()):
     assert level_trace(result.tree, table) == [step for step, _ in levels]
     cells = builder_module._cells(table, config.metric.kind)
     for step, points in levels:
-        got = [builder_module._block_points(cells, b) for b in step.before if len(b) > 1]
+        got = [
+            builder_module._block_points(cells, b, builder_module._applicable(cells, b))
+            for b in step.before
+            if len(b) > 1
+        ]
         assert [[_point_key(p) for p in pts] for pts in got] == [
             [_point_key(p) for p in pts] for pts in points
         ]
@@ -1688,10 +1692,12 @@ def _check_screened_hulls(table, cells, partition):
     applicable = [builder_module._applicable(cells, b) for b in blocks]
     screen = builder_module._screen(cells, blocks, terms, applicable)
     kept = builder_module._multiplicative_points(cells, blocks, screen)
-    for block, indices in zip(blocks, kept):
+    for block, every, indices in zip(blocks, applicable, kept):
         tests = [screen.test[i] for i in indices]
         hull = builder_module._lower_left_hull(builder_module._block_points(cells, block, tests))
-        assert hull == builder_module._lower_left_hull(builder_module._block_points(cells, block))
+        assert hull == builder_module._lower_left_hull(
+            builder_module._block_points(cells, block, every)
+        )
 
 
 def test_screen_filters_equal_per_block_lists():

@@ -1,11 +1,25 @@
+import ast
 import math
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate, special
 
-from crowdtree import group_error, majority_decide, prop1_check, reg_incomplete_beta
+import crowdtree
+from crowdtree import (
+    AssignmentStrategy,
+    WorkerAllocation,
+    effective_table,
+    group_error,
+    majority_decide,
+    prop1_check,
+    reg_incomplete_beta,
+)
 from crowdtree.errors import DomainError, ErrorProbOutOfRange, EvenVoteCount
+from crowdtree.fixtures import demo_table
+from crowdtree.fusion import _answer_errors
 
 import support
 
@@ -183,3 +197,78 @@ def test_real_parameter_finite_differences():
         magnitudes = [abs(d) for d in derivs]
         for earlier, later in zip(magnitudes, magnitudes[1:]):
             assert later <= earlier + 1e-6
+
+
+ANSWER_ERROR_CASES = (
+    # table, pairs per allocated test; each has an undefined cell in an
+    # allocated test, and the random table in an unallocated one as well
+    (demo_table(0.05), {"T1": 4, "T2": 0, "T5": 1}),
+    (support.random_table(11, cell_errors=True), {"T1": 0, "T2": 3, "T3": 1, "T7": 2, "T8": 0}),
+)
+
+
+@pytest.mark.parametrize("case", range(len(ANSWER_ERROR_CASES)))
+def test_answer_errors_pins_every_cell(case):
+    """The chance of a wrong answer is group_error(k, w) in every defined
+    cell of a test with a pair entry, k = 0 included; the table's error in
+    every other defined cell; NaN in every undefined cell. Leading axes of
+    the pair counts are settings."""
+    table, pairs = ANSWER_ERROR_CASES[case]
+    w = 0.2
+    rows = [table.test_index(t) for t in pairs]
+    counts = list(pairs.values())
+    undefined = table.outcomes < 0
+    assert undefined[rows].any() and (case == 0 or np.delete(undefined, rows, axis=0).any())
+    got = _answer_errors(table.errors[rows], counts, w)
+    assert got.shape == (len(rows), 1)
+    cells = np.broadcast_to(got, (len(rows), table.n_classes))
+    for r, k in enumerate(counts):
+        assert (cells[r][~undefined[rows[r]]] == group_error(k, w)).all()
+    settings = [counts, [k + 1 for k in counts], [0] * len(counts)]
+    stacked = _answer_errors(table.errors[rows], settings, w)
+    assert stacked.shape == (3, len(rows), 1)
+    for s, setting in enumerate(settings):
+        assert stacked[s].tolist() == [[group_error(k, w)] for k in setting]
+    fused = effective_table(table, WorkerAllocation(pairs, w, AssignmentStrategy.PROPOSED))
+    for m, test_id in enumerate(table.tests):
+        for i in range(table.n_classes):
+            if undefined[m, i]:
+                assert math.isnan(fused.errors[m, i])
+            elif test_id in pairs:
+                assert fused.errors[m, i] == group_error(pairs[test_id], w)
+            else:
+                assert fused.errors[m, i] == table.errors[m, i]
+
+
+def test_answer_errors_raise_for_the_first_refused_count_in_settings_order():
+    errors = demo_table(0.05).errors[:2]
+    with pytest.raises(DomainError, match="at most 500 pairs, got 600"):
+        _answer_errors(errors, [[3, 600], [700, 2]], 0.2)
+    with pytest.raises(DomainError, match="non-negative integer, got -1"):
+        _answer_errors(errors, [[2, 3], [-1, 501]], 0.2)
+    with pytest.raises(DomainError, match="got 10000000000000000000000000000000"):
+        _answer_errors(errors, [1, 10**31], 0.2)
+    with pytest.raises(ErrorProbOutOfRange):
+        _answer_errors(errors, [1, 2], 0.5)
+    assert _answer_errors(errors[:0], [], 0.2).shape == (0, 1)
+
+
+def test_only_the_one_derivation_and_the_per_test_report_call_group_error():
+    """The evaluator, the allocator and the worker sweep read a wrong
+    answer's probability from ``_answer_errors``, and the assign log
+    reports the value its pair was scored with. Besides it, only an
+    allocation's per-test ``effective_error`` and ``prop1_check`` call
+    ``group_error``."""
+    package = Path(crowdtree.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                calls = (n for n in ast.walk(node) if isinstance(n, ast.Call))
+                if any(getattr(c.func, "id", None) == "group_error" for c in calls):
+                    callers.add(f"{path.stem}.{node.name}")
+    assert callers == {
+        "fusion._answer_errors",
+        "fusion.prop1_check",
+        "workers.effective_error",
+    }

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crowdtree import (
     AssignmentStrategy,
+    WorkerAllocation,
+    build_greedy,
     assign_proposed,
     effective_table,
     exact_misclassification,
@@ -187,3 +190,108 @@ def test_simulate_single_node_tree():
     sigma = math.sqrt(0.1 * 0.9 / trials)
     assert abs(report.p_hat - 0.1) <= 4 * sigma
     assert report.mean_questions == 1.0
+
+
+# --- the exact vote-enumeration oracle (support.vote_enumeration) -----------
+
+DEMO_ALLOCATION = WorkerAllocation({"T1": 4, "T2": 0, "T3": 0, "T5": 0}, 0.2,
+                                   AssignmentStrategy.PROPOSED)
+
+
+def _oracle_cases():
+    """(tree, table, allocation): the demo with 4 pairs on T1, and two
+    5- and 6-class tables with per-cell errors whose trees meet undefined
+    cells off path. On those, the tests take 0, 5, 1 and 2 pairs in turn
+    (5 pairs are 11 voters, past the enumeration cap), and the tests with
+    0 pairs answer without error, so some leaves are out of a class's reach."""
+    yield designed_tree(), TABLE, DEMO_ALLOCATION
+    for seed in (23, 30):
+        table = support.random_table(seed, cell_errors=True)
+        tree = build_greedy(table).tree
+        pairs = {t: (0, 5, 1, 2)[i % 4] for i, t in enumerate(sorted(tree.test_ids()))}
+        table = table.with_test_errors({t: 0.0 for t, k in pairs.items() if k == 0})
+        yield tree, table, WorkerAllocation(pairs, 0.2, AssignmentStrategy.PROPOSED)
+
+
+def test_vote_enumeration_without_workers_is_the_exact_evaluator():
+    """With no allocation a wrong answer leaves the class's path for good,
+    so the oracle's pm is the rational path-survival value, and the float
+    evaluator lies within its stated bound of it (see test_metrics)."""
+    u = Fraction(2) ** -53
+    for tree, table, _ in _oracle_cases():
+        oracle = support.vote_enumeration(tree, table)
+        assert oracle.pm == support.fraction_pm(tree, table)
+        bound = (tree.depth() + 1) * u + table.n_classes * u * oracle.pm
+        assert abs(Fraction(exact_misclassification(tree, table)) - oracle.pm) <= bound
+        assert all(sum(row) == 1 for row in oracle.confusion)
+
+
+def test_vote_enumeration_demo_values():
+    oracle = support.vote_enumeration(TREE, TABLE, DEMO_ALLOCATION)
+    assert round(float(oracle.pm), 12) == 0.046280695808
+    # c4 misrouted at the root meets T5, undefined for it: half goes to c1,
+    # half to T3's subtree
+    c4, c1 = TABLE.class_index("c4"), TABLE.class_index("c1")
+    assert oracle.confusion[c4][c1] > 0
+    below_t3 = [TABLE.class_index(c) for c in ("c2", "c3", "c5")]
+    assert oracle.confusion[c4][c1] == sum(oracle.confusion[c4][j] for j in below_t3)
+
+
+def test_vote_enumeration_cap_changes_no_value():
+    """Enumerated answer patterns and summed binomial counts give the same
+    rational, on both sides of the cap."""
+    for k in range(6):
+        for seated, worker in ((Fraction(0.05), Fraction(0.2)), (Fraction(0.3), Fraction(0.45))):
+            enumerated = support.majority_wrong_fraction(seated, k, worker, 2 * k + 1)
+            assert enumerated == support.majority_wrong_fraction(seated, k, worker, 0)
+    assert support.VOTE_ENUMERATION_MAX_VOTERS == 9
+
+
+def test_vote_enumeration_equals_the_fused_table_where_the_models_agree():
+    """When every cell's error is the worker error, seated and extra workers
+    are exchangeable, and the fused table's pm is the oracle's."""
+    for tree, table, allocation in _oracle_cases():
+        table = table.with_scalar_error(allocation.worker_error)
+        oracle = support.vote_enumeration(tree, table, allocation)
+        fused = exact_misclassification(tree, effective_table(table, allocation))
+        assert fused == pytest.approx(float(oracle.pm), rel=1e-12)
+
+
+def _path_workers(node, allocation, above=0) -> list[int]:
+    """Per leaf, the workers on its root path."""
+    if isinstance(node, Leaf):
+        return [above]
+    here = above + 2 * allocation.pairs_for(node.test) + 1
+    return _path_workers(node.zero, allocation, here) + _path_workers(node.one, allocation, here)
+
+
+def test_simulator_confusion_matches_vote_enumeration():
+    """Every confusion cell with an expected count of at least 25 lies
+    within 4 sigma of the oracle's, and a cell the oracle gives probability
+    0 is empty. The tables of the cases meet undefined cells off path. The
+    mean answers per object lie within 4 sigma of the oracle's expected
+    answers too, sigma from the spread of the root paths' worker counts
+    (a variance is at most a quarter of the squared range)."""
+    trials = 200_000
+    for n, (tree, table, allocation) in enumerate(_oracle_cases()):
+        tests = [table.test_index(t) for t in tree.test_ids()]
+        assert (table.outcomes[tests] < 0).any()
+        oracle = support.vote_enumeration(tree, table, allocation)
+        report = simulate(tree, table, allocation, trials=trials, seed=40 + n)
+        checked = zeros = 0
+        for i, prior in enumerate(table.priors):
+            for j, p in enumerate(oracle.confusion[i]):
+                cell = float(Fraction(prior) * p)
+                count = int(report.confusion[i, j])
+                if p == 0:
+                    assert count == 0, (n, i, j)
+                    zeros += 1
+                elif trials * cell >= 25:
+                    sigma = math.sqrt(trials * cell * (1 - cell))
+                    assert abs(count - trials * cell) <= 4 * sigma, (n, i, j, count, trials * cell)
+                    checked += 1
+        assert checked >= table.n_classes + 1 and (n == 0 or zeros > 0)
+        expected = float(sum(Fraction(p) * q for p, q in zip(table.priors, oracle.questions)))
+        paths = _path_workers(tree.root, allocation)
+        sigma = (max(paths) - min(paths)) / 2 / math.sqrt(trials)
+        assert abs(report.mean_questions - expected) <= 4 * sigma
