@@ -143,6 +143,7 @@ class BuilderConfig:
 class GreedyResult:
     tree: DecisionTree
     levels: tuple[LevelQuantities, ...]
+    _splits: list = field(default_factory=list, repr=False, compare=False)  # the _grow levels
 
 
 def _inseparable_error(cells: _Cells, block: Block) -> InseparableClasses:
@@ -655,14 +656,16 @@ def build_greedy(table: TestTable, config: BuilderConfig | None = None) -> Greed
     config. The result carries each level's quantities under the config's
     ratio offset, as :func:`crowdtree.metrics.level_quantities` gives them
     for the tree: each level's entropy is the one its choice summed, and
-    only the masses are summed again, so no compile is made here.
+    only the masses are summed again, so no compile is made here. It also
+    carries the levels of splits the tree is assembled from, which the
+    ``build`` report's exact pass reads in place of a compile.
     """
     config = config or BuilderConfig()
     entropies: list[float] = []
     levels = _greedy_splits(table, config, _cells(table, config.metric.kind), entropies)
     entropies.append(0.0)  # the last level leaves only singletons
     figures = _level_figures(table, levels, entropies, config.metric.ratio_offset)
-    return GreedyResult(_assemble(levels, table), tuple(figures))
+    return GreedyResult(_assemble(levels, table), tuple(figures), levels)
 
 
 def _greedy_splits(

@@ -13,6 +13,7 @@ import sys
 from . import fileio, workers
 from .builder import BuilderConfig, build_greedy
 from .errors import CrowdTreeError, InseparableClasses, ValidationError
+from .fusion import _answer_errors
 from .metrics import (
     Metric,
     MetricConfig,
@@ -23,6 +24,7 @@ from .metrics import (
     _multiplicative_approx,
     level_quantities,
 )
+from .model import _compile
 from .simulate import simulate, sweep_error, sweep_workers
 from .workers import AssignmentStrategy, allocation_cost, assign_baseline, assign_proposed
 
@@ -84,13 +86,11 @@ def _write_report(args, text: str) -> int:
     return 0
 
 
-def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
-    """The quality report of ``tree``: the per-level figures (``levels``
-    when the builder already has them, else the tree's level trace), then
-    the exact values, both from one survival pass, approximations and
-    bounds."""
-    if levels is None:
-        levels = level_quantities(tree, table, ratio_offset)
+def _print_quality(table, ratio_offset: float, splits, levels) -> None:
+    """The quality report of a tree given as its level record ``splits``
+    (:func:`crowdtree.metrics._survivals`) and its per-level figures
+    ``levels``: those figures, then the exact values, both from one
+    survival pass, approximations and bounds."""
     print("level,entropy_before,entropy_after,error_mass,correct_mass,"
           "additive_metric,multiplicative_metric")
     for q in levels:
@@ -98,7 +98,7 @@ def _print_quality(tree, table, ratio_offset: float, levels=None) -> None:
             f"{q.level},{q.entropy_before!r},{q.entropy_after!r},{q.error_mass!r},"
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
-    exact_pm, exact_pc = _exact(tree, table)
+    exact_pm, exact_pc = _exact(splits, table)
     lo_a, hi_a = _bounds_additive(levels)
     lo_m, hi_m = _bounds_multiplicative(levels, ratio_offset)
     print(f"exact_pm,{exact_pm!r}")
@@ -120,13 +120,14 @@ def _cmd_build(args) -> int:
     }
     if args.out:
         fileio.save_tree(args.out, result.tree, table, builder_info)
-    _print_quality(result.tree, table, args.ratio_offset, result.levels)
+    _print_quality(table, args.ratio_offset, result._splits, result.levels)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     table, tree = _load_stored_tree(args)
-    _print_quality(tree, table, args.ratio_offset)
+    levels = level_quantities(tree, table, args.ratio_offset)
+    _print_quality(table, args.ratio_offset, _compile(tree, table).levels, levels)
     return 0
 
 
@@ -149,11 +150,11 @@ def _cmd_assign(args) -> int:
         allocation = assign_baseline(
             tree, table, strategy, args.workers, args.worker_error, args.seed
         )
+    pairs = allocation.extra_pairs
+    wrong = _answer_errors(table.errors[list(map(table.test_index, pairs))],
+                           list(pairs.values()), allocation.worker_error)[:, 0].tolist()
     rows.append("test,extra_pairs,workers,effective_error")
-    rows += (
-        f"{test_id},{k},{2 * k + 1},{allocation.effective_error(test_id)!r}"
-        for test_id, k in allocation.extra_pairs.items()
-    )
+    rows += (f"{test_id},{k},{2 * k + 1},{e!r}" for (test_id, k), e in zip(pairs.items(), wrong))
     expected, flat = allocation_cost(tree, table, allocation)
     rows += f"expected_questions,{expected!r}", f"total_group_size,{flat}"
     print("\n".join(rows))

@@ -5,7 +5,9 @@ Formats:
     per test with outcomes 0, 1, or ``-`` (undefined);
   * error matrix: same header, one row of per-class error probabilities per
     test;
-  * tree: JSON document with a structure checksum of its table;
+  * tree: JSON document with a structure checksum of its table and its
+    nodes in preorder, ``[test]`` or ``["leaf", label]`` one a line
+    (``crowdtree/tree-v2``); the nested ``crowdtree/tree-v1`` is still read;
   * reports: CSV rows under ``#``-prefixed header lines echoing the config.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _encode_string
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from .model import (
 from .simulate import ErrorSweepPoint, SimulationReport, WorkerSweepPoint
 from .workers import AssignmentStrategy, WorkerAllocation
 
-TREE_FORMAT = "crowdtree/tree-v1"
+TREE_FORMAT = "crowdtree/tree-v2"
+_TREE_FORMAT_V1 = "crowdtree/tree-v1"  # still read: one object per node, nested
 ALLOCATION_FORMAT = "crowdtree/allocation-v1"
 
 
@@ -326,40 +329,52 @@ def table_checksum(table: TestTable) -> str:
 # Trees
 
 
-def _node_to_doc(root: Node) -> dict:
-    docs: list[dict] = []  # of the subtrees done so far, the zero child's on top
-    for node in reversed(_preorder(root)):
-        if isinstance(node, Leaf):
-            docs.append({"leaf": node.label})
-        else:
-            docs.append({"test": node.test, "0": docs.pop(), "1": docs.pop()})
-    return docs.pop()
-
-
-def _node_from_doc(root_doc) -> Node:
-    """Check the node documents in preorder; build each node once its children are."""
+def _node_from_preorder(entries) -> Node:
+    """Check the node entries of a v2 document and build each node in one
+    reversed pass: each internal node comes just before its two subtrees."""
+    if not isinstance(entries, list):
+        raise ParseError(f"bad tree document: 'preorder' is a {type(entries).__name__}, "
+                         "not a list")
     built: list[Node] = []  # of the subtrees done so far, the latest on top
-    stack = [(root_doc, False)]  # (document, whether its children are built)
-    while stack:
-        doc, children_built = stack.pop()
-        if children_built:
-            one, zero = built.pop(), built.pop()
-            built.append(Internal(doc["test"], zero, one))
-        elif not isinstance(doc, dict):
-            raise ParseError(f"tree node must be an object, got {type(doc).__name__}")
-        elif "leaf" in doc:
-            if set(doc) != {"leaf"} or not isinstance(doc["leaf"], str):
-                raise ParseError(f"bad leaf node: {doc!r}")
-            built.append(Leaf(doc["leaf"]))
-        elif set(doc) != {"test", "0", "1"} or not isinstance(doc.get("test"), str):
-            raise ParseError(f"internal node needs exactly 'test', '0', '1': {sorted(doc)}")
+    for k in range(len(entries) - 1, -1, -1):
+        entry = entries[k]  # checked by isinstance and len, several times faster than a match
+        if isinstance(entry, list) and len(entry) == 1 and isinstance(entry[0], str):
+            if len(built) < 2:
+                raise ParseError(f"bad tree document: 'preorder' ends inside node {k}'s subtree")
+            built.append(Internal(entry[0], built.pop(), built.pop()))
+        elif (isinstance(entry, list) and len(entry) == 2 and entry[0] == "leaf"
+              and isinstance(entry[1], str)):
+            built.append(Leaf(entry[1]))
         else:
-            stack += (doc, True), (doc["1"], False), (doc["0"], False)
+            raise ParseError(f'tree node {k} must be [test] or ["leaf", label] with string '
+                             f"ids, got {entry!r}")
+    if len(built) != 1:
+        raise ParseError(f"bad tree document: 'preorder' holds {len(built)} trees, not one")
     return built.pop()
 
 
+def _v1_preorder(root_doc) -> list:
+    """The v2 ``"preorder"`` entries of a v1 node document, each node
+    checked as the walk meets it."""
+    entries, stack = [], [root_doc]  # the nodes still to visit, the next on top
+    while stack:
+        doc = stack.pop()
+        if not isinstance(doc, dict):
+            raise ParseError(f"tree node must be an object, got {type(doc).__name__}")
+        if "leaf" in doc:
+            if set(doc) != {"leaf"} or not isinstance(doc["leaf"], str):
+                raise ParseError(f"bad leaf node: {doc!r}")
+            entries.append(["leaf", doc["leaf"]])
+        elif set(doc) != {"test", "0", "1"} or not isinstance(doc.get("test"), str):
+            raise ParseError(f"internal node needs exactly 'test', '0', '1': {sorted(doc)}")
+        else:
+            entries.append([doc["test"]])
+            stack += doc["1"], doc["0"]
+    return entries
+
+
 def _tree_head(table: TestTable, builder: Mapping | None) -> dict:
-    """The tree document's members before its ``"root"``."""
+    """The tree document's members before its ``"preorder"``."""
     return {
         "format": TREE_FORMAT,
         "table_sha256": table_checksum(table),
@@ -368,7 +383,9 @@ def _tree_head(table: TestTable, builder: Mapping | None) -> dict:
 
 
 def tree_to_doc(tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> dict:
-    return {**_tree_head(table, builder), "root": _node_to_doc(tree.root)}
+    nodes = [[node.test] if isinstance(node, Internal) else ["leaf", node.label]
+             for node in _preorder(tree.root)]
+    return {**_tree_head(table, builder), "preorder": nodes}
 
 
 def _object(doc, kind: str) -> Mapping:
@@ -379,16 +396,19 @@ def _object(doc, kind: str) -> Mapping:
 
 
 def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -> DecisionTree:
-    """Rebuild and fully validate a tree document against ``table``."""
-    if _object(doc, "tree").get("format") != TREE_FORMAT:
-        raise ParseError(f"unsupported tree format {doc.get('format')!r}")
+    """Rebuild and fully validate a v2 or v1 tree document against ``table``."""
+    version = _object(doc, "tree").get("format")
+    if version not in (TREE_FORMAT, _TREE_FORMAT_V1):
+        raise ParseError(f"unsupported tree format {version!r}")
     if check_checksum and doc.get("table_sha256") != table_checksum(table):
         raise TableMismatch(
             "tree document was built from a different table (checksum mismatch)"
         )
-    if "root" not in doc:
-        raise ParseError("bad tree document: no 'root'")
-    tree = DecisionTree(_node_from_doc(doc["root"]))
+    member = "preorder" if version == TREE_FORMAT else "root"
+    if member not in doc:
+        raise ParseError(f"bad tree document: no {member!r}")
+    entries = doc[member] if version == TREE_FORMAT else _v1_preorder(doc[member])
+    tree = DecisionTree(_node_from_preorder(entries))
     validate_tree(tree, table)
     return tree
 
@@ -397,14 +417,6 @@ def _json_text(doc: Mapping, kind: str) -> str:
     """``doc`` as indented JSON; past json's nesting limit, raise ParseError instead."""
     try:
         return json.dumps(doc, indent=2)
-    except RecursionError:
-        raise ParseError(f"{kind} nested too deeply for json") from None
-
-
-def _check_nesting(nesting: int, kind: str) -> None:
-    """Raise ParseError unless json reads a document nested ``nesting`` deep."""
-    try:
-        json.loads("[" * nesting + "]" * nesting)
     except RecursionError:
         raise ParseError(f"{kind} nested too deeply for json") from None
 
@@ -425,73 +437,17 @@ def _read_json(path: str, kind: str):
             raise ParseError(f"bad {kind} document: {exc.msg}", exc.lineno) from None
 
 
-class _LevelText(NamedTuple):
-    """The text ``json.dumps(doc, indent=2)`` puts around a node document
-    nested some number of levels below the tree document's own object."""
-
-    test: str  # an internal node's opening, up to its test id
-    zero: str  # after its test id, up to its zero child
-    leaf: str  # a leaf's opening, up to its label
-    close: str  # after a node's last member: its closing brace
-    one: str  # after a node's zero child, up to its one child, which is at this level
-
-
-def _level_text(level: int) -> _LevelText:
-    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    return _LevelText("{" + inner + '"test": ', "," + inner + '"0": ',
-                      "{" + inner + '"leaf": ', outer + "}", "," + outer + '"1": ')
-
-
-_LEVEL_TEXT = tuple(map(_level_text, range(32)))  # deeper levels are made per call
-
-
-def _node_parts(root: Node) -> tuple[list[str], int]:
-    """(parts, deepest): the parts of the text that ``json.dumps(doc,
-    indent=2)`` gives the node document of ``root`` as the tree document's
-    ``"root"``, from one preorder pass, and the level of its deepest node,
-    the root's being 1. Ids are written by json's own string encoder. Before
-    the pass first reaches a level past the texts made so far, json must
-    read a document nested that deep, so a tree too deep for json fails
-    before its whole text is made."""
-    texts, parts = _LEVEL_TEXT, []
-    stack: list[tuple[Node, int]] = []  # the one children still to write, with their levels
-    node, level, deepest = root, 1, 1
-    while True:
-        while True:  # down the zero children; the one children wait
-            if level == len(texts):
-                _check_nesting(level + 1, "tree")
-                texts = (*texts, *map(_level_text, range(level, 2 * level)))
-            if not isinstance(node, Internal):
-                break
-            text = texts[level]
-            parts += text.test, _encode_string(node.test), text.zero
-            stack.append((node.one, level + 1))
-            node = node.zero
-            level += 1
-        text = texts[level]
-        parts += text.leaf, _encode_string(node.label), text.close
-        if level > deepest:
-            deepest = level
-        if not stack:
-            break
-        node, up = stack.pop()  # the one child of the node at level up - 1
-        parts += [text.close for text in texts[level - 1 : up - 1 : -1]]  # the subtrees done
-        parts.append(texts[up].one)
-        level = up
-    parts += [text.close for text in texts[level - 1 : 0 : -1]]
-    return parts, deepest
-
-
 def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping | None = None) -> None:
-    """Write ``json.dumps(tree_to_doc(tree, table, builder), indent=2)`` and a
-    newline. Only the head goes through json, whose encoder is pure Python
-    once ``indent`` is set; :func:`_node_parts` writes the nodes. A tree
-    that json could not read back, nested past its limit, raises ParseError
-    and writes nothing."""
-    head = _json_text(_tree_head(table, builder), "tree")
-    parts, deepest = _node_parts(tree.root)
-    _check_nesting(deepest + 1, "tree")  # the document's own object, then one per level
-    _write_text(path, head[:-2] + ',\n  "root": ' + "".join(parts) + "\n}")
+    """Write ``tree_to_doc(tree, table, builder)`` as JSON: the members
+    before ``"preorder"`` as ``json.dumps(..., indent=2)`` lays them out,
+    then one node a line, its ids written by json's own string encoder."""
+    nodes = ",\n    ".join([
+        "[" + _encode_string(node.test) + "]" if isinstance(node, Internal)
+        else '["leaf", ' + _encode_string(node.label) + "]"
+        for node in _preorder(tree.root)
+    ])
+    head = _json_text(_tree_head(table, builder), "tree")[:-2]  # without its closing "\n}"
+    _write_text(path, head + ',\n  "preorder": [\n    ' + nodes + "\n  ]\n}")
 
 
 def load_tree(path: str, table: TestTable, check_checksum: bool = True) -> DecisionTree:

@@ -80,7 +80,8 @@ def _answer_errors(errors: np.ndarray, pairs, worker_error: float) -> np.ndarray
 
     ``errors`` holds the seated worker's error cells of some tests (tests ×
     classes, NaN where a test is undefined) and ``pairs`` a pair count per
-    test, after any leading axes of settings. This is the one place that
+    test, after any leading axes of settings, or one int count for every
+    test. This is the one place that
     turns a pair count into a wrong answer's probability for the
     evaluator, the allocator and the worker sweep.
 
@@ -89,8 +90,11 @@ def _answer_errors(errors: np.ndarray, pairs, worker_error: float) -> np.ndarray
     ``errors`` is not read and the result, shaped ``(…, tests, 1)``,
     broadcasts over classes. A count that :func:`group_error` refuses
     raises first, the first such in the order of ``pairs``; then the group
-    error is computed once per distinct count.
+    error is computed once per distinct count. One int count in the limit
+    takes no array pass but the result's.
     """
+    if type(pairs) is int and 0 <= pairs <= _MAX_EXACT_PAIRS:
+        return np.full((len(errors), 1), group_error(pairs, worker_error))
     pairs = np.asarray(pairs)
     top = pairs.max(initial=0)
     if top > _MAX_EXACT_PAIRS or pairs.min(initial=0) < 0:  # raises for the first such count

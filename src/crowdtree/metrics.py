@@ -23,8 +23,6 @@ from .model import (
     Partition,
     TestTable,
     _compile,
-    _Compiled,
-    _tree_tests,
     check_partition,
 )
 
@@ -256,9 +254,12 @@ def _level_figures(
     return out
 
 
-def _survivals(form: _Compiled, table: TestTable, factors) -> list:
+def _survivals(levels: Sequence[list], table: TestTable, factors) -> list:
     """Per class, in class order, the product of the factors ``1 - e`` of
-    the tests on the class's true path, multiplied from root to leaf.
+    the tests on the class's true path, multiplied from root to leaf, for
+    a tree given as its level record ``levels``: per level, the list of its
+    splits ``(block, test index, zeros, ones)`` in partition order, as a
+    compiled tree's ``levels`` or a builder's own levels hold them.
 
     ``factors[m][i]`` is ``1 - e`` for test ``m`` and class ``i``. An entry
     is a float, or a numpy vector with one lane per error setting: then one
@@ -266,7 +267,7 @@ def _survivals(form: _Compiled, table: TestTable, factors) -> list:
     lane gets the bits of its own float pass (the same IEEE operations).
     """
     survive = [1.0] * table.n_classes
-    for level in form.levels:
+    for level in levels:
         for block, m, _, _ in level:
             row = factors[m]
             for i in block:
@@ -298,17 +299,17 @@ def _split_pms(trees: Sequence[list], priors: Sequence[float], factor: np.ndarra
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _exact(tree: DecisionTree, table: TestTable, factors=None) -> tuple:
-    """(:func:`exact_misclassification`, :func:`exact_correct`) from one
-    survival pass, each its own class-order sum, under the
-    :func:`_survivals` factors (by default the table's own errors); with
-    vector factors, each is a vector with one lane per setting."""
-    form = _compile(tree, table)
+def _exact(levels: Sequence[list], table: TestTable, factors=None) -> tuple:
+    """(:func:`exact_misclassification`, :func:`exact_correct`) of a tree
+    given as its :func:`_survivals` level record, from one survival pass,
+    each its own class-order sum, under the :func:`_survivals` factors (by
+    default the table's own errors); with vector factors, each is a vector
+    with one lane per setting."""
     pm = pc = 0.0
     if factors is None:  # per test on the tree, its row of 1 - e as floats
-        tests = _tree_tests(form)
+        tests = sorted({m for level in levels for _, m, _, _ in level})
         factors = dict(zip(tests, (1.0 - table.errors[tests]).tolist()))
-    for p, survive in zip(table.priors, _survivals(form, table, factors)):
+    for p, survive in zip(table.priors, _survivals(levels, table, factors)):
         pm += p * (1.0 - survive)
         pc += p * survive
     return pm, pc
@@ -316,12 +317,12 @@ def _exact(tree: DecisionTree, table: TestTable, factors=None) -> tuple:
 
 def exact_misclassification(tree: DecisionTree, table: TestTable) -> float:
     """Probability that at least one test along an object's true path errs."""
-    return _exact(tree, table)[0]
+    return _exact(_compile(tree, table).levels, table)[0]
 
 
 def exact_correct(tree: DecisionTree, table: TestTable) -> float:
     """Probability that every test along an object's true path answers right."""
-    return _exact(tree, table)[1]
+    return _exact(_compile(tree, table).levels, table)[1]
 
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:

@@ -6,9 +6,10 @@ blocks covering every class. Trees route an object through tests until a
 single-class leaf is reached.
 
 Trees are nested ``Leaf``/``Internal`` nodes, but nothing recurses over
-them. ``_preorder`` lists the nodes; leaf labels, test ids, depth and the
-tree document read that list, and the tree file writer walks the same
-order itself, keeping each node's depth. ``_compile`` checks a tree
+them. ``_preorder`` lists the nodes; leaf labels, test ids, depth,
+``==``, ``hash`` and the tree document read that list, and ``repr`` walks
+the same order with its own stack, so no tree is too deep for any of
+them. ``_compile`` checks a tree
 against a table and gives, per preorder node, the test index, child
 links, leaf class, depth and class block, found by routing every class
 down its error-free path.
@@ -342,13 +343,46 @@ def refine_partition(
 # Decision trees
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Shaped:
+    """``==``, ``hash`` and the dataclass ``repr`` of a node, from its
+    preorder, so that no depth reaches the recursion limit. A tree's own
+    dataclass methods read its root's."""
+
+    def _shape(self) -> list:
+        """The nodes in preorder, an internal node as its test id and a leaf
+        as the 1-tuple of its label: equal shapes make equal nodes."""
+        return [node.test if isinstance(node, Internal) else (node.label,)
+                for node in _preorder(self)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]  # the texts and nodes still to write, the next on top
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Leaf):
+                parts.append(f"Leaf(label={item.label!r})")
+            else:
+                parts.append(f"Internal(test={item.test!r}, zero=")
+                stack += ")", item.one, ", one=", item.zero
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Shaped):
     label: str
 
 
-@dataclass(frozen=True)
-class Internal:
+@dataclass(frozen=True, eq=False, repr=False)
+class Internal(_Shaped):
     test: str
     zero: "Node"
     one: "Node"

@@ -559,7 +559,8 @@ def sweep_workers(
     if not k_values:
         return []
     _check_pair_limit(tree, table, k_values)
-    tests = _tree_tests(_compile(tree, table))
+    form = _compile(tree, table)
+    tests = _tree_tests(form)
     settings = sum(_draws(strategy, random_draws) for strategy in strategies)
     if len(k_values) * settings * len(tests) > _MAX_SWEEP_PAIRS:
         raise ValidationError(
@@ -575,7 +576,7 @@ def sweep_workers(
     wrong = _answer_errors(table.errors[tests], pairs, worker_error)[..., 0]
     lanes = np.subtract(1.0, wrong.T, order="C")  # per test, 1 - its answer's error per setting
     factors = {m: [lane] * table.n_classes for m, lane in zip(tests, lanes)}
-    pm = _exact(tree, table, factors)[0].reshape(len(k_values), -1)
+    pm = _exact(form.levels, table, factors)[0].reshape(len(k_values), -1)
     ends = np.cumsum([_draws(strategy, random_draws) for strategy in strategies])
     means = [np.mean(block, axis=1).tolist() for block in np.split(pm, ends, axis=1)[:-1]]
     return [

@@ -197,8 +197,7 @@ def assign_proposed(
         key = (d, test_id, k)
         if key not in terms:
             if k not in wrong:
-                at_k = _answer_errors(errors, np.full(len(errors), k), worker_error)
-                wrong[k] = dict(zip(pairs, at_k[:, 0].tolist()))
+                wrong[k] = dict(zip(pairs, _answer_errors(errors, k, worker_error)[:, 0].tolist()))
             e = wrong[k][test_id]
             factor = e if additive else 1.0 - e
             terms[key] = _partials([p * factor for p in levels[d].tested[test_id]])
@@ -308,38 +307,38 @@ def _pair_counts(
 
     Budget K's pairs are a prefix count of its stream. Pick i counts toward
     every budget above i: in sorted order, toward the budgets from rank r
-    on, r being how many budgets are at most i. One bincount of (r, pick)
-    and a running sum down the sorted budgets give every budget's counts.
-    The budgets are ranked once, and only for a stream, so all-tests and
-    single-test never make a budget-sized array.
+    on, r being how many budgets are at most i. One bincount of (r, draw,
+    pick) over every stream and a running sum down the sorted budgets give
+    every budget's counts. The budgets are ranked only when there is a
+    stream, so all-tests and single-test never make a budget-sized array.
     """
     values = np.asarray(budgets, dtype=np.int64)
     largest = int(values.max(initial=0))
     settings = [(s, j) for s in strategies for j in range(_draws(s, draws))]
     pairs = np.zeros((len(values), len(settings), n_tests), dtype=np.int64)
-    order = rank = None
+    streams, picks = [], []  # the columns with a stream of picks, and its picks
     for column, (strategy, j) in enumerate(settings):
-        rows = pairs[:, column]  # per budget, this draw's pairs
         if strategy is AssignmentStrategy.ALL_WORKERS_ALL_TESTS:
-            rows[:] = values[:, None]
-            continue
-        if strategy is AssignmentStrategy.SINGLE_TEST:
-            rows[:, random.Random(seed + j).randrange(n_tests)] = values
-            continue
-        if strategy is AssignmentStrategy.RANDOM_PER_PAIR:
+            pairs[:, column] = values[:, None]
+        elif strategy is AssignmentStrategy.SINGLE_TEST:
+            pairs[:, column, random.Random(seed + j).randrange(n_tests)] = values
+        elif strategy is AssignmentStrategy.RANDOM_PER_PAIR:
             rng = random.Random(seed + j)
-            picks = (rng.randrange(n_tests) for _ in range(largest))
+            streams.append(column)
+            picks += (rng.randrange(n_tests) for _ in range(largest))
         elif strategy is AssignmentStrategy.PROPOSED and proposed is not None:
-            picks = proposed
+            streams.append(column)
+            picks += proposed
         else:
             raise UnknownStrategy(
                 f"{strategy} is not a baseline; use assign_proposed for the greedy rule"
             )
-        if rank is None:
-            order = np.argsort(values)
-            rank = np.searchsorted(values[order], np.arange(largest), side="right")
-        keys = rank * n_tests + np.fromiter(picks, np.int64, largest)
-        rows[order] = np.bincount(keys, minlength=rows.size).reshape(rows.shape).cumsum(axis=0)
+    if streams:
+        order = np.argsort(values)
+        rank = np.searchsorted(values[order], np.arange(largest), side="right")
+        cells = np.tile(rank, len(streams)) * len(settings) + np.repeat(streams, largest)
+        keys = cells * n_tests + np.array(picks, dtype=np.int64)
+        pairs[order] += np.bincount(keys, minlength=pairs.size).reshape(pairs.shape).cumsum(axis=0)
     return pairs.reshape(-1, n_tests)
 
 

@@ -44,7 +44,7 @@ def test_build_prints_quality_and_writes_tree(table_path, tmp_path, capsys):
     assert code == 0
     assert "exact_pm,0.08231187500000005" in captured
     doc = json.loads(out.read_text())
-    assert doc["root"]["test"] == "T1"
+    assert doc["format"] == "crowdtree/tree-v2" and doc["preorder"][0] == ["T1"]
     assert doc["builder"]["metric"] == "additive"
 
 
@@ -78,7 +78,7 @@ def test_build_multiplicative_same_tree(table_path, tmp_path):
         )
         == 0
     )
-    assert json.loads(a.read_text())["root"] == json.loads(b.read_text())["root"]
+    assert json.loads(a.read_text())["preorder"] == json.loads(b.read_text())["preorder"]
 
 
 def test_lane_count_ignores_the_environment(table_path, monkeypatch, capsys):
@@ -355,13 +355,28 @@ ON_TREE_ARGS = {
 }
 
 
-def _tree_without_one_child(tmp_path, tree_path):
-    with open(tree_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    del doc["root"]["1"]
-    path = tmp_path / "no_one.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path), None
+def _edited_tree(edit, source=None):
+    """A maker of the tree document at ``source`` (by default the designed
+    tree's v2 file) after ``edit`` changes it in place."""
+    def make(tmp_path, tree_path):
+        with open(source or tree_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path), None
+
+    return make
+
+
+def _set_node(k, entry):
+    def edit(doc):
+        doc["preorder"][k] = entry
+
+    return _edited_tree(edit)
+
+
+V1_TREE = os.path.join(DATA_DIR, "demo_build_additive_r1.v1.json")
 
 
 def _truncated_tree(tmp_path, tree_path):
@@ -379,15 +394,6 @@ def _tree_text(text):
     return make
 
 
-def _tree_without_root(tmp_path, tree_path):
-    with open(tree_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    del doc["root"]
-    path = tmp_path / "no_root.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path), None
-
-
 def _table_with_other_checksum(tmp_path, tree_path):
     other = tmp_path / "other.csv"
     other.write_text(
@@ -403,10 +409,27 @@ TREE_DEFECTS = {
     "checksum": (_table_with_other_checksum, "checksum"),
     "checksum-ignored": (_table_with_other_checksum, None, "--ignore-checksum"),
     "truncated": (_truncated_tree, "bad tree document"),
-    "no-one-child": (_tree_without_one_child, "internal node needs exactly"),
+    "no-one-child": (_edited_tree(lambda doc: doc["root"].pop("1"), V1_TREE),
+                     "internal node needs exactly"),
     "array": (_tree_text("[]"), "tree document must be an object, got list"),
     "string": (_tree_text('"x"'), "tree document must be an object, got str"),
-    "no-root": (_tree_without_root, "bad tree document: no 'root'"),
+    "no-root": (_edited_tree(lambda doc: doc.pop("root"), V1_TREE),
+                "bad tree document: no 'root'"),
+    # v2 documents
+    "no-preorder": (_edited_tree(lambda doc: doc.pop("preorder")),
+                    "bad tree document: no 'preorder'"),
+    "preorder-object": (_edited_tree(lambda doc: doc.update(preorder={})),
+                        "'preorder' is a dict, not a list"),
+    "node-not-list": (_set_node(1, "T5"), "tree node 1 must be [test] or"),
+    "node-arity": (_set_node(0, ["T1", "T5"]), "tree node 0 must be [test] or"),
+    "node-empty": (_set_node(2, []), "tree node 2 must be [test] or"),
+    "node-id-not-string": (_set_node(2, ["leaf", 1]), "with string ids, got ['leaf', 1]"),
+    "leftover-nodes": (_edited_tree(lambda doc: doc["preorder"].append(["leaf", "c1"])),
+                       "'preorder' holds 2 trees, not one"),
+    "missing-nodes": (_edited_tree(lambda doc: doc["preorder"].pop()),
+                      "'preorder' ends inside node 0's subtree"),
+    "no-nodes": (_edited_tree(lambda doc: doc["preorder"].clear()),
+                 "'preorder' holds 0 trees, not one"),
 }
 
 

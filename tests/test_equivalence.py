@@ -220,7 +220,7 @@ def test_batched_exact_equals_per_setting_oracle(seed, tree_seed, max_classes):
     cells = np.stack([_factor_matrix(tbl, fused) for tbl, fused in setups], axis=-1)
 
     def batched(lanes):
-        pm, pc = metrics_module._exact(tree, table, cells[..., lanes])
+        pm, pc = metrics_module._exact(form.levels, table, cells[..., lanes])
         return list(zip(pm.tolist(), pc.tolist()))
 
     assert batched(list(range(len(setups)))) == want
@@ -229,9 +229,10 @@ def test_batched_exact_equals_per_setting_oracle(seed, tree_seed, max_classes):
     assert batched(subset) == [want[s] for s in subset]
     for s, (tbl, fused) in enumerate(setups):
         assert batched([s]) == [want[s]]
-        assert metrics_module._exact(tree, table, _factor_matrix(tbl, fused).tolist()) == want[s]
+        factors = _factor_matrix(tbl, fused).tolist()
+        assert metrics_module._exact(form.levels, table, factors) == want[s]
         if fused is None:
-            assert metrics_module._exact(tree, tbl) == want[s]
+            assert metrics_module._exact(form.levels, tbl) == want[s]
 
 
 def test_sweep_pairs_follow_assign_baseline_streams():
@@ -436,7 +437,8 @@ def test_split_pms_equal_exact_on_assembled_trees(lanes):
         pms = metrics_module._split_pms(trees, table.priors, factor)
         factors = [[factor] * table.n_classes] * table.n_tests
         for splits, row in zip(trees, pms):
-            want = metrics_module._exact(builder_module._assemble(splits, table), table, factors)
+            tree = builder_module._assemble(splits, table)
+            want = metrics_module._exact(model_module._compile(tree, table).levels, table, factors)
             assert row.tolist() == want[0].tolist()
 
 
@@ -1826,14 +1828,16 @@ def _cli_compile_counts(monkeypatch, argv):
 
 
 def test_cli_jobs_compile_once(monkeypatch, tmp_path, capsys):
+    """A job that reads a stored tree compiles it once; ``build`` scores
+    its tree from the builder's own splits and compiles none."""
     table = tmp_path / "table.csv"
     table.write_text(DEMO_TABLE_CSV, encoding="utf-8")
     tree = str(tmp_path / "tree.json")
     on_table = ["--table", str(table), "--error-prob", "0.05"]
     on_tree = ["--tree", tree, *on_table]
-    assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--out", tree]) == 1
+    assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--out", tree]) == 0
     for metric in ("additive", "multiplicative"):
-        assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--metric", metric]) == 1
+        assert _cli_compile_counts(monkeypatch, ["build", *on_table, "--metric", metric]) == 0
     assert _cli_compile_counts(monkeypatch, ["evaluate", *on_tree]) == 1
     alloc = str(tmp_path / "alloc.json")
     for strategy in ("proposed", "random", "single", "all"):

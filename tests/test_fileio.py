@@ -229,8 +229,9 @@ def test_tree_document_roundtrip():
     tree = designed_tree()
     doc = tree_to_doc(tree, table, {"kind": "greedy", "metric": "additive"})
     assert tree_from_doc(doc, table) == tree
-    assert doc["root"]["test"] == "T1"
-    assert doc["root"]["1"] == {"leaf": "c4"}
+    assert doc["format"] == "crowdtree/tree-v2"
+    assert doc["preorder"][:3] == [["T1"], ["T5"], ["leaf", "c1"]]
+    assert doc["preorder"][-1] == ["leaf", "c4"]
     text = json.dumps(doc)
     assert tree_from_doc(json.loads(text), table) == tree
 
@@ -251,7 +252,7 @@ def test_tree_document_checksum_mismatch():
 def test_tree_document_unknown_test():
     table = demo_table(0.05)
     doc = tree_to_doc(designed_tree(), table)
-    doc["root"]["test"] = "T9"
+    doc["preorder"][0] = ["T9"]
     with pytest.raises(UnknownTest):
         tree_from_doc(doc, table)
 
@@ -259,7 +260,10 @@ def test_tree_document_unknown_test():
 def test_tree_document_bad_nodes():
     table = demo_table(0.05)
     doc = tree_to_doc(designed_tree(), table)
-    doc["root"] = {"leaf": "c1", "extra": 1}
+    doc["preorder"][2] = ["leaf", "c1", "extra"]
+    with pytest.raises(ParseError):
+        tree_from_doc(doc, table)
+    doc = {**doc, "format": "crowdtree/tree-v1", "root": {"leaf": "c1", "extra": 1}}
     with pytest.raises(ParseError):
         tree_from_doc(doc, table)
     with pytest.raises(ParseError):
@@ -341,7 +345,7 @@ def test_report_csv_deterministic():
 
 
 def deep_tree_text(depth: int) -> str:
-    """A tree document ``depth`` levels deep, written as text."""
+    """A v1 tree document ``depth`` levels deep, written as text."""
     return (
         '{"format": "crowdtree/tree-v1", "table_sha256": "", "builder": {}, "root": '
         + '{"test": "T1", "0": ' * depth
@@ -351,24 +355,32 @@ def deep_tree_text(depth: int) -> str:
     )
 
 
-# json nests once per tree level. Its encoder recurses in Python and stops
-# near the recursion limit; how deep its C decoder goes depends on the Python
-# version (about 990 levels on CPython 3.11), and this is far deeper.
+# v1 documents nest once per tree level. How deep json's C decoder goes
+# depends on the Python version (about 990 levels on CPython 3.11), and
+# this is far deeper.
 TOO_DEEP_FOR_JSON = 100_000
 
 
+def _chain(depth: int) -> Internal:
+    root = Leaf("c1")
+    for _ in range(depth):
+        root = Internal("T1", root, Leaf("c2"))
+    return root
+
+
 def test_too_deep_tree_document_raises_parse_error(tmp_path):
+    """A v1 document keeps json's nesting limit; a v2 document of the same
+    tree is flat and has none."""
     path = tmp_path / "deep.json"
     path.write_text(deep_tree_text(TOO_DEEP_FOR_JSON), encoding="utf-8")
     with pytest.raises(ParseError, match="nested too deeply for json"):
         load_tree(str(path), demo_table(0.05))
-    root = Leaf("c1")
-    for _ in range(5000):
-        root = Internal("T1", root, Leaf("c2"))
+    root = _chain(5000)
     out = tmp_path / "out.json"
-    with pytest.raises(ParseError, match="nested too deeply for json"):
-        save_tree(str(out), DecisionTree(root), demo_table(0.05))
-    assert not out.exists()
+    save_tree(str(out), DecisionTree(root), demo_table(0.05))
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert len(doc["preorder"]) == 10_001
+    assert fileio._node_from_preorder(doc["preorder"]) == root
 
 
 _ID_PIECES = st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "a", "é", "☃", "𝄞"]),
@@ -379,6 +391,7 @@ _JSON_VALUES = st.recursive(
                                                                   max_size=3),
     max_leaves=12,
 )
+_TREE_END = "\n  ]\n}\n"
 
 
 @settings(max_examples=120, deadline=None)
@@ -390,14 +403,14 @@ _JSON_VALUES = st.recursive(
     test_piece=_ID_PIECES,
     builder=st.none() | st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
 )
-def test_saved_tree_is_json_dumps_of_its_document(
+def test_saved_tree_round_trips(
     tmp_path_factory, seed, random_seed, metric, class_piece, test_piece, builder
 ):
-    """``save_tree`` writes the nodes itself; its bytes are those of
-    ``json.dumps(tree_to_doc(...), indent=2)`` and a newline, for greedy
-    and random trees whose ids hold quotes, backslashes, control and
-    non-ASCII characters, under builder mappings of any JSON values (NaN
-    and infinities included) and empty containers."""
+    """``save_tree`` writes ``tree_to_doc``'s document, one node a line, and
+    ``load_tree`` reads the same tree back, for greedy and random trees
+    whose ids hold quotes, backslashes, control and non-ASCII characters,
+    under builder mappings of any JSON values (NaN and infinities included)
+    and empty containers."""
     table = support.random_table(seed, max_classes=10, max_tests=12)
     table = dataclasses.replace(
         table,
@@ -410,22 +423,35 @@ def test_saved_tree_is_json_dumps_of_its_document(
         tree = build_random(table, random_seed)
     path = tmp_path_factory.getbasetemp() / "property.json"
     save_tree(str(path), tree, table, builder)
-    want = json.dumps(tree_to_doc(tree, table, builder), indent=2) + "\n"
-    assert path.read_bytes() == want.encode("utf-8")
+    assert load_tree(str(path), table) == tree
+    want = tree_to_doc(tree, table, builder)
+    text = path.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text)) == json.dumps(want)  # NaN as NaN
+    _, _, nodes = text.rpartition('\n  "preorder": [\n')
+    assert nodes.endswith(_TREE_END)
+    lines = nodes[: -len(_TREE_END)].split("\n")
+    assert [json.loads(line.strip().rstrip(",")) for line in lines] == want["preorder"]
+
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _committed_tables() -> dict:
+    return {
+        "demo": parse_table_text(DEMO_TABLE_CSV),
+        "random12": load_table(os.path.join(DATA_DIR, "random12_table.csv")),
+    }
 
 
 def test_committed_trees_save_to_their_own_bytes(tmp_path):
-    """Every tree file under ``tests/data``, read and saved again with its
-    own builder mapping, is byte-identical to the file."""
-    data = os.path.join(os.path.dirname(__file__), "data")
-    tables = {
-        "demo": parse_table_text(DEMO_TABLE_CSV),
-        "random12": load_table(os.path.join(data, "random12_table.csv")),
-    }
-    names = sorted(name for name in os.listdir(data) if name.endswith(".json"))
+    """Every v2 tree file under ``tests/data``, read and saved again with
+    its own builder mapping, is byte-identical to the file."""
+    tables = _committed_tables()
+    names = sorted(name for name in os.listdir(DATA_DIR)
+                   if name.endswith(".json") and not name.endswith(".v1.json"))
     assert len(names) == 8
     for name in names:
-        with open(os.path.join(data, name), "rb") as fh:
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
             committed = fh.read()
         doc = json.loads(committed)
         table = tables[name.split("_")[0]]
@@ -434,11 +460,29 @@ def test_committed_trees_save_to_their_own_bytes(tmp_path):
         assert out.read_bytes() == committed, name
 
 
+def test_v1_tree_file_loads_equal_to_its_v2_recapture(tmp_path):
+    """The v1 file ``build`` wrote before v2 still loads, to the tree of its
+    v2 re-capture; saved again, it gives the v2 file's bytes."""
+    table = _committed_tables()["demo"]
+    v1 = os.path.join(DATA_DIR, "demo_build_additive_r1.v1.json")
+    v2 = os.path.join(DATA_DIR, "demo_build_additive_r1.json")
+    with open(v1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["format"] == "crowdtree/tree-v1"
+    tree = load_tree(v1, table)
+    assert tree == load_tree(v2, table) == designed_tree()
+    out = tmp_path / "again.json"
+    save_tree(str(out), tree, table, doc["builder"])
+    with open(v2, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_tree_document_of_depth_500_round_trips(tmp_path):
-    root = Leaf("c1")
-    for _ in range(500):
-        root = Internal("T1", root, Leaf("c2"))
+    """At depth 500, within json's nesting limit, a saved v2 document lists
+    the nodes a v1 document of the same tree nests, and both build it."""
+    root = _chain(500)
     path = tmp_path / "deep.json"
     save_tree(str(path), DecisionTree(root), demo_table(0.05))
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["root"] == json.loads(deep_tree_text(500))["root"]
+    entries = json.loads(path.read_text(encoding="utf-8"))["preorder"]
+    assert entries == fileio._v1_preorder(json.loads(deep_tree_text(500))["root"])
+    assert fileio._node_from_preorder(entries) == root

@@ -229,6 +229,9 @@ def test_answer_errors_pins_every_cell(case):
     assert stacked.shape == (3, len(rows), 1)
     for s, setting in enumerate(settings):
         assert stacked[s].tolist() == [[group_error(k, w)] for k in setting]
+    for k in (0, *counts, 500):  # one count for every test
+        one = _answer_errors(table.errors[rows], k, w)
+        assert one.tolist() == _answer_errors(table.errors[rows], [k] * len(rows), w).tolist()
     fused = effective_table(table, WorkerAllocation(pairs, w, AssignmentStrategy.PROPOSED))
     for m, test_id in enumerate(table.tests):
         for i in range(table.n_classes):
@@ -250,6 +253,11 @@ def test_answer_errors_raise_for_the_first_refused_count_in_settings_order():
         _answer_errors(errors, [1, 10**31], 0.2)
     with pytest.raises(ErrorProbOutOfRange):
         _answer_errors(errors, [1, 2], 0.5)
+    for count, phrase in ((501, "at most 500 pairs, got 501"), (-1, "non-negative integer")):
+        with pytest.raises(DomainError, match=phrase):
+            _answer_errors(errors, count, 0.2)
+    with pytest.raises(ErrorProbOutOfRange):
+        _answer_errors(errors, 3, 0.5)
     assert _answer_errors(errors[:0], [], 0.2).shape == (0, 1)
 
 

@@ -31,7 +31,7 @@ from crowdtree.errors import (
     UselessTest,
     ValidationError,
 )
-from crowdtree.fileio import parse_table_text
+from crowdtree.fileio import load_tree, parse_table_text, save_tree
 from crowdtree.fixtures import DEMO_TABLE_CSV, demo_table, designed_tree, alternative_tree
 
 import support
@@ -267,7 +267,17 @@ def test_depths():
     assert alternative_tree().depth() == 3
 
 
-def test_1200_class_chain_has_no_depth_limit():
+def test_tree_repr_is_the_dataclass_text():
+    """The nodes' iterative ``repr`` writes what the dataclass default did."""
+    assert repr(designed_tree()) == (
+        "DecisionTree(root=Internal(test='T1', zero=Internal(test='T5', zero=Leaf(label='c1'), "
+        "one=Internal(test='T3', zero=Leaf(label='c3'), one=Internal(test='T2', "
+        "zero=Leaf(label='c2'), one=Leaf(label='c5')))), one=Leaf(label='c4')))"
+    )
+    assert repr(Leaf("it's")) == 'Leaf(label="it\'s")'
+
+
+def test_1200_class_chain_has_no_depth_limit(tmp_path):
     n = 1200
     table = support.chain_table(n)
     limit = sys.getrecursionlimit()
@@ -286,6 +296,14 @@ def test_1200_class_chain_has_no_depth_limit():
         allocation, _ = assign_proposed(tree, table, 3, 0.2)
         expected, _ = allocation_cost(tree, table, allocation)
         report = simulate(tree, table, allocation, trials=50, seed=1)
+        path = str(tmp_path / "chain.json")
+        save_tree(path, tree, table)
+        again = load_tree(path, table)
+        assert again == tree and again is not tree
+        assert hash(again) == hash(tree)
+        text = repr(again)
+        assert text == repr(tree) and text.count("Internal(test=") == n - 1
+        assert again != DecisionTree(again.root.zero) and again.root.one == Leaf(table.classes[0])
     finally:
         sys.setrecursionlimit(limit)
     # class j meets tests T1..Tj, the last class all n - 1; every cell has the same error
