@@ -14,16 +14,7 @@ from . import fileio, workers
 from .builder import BuilderConfig, build_greedy
 from .errors import CrowdTreeError, InseparableClasses, ValidationError
 from .fusion import _answer_errors
-from .metrics import (
-    Metric,
-    MetricConfig,
-    _additive_approx,
-    _bounds_additive,
-    _bounds_multiplicative,
-    _exact,
-    _multiplicative_approx,
-    level_quantities,
-)
+from .metrics import Metric, MetricConfig, _exact, _summary, level_quantities
 from .model import _compile
 from .simulate import simulate, sweep_error, sweep_workers
 from .workers import AssignmentStrategy, allocation_cost, assign_baseline, assign_proposed
@@ -99,12 +90,11 @@ def _print_quality(table, ratio_offset: float, splits, levels) -> None:
             f"{q.correct_mass!r},{q.additive_metric!r},{q.multiplicative_metric!r}"
         )
     exact_pm, exact_pc = _exact(splits, table)
-    lo_a, hi_a = _bounds_additive(levels)
-    lo_m, hi_m = _bounds_multiplicative(levels, ratio_offset)
+    add, mul, (lo_a, hi_a), (lo_m, hi_m) = _summary(levels, ratio_offset)
     print(f"exact_pm,{exact_pm!r}")
     print(f"exact_pc,{exact_pc!r}")
-    print(f"additive_approx,{_additive_approx(levels)!r}")
-    print(f"multiplicative_approx,{_multiplicative_approx(levels)!r}")
+    print(f"additive_approx,{add!r}")
+    print(f"multiplicative_approx,{mul!r}")
     print(f"additive_bounds,{lo_a!r},{hi_a!r}")
     print(f"multiplicative_bounds,{lo_m!r},{hi_m!r}")
 

@@ -331,26 +331,40 @@ def table_checksum(table: TestTable) -> str:
 
 def _node_from_preorder(entries) -> Node:
     """Check the node entries of a v2 document and build each node in one
-    reversed pass: each internal node comes just before its two subtrees."""
+    reversed pass: each internal node comes just before its two subtrees.
+    If the pass fails, the first malformed entry in preorder is named, as
+    in a v1 document, before any error of the tree's shape."""
     if not isinstance(entries, list):
         raise ParseError(f"bad tree document: 'preorder' is a {type(entries).__name__}, "
                          "not a list")
     built: list[Node] = []  # of the subtrees done so far, the latest on top
     for k in range(len(entries) - 1, -1, -1):
         entry = entries[k]  # checked by isinstance and len, several times faster than a match
-        if isinstance(entry, list) and len(entry) == 1 and isinstance(entry[0], str):
-            if len(built) < 2:
-                raise ParseError(f"bad tree document: 'preorder' ends inside node {k}'s subtree")
+        if (isinstance(entry, list) and len(entry) == 1 and isinstance(entry[0], str)
+                and len(built) >= 2):
             built.append(Internal(entry[0], built.pop(), built.pop()))
         elif (isinstance(entry, list) and len(entry) == 2 and entry[0] == "leaf"
               and isinstance(entry[1], str)):
             built.append(Leaf(entry[1]))
         else:
-            raise ParseError(f'tree node {k} must be [test] or ["leaf", label] with string '
+            break
+    else:
+        if len(built) != 1:
+            raise ParseError(f"bad tree document: 'preorder' holds {len(built)} trees, not one")
+        return built.pop()
+    for j, entry in enumerate(entries[: k + 1]):  # the entries after k are well formed
+        if not _well_formed(entry):
+            raise ParseError(f'tree node {j} must be [test] or ["leaf", label] with string '
                              f"ids, got {entry!r}")
-    if len(built) != 1:
-        raise ParseError(f"bad tree document: 'preorder' holds {len(built)} trees, not one")
-    return built.pop()
+    raise ParseError(f"bad tree document: 'preorder' ends inside node {k}'s subtree")
+
+
+def _well_formed(entry) -> bool:
+    """Whether ``entry`` is a v2 node entry, ``[test]`` or ``["leaf", label]``."""
+    return isinstance(entry, list) and (
+        len(entry) == 1 and isinstance(entry[0], str)
+        or len(entry) == 2 and entry[0] == "leaf" and isinstance(entry[1], str)
+    )
 
 
 def _v1_preorder(root_doc) -> list:
@@ -413,14 +427,6 @@ def tree_from_doc(doc: Mapping, table: TestTable, check_checksum: bool = True) -
     return tree
 
 
-def _json_text(doc: Mapping, kind: str) -> str:
-    """``doc`` as indented JSON; past json's nesting limit, raise ParseError instead."""
-    try:
-        return json.dumps(doc, indent=2)
-    except RecursionError:
-        raise ParseError(f"{kind} nested too deeply for json") from None
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -446,7 +452,7 @@ def save_tree(path: str, tree: DecisionTree, table: TestTable, builder: Mapping 
         else '["leaf", ' + _encode_string(node.label) + "]"
         for node in _preorder(tree.root)
     ])
-    head = _json_text(_tree_head(table, builder), "tree")[:-2]  # without its closing "\n}"
+    head = json.dumps(_tree_head(table, builder), indent=2)[:-2]  # without its closing "\n}"
     _write_text(path, head + ',\n  "preorder": [\n    ' + nodes + "\n  ]\n}")
 
 
@@ -509,7 +515,7 @@ def allocation_from_doc(doc: Mapping) -> WorkerAllocation:
 
 
 def save_allocation(path: str, allocation: WorkerAllocation) -> None:
-    _write_text(path, _json_text(allocation_to_doc(allocation), "allocation"))
+    _write_text(path, json.dumps(allocation_to_doc(allocation), indent=2))
 
 
 def load_allocation(path: str) -> WorkerAllocation:

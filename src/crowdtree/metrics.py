@@ -71,13 +71,14 @@ def level_entropy(priors: Sequence[float], partition: Partition) -> float:
     """Residual class uncertainty (bits) given the partition's block is known.
 
     Each block contributes its mass times the entropy of the classes inside
-    it, renormalized to the block.
+    it, renormalized to the block; a singleton contributes 0.0, so only the
+    blocks of two or more classes are summed (:func:`_open_entropy`).
     """
     check_partition(len(priors), partition)
-    total = 0.0
     for block in partition:
-        total += _block_entropy(priors, block)
-    return total
+        if math.fsum(priors[i] for i in block) <= 0.0:
+            raise InvalidPartition(f"block {block!r} has no probability mass")
+    return _open_entropy(priors, [block for block in partition if len(block) > 1])[1]
 
 
 def _level_entropies(priors: Sequence[float], levels: Sequence[list]) -> list[float]:
@@ -100,16 +101,6 @@ def _open_entropy(priors: Sequence[float], blocks: Sequence[Block]) -> tuple[lis
     level choice and :func:`_level_entropies` both sum a level here."""
     terms = [_entropy_term([priors[i] for i in block]) for block in blocks]
     return terms, reduce(add, terms, 0.0)  # not sum(), which compensates from Python 3.12
-
-
-def _block_entropy(priors: Sequence[float], block: Block) -> float:
-    """One block's term of :func:`level_entropy`; 0 for a singleton."""
-    mass = math.fsum(priors[i] for i in block)
-    if mass <= 0.0:
-        raise InvalidPartition(f"block {block!r} has no probability mass")
-    if len(block) == 1:
-        return 0.0
-    return _entropy_term([priors[i] for i in block])
 
 
 def _entropy_term(masses: list[float]) -> float:
@@ -327,23 +318,12 @@ def exact_correct(tree: DecisionTree, table: TestTable) -> float:
 
 def additive_approx(tree: DecisionTree, table: TestTable) -> float:
     """First-order misclassification estimate: the sum of level error masses."""
-    return _additive_approx(level_quantities(tree, table))
-
-
-def _additive_approx(levels: Sequence[LevelQuantities]) -> float:
-    return math.fsum(q.error_mass for q in levels)
+    return _summary(level_quantities(tree, table), 1.0)[0]
 
 
 def multiplicative_approx(tree: DecisionTree, table: TestTable) -> float:
     """Correct-classification estimate: the product of level correct masses."""
-    return _multiplicative_approx(level_quantities(tree, table))
-
-
-def _multiplicative_approx(levels: Sequence[LevelQuantities]) -> float:
-    result = 1.0
-    for q in levels:
-        result *= q.correct_mass
-    return result
+    return _summary(level_quantities(tree, table), 1.0)[1]
 
 
 def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]:
@@ -352,13 +332,7 @@ def bounds_additive(tree: DecisionTree, table: TestTable) -> tuple[float, float]
     The initial entropy divided by the largest (smallest) per-level additive
     metric brackets the sum of level error masses.
     """
-    return _bounds_additive(level_quantities(tree, table))
-
-
-def _bounds_additive(levels: Sequence[LevelQuantities]) -> tuple[float, float]:
-    h0 = levels[0].entropy_before if levels else 0.0
-    values = [q.additive_metric for q in levels]
-    return (_safe_div(h0, max(values)), _safe_div(h0, min(values)))
+    return _summary(level_quantities(tree, table), 1.0)[2]
 
 
 def bounds_multiplicative(
@@ -371,22 +345,30 @@ def bounds_multiplicative(
     at least 1, so the product of factors exceeds any single one and both
     returned values then sit at or above the product approximation.
     """
-    return _bounds_multiplicative(level_quantities(tree, table, ratio_offset), ratio_offset)
+    return _summary(level_quantities(tree, table, ratio_offset), ratio_offset)[3]
 
 
-def _bounds_multiplicative(
-    levels: Sequence[LevelQuantities], ratio_offset: float
-) -> tuple[float, float]:
-    """:func:`bounds_multiplicative` of levels computed under ``ratio_offset``."""
-    h0 = levels[0].entropy_before if levels else 0.0
-    values = [q.multiplicative_metric for q in levels]
+def _summary(levels: Sequence[LevelQuantities], ratio_offset: float) -> tuple:
+    """(:func:`additive_approx`, :func:`multiplicative_approx`,
+    :func:`bounds_additive`, :func:`bounds_multiplicative`) of a tree's
+    per-level figures ``levels``, computed under ``ratio_offset``."""
+    h0 = levels[0].entropy_before
+    correct = 1.0
+    for q in levels:
+        correct *= q.correct_mass
+    add = [q.additive_metric for q in levels]
+    mul = [q.multiplicative_metric for q in levels]
     return (
-        _safe_div(h0 + ratio_offset, max(values)),
-        _safe_div(h0 + ratio_offset, min(values)),
+        math.fsum(q.error_mass for q in levels),
+        correct,
+        (_safe_div(h0, max(add)), _safe_div(h0, min(add))),
+        (_safe_div(h0 + ratio_offset, max(mul)), _safe_div(h0 + ratio_offset, min(mul))),
     )
 
 
 def _safe_div(num: float, den: float) -> float:
+    """``num / den``, with 0.0 over an infinite ``den`` and inf over 0.0: a
+    level whose entropy drop rounds to 0 has additive metric 0.0."""
     if math.isinf(den):
         return 0.0
-    return num / den
+    return math.inf if den == 0.0 else num / den

@@ -61,8 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from .builder import BuilderConfig, _cells, _greedy_splits, _random_splits
-from .errors import ValidationError
-from .fusion import _answer_errors, _check_worker_error
+from .errors import DomainError, ValidationError
+from .fusion import _MAX_EXACT_PAIRS, _answer_errors, _check_worker_error
 from .metrics import MetricConfig, _exact, _split_pms
 from .model import DecisionTree, TestTable, _compile, _tree_tests
 from .workers import (
@@ -178,6 +178,12 @@ def _router(
     tree: DecisionTree, table: TestTable, allocation: WorkerAllocation | None
 ) -> _Router:
     form = _compile(tree, table)
+    if allocation is not None:  # checked before any table is built
+        for test_id in (table.tests[m] for m in _tree_tests(form)):
+            k = allocation.extra_pairs.get(test_id, 0)
+            if k > _MAX_EXACT_PAIRS:
+                raise DomainError(f"allocation puts {k} pairs on test {test_id!r}; simulate "
+                                  f"supports at most {_MAX_EXACT_PAIRS} pairs per test")
     n = table.n_classes
     internal = [k for k, m in enumerate(form.test) if m >= 0]
     leaves = [k for k, m in enumerate(form.test) if m < 0]
@@ -398,6 +404,10 @@ def simulate(
     (on the demo table, ``c4`` misrouted at the root meets ``T5``). Such an
     object still ends at some leaf and counts as misclassified. In the
     lookup tables these are the cells whose error is 0.5.
+
+    Each extra worker is one more draw per trial at its node, so an
+    allocation with more than ``_MAX_EXACT_PAIRS`` (500) pairs on a test of
+    the tree, the most any other stage takes, raises :class:`DomainError`.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")

@@ -33,7 +33,7 @@ from crowdtree.fusion import group_error
 from crowdtree.metrics import (
     Metric,
     MetricConfig,
-    _block_entropy,
+    _entropy_term,
     exact_misclassification,
     level_correct_mass,
     level_entropy,
@@ -1151,7 +1151,8 @@ def level_points_per_pair(table: TestTable, partition) -> list[list[tuple]]:
         for test_id in applicable_tests(table, block):
             m = table.test_index(test_id)
             zeros, ones = split_block(table, block, test_id)
-            h = _block_entropy(table.priors, zeros) + _block_entropy(table.priors, ones)
+            h = (_entropy_term([table.priors[i] for i in zeros])
+                 + _entropy_term([table.priors[i] for i in ones]))
             g = math.fsum(table.priors[i] * float(table.errors[m, i]) for i in block)
             c = math.fsum(table.priors[i] * (1.0 - float(table.errors[m, i])) for i in block)
             points[-1].append((m, h, g, c))

@@ -42,7 +42,7 @@ from crowdtree.errors import (
 )
 from crowdtree.fileio import load_tree, save_tree
 from crowdtree.fixtures import alternative_tree, demo_table, designed_tree
-from crowdtree.metrics import _block_entropy
+from crowdtree.metrics import _entropy_term
 
 import support
 
@@ -533,7 +533,7 @@ def test_screen_lies_within_a_sixteenth_of_its_bound(seed, source, n, priors, er
     blocks, tests = [b for b, ms in zip(blocks, tests) if ms], [ms for ms in tests if ms]
     if not blocks:  # a screen has some block: on an extreme table every test splits classes 0, 1
         blocks, tests = [(0, 1)], [builder_module._applicable(cells, (0, 1))]
-    terms = [_block_entropy(table.priors, b) for b in blocks]
+    terms = [_entropy_term([table.priors[i] for i in b]) for b in blocks]
     for kind in Metric:
         cells = builder_module._cells(table, kind)
         with warnings.catch_warnings():

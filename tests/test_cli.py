@@ -255,10 +255,11 @@ GOLDEN_JOBS = {
     # designed tree, OUT for the document a job writes, which must match the
     # golden file of the same name ending in .json instead of .txt.
     "demo_assign_proposed_additive.txt": ["assign", *_DEMO_TREE, "--workers", "30",
-                                          "--strategy", "proposed", "--metric", "additive"],
+                                          "--strategy", "proposed", "--metric", "additive",
+                                          "--out", "OUT"],
     "demo_assign_proposed_multiplicative.txt": ["assign", *_DEMO_TREE, "--workers", "30",
                                                 "--strategy", "proposed",
-                                                "--metric", "multiplicative"],
+                                                "--metric", "multiplicative", "--out", "OUT"],
     "demo_sweep_workers_additive.txt": ["sweep-workers", *_DEMO_TREE, "--kmax", "30",
                                         "--metric", "additive"],
     "demo_sweep_workers_multiplicative.txt": ["sweep-workers", *_DEMO_TREE, "--kmax", "30",
@@ -369,9 +370,10 @@ def _edited_tree(edit, source=None):
     return make
 
 
-def _set_node(k, entry):
+def _set_nodes(entries):
     def edit(doc):
-        doc["preorder"][k] = entry
+        for k, entry in entries.items():
+            doc["preorder"][k] = entry
 
     return _edited_tree(edit)
 
@@ -420,10 +422,13 @@ TREE_DEFECTS = {
                     "bad tree document: no 'preorder'"),
     "preorder-object": (_edited_tree(lambda doc: doc.update(preorder={})),
                         "'preorder' is a dict, not a list"),
-    "node-not-list": (_set_node(1, "T5"), "tree node 1 must be [test] or"),
-    "node-arity": (_set_node(0, ["T1", "T5"]), "tree node 0 must be [test] or"),
-    "node-empty": (_set_node(2, []), "tree node 2 must be [test] or"),
-    "node-id-not-string": (_set_node(2, ["leaf", 1]), "with string ids, got ['leaf', 1]"),
+    "node-not-list": (_set_nodes({1: "T5"}), "tree node 1 must be [test] or"),
+    "node-arity": (_set_nodes({0: ["T1", "T5"]}), "tree node 0 must be [test] or"),
+    "node-empty": (_set_nodes({2: []}), "tree node 2 must be [test] or"),
+    "node-id-not-string": (_set_nodes({2: ["leaf", 1]}), "with string ids, got ['leaf', 1]"),
+    "two-bad-nodes": (_set_nodes({1: 5, 5: 5}), "tree node 1 must be [test] or"),
+    # the last node made internal, so the reversed pass fails there first
+    "bad-node-and-shape": (_set_nodes({1: 5, 8: ["T5"]}), "tree node 1 must be [test] or"),
     "leftover-nodes": (_edited_tree(lambda doc: doc["preorder"].append(["leaf", "c1"])),
                        "'preorder' holds 2 trees, not one"),
     "missing-nodes": (_edited_tree(lambda doc: doc["preorder"].pop()),
@@ -471,6 +476,8 @@ ALLOCATION_DEFECTS = {
     "boolean-pairs": (_allocation_text(extra_pairs=True), "must be an integer >= 0, got True"),
     "repeated-test": (_allocation_text().replace("]", ', {"test": "T1", "extra_pairs": 3}]'),
                       "duplicate allocation row for test 'T1'"),
+    "pairs-past-limit": (_allocation_text(extra_pairs=501),
+                         "501 pairs on test 'T1'; simulate supports at most 500 pairs"),
 }
 
 
@@ -585,27 +592,27 @@ def test_exit_code_io_error(tmp_path):
     )
 
 
-def test_module_entry_point(table_path):
+def test_module_entry_point(table_path, tmp_path):
+    """``python -m crowdtree.cli`` exits with the documented codes."""
     # the child process imports the same package as this test, installed or not
     src = os.path.dirname(os.path.dirname(crowdtree.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "crowdtree.cli",
-            "build",
-            "--table",
-            table_path,
-            "--error-prob",
-            "0.05",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    assert "exact_pm,0.08231187500000005" in proc.stdout
+    bad, inseparable = tmp_path / "bad.csv", tmp_path / "inseparable.csv"
+    bad.write_text("class,a,b\nT1,0,1\n", encoding="utf-8")
+    inseparable.write_text(INSEPARABLE_CSV, encoding="utf-8")
+    cases = [  # (build's --table, or None for none, exit code, a phrase of stderr)
+        (table_path, 0, ""),
+        (None, 2, "the following arguments are required: --table"),  # argparse usage error
+        (str(bad), 2, "line 2"),
+        (str(inseparable), 3, "'b'"),
+        (str(tmp_path / "missing.csv"), 4, "missing.csv"),
+    ]
+    for table, code, phrase in cases:
+        argv = ["build", "--error-prob", "0.05", *(["--table", table] if table else [])]
+        proc = subprocess.run([sys.executable, "-m", "crowdtree.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code and phrase in proc.stderr, (table, proc.stderr)
+        assert ("exact_pm,0.08231187500000005" in proc.stdout) == (code == 0)
 
 
 def test_simulate_report_matches_golden_bytes(table_path, tree_path, tmp_path, capsys):

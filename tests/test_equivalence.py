@@ -1690,7 +1690,7 @@ def test_screen_on_small_levels_keeps_the_choice_from_every_point(config, monkey
 
 def _check_screened_hulls(table, cells, partition):
     blocks = [b for b in partition if len(b) > 1]
-    terms = [metrics_module._block_entropy(table.priors, b) for b in blocks]
+    terms = [metrics_module._entropy_term([table.priors[i] for i in b]) for b in blocks]
     applicable = [builder_module._applicable(cells, b) for b in blocks]
     screen = builder_module._screen(cells, blocks, terms, applicable)
     kept = builder_module._multiplicative_points(cells, blocks, screen)
@@ -1725,7 +1725,7 @@ def test_screen_filters_equal_per_block_lists():
             config = BuilderConfig(metric=MetricConfig(kind=kind))
             for step in level_trace(build_greedy(table, config).tree, table):
                 blocks = [b for b in step.before if len(b) > 1]
-                terms = [metrics_module._block_entropy(table.priors, b) for b in blocks]
+                terms = [metrics_module._entropy_term([table.priors[i] for i in b]) for b in blocks]
                 applicable = [builder_module._applicable(cells, b) for b in blocks]
                 screen = builder_module._screen(cells, blocks, terms, applicable)
                 if kind is Metric.MULTIPLICATIVE:

@@ -237,6 +237,17 @@ def test_bounds_additive_single_level_degenerate():
     assert hi == pytest.approx(0.05, abs=1e-12)
 
 
+def test_level_with_no_entropy_drop_has_an_infinite_upper_bound():
+    # splitting off a class of prior 1e-30 leaves the entropy 1.0: additive metric 0.0
+    table = validate_table(["a", "b", "c"], [0.5, 0.5, 1e-30], ["t1", "t2"],
+                           [[0, 1, 1], [0, 0, 1]], 0.05)
+    tree = DecisionTree(Internal("t2", Internal("t1", Leaf("a"), Leaf("b")), Leaf("c")))
+    assert [q.additive_metric for q in level_quantities(tree, table)] == [0.0, 20.0]
+    assert bounds_additive(tree, table) == (0.05, math.inf)
+    assert additive_approx(tree, table) == pytest.approx(0.1, abs=1e-15)
+    assert multiplicative_approx(tree, table) == pytest.approx(0.95 * 0.95, abs=1e-15)
+
+
 def test_bounds_additive_sandwich_random_instances():
     for seed in range(40):
         table = support.random_table(seed, cell_errors=(seed % 2 == 0))
